@@ -1,0 +1,220 @@
+"""Monte Carlo checks of the penalized estimator's large-sample behavior.
+
+Two regimes are exercised for the Gaussian-penalized least-squares estimator:
+
+* consistency when the penalty weight grows strictly slower than n
+  (instantiated as lam_n = lam0 * n^r with r < 1), and
+* the sqrt(n) limit law, whose mean -- the asymptotic bias -- has the closed
+  form  -lam0 * kappa * C^{-1} (beta * exp(-kappa beta^2))  and vanishes
+  exponentially fast in |beta|.
+
+``lam_n`` follows the raw sum-of-squares convention (loss = sum of squared
+residuals); :func:`gausspen.regression.fit` normalizes the loss by 1/n, so a
+weight ``lam_n`` is passed to the solver as ``lam_n / n``.
+
+Each replicate derives its randomness from (seed, replicate_index), so
+reports are bit-reproducible and independent of execution order.
+"""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ConfigurationError, DivergenceError, ExperimentError
+from .penalties import PenaltySpec
+from .regression import LinearProblem, fit
+
+#: largest tolerated fraction of diverged replicates before the report aborts
+MAX_FAILED_FRACTION = 0.05
+
+
+@dataclass
+class SimSpec:
+    """One simulated-regression configuration.
+
+    ``lambda_rule`` selects how the penalty weight scales with n:
+    ``"o_of_n"`` uses lam_n = lam0 * n^r (r < 1), ``"sqrt_n"`` uses
+    lam_n = lam0 * sqrt(n).
+    """
+
+    beta_true: np.ndarray
+    C: np.ndarray
+    sigma: float
+    n: int
+    lambda_rule: str = "sqrt_n"
+    lambda0: float = 1.0
+    r: float = 0.5
+    kappa: float = 10.0
+    replicates: int = 100
+    seed: int = 0
+
+    def __post_init__(self):
+        self.beta_true = np.asarray(self.beta_true, dtype=float).ravel()
+        self.C = np.asarray(self.C, dtype=float)
+        p = self.beta_true.shape[0]
+        if self.C.shape != (p, p):
+            raise ConfigurationError("C must be p x p for a length-p beta_true")
+        if np.abs(self.C - self.C.T).max() > 1e-12:
+            raise ConfigurationError("C must be symmetric")
+        if np.linalg.eigvalsh(self.C).min() <= 0:
+            raise ConfigurationError("C must be positive definite")
+        if self.sigma <= 0:
+            raise ConfigurationError("sigma must be positive")
+        if self.replicates < 1:
+            raise ConfigurationError("replicates must be >= 1")
+        if self.lambda_rule not in ("o_of_n", "sqrt_n"):
+            raise ConfigurationError(f"unknown lambda rule {self.lambda_rule!r}")
+        if self.lambda_rule == "o_of_n" and not self.r < 1.0:
+            raise ConfigurationError("o_of_n rule requires exponent r < 1")
+        if self.lambda0 < 0:
+            raise ConfigurationError("lambda0 must be nonnegative")
+
+    @property
+    def p(self):
+        return self.beta_true.shape[0]
+
+    def lambda_n(self, n=None):
+        """Penalty weight at sample size n (sum-of-squares loss convention)."""
+        n = self.n if n is None else n
+        if self.lambda_rule == "sqrt_n":
+            return self.lambda0 * math.sqrt(n)
+        return self.lambda0 * n**self.r
+
+
+@dataclass
+class BiasReport:
+    """Aggregated sqrt(n)-scaled estimation errors across replicates."""
+
+    empirical_mean: np.ndarray
+    empirical_se: np.ndarray
+    theoretical_bias: np.ndarray
+    z_scores: np.ndarray
+    replicates_used: int = 0
+    replicates_failed: int = 0
+
+
+def simulate_linear_data(spec, replicate_index):
+    """Draw one replicate: rows ~ N(0, C), y = X beta + N(0, sigma^2) noise,
+    then center the covariate columns and the response.
+
+    Deterministic given (spec.seed, replicate_index).
+    """
+    rng = np.random.default_rng([spec.seed, replicate_index])
+    try:
+        chol = np.linalg.cholesky(spec.C)
+    except np.linalg.LinAlgError:
+        raise ConfigurationError("C must be positive definite") from None
+    Z = rng.standard_normal((spec.n, spec.p))
+    X = Z @ chol.T
+    e = spec.sigma * rng.standard_normal(spec.n)
+    y = X @ spec.beta_true + e
+    X = X - X.mean(axis=0)
+    y = y - y.mean()
+    return LinearProblem(X, y, centered=True)
+
+
+def theoretical_rootn_bias(C, beta_true, lambda0, kappa):
+    """Mean of the sqrt(n) limit law: -lam0*kappa*C^{-1}(beta*exp(-kappa beta^2)).
+
+    The limit criterion is a convex quadratic in the local parameter whose
+    linear term carries the penalty slope at beta; its argmin has this mean
+    because the Gaussian noise term is centered.
+    """
+    C = np.asarray(C, dtype=float)
+    beta_true = np.asarray(beta_true, dtype=float).ravel()
+    slope = beta_true * np.exp(-kappa * beta_true**2)
+    try:
+        return -lambda0 * kappa * np.linalg.solve(C, slope)
+    except np.linalg.LinAlgError:
+        raise ConfigurationError("C must be invertible") from None
+
+
+def ridge_rootn_bias(C, beta_true, lambda0):
+    """Ridge analogue of the limit-law mean, -lam0 * C^{-1} beta: grows
+    linearly in beta where the Gaussian penalty's bias decays exponentially.
+    Provided for comparison plots only."""
+    C = np.asarray(C, dtype=float)
+    beta_true = np.asarray(beta_true, dtype=float).ravel()
+    return -lambda0 * np.linalg.solve(C, beta_true)
+
+
+def _fit_replicate(spec, replicate_index, n=None, start_at_ols=True):
+    n = spec.n if n is None else n
+    local = SimSpec(
+        beta_true=spec.beta_true, C=spec.C, sigma=spec.sigma, n=n,
+        lambda_rule=spec.lambda_rule, lambda0=spec.lambda0, r=spec.r,
+        kappa=spec.kappa, replicates=spec.replicates, seed=spec.seed,
+    )
+    problem = simulate_linear_data(local, replicate_index)
+    pen = PenaltySpec("gaussian", kappa=spec.kappa)
+    lam_solver = local.lambda_n() / n
+    if start_at_ols:
+        ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
+        result = fit(problem, pen, lam_solver, start=ols)
+    else:
+        # default two-start descent (origin and the unpenalized solution):
+        # the experiment wants the argmin, not a basin-local solution
+        result = fit(problem, pen, lam_solver)
+    return result.beta_hat
+
+
+def run_bias_experiment(spec):
+    """Monte Carlo check of the sqrt(n) limit law's mean.
+
+    Fits the penalized estimator per replicate (started at the unpenalized
+    solution), aggregates sqrt(n)*(beta_hat - beta), and compares against
+    :func:`theoretical_rootn_bias` coordinate by coordinate via z-scores.
+
+    Diverged replicates are dropped and counted; more than
+    ``MAX_FAILED_FRACTION`` of them raises :class:`ExperimentError`.
+    """
+    if spec.lambda_rule != "sqrt_n":
+        raise ConfigurationError("bias experiment requires the sqrt_n lambda rule")
+    rows = []
+    failed = 0
+    for rep in range(spec.replicates):
+        try:
+            beta_hat = _fit_replicate(spec, rep)
+        except DivergenceError:
+            failed += 1
+            continue
+        rows.append(math.sqrt(spec.n) * (beta_hat - spec.beta_true))
+    if failed > MAX_FAILED_FRACTION * spec.replicates:
+        raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged")
+    errors = np.asarray(rows)
+    mean = errors.mean(axis=0)
+    if len(rows) >= 2:
+        se = errors.std(axis=0, ddof=1) / math.sqrt(len(rows))
+    else:
+        se = np.full(spec.p, np.nan)
+    theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.kappa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.abs(mean - theo) / se
+    return BiasReport(mean, se, theo, z, len(rows), failed)
+
+
+def run_consistency_experiment(spec, n_grid):
+    """Median l2 estimation error across an increasing grid of sample sizes.
+
+    Returns a list of (n, median ||beta_hat - beta||_2) pairs; under
+    lam_n = o(n) the medians shrink toward zero as n grows.
+    """
+    n_grid = [int(n) for n in n_grid]
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
+        raise ConfigurationError("n grid must be nonempty and strictly increasing")
+    table = []
+    for n in n_grid:
+        errs = []
+        failed = 0
+        for rep in range(spec.replicates):
+            try:
+                beta_hat = _fit_replicate(spec, rep, n=n, start_at_ols=False)
+            except DivergenceError:
+                failed += 1
+                continue
+            errs.append(float(np.linalg.norm(beta_hat - spec.beta_true)))
+        if failed > MAX_FAILED_FRACTION * spec.replicates:
+            raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged at n={n}")
+        table.append((n, float(np.median(errs))))
+    return table

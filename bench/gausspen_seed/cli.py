@@ -1,0 +1,328 @@
+"""Command-line experiment runner.
+
+    gausspen <command> --config <path> [--seed-list 1,2,3] [--out <dir>] [--jobs N]
+
+Commands: penalty-table, ortho-scan, bias-mc, consistency-mc, train-mlp.
+Each writes one CSV (header row; floats with 17 significant digits so values
+round-trip exactly) into the output directory, chosen by --out, then the
+config file's ``output`` key, then $GAUSSPEN_OUT, then the working directory.
+Grid cells are independent; --jobs N > 1 computes them in a process pool but
+rows are always written in deterministic grid order.  Exit codes: 0 success,
+1 configuration error, 2 runtime error.
+"""
+
+import argparse
+import os
+import re
+import sys
+from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
+
+from . import asymptotics, data, mlp, regression
+from .config import (
+    COMMANDS,
+    parse_config,
+    parse_seed_list,
+    opt_float,
+    opt_floats,
+    opt_int,
+    opt_ints,
+)
+from .errors import ConfigurationError
+from .penalties import PenaltySpec, penalty_value
+
+
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="\n") as handle:
+        handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def lower_median(values):
+    """Deterministic median: the lower of the two middles for even counts."""
+    ordered = sorted(values)
+    return ordered[(len(ordered) - 1) // 2]
+
+
+def _map_cells(fn, cells, jobs):
+    if jobs <= 1:
+        return [fn(cell) for cell in cells]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, cells))
+
+
+# --- penalty-table ---------------------------------------------------------
+
+def run_penalty_table(config):
+    opts = config.options
+    lo = opt_float(opts, "beta_min", -3.0)
+    hi = opt_float(opts, "beta_max", 3.0)
+    count = opt_int(opts, "count", 121)
+    betas = np.linspace(lo, hi, count)
+    rows = []
+    for spec in config.penalties:
+        for beta in betas:
+            rows.append((spec.label(), float(beta), penalty_value(spec, float(beta))))
+    return "penalty_table.csv", ("penalty", "beta", "value"), rows
+
+
+# --- ortho-scan ------------------------------------------------------------
+
+def run_ortho_scan(config):
+    opts = config.options
+    beta_ols = opt_float(opts, "beta_ols")
+    kappa = opt_float(opts, "kappa")
+    if "lambda_values" in opts:
+        grid = opt_floats(opts, "lambda_values")
+    else:
+        lo = opt_float(opts, "lambda_min")
+        hi = opt_float(opts, "lambda_max")
+        step = opt_float(opts, "lambda_step")
+        grid = list(np.arange(lo, hi + step / 2.0, step))
+    profiles, lambda_star = regression.lambda_phase_scan(beta_ols, kappa, grid)
+    rows = []
+    for profile in profiles:
+        for i, (loc, val, curv) in enumerate(profile.minima):
+            rows.append(
+                ("minimum", profile.lam, loc, val, curv, int(i == profile.global_index))
+            )
+    rows.append(("lambda_star", lambda_star, None, None, None, None))
+    header = ("row", "lambda", "location", "value", "second_derivative", "is_global")
+    return "ortho_scan.csv", header, rows
+
+
+# --- bias-mc ---------------------------------------------------------------
+
+def _bias_spec(options, seed):
+    beta = np.asarray(opt_floats(options, "beta"))
+    c_diag = opt_floats(options, "c_diag", np.ones(beta.size))
+    return asymptotics.SimSpec(
+        beta_true=beta,
+        C=np.diag(c_diag),
+        sigma=opt_float(options, "sigma", 1.0),
+        n=opt_int(options, "n"),
+        lambda_rule="sqrt_n",
+        lambda0=opt_float(options, "lambda0", 1.0),
+        kappa=opt_float(options, "kappa", 10.0),
+        replicates=opt_int(options, "replicates", 100),
+        seed=seed,
+    )
+
+
+def _bias_cell(args):
+    options, seed = args
+    return asymptotics.run_bias_experiment(_bias_spec(options, seed))
+
+
+def run_bias_mc(config, jobs=1):
+    cells = [(config.options, seed) for seed in config.seeds]
+    reports = _map_cells(_bias_cell, cells, jobs)
+    p = reports[0].empirical_mean.size
+    rows = []
+    for seed, report in zip(config.seeds, reports):
+        for j in range(p):
+            rows.append(
+                ("run", seed, j,
+                 float(report.empirical_mean[j]), float(report.empirical_se[j]),
+                 float(report.theoretical_bias[j]), float(report.z_scores[j]))
+            )
+    for j in range(p):
+        med_mean = lower_median([float(r.empirical_mean[j]) for r in reports])
+        med_z = lower_median([float(r.z_scores[j]) for r in reports])
+        theo = float(reports[0].theoretical_bias[j])
+        rows.append(("median", None, j, med_mean, None, theo, med_z))
+    header = ("row", "seed", "coordinate", "empirical_mean", "empirical_se",
+              "theoretical_bias", "z_score")
+    return "bias_mc.csv", header, rows
+
+
+# --- consistency-mc --------------------------------------------------------
+
+def _consistency_cell(args):
+    options, seed, n_grid = args
+    spec = asymptotics.SimSpec(
+        beta_true=np.asarray(opt_floats(options, "beta")),
+        C=np.diag(opt_floats(options, "c_diag",
+                             np.ones(len(opt_floats(options, "beta"))))),
+        sigma=opt_float(options, "sigma", 1.0),
+        n=n_grid[0],
+        lambda_rule="o_of_n",
+        lambda0=opt_float(options, "lambda0", 1.0),
+        r=opt_float(options, "exponent", 0.5),
+        kappa=opt_float(options, "kappa", 10.0),
+        replicates=opt_int(options, "replicates", 100),
+        seed=seed,
+    )
+    return asymptotics.run_consistency_experiment(spec, n_grid)
+
+
+def run_consistency_mc(config, jobs=1):
+    n_grid = opt_ints(config.options, "n_grid")
+    cells = [(config.options, seed, n_grid) for seed in config.seeds]
+    tables = _map_cells(_consistency_cell, cells, jobs)
+    rows = []
+    for seed, table in zip(config.seeds, tables):
+        for n, err in table:
+            rows.append(("run", seed, n, err))
+    for i, n in enumerate(n_grid):
+        rows.append(("median", None, n, lower_median([t[i][1] for t in tables])))
+    return "consistency_mc.csv", ("row", "seed", "n", "median_l2_error"), rows
+
+
+# --- train-mlp -------------------------------------------------------------
+
+def _mlp_splits(options):
+    dataset = data.make_blobs(
+        num_classes=opt_int(options, "classes", 3),
+        per_class=opt_int(options, "per_class", 60),
+        dimension=opt_int(options, "dimension", 8),
+        separation=opt_float(options, "separation", 3.0),
+        seed=opt_int(options, "data_seed", 0),
+    )
+    fractions = opt_floats(options, "fractions", (0.5, 0.25, 0.25))
+    train_set, val_set, test_set = data.split(
+        dataset, fractions, opt_int(options, "split_seed", 0)
+    )
+    noise = opt_float(options, "label_noise", 0.0)
+    if noise > 0:
+        train_set = data.flip_labels(train_set, noise, opt_int(options, "noise_seed", 0))
+    return train_set, val_set, test_set
+
+
+def _slug(label, lam, seed):
+    return re.sub(r"[^A-Za-z0-9.]+", "-", f"{label}_lam{lam:g}_seed{seed}").strip("-")
+
+
+def _train_cell(args):
+    options, spec_kwargs, lam, seed, artifacts_dir = args
+    train_set, val_set, test_set = _mlp_splits(options)
+    hidden = opt_ints(options, "hidden", (64, 64))
+    arch = mlp.MlpArchitecture(
+        (train_set.features.shape[1], *hidden, train_set.num_classes)
+    )
+    spec = PenaltySpec(**spec_kwargs)
+    cfg = mlp.TrainConfig(
+        penalty=spec,
+        lam=lam,
+        lr_min=opt_float(options, "lr_min", 0.01),
+        lr_max=opt_float(options, "lr_max", 0.25),
+        batch_size=opt_int(options, "batch_size", 64),
+        patience=opt_int(options, "patience", 20),
+        max_epochs=opt_int(options, "max_epochs", 250),
+        seed=seed,
+    )
+    checkpoint = None
+    if artifacts_dir is not None:
+        checkpoint = os.path.join(artifacts_dir, _slug(spec.label(), lam, seed) + ".mlpw")
+    run = mlp.train(train_set, val_set, test_set, arch, cfg, checkpoint_path=checkpoint)
+    if artifacts_dir is not None:
+        log_path = os.path.join(artifacts_dir, _slug(spec.label(), lam, seed) + "_epochs.csv")
+        write_csv(
+            log_path,
+            ("epoch", "train_objective", "total_val_loss", "lr_epoch_start"),
+            run.epoch_log,
+        )
+    return {
+        "test_error": run.test_error_rate,
+        "best_epoch": run.best_epoch,
+        "epochs": len(run.epoch_log),
+        "stop_reason": run.stop_reason,
+    }
+
+
+def run_train_mlp(config, jobs=1):
+    artifacts_dir = None
+    if config.options.get("save_artifacts", "false").lower() in ("1", "true", "yes"):
+        artifacts_dir = os.path.join(config.output, "train_mlp_runs")
+        os.makedirs(artifacts_dir, exist_ok=True)
+    cells = []
+    keys = []
+    for spec in config.penalties:
+        spec_kwargs = {
+            "family": spec.family, "kappa": spec.kappa, "a": spec.a, "b": spec.b,
+            "epsilon": spec.epsilon, "gamma": spec.gamma, "q": spec.q, "mix": spec.mix,
+        }
+        for lam in config.lambda_grid:
+            for seed in config.seeds:
+                cells.append((config.options, spec_kwargs, float(lam), seed, artifacts_dir))
+                keys.append((spec.label(), float(lam), seed))
+    results = _map_cells(_train_cell, cells, jobs)
+    rows = []
+    for (label, lam, seed), res in zip(keys, results):
+        rows.append(("run", label, lam, seed, res["test_error"], res["best_epoch"],
+                     res["epochs"], res["stop_reason"]))
+    for spec in config.penalties:
+        for lam in config.lambda_grid:
+            errs = [
+                res["test_error"]
+                for (label, l, _), res in zip(keys, results)
+                if label == spec.label() and l == float(lam)
+            ]
+            rows.append(("median", spec.label(), float(lam), None,
+                         lower_median(errs), None, None, None))
+    header = ("row", "penalty", "lambda", "seed", "test_error", "best_epoch",
+              "epochs", "stop_reason")
+    return "train_mlp.csv", header, rows
+
+
+# --- driver ----------------------------------------------------------------
+
+def run(config, jobs=1):
+    """Execute one experiment; returns the path of the CSV it wrote."""
+    if config.command == "penalty-table":
+        name, header, rows = run_penalty_table(config)
+    elif config.command == "ortho-scan":
+        name, header, rows = run_ortho_scan(config)
+    elif config.command == "bias-mc":
+        name, header, rows = run_bias_mc(config, jobs)
+    elif config.command == "consistency-mc":
+        name, header, rows = run_consistency_mc(config, jobs)
+    elif config.command == "train-mlp":
+        name, header, rows = run_train_mlp(config, jobs)
+    else:
+        raise ConfigurationError(f"unknown command {config.command!r}")
+    os.makedirs(config.output, exist_ok=True)
+    path = os.path.join(config.output, name)
+    write_csv(path, header, rows)
+    return path
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(
+        prog="gausspen",
+        description="Penalty experiments: shapes, phase transitions, "
+                    "asymptotic bias, consistency, and toy MLP training.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="experiment config file")
+    parser.add_argument("--seed-list", help="comma-separated seeds, e.g. 1,2,3")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    args = parser.parse_args(argv)
+
+    try:
+        seeds = parse_seed_list(args.seed_list) if args.seed_list else None
+        config = parse_config(args.config, command=args.command, seed_list=seeds, out=args.out)
+        path = run(config, jobs=max(1, args.jobs))
+    except ConfigurationError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # noqa: BLE001 - CLI boundary
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

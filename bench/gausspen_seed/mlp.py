@@ -1,0 +1,284 @@
+"""A small from-scratch ReLU multilayer perceptron trained by mini-batch
+gradient descent with a triangular learning-rate schedule and patience-based
+early stopping, with any of the scalar penalty families applied to the
+weights (never the biases).
+
+Weight checkpoints use a self-describing binary layout:
+
+    magic b"MLPW" | uint32 version (1) | uint32 L = number of layer sizes
+    | L x uint32 layer sizes | per layer pair: weight matrix then bias
+    vector, float64 little-endian, row-major.
+"""
+
+import struct
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .errors import ConfigurationError, DivergenceError
+from .penalties import PenaltySpec, grad_array, value_array
+
+CHECKPOINT_MAGIC = b"MLPW"
+CHECKPOINT_VERSION = 1
+
+
+@dataclass
+class MlpArchitecture:
+    """Layer widths, input first and output last; hidden layers are ReLU and
+    the output layer feeds a softmax cross-entropy loss."""
+
+    layer_sizes: tuple
+
+    def __post_init__(self):
+        self.layer_sizes = tuple(int(s) for s in self.layer_sizes)
+        if len(self.layer_sizes) < 3:
+            raise ConfigurationError("need at least one hidden layer")
+        if any(s < 1 for s in self.layer_sizes):
+            raise ConfigurationError("every layer size must be >= 1")
+
+
+@dataclass
+class TrainConfig:
+    penalty: PenaltySpec = field(default_factory=lambda: PenaltySpec("none"))
+    lam: float = 0.0
+    lr_min: float = 0.01
+    lr_max: float = 0.25
+    cycle_length: int = None  # iterations per half-triangle; None = 4 epochs' worth
+    batch_size: int = 64
+    patience: int = 20
+    max_epochs: int = 250
+    seed: int = 1
+
+    def __post_init__(self):
+        if not 0 < self.lr_min < self.lr_max:
+            raise ConfigurationError("need 0 < lr_min < lr_max")
+        if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
+            raise ConfigurationError("patience, max_epochs, batch_size must be >= 1")
+        if self.lam < 0:
+            raise ConfigurationError("lam must be nonnegative")
+
+
+@dataclass
+class TrainRun:
+    """One training trajectory: per-epoch log, stopping info, test error."""
+
+    epoch_log: list  # (epoch, train objective, total validation loss, lr at epoch start)
+    best_epoch: int
+    best_val_loss: float
+    stop_reason: str  # "patience" or "max_epochs"
+    weights: list  # best (W, b) pairs
+    test_error_rate: float = None
+    final_weights_id: str = None
+
+
+def init_weights(arch, seed):
+    """Gaussian init with per-matrix variance 4/(fan_in + fan_out); zero biases."""
+    rng = np.random.default_rng(seed)
+    sizes = arch.layer_sizes
+    weights = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        std = np.sqrt(4.0 / (fan_in + fan_out))
+        W = std * rng.standard_normal((fan_in, fan_out))
+        weights.append((W, np.zeros(fan_out)))
+    return weights
+
+
+def triangular_lr(iteration, config):
+    """Piecewise-linear cyclic rate: lr_min up to lr_max over cycle_length
+    iterations, back down over the next cycle_length, repeating.
+
+    The convex-combination form makes the breakpoints exact.
+    """
+    cycle = config.cycle_length
+    if cycle is None or cycle < 1:
+        raise ConfigurationError("cycle_length must be >= 1")
+    pos = iteration % (2 * cycle)
+    if pos <= cycle:
+        t = pos / cycle
+    else:
+        t = (2 * cycle - pos) / cycle
+    return (1.0 - t) * config.lr_min + t * config.lr_max
+
+
+def forward(weights, inputs):
+    """Forward pass; returns (logits, cache) with everything backward needs."""
+    inputs = np.asarray(inputs, dtype=float)
+    if inputs.ndim != 2 or inputs.shape[1] != weights[0][0].shape[0]:
+        raise ConfigurationError(
+            f"input width {inputs.shape} does not match first layer {weights[0][0].shape}"
+        )
+    activations = [inputs]
+    pre = []
+    a = inputs
+    for i, (W, b) in enumerate(weights):
+        z = a @ W + b
+        pre.append(z)
+        a = np.maximum(z, 0.0) if i < len(weights) - 1 else z
+        activations.append(a)
+    return activations[-1], (activations, pre)
+
+
+def _log_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cross_entropy(logits, labels):
+    """Mean softmax cross-entropy against integer labels."""
+    logp = _log_softmax(logits)
+    return float(-logp[np.arange(len(labels)), labels].mean())
+
+
+def penalty_term(weights, penalty, lam):
+    """lam * sum of penalty values over all weight-matrix entries (not biases)."""
+    if lam == 0.0:
+        return 0.0
+    return lam * sum(float(np.sum(value_array(penalty, W))) for W, _ in weights)
+
+
+def composite_objective(weights, inputs, labels, penalty, lam):
+    logits, _ = forward(weights, inputs)
+    return cross_entropy(logits, labels) + penalty_term(weights, penalty, lam)
+
+
+def backward(weights, cache, labels, penalty, lam):
+    """Gradient of mean cross-entropy plus the penalty term on the weights.
+
+    The penalty gradient uses the zero-at-kink subgradient convention so
+    singular-at-origin families remain trainable from zero weights.
+    """
+    activations, pre = cache
+    batch = len(labels)
+    logits = activations[-1]
+    probs = np.exp(_log_softmax(logits))
+    delta = probs
+    delta[np.arange(batch), labels] -= 1.0
+    delta /= batch
+    grads = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        W, _ = weights[i]
+        gW = activations[i].T @ delta
+        gb = delta.sum(axis=0)
+        if lam > 0.0:
+            gW = gW + lam * grad_array(penalty, W, zero_at_kink=True)
+        grads[i] = (gW, gb)
+        if i > 0:
+            delta = (delta @ W.T) * (pre[i - 1] > 0.0)
+    return grads
+
+
+def evaluate(weights, dataset):
+    """Fraction of argmax-misclassified examples; argmax ties resolve to the
+    lowest class index (numpy argmax convention)."""
+    if dataset.n < 1:
+        raise ConfigurationError("test split is empty")
+    logits, _ = forward(weights, dataset.features)
+    predicted = np.argmax(logits, axis=1)
+    return float(np.mean(predicted != dataset.labels))
+
+
+def train(train_set, val_set, test_set, arch, config, checkpoint_path=None):
+    """Run the full protocol: shuffled mini-batches, triangular learning
+    rate per iteration, per-epoch total validation loss, best-weights
+    checkpointing, and stopping on patience or the epoch cap.
+
+    The returned :class:`TrainRun` carries the best weights (restored before
+    test evaluation); with ``checkpoint_path`` they are also stored on disk
+    in the binary layout above and the path recorded as the weights id.
+    """
+    weights = init_weights(arch, config.seed)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    n_train = train_set.n
+    batches_per_epoch = max(1, -(-n_train // config.batch_size))
+    cycle = config.cycle_length
+    if cycle is None:
+        cycle = 4 * batches_per_epoch
+    cfg = TrainConfig(
+        penalty=config.penalty, lam=config.lam, lr_min=config.lr_min,
+        lr_max=config.lr_max, cycle_length=cycle, batch_size=config.batch_size,
+        patience=config.patience, max_epochs=config.max_epochs, seed=config.seed,
+    )
+
+    iteration = 0
+    best_val = np.inf
+    best_epoch = 0
+    best_weights = [(W.copy(), b.copy()) for W, b in weights]
+    epochs_since_best = 0
+    epoch_log = []
+    stop_reason = "max_epochs"
+
+    for epoch in range(1, cfg.max_epochs + 1):
+        lr_start = triangular_lr(iteration, cfg)
+        order = shuffle_rng.permutation(n_train)
+        for lo in range(0, n_train, cfg.batch_size):
+            batch = order[lo:lo + cfg.batch_size]
+            lr = triangular_lr(iteration, cfg)
+            logits, cache = forward(weights, train_set.features[batch])
+            grads = backward(weights, cache, train_set.labels[batch], cfg.penalty, cfg.lam)
+            weights = [
+                (W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(weights, grads)
+            ]
+            iteration += 1
+
+        train_obj = composite_objective(
+            weights, train_set.features, train_set.labels, cfg.penalty, cfg.lam
+        )
+        val_logits, _ = forward(weights, val_set.features)
+        val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
+        if not (np.isfinite(train_obj) and np.isfinite(val_loss)):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+        epoch_log.append((epoch, train_obj, val_loss, lr_start))
+
+        if val_loss < best_val:
+            best_val = val_loss
+            best_epoch = epoch
+            best_weights = [(W.copy(), b.copy()) for W, b in weights]
+            epochs_since_best = 0
+        else:
+            epochs_since_best += 1
+            if epochs_since_best >= cfg.patience:
+                stop_reason = "patience"
+                break
+
+    run = TrainRun(epoch_log, best_epoch, float(best_val), stop_reason, best_weights)
+    if checkpoint_path is not None:
+        save_weights(checkpoint_path, best_weights)
+        run.final_weights_id = str(checkpoint_path)
+    run.test_error_rate = evaluate(best_weights, test_set)
+    return run
+
+
+def save_weights(path, weights):
+    """Write (W, b) pairs in the self-describing checkpoint layout."""
+    sizes = [weights[0][0].shape[0]] + [W.shape[1] for W, _ in weights]
+    blob = CHECKPOINT_MAGIC
+    blob += struct.pack("<II", CHECKPOINT_VERSION, len(sizes))
+    blob += struct.pack(f"<{len(sizes)}I", *sizes)
+    for W, b in weights:
+        blob += np.ascontiguousarray(W, dtype="<f8").tobytes()
+        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    with open(path, "wb") as handle:
+        handle.write(blob)
+
+
+def load_weights(path):
+    """Read a checkpoint written by :func:`save_weights`."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ConfigurationError("not a weight checkpoint (bad magic bytes)")
+    version, n_sizes = struct.unpack_from("<II", blob, 4)
+    if version != CHECKPOINT_VERSION:
+        raise ConfigurationError(f"unsupported checkpoint version {version}")
+    sizes = struct.unpack_from(f"<{n_sizes}I", blob, 12)
+    offset = 12 + 4 * n_sizes
+    weights = []
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        W = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
+        offset += 8 * fan_in * fan_out
+        b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
+        offset += 8 * fan_out
+        weights.append((W.reshape(fan_in, fan_out).copy(), b.copy()))
+    if offset != len(blob):
+        raise ConfigurationError("checkpoint has trailing bytes")
+    return weights
