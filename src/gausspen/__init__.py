@@ -39,6 +39,7 @@ from .errors import (
     SingularityError,
 )
 from .mlp import (
+    CheckpointFormatError,
     MlpArchitecture,
     TrainConfig,
     TrainRun,

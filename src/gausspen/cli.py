@@ -204,13 +204,12 @@ def _slug(label, lam, seed):
 
 
 def _train_cell(args):
-    options, spec_kwargs, lam, seed, artifacts_dir = args
-    train_set, val_set, test_set = _mlp_splits(options)
+    splits, options, spec, lam, seed, artifacts_dir, slugs = args
+    train_set = splits[0]
     hidden = opt_ints(options, "hidden", (64, 64))
     arch = mlp.MlpArchitecture(
         (train_set.features.shape[1], *hidden, train_set.num_classes)
     )
-    spec = PenaltySpec(**spec_kwargs)
     cfg = mlp.TrainConfig(
         penalty=spec,
         lam=lam,
@@ -221,23 +220,17 @@ def _train_cell(args):
         max_epochs=opt_int(options, "max_epochs", 250),
         seed=seed,
     )
-    checkpoint = None
+    run = mlp.train(*splits, arch, cfg)
     if artifacts_dir is not None:
-        checkpoint = os.path.join(artifacts_dir, _slug(spec.label(), lam, seed) + ".mlpw")
-    run = mlp.train(train_set, val_set, test_set, arch, cfg, checkpoint_path=checkpoint)
-    if artifacts_dir is not None:
-        log_path = os.path.join(artifacts_dir, _slug(spec.label(), lam, seed) + "_epochs.csv")
-        write_csv(
-            log_path,
-            ("epoch", "train_objective", "total_val_loss", "lr_epoch_start"),
-            run.epoch_log,
-        )
-    return {
-        "test_error": run.test_error_rate,
-        "best_epoch": run.best_epoch,
-        "epochs": len(run.epoch_log),
-        "stop_reason": run.stop_reason,
-    }
+        for slug in slugs:
+            base = os.path.join(artifacts_dir, slug)
+            mlp.save_weights(base + ".mlpw", run.weights)
+            write_csv(
+                base + "_epochs.csv",
+                ("epoch", "train_objective", "total_val_loss", "lr_epoch_start"),
+                run.epoch_log,
+            )
+    return run.test_error_rate, run.best_epoch, len(run.epoch_log), run.stop_reason
 
 
 def run_train_mlp(config, jobs=1):
@@ -245,31 +238,35 @@ def run_train_mlp(config, jobs=1):
     if config.options.get("save_artifacts", "false").lower() in ("1", "true", "yes"):
         artifacts_dir = os.path.join(config.output, "train_mlp_runs")
         os.makedirs(artifacts_dir, exist_ok=True)
-    cells = []
-    keys = []
+    # A cell with family none or lambda 0 trains exactly what an unpenalized
+    # run trains, whatever its label and lambda: such cells share one run per
+    # seed, and every cell still gets its own row and artifacts.
+    unpenalized = PenaltySpec("none")
+    runs = {}  # (spec, lam, seed) actually trained -> slugs of its grid cells
+    grid = []  # (label, lam, seed, run key) in grid order
     for spec in config.penalties:
-        spec_kwargs = {
-            "family": spec.family, "kappa": spec.kappa, "a": spec.a, "b": spec.b,
-            "epsilon": spec.epsilon, "gamma": spec.gamma, "q": spec.q, "mix": spec.mix,
-        }
         for lam in config.lambda_grid:
+            lam = float(lam)
             for seed in config.seeds:
-                cells.append((config.options, spec_kwargs, float(lam), seed, artifacts_dir))
-                keys.append((spec.label(), float(lam), seed))
-    results = _map_cells(_train_cell, cells, jobs)
+                if spec.family == "none" or lam == 0.0:
+                    key = (unpenalized, 0.0, seed)
+                else:
+                    key = (spec, lam, seed)
+                runs.setdefault(key, []).append(_slug(spec.label(), lam, seed))
+                grid.append((spec.label(), lam, seed, key))
+    splits = _mlp_splits(config.options)
+    cells = [(splits, config.options, *key, artifacts_dir, slugs)
+             for key, slugs in runs.items()]
+    results = dict(zip(runs, _map_cells(_train_cell, cells, jobs)))
     rows = []
-    for (label, lam, seed), res in zip(keys, results):
-        rows.append(("run", label, lam, seed, res["test_error"], res["best_epoch"],
-                     res["epochs"], res["stop_reason"]))
+    errors = {}  # (label, lam) -> test errors over seeds
+    for label, lam, seed, key in grid:
+        rows.append(("run", label, lam, seed, *results[key]))
+        errors.setdefault((label, lam), []).append(results[key][0])
     for spec in config.penalties:
         for lam in config.lambda_grid:
-            errs = [
-                res["test_error"]
-                for (label, l, _), res in zip(keys, results)
-                if label == spec.label() and l == float(lam)
-            ]
             rows.append(("median", spec.label(), float(lam), None,
-                         lower_median(errs), None, None, None))
+                         lower_median(errors[spec.label(), float(lam)]), None, None, None))
     header = ("row", "penalty", "lambda", "seed", "test_error", "best_epoch",
               "epochs", "stop_reason")
     return "train_mlp.csv", header, rows

@@ -32,8 +32,8 @@ PENALTY_FLOAT_KEYS = ("kappa", "a", "b", "epsilon", "gamma", "q", "mix")
 
 def loggrid(lo, hi, count):
     """Logarithmically equidistant grid from lo to hi inclusive."""
-    if not (0 < lo < hi):
-        raise ConfigurationError("loggrid needs 0 < min < max")
+    if not (0 < lo < hi < math.inf):
+        raise ConfigurationError("loggrid needs 0 < min < max < inf")
     if count < 2:
         raise ConfigurationError("loggrid needs count >= 2")
     return [float(v) for v in np.geomspace(lo, hi, int(count))]
@@ -103,8 +103,8 @@ def _parse_lambda_grid(parser, problems):
         except ValueError:
             problems.append(f"[lambda] values = {body['values']!r} are not numbers")
             return []
-        if any(v < 0 for v in values):
-            problems.append("[lambda] values must be nonnegative")
+        if not all(0 <= v < math.inf for v in values):
+            problems.append("[lambda] values must be finite and nonnegative")
         return values
     try:
         lo = float(body["log_min"])
@@ -182,36 +182,33 @@ def parse_config(path, command=None, seed_list=None, out=None):
     return ExperimentConfig(command, penalties, lambda_grid, seeds, output, options)
 
 
-def opt_float(options, key, default=None):
+def _option(options, key, default, parse, what):
     if key not in options:
         if default is None:
             raise ConfigurationError(f"missing required option `{key}`")
         return default
-    value = float(options[key])
+    try:
+        return parse(options[key])
+    except ValueError:
+        raise ConfigurationError(
+            f"option `{key}` = {options[key]!r} is not {what}"
+        ) from None
+
+
+def opt_float(options, key, default=None):
+    value = _option(options, key, default, float, "a number")
     if not math.isfinite(value):
         raise ConfigurationError(f"option `{key}` must be finite")
     return value
 
 
 def opt_int(options, key, default=None):
-    if key not in options:
-        if default is None:
-            raise ConfigurationError(f"missing required option `{key}`")
-        return default
-    return int(options[key])
+    return _option(options, key, default, int, "an integer")
 
 
 def opt_floats(options, key, default=None):
-    if key not in options:
-        if default is None:
-            raise ConfigurationError(f"missing required option `{key}`")
-        return list(default)
-    return _floats(options[key])
+    return list(_option(options, key, default, _floats, "a list of numbers"))
 
 
 def opt_ints(options, key, default=None):
-    if key not in options:
-        if default is None:
-            raise ConfigurationError(f"missing required option `{key}`")
-        return list(default)
-    return _ints(options[key])
+    return list(_option(options, key, default, _ints, "a list of integers"))

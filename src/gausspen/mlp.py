@@ -22,6 +22,14 @@ CHECKPOINT_MAGIC = b"MLPW"
 CHECKPOINT_VERSION = 1
 
 
+class CheckpointFormatError(ConfigurationError):
+    """Malformed weight checkpoint; ``offset`` is the byte position of the problem."""
+
+    def __init__(self, message, offset):
+        super().__init__(f"{message} (byte offset {offset})")
+        self.offset = offset
+
+
 @dataclass
 class MlpArchitecture:
     """Layer widths, input first and output last; hidden layers are ReLU and
@@ -159,8 +167,8 @@ def backward(weights, cache, labels, penalty, lam):
         W, _ = weights[i]
         gW = activations[i].T @ delta
         gb = delta.sum(axis=0)
-        if lam > 0.0:
-            gW = gW + lam * grad_array(penalty, W, zero_at_kink=True)
+        if lam > 0.0 and penalty.family != "none":
+            gW += lam * grad_array(penalty, W, zero_at_kink=True)
         grads[i] = (gW, gb)
         if i > 0:
             delta = (delta @ W.T) * (pre[i - 1] > 0.0)
@@ -215,9 +223,9 @@ def train(train_set, val_set, test_set, arch, config, checkpoint_path=None):
             lr = triangular_lr(iteration, cfg)
             logits, cache = forward(weights, train_set.features[batch])
             grads = backward(weights, cache, train_set.labels[batch], cfg.penalty, cfg.lam)
-            weights = [
-                (W - lr * gW, b - lr * gb) for (W, b), (gW, gb) in zip(weights, grads)
-            ]
+            for (W, b), (gW, gb) in zip(weights, grads):
+                W -= lr * gW
+                b -= lr * gb
             iteration += 1
 
         train_obj = composite_objective(
@@ -261,24 +269,35 @@ def save_weights(path, weights):
         handle.write(blob)
 
 
+def _unpack(blob, fmt, offset, part):
+    if len(blob) < offset + struct.calcsize(fmt):
+        raise CheckpointFormatError(f"checkpoint {part} is truncated", len(blob))
+    return struct.unpack_from(fmt, blob, offset)
+
+
 def load_weights(path):
-    """Read a checkpoint written by :func:`save_weights`."""
+    """Read a checkpoint written by :func:`save_weights`; a malformed file
+    raises :class:`CheckpointFormatError`."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ConfigurationError("not a weight checkpoint (bad magic bytes)")
-    version, n_sizes = struct.unpack_from("<II", blob, 4)
+    if not CHECKPOINT_MAGIC.startswith(blob[:4]):
+        raise CheckpointFormatError("not a weight checkpoint (bad magic bytes)", 0)
+    version, n_sizes = _unpack(blob, "<4xII", 0, "header")
     if version != CHECKPOINT_VERSION:
-        raise ConfigurationError(f"unsupported checkpoint version {version}")
-    sizes = struct.unpack_from(f"<{n_sizes}I", blob, 12)
+        raise CheckpointFormatError(f"unsupported checkpoint version {version}", 4)
+    sizes = _unpack(blob, f"<{n_sizes}I", 12, "layer-size table")
+    shapes = list(zip(sizes[:-1], sizes[1:]))
     offset = 12 + 4 * n_sizes
+    end = offset + 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)
+    if len(blob) < end:
+        raise CheckpointFormatError("checkpoint body is truncated", len(blob))
+    if len(blob) > end:
+        raise CheckpointFormatError("checkpoint has trailing bytes", end)
     weights = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in shapes:
         W = np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=offset)
-        offset += 8 * fan_in * fan_out
+        offset += W.nbytes
         b = np.frombuffer(blob, dtype="<f8", count=fan_out, offset=offset)
-        offset += 8 * fan_out
+        offset += b.nbytes
         weights.append((W.reshape(fan_in, fan_out).copy(), b.copy()))
-    if offset != len(blob):
-        raise ConfigurationError("checkpoint has trailing bytes")
     return weights

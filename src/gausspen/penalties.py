@@ -203,15 +203,31 @@ def grad_array(spec, beta, zero_at_kink=False):
             f"{spec.family} penalty is not differentiable at 0; "
             "pass zero_at_kink=True to use the 0 subgradient convention"
         )
-    t = np.abs(beta)
-    s = np.sign(beta)
     f = spec.family
     if f == "none":
-        return np.zeros_like(t)
-    if f == "lasso":
-        return s
+        return np.zeros_like(beta)
     if f == "ridge":
         return 2.0 * beta
+    if f == "gaussian":
+        # 2k*b*exp(-k*b*b) in two buffers, with the same association (and so
+        # the same bits) as that expression; out= needs an array, so a 0-d
+        # beta gets 0-d buffers rather than numpy scalars
+        k = spec.kappa
+        expo = np.multiply(-k, beta, out=np.empty_like(beta))
+        expo *= beta
+        np.exp(expo, out=expo)
+        out = np.multiply(2.0 * k, beta, out=np.empty_like(beta))
+        out *= expo
+        return out
+    s = np.sign(beta)
+    if f == "lasso":
+        return s
+    if f == "elastic_net":
+        return spec.mix * s + 2.0 * (1.0 - spec.mix) * beta
+    if f == "arctan":
+        g = spec.gamma
+        return s * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta)
+    t = np.abs(beta)
     if f == "bridge":
         # q < 1 has an unbounded derivative at 0; the opt-in convention
         # still pins the origin to 0 (it is always a stationary candidate)
@@ -220,8 +236,6 @@ def grad_array(spec, beta, zero_at_kink=False):
         nz = t > 0.0
         out[nz] = q * t[nz] ** (q - 1.0) * s[nz]
         return out
-    if f == "elastic_net":
-        return spec.mix * s + 2.0 * (1.0 - spec.mix) * beta
     if f == "scad":
         a = spec.a
         mag = np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0))
@@ -232,12 +246,6 @@ def grad_array(spec, beta, zero_at_kink=False):
         return s * mag
     if f == "laplace":
         return s * np.exp(-t / spec.epsilon) / spec.epsilon
-    if f == "arctan":
-        g = spec.gamma
-        return s * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta)
-    if f == "gaussian":
-        k = spec.kappa
-        return 2.0 * k * beta * np.exp(-k * beta * beta)
     raise ConfigurationError(f"unknown penalty family {f!r}")
 
 

@@ -1,10 +1,13 @@
 import math
+import re
 
 import pytest
 
+from gausspen import cli, mlp
 from gausspen.cli import lower_median, main, write_csv
 from gausspen.config import loggrid, parse_config, parse_seed_list
 from gausspen.errors import ConfigurationError
+from gausspen.penalties import PenaltySpec
 
 
 def write_config(path, text):
@@ -354,6 +357,69 @@ def test_train_mlp_artifacts(tmp_path):
     assert weights[0][0].shape == (2, 8)  # dimension 2 -> hidden 8
 
 
+SHARED_CFG = TRAIN_CFG.replace("seeds = 1, 2, 3", "seeds = 1, 2").replace(
+    "values = 0.001, 0.01", "values = 0.01, 0, 0.1"
+).replace("max_epochs = 15", "max_epochs = 6") + "save_artifacts = true\n"
+
+
+def _tree(root):
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_train_mlp_trains_each_distinct_run_once(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "t.cfg", SHARED_CFG)
+    trained = []
+    real_train = mlp.train
+
+    def counting_train(*args, **kwargs):
+        config = args[4]
+        trained.append((config.penalty.family, config.lam, config.seed))
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(mlp, "train", counting_train)
+    out = tmp_path / "out"
+    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    # none at every lambda and gaussian at lambda 0 are one unpenalized run per seed
+    assert sorted(trained) == sorted(
+        [("none", 0.0, seed) for seed in (1, 2)]
+        + [("gaussian", lam, seed) for lam in (0.01, 0.1) for seed in (1, 2)]
+    )
+
+    lines = (out / "train_mlp.csv").read_text().splitlines()
+    runs = [line.split(",") for line in lines if line.startswith("run")]
+    assert [(r[1], float(r[2]), int(r[3])) for r in runs] == [
+        (label, lam, seed)
+        for label in ("none", "gaussian(kappa=10)")
+        for lam in (0.01, 0.0, 0.1)
+        for seed in (1, 2)
+    ]
+    runs_dir = out / "train_mlp_runs"
+    splits = cli._mlp_splits(parse_config(cfg).options)
+    for seed in (1, 2):
+        shared = [r for r in runs
+                  if int(r[3]) == seed and (r[1] == "none" or float(r[2]) == 0.0)]
+        assert len(shared) == 4 and all(r[4:] == shared[0][4:] for r in shared)
+        slugs = [cli._slug(r[1], float(r[2]), seed) for r in shared]
+        for suffix in (".mlpw", "_epochs.csv"):
+            blobs = {(runs_dir / (slug + suffix)).read_bytes() for slug in slugs}
+            assert len(blobs) == 1
+        # the shared run is what the cell's own penalty and lambda would train
+        config = mlp.TrainConfig(penalty=PenaltySpec("none"), lam=0.1, batch_size=16,
+                                 max_epochs=6, seed=seed)
+        own = real_train(*splits, mlp.MlpArchitecture((2, 8, 2)), config)
+        assert float(shared[0][4]) == own.test_error_rate
+        path = tmp_path / "own_epochs.csv"
+        write_csv(path, ("epoch", "train_objective", "total_val_loss", "lr_epoch_start"),
+                  own.epoch_log)
+        assert path.read_bytes() == (runs_dir / (slugs[0] + "_epochs.csv")).read_bytes()
+    assert len(list(runs_dir.iterdir())) == 2 * len(runs)
+
+    monkeypatch.setattr(mlp, "train", real_train)
+    parallel = tmp_path / "parallel"
+    assert main(["train-mlp", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
+    assert _tree(parallel) == _tree(out)
+
+
 def test_seed_list_override(tmp_path):
     cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
     out = tmp_path / "out"
@@ -382,3 +448,36 @@ def test_exit_codes(tmp_path, capsys):
     cfg3 = write_config(tmp_path / "ok.cfg", ORTHO_CFG)
     assert main(["ortho-scan", "--config", cfg3, "--out", str(blocker)]) == 2
     assert "runtime error" in capsys.readouterr().err
+
+
+BIAS_CFG = """
+[experiment]
+command = bias-mc
+seeds = 1
+
+[bias-mc]
+beta = 1
+sigma = 1
+n = 50
+replicates = 2
+"""
+
+
+@pytest.mark.parametrize(
+    "key, bad", [("n", "abc"), ("sigma", "x"), ("beta", "1, y"), ("replicates", "2.5")]
+)
+def test_non_numeric_option_is_config_error(tmp_path, capsys, key, bad):
+    text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", BIAS_CFG, flags=re.M)
+    cfg = write_config(tmp_path / "b.cfg", text)
+    assert main(["bias-mc", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"`{key}` = {bad!r}" in err
+
+
+@pytest.mark.parametrize("values", ["inf", "nan", "0.1, -1"])
+def test_non_finite_or_negative_lambda_is_config_error(tmp_path, values):
+    cfg = write_config(
+        tmp_path / "t.cfg", TRAIN_CFG.replace("values = 0.001, 0.01", f"values = {values}")
+    )
+    with pytest.raises(ConfigurationError, match="lambda"):
+        parse_config(cfg)

@@ -4,6 +4,7 @@ import pytest
 from gausspen import data
 from gausspen.errors import ConfigurationError
 from gausspen.mlp import (
+    CheckpointFormatError,
     MlpArchitecture,
     TrainConfig,
     backward,
@@ -355,3 +356,26 @@ def test_checkpoint_roundtrip_formats(tmp_path):
         save_weights(path, weights)
         (tmp_path / "bad.mlpw").write_bytes(b"NOPE" + raw[4:])
         load_weights(tmp_path / "bad.mlpw")
+
+
+def test_malformed_checkpoints_raise_typed_errors(tmp_path):
+    weights = init_weights(MlpArchitecture((3, 2, 2)), seed=4)
+    good = tmp_path / "w.mlpw"
+    save_weights(good, weights)
+    raw = good.read_bytes()
+    bad = tmp_path / "bad.mlpw"
+
+    def offset_of(blob):
+        bad.write_bytes(blob)
+        with pytest.raises(CheckpointFormatError) as err:
+            load_weights(bad)
+        assert isinstance(err.value, ConfigurationError)
+        assert f"byte offset {err.value.offset}" in str(err.value)
+        return err.value.offset
+
+    # every truncation, inside the header, the size table or the body
+    for length in range(len(raw)):
+        assert offset_of(raw[:length]) == length
+    assert offset_of(raw + b"\0") == len(raw)
+    assert offset_of(b"NOPE" + raw[4:]) == 0
+    assert offset_of(raw[:4] + (2).to_bytes(4, "little") + raw[8:]) == 4

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gausspen.errors import ConfigurationError, DomainError, SingularityError
 from gausspen.penalties import (
     PenaltySpec,
+    grad_array,
     lipschitz_on_interval,
     penalty_bounds,
     penalty_grad,
@@ -157,6 +161,45 @@ def test_grad_is_odd():
     for spec in ALL_SPECS:
         for beta in betas:
             assert penalty_grad(spec, beta) == -penalty_grad(spec, -beta)
+
+
+# finite coefficient arrays of any shape up to 3-d, 0-d included: values of
+# the scale where the penalties bend, any finite double, and the edge values
+# (signed zeros, subnormals, overflow in b*b)
+EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e154, -1e200, 1.7e308, -1.7e308)
+FINITE_ARRAYS = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=6),
+    elements=st.one_of(st.floats(-10.0, 10.0),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(EDGE_VALUES)),
+)
+
+
+@given(FINITE_ARRAYS, st.floats(min_value=1e-3, max_value=1e3))
+@example(np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64)), 10.0)
+def test_gaussian_grad_bits_match_formula(beta, kappa):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = grad_array(PenaltySpec("gaussian", kappa=kappa), beta)
+        ref = np.asarray(2.0 * kappa * beta * np.exp(-kappa * beta * beta))
+    assert got.shape == beta.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS))
+def test_grad_array_is_odd(beta, spec):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        plus = grad_array(spec, beta, zero_at_kink=True)
+        minus = grad_array(spec, -beta, zero_at_kink=True)
+    np.testing.assert_array_equal(minus, -plus)
+
+
+@given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS), st.data())
+def test_grad_array_rejects_non_finite(beta, spec, data):
+    index = data.draw(st.integers(0, beta.size - 1))
+    beta.flat[index] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    with pytest.raises(DomainError):
+        grad_array(spec, beta, zero_at_kink=True)
 
 
 def test_kink_requires_convention():
