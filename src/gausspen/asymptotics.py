@@ -17,13 +17,13 @@ reports are bit-reproducible and independent of execution order.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, ExperimentError
+from .errors import ConfigurationError, ExperimentError
 from .penalties import PenaltySpec
-from .regression import LinearProblem, fit
+from .regression import LinearProblem, fit_batch
 
 #: largest tolerated fraction of diverged replicates before the report aborts
 MAX_FAILED_FRACTION = 0.05
@@ -84,7 +84,11 @@ class SimSpec:
 
 @dataclass
 class BiasReport:
-    """Aggregated sqrt(n)-scaled estimation errors across replicates."""
+    """Aggregated sqrt(n)-scaled estimation errors across replicates.
+
+    ``replicates_unconverged`` counts used replicates whose fit stopped
+    before its gradient tolerance was met.
+    """
 
     empirical_mean: np.ndarray
     empirical_se: np.ndarray
@@ -92,6 +96,7 @@ class BiasReport:
     z_scores: np.ndarray
     replicates_used: int = 0
     replicates_failed: int = 0
+    replicates_unconverged: int = 0
 
 
 def simulate_linear_data(spec, replicate_index):
@@ -139,24 +144,31 @@ def ridge_rootn_bias(C, beta_true, lambda0):
     return -lambda0 * np.linalg.solve(C, beta_true)
 
 
-def _fit_replicate(spec, replicate_index, n=None, start_at_ols=True):
-    n = spec.n if n is None else n
-    local = SimSpec(
-        beta_true=spec.beta_true, C=spec.C, sigma=spec.sigma, n=n,
-        lambda_rule=spec.lambda_rule, lambda0=spec.lambda0, r=spec.r,
-        kappa=spec.kappa, replicates=spec.replicates, seed=spec.seed,
-    )
-    problem = simulate_linear_data(local, replicate_index)
-    pen = PenaltySpec("gaussian", kappa=spec.kappa)
-    lam_solver = local.lambda_n() / n
-    if start_at_ols:
-        ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
-        result = fit(problem, pen, lam_solver, start=ols)
-    else:
-        # default two-start descent (origin and the unpenalized solution):
-        # the experiment wants the argmin, not a basin-local solution
-        result = fit(problem, pen, lam_solver)
-    return result.beta_hat
+def _reduce(problem):
+    X, y = problem.X, problem.y
+    return X.T @ X, X.T @ y, y @ y, np.linalg.lstsq(X, y, rcond=None)[0]
+
+
+def fit_replicates(spec, n=None, start_at_ols=True):
+    """Draw every replicate of ``spec`` at sample size ``n`` (default
+    ``spec.n``) and fit them all in one batched descent.
+
+    Each draw is reduced at once to its sufficient statistics (X'X, X'y,
+    y'y and the least-squares start) and its design is dropped, so memory
+    stays O(replicates * p^2).  With ``start_at_ols`` every replicate starts
+    at its unpenalized solution; otherwise the origin is tried as well and
+    the lower objective wins.  Returns the :class:`~gausspen.regression.BatchFit`,
+    one row per replicate.
+    """
+    local = spec if n is None else replace(spec, n=n)
+    reps, p = local.replicates, local.p
+    gram, xty = np.empty((reps, p, p)), np.empty((reps, p))
+    yty, ols = np.empty(reps), np.empty((reps, p))
+    for rep in range(reps):
+        gram[rep], xty[rep], yty[rep], ols[rep] = _reduce(simulate_linear_data(local, rep))
+    starts = ols[:, None] if start_at_ols else np.stack([np.zeros_like(ols), ols], axis=1)
+    pen = PenaltySpec("gaussian", kappa=local.kappa)
+    return fit_batch(gram, xty, yty, local.n, pen, local.lambda_n() / local.n, starts)
 
 
 def run_bias_experiment(spec):
@@ -171,27 +183,22 @@ def run_bias_experiment(spec):
     """
     if spec.lambda_rule != "sqrt_n":
         raise ConfigurationError("bias experiment requires the sqrt_n lambda rule")
-    rows = []
-    failed = 0
-    for rep in range(spec.replicates):
-        try:
-            beta_hat = _fit_replicate(spec, rep)
-        except DivergenceError:
-            failed += 1
-            continue
-        rows.append(math.sqrt(spec.n) * (beta_hat - spec.beta_true))
+    batch = fit_replicates(spec)
+    failed = int(batch.failed.sum())
     if failed > MAX_FAILED_FRACTION * spec.replicates:
         raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged")
-    errors = np.asarray(rows)
+    used = ~batch.failed
+    errors = math.sqrt(spec.n) * (batch.beta_hat[used] - spec.beta_true)
     mean = errors.mean(axis=0)
-    if len(rows) >= 2:
-        se = errors.std(axis=0, ddof=1) / math.sqrt(len(rows))
+    if len(errors) >= 2:
+        se = errors.std(axis=0, ddof=1) / math.sqrt(len(errors))
     else:
         se = np.full(spec.p, np.nan)
     theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.kappa)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(mean - theo) / se
-    return BiasReport(mean, se, theo, z, len(rows), failed)
+    unconverged = int(np.count_nonzero(~batch.converged[used]))
+    return BiasReport(mean, se, theo, z, len(errors), failed, unconverged)
 
 
 def run_consistency_experiment(spec, n_grid):
@@ -205,15 +212,12 @@ def run_consistency_experiment(spec, n_grid):
         raise ConfigurationError("n grid must be nonempty and strictly increasing")
     table = []
     for n in n_grid:
-        errs = []
-        failed = 0
-        for rep in range(spec.replicates):
-            try:
-                beta_hat = _fit_replicate(spec, rep, n=n, start_at_ols=False)
-            except DivergenceError:
-                failed += 1
-                continue
-            errs.append(float(np.linalg.norm(beta_hat - spec.beta_true)))
+        # the default two starts (origin and the unpenalized solution): the
+        # experiment wants the argmin, not a basin-local solution
+        batch = fit_replicates(spec, n=n, start_at_ols=False)
+        failed = int(batch.failed.sum())
+        errs = [float(np.linalg.norm(beta_hat - spec.beta_true))
+                for beta_hat in batch.beta_hat[~batch.failed]]
         if failed > MAX_FAILED_FRACTION * spec.replicates:
             raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged at n={n}")
         table.append((n, float(np.median(errs))))

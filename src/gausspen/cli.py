@@ -42,10 +42,21 @@ def _fmt(value):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+    """Write a CSV atomically: rows go to a temporary file in the target
+    directory, which then replaces ``path``, so a failure part-way leaves
+    any earlier file at ``path`` intact."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(_fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def lower_median(values):

@@ -43,6 +43,17 @@ FAMILIES = (
 #: families whose shape has a kink (non-differentiable point) at the origin
 KINKED_AT_ZERO = frozenset({"lasso", "scad", "mcp", "laplace", "arctan"})
 
+# the one hyperparameter a parameterized family uses
+_PARAMETER = {
+    "gaussian": "kappa",
+    "scad": "a",
+    "mcp": "b",
+    "laplace": "epsilon",
+    "arctan": "gamma",
+    "bridge": "q",
+    "elastic_net": "mix",
+}
+
 
 @dataclass(frozen=True)
 class PenaltySpec:
@@ -99,15 +110,8 @@ class PenaltySpec:
             raise ConfigurationError(f"invalid {self.family} penalty: {msg}")
 
     def _relevant_param(self):
-        return {
-            "gaussian": self.kappa,
-            "scad": self.a,
-            "mcp": self.b,
-            "laplace": self.epsilon,
-            "arctan": self.gamma,
-            "bridge": self.q,
-            "elastic_net": self.mix,
-        }.get(self.family, 0.0)
+        name = _PARAMETER.get(self.family)
+        return 0.0 if name is None else getattr(self, name)
 
     def has_kink(self):
         """True when the shape is non-differentiable at the origin."""
@@ -120,17 +124,20 @@ class PenaltySpec:
         return False
 
     def label(self):
-        """Short human-readable tag, e.g. ``gaussian(kappa=10)``."""
-        param = {
-            "gaussian": f"kappa={self.kappa:g}",
-            "scad": f"a={self.a:g}",
-            "mcp": f"b={self.b:g}",
-            "laplace": f"epsilon={self.epsilon:g}",
-            "arctan": f"gamma={self.gamma:g}",
-            "bridge": f"q={self.q:g}",
-            "elastic_net": f"mix={self.mix:g}",
-        }.get(self.family)
-        return self.family if param is None else f"{self.family}({param})"
+        """Short human-readable tag, e.g. ``gaussian(kappa=10)``.
+
+        The parameter prints in ``:g`` form when that reads back as the same
+        float and in full ``repr`` form otherwise, so distinct penalties
+        never share a label.
+        """
+        name = _PARAMETER.get(self.family)
+        if name is None:
+            return self.family
+        value = getattr(self, name)
+        text = f"{value:g}"
+        if float(text) != value:
+            text = repr(float(value))
+        return f"{self.family}({name}={text})"
 
 
 @dataclass(frozen=True)

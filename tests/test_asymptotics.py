@@ -5,6 +5,7 @@ import pytest
 
 from gausspen.asymptotics import (
     SimSpec,
+    fit_replicates,
     ridge_rootn_bias,
     run_bias_experiment,
     run_consistency_experiment,
@@ -207,6 +208,7 @@ def test_bias_experiment_reproducible():
     spec = base_spec(replicates=30)
     a = run_bias_experiment(spec)
     b = run_bias_experiment(spec)
+    assert (a.replicates_used, a.replicates_failed, a.replicates_unconverged) == (30, 0, 0)
     assert np.array_equal(a.empirical_mean, b.empirical_mean)
     assert np.array_equal(a.empirical_se, b.empirical_se)
     assert np.array_equal(a.z_scores, b.z_scores)
@@ -238,3 +240,17 @@ def test_consistency_violating_rule_has_error_floor():
     )
     table = run_consistency_experiment(spec, [100, 400, 1600])
     assert all(err > 2.0 for _, err in table)  # near ||beta|| = sqrt(5)
+
+
+def test_consistency_replicates_all_converge():
+    # the acceptance suite's consistency case at n = 1600: every replicate's
+    # winning descent meets the gradient tolerance rather than stalling on
+    # round-off just above it
+    spec = base_spec(
+        beta_true=[1.0, -2.0], C=np.eye(2), n=100, lambda_rule="o_of_n", lambda0=1.0,
+        r=0.5, kappa=10.0, replicates=200, seed=11,
+    )
+    batch = fit_replicates(spec, n=1600, start_at_ols=False)
+    assert not batch.failed.any()
+    assert batch.converged.all()
+    assert np.all(batch.grad_norm_final <= 1e-8)

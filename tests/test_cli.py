@@ -143,6 +143,21 @@ def test_write_csv_17_digit_roundtrip(tmp_path):
     assert float(line.split(",")[0]) == value
 
 
+def test_write_csv_failure_keeps_earlier_file(tmp_path):
+    path = tmp_path / "x.csv"
+    write_csv(path, ("a",), [(1.0,)])
+    before = path.read_bytes()
+
+    def rows():
+        yield (2.0,)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        write_csv(path, ("a",), rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
+
+
 # --- end-to-end commands --------------------------------------------------------------
 
 
@@ -418,6 +433,24 @@ def test_train_mlp_trains_each_distinct_run_once(tmp_path, monkeypatch):
     parallel = tmp_path / "parallel"
     assert main(["train-mlp", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
     assert _tree(parallel) == _tree(out)
+
+
+def test_train_mlp_close_parameters_stay_distinct(tmp_path):
+    # kappa = 10 and 10.000001 both print as 10 under :g; their labels must
+    # still differ, or the two penalties share rows, medians and artifacts
+    text = SHARED_CFG.replace("family = none", "family = gaussian\nkappa = 10.000001").replace(
+        "values = 0.01, 0, 0.1", "values = 0.01").replace("seeds = 1, 2", "seeds = 1")
+    cfg = write_config(tmp_path / "t.cfg", text)
+    out = tmp_path / "out"
+    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "train_mlp.csv").read_text().splitlines()
+    runs = [line.split(",") for line in lines if line.startswith("run")]
+    medians = [line.split(",") for line in lines if line.startswith("median")]
+    labels = ["gaussian(kappa=10.000001)", "gaussian(kappa=10)"]
+    assert [r[1] for r in runs] == labels
+    assert [m[1] for m in medians] == labels
+    checkpoints = sorted((out / "train_mlp_runs").glob("*.mlpw"))
+    assert len(checkpoints) == 2
 
 
 def test_seed_list_override(tmp_path):

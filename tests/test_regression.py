@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gausspen.errors import ConfigurationError
+from gausspen.errors import ConfigurationError, DivergenceError
 from gausspen.penalties import PenaltySpec
 from gausspen.regression import (
     LinearProblem,
     fit,
+    fit_batch,
     lambda_phase_scan,
     orthonormal_objective,
     solve_orthonormal,
@@ -104,6 +107,98 @@ def test_multistart_picks_lower_objective():
     default = fit(problem, spec, lam_1d / n)
     from_ols = fit(problem, spec, lam_1d / n, start=beta_ols)
     assert default.objective_trace[-1][1] <= from_ols.objective_trace[-1][1] + 1e-12
+
+
+def sufficient_statistics(problems):
+    gram = np.stack([pr.X.T @ pr.X for pr in problems])
+    xty = np.stack([pr.X.T @ pr.y for pr in problems])
+    yty = np.array([pr.y @ pr.y for pr in problems])
+    return gram, xty, yty
+
+
+def random_problems(rng, count, n, p):
+    problems = []
+    for _ in range(count):
+        X = rng.standard_normal((n, p))
+        y = X @ rng.uniform(-3.0, 3.0, size=p) + rng.standard_normal(n)
+        problems.append(LinearProblem(X, y))
+    return problems
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    p=st.integers(1, 4),
+    extra_rows=st.integers(1, 8),
+    family=st.sampled_from(["none", "ridge", "gaussian"]),
+    kappa=st.floats(0.5, 20.0),
+    lam=st.floats(0.0, 2.0),
+    start_kinds=st.lists(st.sampled_from(["zero", "ols", "random", "both"]),
+                         min_size=4, max_size=4),
+)
+def test_batch_rows_match_scalar_fit(seed, count, p, extra_rows, family, kappa, lam,
+                                     start_kinds):
+    # row r of one batched solve is fit() on problem r, whatever else the
+    # batch holds; "both" is fit()'s default origin-then-OLS pair
+    rng = np.random.default_rng(seed)
+    spec = PenaltySpec(family, kappa=kappa)
+    problems = random_problems(rng, count, p + extra_rows, p)
+    kinds = start_kinds[:count]
+    k = 2 if "both" in kinds else 1
+    starts, scalar_fits = np.zeros((count, k, p)), []
+    for i, (problem, kind) in enumerate(zip(problems, kinds)):
+        ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
+        start = {"zero": np.zeros(p), "ols": ols, "random": rng.uniform(-4.0, 4.0, p)}.get(kind)
+        if kind == "both":
+            starts[i] = [np.zeros(p), ols]
+            scalar_fits.append(fit(problem, spec, lam))
+        else:
+            starts[i] = start  # a duplicated start ties, and ties go to the first
+            scalar_fits.append(fit(problem, spec, lam, start=start))
+    batch = fit_batch(*sufficient_statistics(problems), p + extra_rows, spec, lam, starts)
+    assert not batch.failed.any()
+    for i, scalar in enumerate(scalar_fits):
+        assert np.abs(batch.beta_hat[i] - scalar.beta_hat).max() <= 1e-12
+        assert abs(batch.objective[i] - scalar.objective_trace[-1][1]) <= 1e-12
+        assert batch.converged[i] == scalar.converged
+        row = batch.result(i)
+        assert row.iterations == scalar.iterations
+        assert row.objective_trace == scalar.objective_trace
+
+
+def test_kinked_penalty_descent_stops():
+    # with no slope test at the kink, a descent that can only creep toward
+    # it in round-off-sized decreases stops instead of running to max_iter
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 5))
+    y = X @ np.array([2.0, 0.0, 0.0, 0.1, -1.0]) + rng.standard_normal(50)
+    for family in ("lasso", "scad", "laplace"):
+        result = fit(LinearProblem(X, y), PenaltySpec(family, epsilon=0.5), 0.1,
+                     start=np.zeros(5))
+        assert result.iterations < 1000
+        values = [v for _, v in result.objective_trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def test_batch_isolates_non_finite_start():
+    rng = np.random.default_rng(8)
+    problems = random_problems(rng, 3, 10, 2)
+    spec = PenaltySpec("gaussian", kappa=5.0)
+    stats = sufficient_statistics(problems)
+    starts = rng.uniform(-2.0, 2.0, size=(3, 1, 2))
+    clean = fit_batch(*stats, 10, spec, 0.1, starts)
+    for bad_start in ([1e200, 1e200], [np.nan, 0.0], [np.inf, 1.0]):
+        spoiled = starts.copy()
+        spoiled[1, 0] = bad_start
+        batch = fit_batch(*stats, 10, spec, 0.1, spoiled)
+        assert list(batch.failed) == [False, True, False]
+        for i in (0, 2):
+            assert np.array_equal(batch.beta_hat[i], clean.beta_hat[i])
+            assert batch.objective[i] == clean.objective[i]
+            assert batch.iterations[i] == clean.iterations[i]
+        with pytest.raises(DivergenceError):
+            fit(problems[1], spec, 0.1, start=bad_start)
 
 
 # --- orthonormal objective and minima profiles --------------------------------
@@ -203,6 +298,7 @@ def test_oracle_equivalence_random_triples():
         problem = LinearProblem(X, y)
         spec = spec_cache.setdefault(kappa, PenaltySpec("gaussian", kappa=kappa))
         result = fit(problem, spec, lam_1d / n, start=np.full(n, beta_ols))
+        assert result.converged
         profile = solve_orthonormal(beta_ols, lam_1d, kappa)
         closest = min(abs(m[0] - result.beta_hat[0]) for m in profile.minima)
         assert closest < 1e-6
