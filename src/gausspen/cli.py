@@ -20,15 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import asymptotics, data, mlp, regression
-from .config import (
-    COMMANDS,
-    parse_config,
-    parse_seed_list,
-    opt_float,
-    opt_floats,
-    opt_int,
-    opt_ints,
-)
+from .config import COMMANDS, parse_config, parse_seed_list
 from .errors import ConfigurationError
 from .penalties import PenaltySpec, penalty_value
 
@@ -74,12 +66,9 @@ def _map_cells(fn, cells, jobs):
 
 # --- penalty-table ---------------------------------------------------------
 
-def run_penalty_table(config):
+def run_penalty_table(config, jobs):
     opts = config.options
-    lo = opt_float(opts, "beta_min", -3.0)
-    hi = opt_float(opts, "beta_max", 3.0)
-    count = opt_int(opts, "count", 121)
-    betas = np.linspace(lo, hi, count)
+    betas = np.linspace(opts["beta_min"], opts["beta_max"], opts["count"])
     rows = []
     for spec in config.penalties:
         for beta in betas:
@@ -89,18 +78,13 @@ def run_penalty_table(config):
 
 # --- ortho-scan ------------------------------------------------------------
 
-def run_ortho_scan(config):
+def run_ortho_scan(config, jobs):
     opts = config.options
-    beta_ols = opt_float(opts, "beta_ols")
-    kappa = opt_float(opts, "kappa")
-    if "lambda_values" in opts:
-        grid = opt_floats(opts, "lambda_values")
-    else:
-        lo = opt_float(opts, "lambda_min")
-        hi = opt_float(opts, "lambda_max")
-        step = opt_float(opts, "lambda_step")
-        grid = list(np.arange(lo, hi + step / 2.0, step))
-    profiles, lambda_star = regression.lambda_phase_scan(beta_ols, kappa, grid)
+    grid = opts["lambda_values"]
+    if grid is None:
+        step = opts["lambda_step"]
+        grid = list(np.arange(opts["lambda_min"], opts["lambda_max"] + step / 2.0, step))
+    profiles, lambda_star = regression.lambda_phase_scan(opts["beta_ols"], opts["kappa"], grid)
     rows = []
     for profile in profiles:
         for i, (loc, val, curv) in enumerate(profile.minima):
@@ -112,30 +96,26 @@ def run_ortho_scan(config):
     return "ortho_scan.csv", header, rows
 
 
-# --- bias-mc ---------------------------------------------------------------
+# --- bias-mc and consistency-mc --------------------------------------------
 
-def _bias_spec(options, seed):
-    beta = np.asarray(opt_floats(options, "beta"))
-    c_diag = opt_floats(options, "c_diag", np.ones(beta.size))
+def _sim_spec(options, seed, lambda_rule, n):
+    beta = np.asarray(options["beta"])
+    c_diag = options["c_diag"]
     return asymptotics.SimSpec(
-        beta_true=beta,
-        C=np.diag(c_diag),
-        sigma=opt_float(options, "sigma", 1.0),
-        n=opt_int(options, "n"),
-        lambda_rule="sqrt_n",
-        lambda0=opt_float(options, "lambda0", 1.0),
-        kappa=opt_float(options, "kappa", 10.0),
-        replicates=opt_int(options, "replicates", 100),
-        seed=seed,
+        beta_true=beta, C=np.diag(np.ones(beta.size) if c_diag is None else c_diag),
+        sigma=options["sigma"], n=n, lambda_rule=lambda_rule, lambda0=options["lambda0"],
+        # only consistency-mc, whose rule is o_of_n, has an exponent
+        r=options.get("exponent", asymptotics.SimSpec.r),
+        kappa=options["kappa"], replicates=options["replicates"], seed=seed,
     )
 
 
 def _bias_cell(args):
     options, seed = args
-    return asymptotics.run_bias_experiment(_bias_spec(options, seed))
+    return asymptotics.run_bias_experiment(_sim_spec(options, seed, "sqrt_n", options["n"]))
 
 
-def run_bias_mc(config, jobs=1):
+def run_bias_mc(config, jobs):
     cells = [(config.options, seed) for seed in config.seeds]
     reports = _map_cells(_bias_cell, cells, jobs)
     p = reports[0].empirical_mean.size
@@ -157,29 +137,15 @@ def run_bias_mc(config, jobs=1):
     return "bias_mc.csv", header, rows
 
 
-# --- consistency-mc --------------------------------------------------------
-
 def _consistency_cell(args):
-    options, seed, n_grid = args
-    spec = asymptotics.SimSpec(
-        beta_true=np.asarray(opt_floats(options, "beta")),
-        C=np.diag(opt_floats(options, "c_diag",
-                             np.ones(len(opt_floats(options, "beta"))))),
-        sigma=opt_float(options, "sigma", 1.0),
-        n=n_grid[0],
-        lambda_rule="o_of_n",
-        lambda0=opt_float(options, "lambda0", 1.0),
-        r=opt_float(options, "exponent", 0.5),
-        kappa=opt_float(options, "kappa", 10.0),
-        replicates=opt_int(options, "replicates", 100),
-        seed=seed,
-    )
-    return asymptotics.run_consistency_experiment(spec, n_grid)
+    options, seed = args
+    spec = _sim_spec(options, seed, "o_of_n", options["n_grid"][0])
+    return asymptotics.run_consistency_experiment(spec, options["n_grid"])
 
 
-def run_consistency_mc(config, jobs=1):
-    n_grid = opt_ints(config.options, "n_grid")
-    cells = [(config.options, seed, n_grid) for seed in config.seeds]
+def run_consistency_mc(config, jobs):
+    n_grid = config.options["n_grid"]
+    cells = [(config.options, seed) for seed in config.seeds]
     tables = _map_cells(_consistency_cell, cells, jobs)
     rows = []
     for seed, table in zip(config.seeds, tables):
@@ -194,19 +160,13 @@ def run_consistency_mc(config, jobs=1):
 
 def _mlp_splits(options):
     dataset = data.make_blobs(
-        num_classes=opt_int(options, "classes", 3),
-        per_class=opt_int(options, "per_class", 60),
-        dimension=opt_int(options, "dimension", 8),
-        separation=opt_float(options, "separation", 3.0),
-        seed=opt_int(options, "data_seed", 0),
+        num_classes=options["classes"], per_class=options["per_class"],
+        dimension=options["dimension"], separation=options["separation"],
+        seed=options["data_seed"],
     )
-    fractions = opt_floats(options, "fractions", (0.5, 0.25, 0.25))
-    train_set, val_set, test_set = data.split(
-        dataset, fractions, opt_int(options, "split_seed", 0)
-    )
-    noise = opt_float(options, "label_noise", 0.0)
-    if noise > 0:
-        train_set = data.flip_labels(train_set, noise, opt_int(options, "noise_seed", 0))
+    train_set, val_set, test_set = data.split(dataset, options["fractions"], options["split_seed"])
+    if options["label_noise"] > 0:
+        train_set = data.flip_labels(train_set, options["label_noise"], options["noise_seed"])
     return train_set, val_set, test_set
 
 
@@ -217,19 +177,13 @@ def _slug(label, lam, seed):
 def _train_cell(args):
     splits, options, spec, lam, seed, artifacts_dir, slugs = args
     train_set = splits[0]
-    hidden = opt_ints(options, "hidden", (64, 64))
     arch = mlp.MlpArchitecture(
-        (train_set.features.shape[1], *hidden, train_set.num_classes)
+        (train_set.features.shape[1], *options["hidden"], train_set.num_classes)
     )
     cfg = mlp.TrainConfig(
-        penalty=spec,
-        lam=lam,
-        lr_min=opt_float(options, "lr_min", 0.01),
-        lr_max=opt_float(options, "lr_max", 0.25),
-        batch_size=opt_int(options, "batch_size", 64),
-        patience=opt_int(options, "patience", 20),
-        max_epochs=opt_int(options, "max_epochs", 250),
-        seed=seed,
+        penalty=spec, lam=lam, lr_min=options["lr_min"], lr_max=options["lr_max"],
+        batch_size=options["batch_size"], patience=options["patience"],
+        max_epochs=options["max_epochs"], seed=seed,
     )
     run = mlp.train(*splits, arch, cfg)
     if artifacts_dir is not None:
@@ -244,9 +198,9 @@ def _train_cell(args):
     return run.test_error_rate, run.best_epoch, len(run.epoch_log), run.stop_reason
 
 
-def run_train_mlp(config, jobs=1):
+def run_train_mlp(config, jobs):
     artifacts_dir = None
-    if config.options.get("save_artifacts", "false").lower() in ("1", "true", "yes"):
+    if config.options["save_artifacts"]:
         artifacts_dir = os.path.join(config.output, "train_mlp_runs")
         os.makedirs(artifacts_dir, exist_ok=True)
     # A cell with family none or lambda 0 trains exactly what an unpenalized
@@ -285,20 +239,20 @@ def run_train_mlp(config, jobs=1):
 
 # --- driver ----------------------------------------------------------------
 
+RUNNERS = {
+    "penalty-table": run_penalty_table,
+    "ortho-scan": run_ortho_scan,
+    "bias-mc": run_bias_mc,
+    "consistency-mc": run_consistency_mc,
+    "train-mlp": run_train_mlp,
+}
+
+
 def run(config, jobs=1):
     """Execute one experiment; returns the path of the CSV it wrote."""
-    if config.command == "penalty-table":
-        name, header, rows = run_penalty_table(config)
-    elif config.command == "ortho-scan":
-        name, header, rows = run_ortho_scan(config)
-    elif config.command == "bias-mc":
-        name, header, rows = run_bias_mc(config, jobs)
-    elif config.command == "consistency-mc":
-        name, header, rows = run_consistency_mc(config, jobs)
-    elif config.command == "train-mlp":
-        name, header, rows = run_train_mlp(config, jobs)
-    else:
+    if config.command not in RUNNERS:
         raise ConfigurationError(f"unknown command {config.command!r}")
+    name, header, rows = RUNNERS[config.command](config, jobs)
     os.makedirs(config.output, exist_ok=True)
     path = os.path.join(config.output, name)
     write_csv(path, header, rows)

@@ -5,14 +5,20 @@ Shared sections:
 
 * ``[experiment]`` -- ``command``, optional ``seeds`` (default ``1, 2, 3``)
   and ``output`` directory.
-* ``[penalty:<name>]`` -- one per penalty in the grid; ``family`` plus any
-  hyperparameters that family uses.
+* ``[penalty:<name>]`` -- one per penalty in the grid; ``family`` plus that
+  family's own hyperparameter, if it has one (``penalties.PARAMETER``).
 * ``[lambda]`` -- either explicit ``values = ...`` or a logarithmically
   equidistant grid via ``log_min``, ``log_max``, ``count``.
 
 plus one section named after the command (``[ortho-scan]``, ``[bias-mc]``,
 ``[consistency-mc]``, ``[train-mlp]``, ``[penalty-table]``) holding its own
-knobs.  Parse problems are collected and reported all at once.
+options.  ``COMMANDS`` maps each command to the schema of that section.  A
+schema maps a key to its parser alone (a required key) or to ``(parser,
+default)``.  Every section is parsed against its schema into typed values
+with the defaults filled in; reading a required key that is not set raises
+:class:`ConfigurationError`.  Any other section name, and any key that a
+section's schema does not list, is a configuration error.  Parse problems
+are collected and reported all at once.
 """
 
 import configparser
@@ -23,11 +29,95 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .penalties import PenaltySpec
+from .penalties import PARAMETER, PenaltySpec
 
-COMMANDS = ("penalty-table", "ortho-scan", "bias-mc", "consistency-mc", "train-mlp")
 
-PENALTY_FLOAT_KEYS = ("kappa", "a", "b", "epsilon", "gamma", "q", "mix")
+def _floats(text):
+    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+
+
+def _ints(text):
+    return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
+
+
+def _number(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def _lambdas(text):
+    values = _floats(text)
+    if not all(0 <= v < math.inf for v in values):
+        raise ValueError(text)
+    return values
+
+
+def _seeds(text):
+    seeds = _ints(text)
+    if not seeds or any(s < 0 for s in seeds):
+        raise ValueError(text)
+    return seeds
+
+
+_FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _flag(text):
+    if text.lower() not in _FLAGS:
+        raise ValueError(text)
+    return _FLAGS[text.lower()]
+
+
+# what each parser accepts, for error messages; str accepts anything
+_WHAT = {
+    _number: "a finite number",
+    int: "an integer",
+    _floats: "a list of numbers",
+    _ints: "a list of integers",
+    _lambdas: "a list of finite nonnegative numbers",
+    _seeds: "a nonempty list of unsigned integers",
+    _flag: "a flag (1/true/yes or 0/false/no)",
+}
+
+_EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (str, None)}
+
+_LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "count": int}
+
+_SIMULATION = {
+    "beta": _floats, "c_diag": (_floats, None),  # c_diag None: identity covariance
+    "sigma": (_number, 1.0), "lambda0": (_number, 1.0), "kappa": (_number, 10.0),
+    "replicates": (int, 100),
+}
+
+COMMANDS = {
+    "penalty-table": {"beta_min": (_number, -3.0), "beta_max": (_number, 3.0), "count": (int, 121)},
+    "ortho-scan": {
+        "beta_ols": _number, "kappa": _number,
+        # lambda_values None: the grid lambda_min..lambda_max by lambda_step
+        "lambda_values": (_floats, None),
+        "lambda_min": _number, "lambda_max": _number, "lambda_step": _number,
+    },
+    "bias-mc": {**_SIMULATION, "n": int},
+    "consistency-mc": {**_SIMULATION, "exponent": (_number, 0.5), "n_grid": _ints},
+    "train-mlp": {
+        "save_artifacts": (_flag, False),
+        "classes": (int, 3), "per_class": (int, 60), "dimension": (int, 8),
+        "separation": (_number, 3.0), "data_seed": (int, 0),
+        "fractions": (_floats, (0.5, 0.25, 0.25)), "split_seed": (int, 0),
+        "label_noise": (_number, 0.0), "noise_seed": (int, 0),
+        "hidden": (_ints, (64, 64)), "lr_min": (_number, 0.01), "lr_max": (_number, 0.25),
+        "batch_size": (int, 64), "patience": (int, 20), "max_epochs": (int, 250),
+    },
+}
+
+
+class Options(dict):
+    """A section's typed values; reading an unset required key is a config error."""
+
+    def __missing__(self, key):
+        raise ConfigurationError(f"missing required option `{key}`")
 
 
 def loggrid(lo, hi, count):
@@ -46,78 +136,68 @@ class ExperimentConfig:
     lambda_grid: list = field(default_factory=list)
     seeds: list = field(default_factory=lambda: [1, 2, 3])
     output: str = "."
-    options: dict = field(default_factory=dict)  # the command's own section
-
-
-def _floats(text):
-    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
-
-
-def _ints(text):
-    return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
+    options: dict = field(default_factory=Options)  # the command's own section, typed
 
 
 def parse_seed_list(text):
     try:
-        seeds = _ints(text)
+        return _seeds(text)
     except ValueError:
-        raise ConfigurationError(f"bad seed list {text!r}") from None
-    if not seeds or any(s < 0 for s in seeds):
-        raise ConfigurationError("seed list must be nonempty unsigned integers")
-    return seeds
+        raise ConfigurationError(f"bad seed list {text!r}: not {_WHAT[_seeds]}") from None
+
+
+def _parse_section(parser, section, schema, problems):
+    """Parse ``section`` (empty when absent) against ``schema`` into
+    :class:`Options`.  An unknown key or a malformed value is a problem, and
+    a malformed value reads as the default."""
+    body = dict(parser.items(section)) if parser.has_section(section) else {}
+    problems.extend(f"[{section}] has unknown key `{key}`" for key in body if key not in schema)
+    options = Options()
+    for key, entry in schema.items():
+        parse, *default = entry if isinstance(entry, tuple) else (entry,)
+        if key in body:
+            try:
+                options[key] = parse(body[key])
+                continue
+            except ValueError:
+                problems.append(f"[{section}] option `{key}` = {body[key]!r} is not {_WHAT[parse]}")
+        if default:
+            options[key] = default[0]
+    return options
+
+
+def _is_penalty(section):
+    return section == "penalty" or section.startswith("penalty:")
 
 
 def _parse_penalties(parser, problems):
     penalties = []
-    for section in parser.sections():
-        if section != "penalty" and not section.startswith("penalty:"):
-            continue
-        body = dict(parser.items(section))
-        family = body.pop("family", None)
+    for section in filter(_is_penalty, parser.sections()):
+        family = parser.get(section, "family", fallback=None)
         if family is None:
             problems.append(f"[{section}] is missing `family`")
             continue
-        kwargs = {}
-        for key, raw in body.items():
-            if key not in PENALTY_FLOAT_KEYS:
-                problems.append(f"[{section}] has unknown key `{key}`")
-                continue
-            try:
-                kwargs[key] = float(raw)
-            except ValueError:
-                problems.append(f"[{section}] {key} = {raw!r} is not a number")
+        schema = {"family": str}
+        if family in PARAMETER:
+            schema[PARAMETER[family]] = _number
+        params = _parse_section(parser, section, schema, problems)
+        del params["family"]
         try:
-            penalties.append(PenaltySpec(family, **kwargs))
+            penalties.append(PenaltySpec(family, **params))
         except ConfigurationError as exc:
             problems.append(f"[{section}]: {exc}")
     return penalties
 
 
 def _parse_lambda_grid(parser, problems):
-    if not parser.has_section("lambda"):
-        return []
-    body = dict(parser.items("lambda"))
-    if "values" in body:
-        try:
-            values = _floats(body["values"])
-        except ValueError:
-            problems.append(f"[lambda] values = {body['values']!r} are not numbers")
-            return []
-        if not all(0 <= v < math.inf for v in values):
-            problems.append("[lambda] values must be finite and nonnegative")
-        return values
-    try:
-        lo = float(body["log_min"])
-        hi = float(body["log_max"])
-        count = int(body["count"])
-    except KeyError as exc:
-        problems.append(f"[lambda] needs `values` or log_min/log_max/count (missing {exc})")
-        return []
-    except ValueError:
-        problems.append("[lambda] log_min/log_max/count must be numeric")
+    reported = len(problems)
+    grid = _parse_section(parser, "lambda", _LAMBDA, problems)
+    if not parser.has_section("lambda") or parser.has_option("lambda", "values"):
+        return list(grid["values"])
+    if len(problems) > reported:
         return []
     try:
-        return loggrid(lo, hi, count)
+        return loggrid(grid["log_min"], grid["log_max"], grid["count"])
     except ConfigurationError as exc:
         problems.append(f"[lambda]: {exc}")
         return []
@@ -140,8 +220,14 @@ def parse_config(path, command=None, seed_list=None, out=None):
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from None
 
-    exp = dict(parser.items("experiment")) if parser.has_section("experiment") else {}
-    file_command = exp.get("command")
+    for section in parser.sections():
+        if section not in ("experiment", "lambda", *COMMANDS) and not _is_penalty(section):
+            problems.append(
+                f"unknown section [{section}]; expected experiment, lambda, "
+                "penalty:<name> or a command name"
+            )
+    exp = _parse_section(parser, "experiment", _EXPERIMENT, problems)
+    file_command = exp["command"]
     if command is None:
         command = file_command
     elif file_command is not None and file_command != command:
@@ -149,66 +235,20 @@ def parse_config(path, command=None, seed_list=None, out=None):
             f"config file says command = {file_command}, command line says {command}"
         )
     if command not in COMMANDS:
-        problems.append(f"unknown command {command!r}; expected one of {COMMANDS}")
+        problems.append(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
 
-    if seed_list is not None:
-        seeds = seed_list
-    else:
-        try:
-            seeds = parse_seed_list(exp.get("seeds", "1, 2, 3"))
-        except ConfigurationError as exc:
-            problems.append(str(exc))
-            seeds = [1, 2, 3]
-
-    if out is not None:
-        output = out
-    else:
-        output = exp.get("output", os.environ.get("GAUSSPEN_OUT", "."))
+    seeds = list(exp["seeds"]) if seed_list is None else seed_list
+    if out is None:
+        out = os.environ.get("GAUSSPEN_OUT", ".") if exp["output"] is None else exp["output"]
     penalties = _parse_penalties(parser, problems)
     lambda_grid = _parse_lambda_grid(parser, problems)
+    options = _parse_section(parser, command, COMMANDS.get(command, {}), problems)
 
-    options = {}
-    if command in COMMANDS and parser.has_section(command):
-        options = dict(parser.items(command))
-
-    needs_penalties = command in ("penalty-table", "train-mlp")
-    if needs_penalties and not penalties:
+    if command in ("penalty-table", "train-mlp") and not penalties:
         problems.append(f"{command} needs at least one [penalty:*] section")
     if command == "train-mlp" and not lambda_grid:
-        problems.append("train-mlp needs a [lambda] section")
+        problems.append("train-mlp needs a [lambda] section with at least one value")
 
     if problems:
         raise ConfigurationError("config problems:\n  - " + "\n  - ".join(problems))
-    return ExperimentConfig(command, penalties, lambda_grid, seeds, output, options)
-
-
-def _option(options, key, default, parse, what):
-    if key not in options:
-        if default is None:
-            raise ConfigurationError(f"missing required option `{key}`")
-        return default
-    try:
-        return parse(options[key])
-    except ValueError:
-        raise ConfigurationError(
-            f"option `{key}` = {options[key]!r} is not {what}"
-        ) from None
-
-
-def opt_float(options, key, default=None):
-    value = _option(options, key, default, float, "a number")
-    if not math.isfinite(value):
-        raise ConfigurationError(f"option `{key}` must be finite")
-    return value
-
-
-def opt_int(options, key, default=None):
-    return _option(options, key, default, int, "an integer")
-
-
-def opt_floats(options, key, default=None):
-    return list(_option(options, key, default, _floats, "a list of numbers"))
-
-
-def opt_ints(options, key, default=None):
-    return list(_option(options, key, default, _ints, "a list of integers"))
+    return ExperimentConfig(command, penalties, lambda_grid, seeds, out, options)

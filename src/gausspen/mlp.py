@@ -11,7 +11,7 @@ Weight checkpoints use a self-describing binary layout:
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -201,11 +201,7 @@ def train(train_set, val_set, test_set, arch, config, checkpoint_path=None):
     cycle = config.cycle_length
     if cycle is None:
         cycle = 4 * batches_per_epoch
-    cfg = TrainConfig(
-        penalty=config.penalty, lam=config.lam, lr_min=config.lr_min,
-        lr_max=config.lr_max, cycle_length=cycle, batch_size=config.batch_size,
-        patience=config.patience, max_epochs=config.max_epochs, seed=config.seed,
-    )
+    cfg = replace(config, cycle_length=cycle)
 
     iteration = 0
     best_val = np.inf

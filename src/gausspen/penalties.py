@@ -43,8 +43,8 @@ FAMILIES = (
 #: families whose shape has a kink (non-differentiable point) at the origin
 KINKED_AT_ZERO = frozenset({"lasso", "scad", "mcp", "laplace", "arctan"})
 
-# the one hyperparameter a parameterized family uses
-_PARAMETER = {
+#: the one hyperparameter a parameterized family uses
+PARAMETER = {
     "gaussian": "kappa",
     "scad": "a",
     "mcp": "b",
@@ -110,7 +110,7 @@ class PenaltySpec:
             raise ConfigurationError(f"invalid {self.family} penalty: {msg}")
 
     def _relevant_param(self):
-        name = _PARAMETER.get(self.family)
+        name = PARAMETER.get(self.family)
         return 0.0 if name is None else getattr(self, name)
 
     def has_kink(self):
@@ -130,7 +130,7 @@ class PenaltySpec:
         float and in full ``repr`` form otherwise, so distinct penalties
         never share a label.
         """
-        name = _PARAMETER.get(self.family)
+        name = PARAMETER.get(self.family)
         if name is None:
             return self.family
         value = getattr(self, name)

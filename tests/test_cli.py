@@ -78,7 +78,7 @@ per_class = 30
     assert config.output == "results"
     assert [p.family for p in config.penalties] == ["gaussian", "none"]
     assert config.lambda_grid == pytest.approx([0.001, 0.01, 0.1])
-    assert config.options["classes"] == "2"
+    assert config.options["classes"] == 2
 
 
 def test_parse_config_reports_all_problems(tmp_path):
