@@ -19,10 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from . import asymptotics, data, mlp, regression
+from . import asymptotics, data, mlp, penalties, regression
 from .config import COMMANDS, parse_config, parse_seed_list
 from .errors import ConfigurationError
-from .penalties import PenaltySpec, penalty_value
 
 
 def _fmt(value):
@@ -71,8 +70,9 @@ def run_penalty_table(config, jobs):
     betas = np.linspace(opts["beta_min"], opts["beta_max"], opts["count"])
     rows = []
     for spec in config.penalties:
-        for beta in betas:
-            rows.append((spec.label(), float(beta), penalty_value(spec, float(beta))))
+        label = spec.label()
+        values = penalties.value_array(spec, betas).tolist()
+        rows.extend((label, beta, value) for beta, value in zip(betas.tolist(), values))
     return "penalty_table.csv", ("penalty", "beta", "value"), rows
 
 
@@ -206,7 +206,7 @@ def run_train_mlp(config, jobs):
     # A cell with family none or lambda 0 trains exactly what an unpenalized
     # run trains, whatever its label and lambda: such cells share one run per
     # seed, and every cell still gets its own row and artifacts.
-    unpenalized = PenaltySpec("none")
+    unpenalized = penalties.PenaltySpec("none")
     runs = {}  # (spec, lam, seed) actually trained -> slugs of its grid cells
     grid = []  # (label, lam, seed, run key) in grid order
     for spec in config.penalties:

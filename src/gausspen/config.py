@@ -7,6 +7,7 @@ Shared sections:
   and ``output`` directory.
 * ``[penalty:<name>]`` -- one per penalty in the grid; ``family`` plus that
   family's own hyperparameter, if it has one (``penalties.PARAMETER``).
+  Two sections giving the same penalty are a configuration error.
 * ``[lambda]`` -- either explicit ``values = ...`` or a logarithmically
   equidistant grid via ``log_min``, ``log_max``, ``count``.
 
@@ -172,6 +173,7 @@ def _is_penalty(section):
 
 def _parse_penalties(parser, problems):
     penalties = []
+    sections = {}  # label -> the first section giving that penalty
     for section in filter(_is_penalty, parser.sections()):
         family = parser.get(section, "family", fallback=None)
         if family is None:
@@ -183,9 +185,14 @@ def _parse_penalties(parser, problems):
         params = _parse_section(parser, section, schema, problems)
         del params["family"]
         try:
-            penalties.append(PenaltySpec(family, **params))
+            spec = PenaltySpec(family, **params)
         except ConfigurationError as exc:
             problems.append(f"[{section}]: {exc}")
+            continue
+        first = sections.setdefault(spec.label(), section)
+        if first != section:
+            problems.append(f"[{section}] repeats [{first}]: both are {spec.label()}")
+        penalties.append(spec)
     return penalties
 
 

@@ -174,15 +174,15 @@ def value_array(spec, beta):
         return spec.mix * t + (1.0 - spec.mix) * t * t
     if f == "scad":
         a = spec.a
+        top = (a + 1.0) / 2.0
         mid = np.clip(t, 1.0, a)
-        return np.where(
-            t <= 1.0,
-            t,
-            np.where(t <= a, (2.0 * a * mid - mid * mid - 1.0) / (2.0 * (a - 1.0)), (a + 1.0) / 2.0),
-        )
+        # near |b| = a the quadratic can round an ulp above its ceiling
+        quad = np.minimum((2.0 * a * mid - mid * mid - 1.0) / (2.0 * (a - 1.0)), top)
+        return np.where(t <= 1.0, t, np.where(t <= a, quad, top))
     if f == "mcp":
         c = spec.b
-        return np.where(t <= c, t - t * t / (2.0 * c), c / 2.0)
+        # as for SCAD, near |b| = c
+        return np.where(t <= c, np.minimum(t - t * t / (2.0 * c), c / 2.0), c / 2.0)
     if f == "laplace":
         return -np.expm1(-t / spec.epsilon)
     if f == "arctan":

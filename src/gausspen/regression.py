@@ -25,7 +25,6 @@ from scipy.optimize import brentq
 from .errors import ConfigurationError, DivergenceError
 from .penalties import grad_array, value_array
 
-GRID_POINTS = 20001  # dense f' sign-scan resolution for the 1-D analyzer
 KINK_STEP_FLOOR = 1e-20  # smallest trial step for a penalty with a kink at 0
 
 
@@ -310,49 +309,51 @@ def orthonormal_objective(beta_ols, beta, lam, kappa):
     return -2.0 * beta_ols * beta + beta * beta - lam * math.expm1(-kappa * beta * beta)
 
 
-def _ortho_derivatives(beta_ols, lam, kappa):
-    def fprime(b):
-        return -2.0 * beta_ols + 2.0 * b + 2.0 * lam * kappa * b * np.exp(-kappa * b * b)
-
-    def fsecond(b):
-        e = np.exp(-kappa * b * b)
-        return 2.0 + 2.0 * lam * kappa * e * (1.0 - 2.0 * kappa * b * b)
-
-    return fprime, fsecond
-
-
 def solve_orthonormal(beta_ols, lam, kappa):
     """Locate every local minimum of the 1-D orthonormal objective.
 
-    Scans f' for sign changes on a dense grid over
-    [-|beta_ols|-1, |beta_ols|+1] (outside which f' keeps a constant sign),
-    polishes each bracketed root to |f'| <= 1e-10, and classifies minima by
-    f'' > 0.  A single minimum is a perfectly valid profile.
+    f'(b) = 2(h(b) - beta_ols) with h(b) = b(1 + c exp(-kappa b^2)), c = lam*kappa,
+    and f'' = 2h' vanishes where g(u) = 1 + c exp(-u)(1 - 2u) = 0, u = kappa b^2:
+    nowhere if 2c exp(-3/2) <= 1 (g's minimum, at u = 3/2), else once in (1/2, 3/2)
+    and once in (3/2, 2 ln(4c)).  The knots +-sqrt(u/kappa) cut [-|beta_ols|-1,
+    |beta_ols|+1], outside which f' keeps its sign, into at most five pieces on which
+    f' is monotone; a sign change over a piece brackets its one root for brentq.
+    Minima are the roots with f'' > 0; a single minimum is a valid profile.
     """
     if kappa <= 0:
         raise ConfigurationError("kappa must be positive")
     if lam < 0:
         raise ConfigurationError("lam must be nonnegative")
-    fprime, fsecond = _ortho_derivatives(beta_ols, lam, kappa)
-    hi = abs(beta_ols) + 1.0
-    grid = np.linspace(-hi, hi, GRID_POINTS)
-    fp = fprime(grid)
+    c = lam * kappa
 
-    roots = []
-    for i in np.nonzero(fp == 0.0)[0]:
-        roots.append(float(grid[i]))
-    sign_change = np.nonzero((fp[:-1] * fp[1:]) < 0.0)[0]
-    for i in sign_change:
-        roots.append(brentq(fprime, grid[i], grid[i + 1], xtol=1e-14, rtol=8.9e-16))
+    def fprime(b):
+        return -2.0 * beta_ols + 2.0 * b + 2.0 * lam * kappa * b * math.exp(-kappa * b * b)
+
+    def g(u):
+        return 1.0 + c * math.exp(-u) * (1.0 - 2.0 * u)
+
+    hi = abs(beta_ols) + 1.0
+    points = [-hi, hi]
+    if 2.0 * c * math.exp(-1.5) > 1.0:
+        for u in (brentq(g, 0.5, 1.5), brentq(g, 1.5, 2.0 * math.log(4.0 * c))):
+            knot = math.sqrt(u / kappa)
+            if knot < hi:
+                points += [-knot, knot]
+    points.sort()
+    fp = [fprime(b) for b in points]
+    roots = [b for b, v in zip(points, fp) if v == 0.0]
+    for i in range(len(points) - 1):
+        if fp[i] * fp[i + 1] < 0.0:
+            roots.append(brentq(fprime, points[i], points[i + 1], xtol=1e-14, rtol=8.9e-16))
 
     minima = []
     for r in sorted(roots):
-        curvature = float(fsecond(r))
+        curvature = 2.0 + 2.0 * lam * kappa * math.exp(-kappa * r * r) * (1.0 - 2.0 * kappa * r * r)
         if curvature > 0.0:
             minima.append((r, orthonormal_objective(beta_ols, r, lam, kappa), curvature))
     if not minima:
-        # coercive objective always has a minimum; only reachable if the grid
-        # degenerates, which the bounds above prevent
+        # coercive objective always has a minimum; only reachable if the
+        # brackets degenerate, which the bounds above prevent
         raise DivergenceError("no local minimum found on the search interval")
     global_index = min(
         range(len(minima)), key=lambda i: (minima[i][1], abs(minima[i][0]))

@@ -120,6 +120,15 @@ hidden = 4
 max_epochs = 2
 """
 
+# one penalty under two section names: duplicate rows and one artifact slug
+DUPLICATE = """[penalty:a]
+family = gaussian
+kappa = 10
+
+[penalty:b]
+family = gaussian
+kappa = 10.0"""
+
 
 @pytest.mark.parametrize(
     "command, text, named",
@@ -131,8 +140,11 @@ max_epochs = 2
         ("train-mlp", TRAIN.replace("family = none", "family = ridge\nkappa = 10"), "`kappa`"),
         ("train-mlp", TRAIN.replace("[train-mlp]", "[train_mlp]"), "[train_mlp]"),
         ("train-mlp", TRAIN + "save_artifacts = treu\n", "`save_artifacts` = 'treu'"),
+        ("train-mlp", TRAIN.replace("[penalty:base]\nfamily = none", DUPLICATE),
+         "[penalty:b] repeats [penalty:a]: both are gaussian(kappa=10)"),
     ],
-    ids=["command", "experiment", "lambda", "gaussian-gamma", "ridge-kappa", "section", "flag"],
+    ids=["command", "experiment", "lambda", "gaussian-gamma", "ridge-kappa", "section", "flag",
+         "duplicate-penalty"],
 )
 def test_each_section_kind_rejects_a_misspelling(tmp_path, capsys, command, text, named):
     path = tmp_path / "c.cfg"

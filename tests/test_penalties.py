@@ -8,6 +8,8 @@ from hypothesis.extra import numpy as hnp
 
 from gausspen.errors import ConfigurationError, DomainError, SingularityError
 from gausspen.penalties import (
+    FAMILIES,
+    PARAMETER,
     PenaltySpec,
     grad_array,
     lipschitz_on_interval,
@@ -15,6 +17,7 @@ from gausspen.penalties import (
     penalty_grad,
     penalty_value,
     penalty_vector,
+    value_array,
 )
 
 ALL_SPECS = [
@@ -200,6 +203,47 @@ def test_grad_array_rejects_non_finite(beta, spec, data):
     beta.flat[index] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
     with pytest.raises(DomainError):
         grad_array(spec, beta, zero_at_kink=True)
+
+
+# each family's parameter over a wide slice of its valid range
+PARAMETER_VALUES = {
+    "gaussian": st.floats(1e-3, 1e3),
+    "scad": st.floats(2.0, 50.0, exclude_min=True),
+    "mcp": st.floats(1e-3, 50.0),
+    "laplace": st.floats(1e-9, 10.0),
+    "arctan": st.floats(1e-3, 1e3),
+    "bridge": st.floats(0.1, 4.0),
+    "elastic_net": st.floats(0.0, 1.0),
+}
+
+
+@st.composite
+def any_spec(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    if family not in PARAMETER:
+        return PenaltySpec(family)
+    return PenaltySpec(family, **{PARAMETER[family]: draw(PARAMETER_VALUES[family])})
+
+
+@given(FINITE_ARRAYS, any_spec())
+@example(np.linspace(-3.0, 3.0, 1001), PenaltySpec("bridge", q=0.5))
+@example(np.array([-8.07, 8.07]), PenaltySpec("scad", a=8.07))  # quadratic rounds above (a+1)/2
+@example(np.array([6.83]), PenaltySpec("mcp", b=6.83))  # and above b/2
+def test_value_array_matches_scalar_even_and_bounded(beta, spec):
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = value_array(spec, beta)
+        scalar = np.array([penalty_value(spec, b) for b in beta.flat]).reshape(beta.shape)
+        mirrored = value_array(spec, -beta)
+        near = np.abs(got - scalar) <= np.spacing(np.maximum(got, scalar))
+    assert got.shape == beta.shape
+    if spec.family == "bridge":
+        # array ** q may take another pow path than the scalar one (for
+        # q = 0.5, sqrt): within 1 ulp
+        assert np.all((got == scalar) | near), spec.label()
+    else:
+        np.testing.assert_array_equal(got, scalar)
+    np.testing.assert_array_equal(mirrored, got)
+    assert np.all((got >= 0.0) & (got <= penalty_bounds(spec).sup_value)), spec.label()
 
 
 def test_kink_requires_convention():

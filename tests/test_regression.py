@@ -254,6 +254,37 @@ def test_stationarity_certificate():
             assert curvature > 0
 
 
+def test_close_roots_near_bifurcation():
+    # at b0 = 3, kappa = 10 the inner minimum and its neighbouring maximum
+    # are born together at lam_birth; just past it they lie closer together
+    # than a 20001-point grid over [-4, 4] can separate
+    lam_birth = 2.0437468982690925
+    assert len(solve_orthonormal(3.0, lam_birth * (1.0 - 1e-8), 10.0).minima) == 1
+    profile = solve_orthonormal(3.0, lam_birth * (1.0 + 1e-8), 10.0)
+    assert len(profile.minima) == 2
+    assert abs(profile.minima[0][0] - 0.2328) < 1e-3
+
+
+def _ortho_fprime(beta_ols, lam, kappa, b):
+    return -2.0 * beta_ols + 2.0 * b + 2.0 * lam * kappa * b * np.exp(-kappa * b * b)
+
+
+@given(st.floats(-5.0, 5.0), st.floats(0.1, 100.0), st.floats(0.0, 50.0))
+def test_solve_orthonormal_finds_every_minimum(beta_ols, kappa, lam):
+    profile = solve_orthonormal(beta_ols, lam, kappa)
+    values = [value for _, value, _ in profile.minima]
+    for location, value, curvature in profile.minima:
+        assert abs(_ortho_fprime(beta_ols, lam, kappa, location)) <= 1e-9
+        assert curvature > 0.0
+        assert value == orthonormal_objective(beta_ols, location, lam, kappa)
+    assert values[profile.global_index] == min(values)
+    # every - to + sign change of f' on a dense grid encloses a minimum
+    hi = abs(beta_ols) + 1.0
+    signs = np.sign(_ortho_fprime(beta_ols, lam, kappa, np.linspace(-hi, hi, 20001)))
+    signs = signs[signs != 0.0]
+    assert len(profile.minima) >= np.count_nonzero((signs[:-1] < 0.0) & (signs[1:] > 0.0))
+
+
 def test_phase_scan_bifurcation_and_crossing():
     grid = np.arange(0.1, 15.2, 1.0)
     profiles, lambda_star = lambda_phase_scan(3.0, 10.0, grid)
