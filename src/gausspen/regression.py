@@ -17,10 +17,10 @@ where ``lam_1d = n * lam`` under the 1/n loss normalization above.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigurationError, DivergenceError
 from .penalties import grad_array, value_array
@@ -309,6 +309,60 @@ def orthonormal_objective(beta_ols, beta, lam, kappa):
     return -2.0 * beta_ols * beta + beta * beta - lam * math.expm1(-kappa * beta * beta)
 
 
+def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """A root of ``f`` in [xa, xb] by Brent's method: a line-by-line port of
+    scipy's ``brentq`` (its C source ``Zeros/brentq.c``), defaults included,
+    so it returns scipy's roots to the bit.  On return a sign change of ``f``
+    (or a zero) lies within ``xtol + rtol*|x|`` of ``x``.  Raises ValueError
+    when f(xa) and f(xb) have the same sign or ``f`` returns NaN, and
+    RuntimeError after ``maxiter`` steps without convergence.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {maxiter} iterations, last x = {xcur!r}")
+
+
 def solve_orthonormal(beta_ols, lam, kappa):
     """Locate every local minimum of the 1-D orthonormal objective.
 
@@ -317,13 +371,21 @@ def solve_orthonormal(beta_ols, lam, kappa):
     nowhere if 2c exp(-3/2) <= 1 (g's minimum, at u = 3/2), else once in (1/2, 3/2)
     and once in (3/2, 2 ln(4c)).  The knots +-sqrt(u/kappa) cut [-|beta_ols|-1,
     |beta_ols|+1], outside which f' keeps its sign, into at most five pieces on which
-    f' is monotone; a sign change over a piece brackets its one root for brentq.
+    f' is monotone; a sign change over a piece brackets its one root for _brentq.
     Minima are the roots with f'' > 0; a single minimum is a valid profile.
+    An input whose minimum values (about -beta_ols^2) or terms of f' on that
+    interval (up to 2 lam kappa (|beta_ols| + 1)) are not finite doubles is a
+    ConfigurationError.
     """
     if kappa <= 0:
         raise ConfigurationError("kappa must be positive")
     if lam < 0:
         raise ConfigurationError("lam must be nonnegative")
+    hi = abs(beta_ols) + 1.0
+    if not (math.isfinite(2.0 * hi * hi) and math.isfinite(4.0 * lam * kappa * hi)):
+        raise ConfigurationError(
+            f"orthonormal profile out of range at beta_ols = {beta_ols!r}, lam = {lam!r}, "
+            f"kappa = {kappa!r}: its values or slopes are not finite doubles")
     c = lam * kappa
 
     def fprime(b):
@@ -332,23 +394,26 @@ def solve_orthonormal(beta_ols, lam, kappa):
     def g(u):
         return 1.0 + c * math.exp(-u) * (1.0 - 2.0 * u)
 
-    hi = abs(beta_ols) + 1.0
     points = [-hi, hi]
     if 2.0 * c * math.exp(-1.5) > 1.0:
-        for u in (brentq(g, 0.5, 1.5), brentq(g, 1.5, 2.0 * math.log(4.0 * c))):
+        for u in (_brentq(g, 0.5, 1.5), _brentq(g, 1.5, 2.0 * math.log(4.0 * c))):
             knot = math.sqrt(u / kappa)
             if knot < hi:
                 points += [-knot, knot]
     points.sort()
     fp = [fprime(b) for b in points]
     roots = [b for b, v in zip(points, fp) if v == 0.0]
+    # a root tolerance well below 1/sqrt(kappa), the width of the pieces around 0
+    xtol = min(1e-14, 1e-6 / math.sqrt(kappa))
     for i in range(len(points) - 1):
         if fp[i] * fp[i + 1] < 0.0:
-            roots.append(brentq(fprime, points[i], points[i + 1], xtol=1e-14, rtol=8.9e-16))
+            roots.append(_brentq(fprime, points[i], points[i + 1], xtol=xtol, rtol=8.9e-16))
 
     minima = []
     for r in sorted(roots):
-        curvature = 2.0 + 2.0 * lam * kappa * math.exp(-kappa * r * r) * (1.0 - 2.0 * kappa * r * r)
+        u = kappa * r * r
+        e = math.exp(-u)  # 0 wherever 1 - 2u could overflow
+        curvature = 2.0 + (2.0 * lam * kappa * e * (1.0 - 2.0 * u) if e else 0.0)
         if curvature > 0.0:
             minima.append((r, orthonormal_objective(beta_ols, r, lam, kappa), curvature))
     if not minima:
@@ -393,6 +458,6 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
     lambda_star = None
     for (lo, glo), (hi_, ghi) in zip(zip(lambda_grid, gaps), zip(lambda_grid[1:], gaps[1:])):
         if glo > 0.0 and ghi <= 0.0:
-            lambda_star = brentq(value_gap, lo, hi_, xtol=1e-10)
+            lambda_star = _brentq(value_gap, lo, hi_, xtol=1e-10)
             break
     return profiles, lambda_star

@@ -1,5 +1,9 @@
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -475,6 +479,11 @@ def test_exit_codes(tmp_path, capsys):
         tmp_path / "r.cfg", TRAIN_CFG.replace("per_class = 30", "per_class = 1")
     )
     assert main(["train-mlp", "--config", cfg2, "--out", str(tmp_path)]) == 1
+    # so is an ortho-scan whose profile values or slopes overflow
+    for old, new in (("beta_ols = 3", "beta_ols = 1e200"), ("kappa = 10", "kappa = 1e307")):
+        cfg_big = write_config(tmp_path / "big.cfg", ORTHO_CFG.replace(old, new))
+        assert main(["ortho-scan", "--config", cfg_big, "--out", str(tmp_path)]) == 1
+        assert "out of range" in capsys.readouterr().err
     # runtime error -> 2 (output directory path occupied by a file)
     blocker = tmp_path / "blocked"
     blocker.write_text("")
@@ -514,3 +523,15 @@ def test_non_finite_or_negative_lambda_is_config_error(tmp_path, values):
     )
     with pytest.raises(ConfigurationError, match="lambda"):
         parse_config(cfg)
+
+
+def test_import_loads_no_scipy(tmp_path):
+    # numpy is the only third-party import; scipy.optimize alone took most
+    # of a CLI run's start-up time
+    code = ("import sys, gausspen, gausspen.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

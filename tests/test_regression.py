@@ -1,14 +1,19 @@
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gausspen.cli import run_ortho_scan
+from gausspen.config import parse_config
 from gausspen.errors import ConfigurationError, DivergenceError
 from gausspen.penalties import PenaltySpec
 from gausspen.regression import (
     LinearProblem,
+    _brentq,
     fit,
     fit_batch,
     lambda_phase_scan,
@@ -263,6 +268,9 @@ def test_close_roots_near_bifurcation():
     profile = solve_orthonormal(3.0, lam_birth * (1.0 + 1e-8), 10.0)
     assert len(profile.minima) == 2
     assert abs(profile.minima[0][0] - 0.2328) < 1e-3
+    # the locations scipy's brentq gave, to the bit
+    assert [m[0] for m in profile.minima] == [
+        float.fromhex("0x1.dcc6b3ce77229p-3"), float.fromhex("0x1.8000000000000p+1")]
 
 
 def _ortho_fprime(beta_ols, lam, kappa, b):
@@ -285,6 +293,43 @@ def test_solve_orthonormal_finds_every_minimum(beta_ols, kappa, lam):
     assert len(profile.minima) >= np.count_nonzero((signs[:-1] < 0.0) & (signs[1:] > 0.0))
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False),
+       st.floats(min_value=0.0, allow_infinity=False),
+       st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_solve_orthonormal_any_finite_input(beta_ols, lam, kappa):
+    # a finite input is either out of range, a config error, or profiled with
+    # finite minima, each within the root tolerance of a - to + sign change of f'
+    try:
+        profile = solve_orthonormal(beta_ols, lam, kappa)
+    except ConfigurationError:
+        hi = abs(beta_ols) + 1.0
+        assert not (math.isfinite(2.0 * hi * hi) and math.isfinite(4.0 * lam * kappa * hi))
+        return
+    values = [value for _, value, _ in profile.minima]
+    for location, value, curvature in profile.minima:
+        assert all(math.isfinite(v) for v in (location, value, curvature))
+        assert curvature > 0.0
+        assert value == orthonormal_objective(beta_ols, location, lam, kappa)
+        d = 2.0 * (min(1e-14, 1e-6 / math.sqrt(kappa)) + 8.9e-16 * abs(location))
+        with np.errstate(over="ignore", invalid="ignore"):
+            below, above = _ortho_fprime(beta_ols, lam, kappa, np.array([location - d, location + d]))
+        assert below <= 0.0 <= above
+    assert values[profile.global_index] == min(values)
+
+
+def test_solve_orthonormal_overflow_is_config_error():
+    # values near -beta_ols^2 = -1e400; lam * kappa = 1e310
+    for beta_ols, lam, kappa in ((1e200, 1.0, 10.0), (3.0, 1e300, 1e10)):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            solve_orthonormal(beta_ols, lam, kappa)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            solve_orthonormal(3.0, 1.0, bad)
+        with pytest.raises(ConfigurationError, match="out of range"):
+            solve_orthonormal(bad, 1.0, 10.0)
+
+
 def test_phase_scan_bifurcation_and_crossing():
     grid = np.arange(0.1, 15.2, 1.0)
     profiles, lambda_star = lambda_phase_scan(3.0, 10.0, grid)
@@ -298,6 +343,13 @@ def test_phase_scan_bifurcation_and_crossing():
     assert abs(profiles[0].minima[profiles[0].global_index][0] - 3.0) < 1e-4
     assert abs(profiles[-1].minima[profiles[-1].global_index][0]) < 0.05
     assert 8.5 <= lambda_star <= 9.3
+
+
+def test_lambda_star_of_shipped_config_is_pinned():
+    # the crossing scipy's brentq gave on configs/ortho_scan.cfg, to the bit
+    path = pathlib.Path(__file__).parents[1] / "configs" / "ortho_scan.cfg"
+    _, _, rows = run_ortho_scan(parse_config(str(path)), 1)
+    assert rows[-1][:2] == ("lambda_star", float.fromhex("0x1.1cc8299c2761ap+3"))
 
 
 def test_phase_scan_no_crossing():
@@ -333,3 +385,52 @@ def test_oracle_equivalence_random_triples():
         profile = solve_orthonormal(beta_ols, lam_1d, kappa)
         closest = min(abs(m[0] - result.beta_hat[0]) for m in profile.minima)
         assert closest < 1e-6
+
+
+# --- the bracketing root finder ----------------------------------------------------
+
+_ROOT_FUNCTIONS = {
+    # monotone
+    "tanh": lambda x, r, s: math.tanh(s * (x - r)),
+    "cubic": lambda x, r, s: s * (x - r) ** 3,
+    "expm1": lambda x, r, s: math.expm1(min(s * (x - r), 700.0)),
+    # not monotone
+    "sine": lambda x, r, s: math.sin(s * x + r),
+    "wiggle": lambda x, r, s: (x - r) * ((x + r) ** 2 - s),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_ROOT_FUNCTIONS)), st.floats(-10.0, 10.0), st.floats(0.01, 50.0),
+       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+       st.sampled_from([2e-12, 1e-14, 1e-6, 0.1]),
+       st.sampled_from([4 * sys.float_info.epsilon, 8.9e-16, 1e-8]))
+def test_brentq_returns_a_bracketed_sign_change(name, r, s, a, b, xtol, rtol):
+    seen = {}
+
+    def f(x):
+        seen[x] = _ROOT_FUNCTIONS[name](x, r, s)
+        return seen[x]
+
+    fa, fb = _ROOT_FUNCTIONS[name](a, r, s), _ROOT_FUNCTIONS[name](b, r, s)
+    assume(fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0))
+    # Brent's method may need more than the default 100 steps (a triple root
+    # converges slowly); its worst case over these brackets is a few thousand
+    x = _brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=10_000)
+    assert min(a, b) <= x <= max(a, b)
+    # f(x) = 0, or an evaluated point within xtol + rtol|x| has the other sign
+    assert seen[x] == 0.0 or any(
+        abs(y - x) <= xtol + rtol * abs(x) and fy != 0.0 and (fy < 0.0) != (seen[x] < 0.0)
+        for y, fy in seen.items())
+
+
+def test_brentq_error_contract():
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq(lambda x: math.nan if 0.0 < x < 10.0 else x - 5.0, 0.0, 10.0)
+    with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
+        _brentq(lambda x: x ** 3 - 2.0, 0.0, 10.0, maxiter=1)
+    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0  # a zero at an end is the root
