@@ -5,6 +5,11 @@ All penalties are normalized shapes P(beta) that enter an objective as
 of the shape itself.  Families with a literature-standard threshold (SCAD,
 MCP) therefore use the unit-threshold form of their published definitions:
 
+* none: P(b) = 0
+* lasso: P(b) = |b|
+* ridge: P(b) = b^2
+* bridge: P(b) = |b|^q
+* elastic_net: P(b) = mix |b| + (1 - mix) b^2
 * SCAD (Fan & Li 2001, threshold 1):
     P(b) = |b|                          for |b| <= 1
          = (2a|b| - b^2 - 1)/(2(a-1))   for 1 < |b| <= a
@@ -17,42 +22,177 @@ MCP) therefore use the unit-threshold form of their published definitions:
 * Gaussian: P(b) = 1 - exp(-kappa * b^2), the only nonconvex family here
   that is smooth (indeed locally convex) at the origin.
 
+Each family is one entry of ``_TABLE``: its hyperparameter and validity
+rule, value, derivative, bounds and kink rule.
+
 Every function is pure; everything is safe for concurrent use.
 """
 
 import math
 from dataclasses import dataclass
+from math import inf
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, SingularityError
 
-FAMILIES = (
-    "none",
-    "lasso",
-    "ridge",
-    "bridge",
-    "elastic_net",
-    "scad",
-    "mcp",
-    "laplace",
-    "arctan",
-    "gaussian",
-)
 
-#: families whose shape has a kink (non-differentiable point) at the origin
-KINKED_AT_ZERO = frozenset({"lasso", "scad", "mcp", "laplace", "arctan"})
+def _scad_value(beta, a):
+    t = np.abs(beta)
+    top = (a + 1.0) / 2.0
+    mid = np.clip(t, 1.0, a)
+    # near |b| = a the quadratic can round an ulp above its ceiling
+    quad = np.minimum((2.0 * a * mid - mid * mid - 1.0) / (2.0 * (a - 1.0)), top)
+    return np.where(t <= 1.0, t, np.where(t <= a, quad, top))
+
+
+def _mcp_value(beta, c):
+    t = np.abs(beta)
+    # as for SCAD, near |b| = c
+    return np.where(t <= c, np.minimum(t - t * t / (2.0 * c), c / 2.0), c / 2.0)
+
+
+def _bridge_grad(beta, q):
+    # q < 1 has an unbounded derivative at 0; the opt-in convention
+    # still pins the origin to 0 (it is always a stationary candidate)
+    t = np.abs(beta)
+    out = np.zeros_like(t)
+    nz = t > 0.0
+    out[nz] = q * t[nz] ** (q - 1.0) * np.sign(beta)[nz]
+    return out
+
+
+def _scad_grad(beta, a):
+    t = np.abs(beta)
+    return np.sign(beta) * np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0))
+
+
+def _gaussian_grad(beta, k):
+    # 2k*b*exp(-k*b*b) in two buffers, with the same association (and so
+    # the same bits) as that expression; out= needs an array, so a 0-d
+    # beta gets 0-d buffers rather than numpy scalars
+    expo = np.multiply(-k, beta, out=np.empty_like(beta))
+    expo *= beta
+    np.exp(expo, out=expo)
+    out = np.multiply(2.0 * k, beta, out=np.empty_like(beta))
+    out *= expo
+    # nan only where 2k*b overflowed and exp(-k*b*b) underflowed: the limit
+    # there is 0 with the sign of b (max, cheaper than isnan, propagates nan)
+    if np.isnan(out.max(initial=0.0)):
+        np.copyto(out, np.copysign(0.0, beta), where=np.isnan(out))
+    return out
+
+
+def _gaussian_lipschitz(r, k):
+    # |P'| = 2k|b|exp(-k b^2) rises up to its peak at b = 1/sqrt(2k)
+    if r >= 1.0 / math.sqrt(2.0 * k):
+        return math.sqrt(2.0 * k) * math.exp(-0.5)
+    return 2.0 * k * r * math.exp(-k * r * r)
+
+
+class _Family(NamedTuple):
+    """One penalty family; ``p`` is the value of its parameter, or None."""
+
+    value: Callable  # (beta array, p) -> P(beta) elementwise
+    grad: Callable  # (beta array, p) -> P'(beta) elementwise
+    bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius)
+    lipschitz: Callable  # (radius, p) -> sup of |P'| over [-radius, radius]
+    kinked: Callable  # p -> True when P is not differentiable at 0
+    parameter: Optional[str] = None  # the PenaltySpec field the family reads
+    valid: Optional[Callable] = None  # p -> True for a valid finite p
+    rule: Optional[str] = None  # ``valid`` in words, after "a finite number"
+
+
+_TABLE = {
+    "none": _Family(
+        value=lambda beta, _: np.zeros_like(beta),
+        grad=lambda beta, _: np.zeros_like(beta),
+        bounds=lambda _: (0.0, 0.0, inf),
+        lipschitz=lambda r, _: 0.0,
+        kinked=lambda _: False,
+    ),
+    "lasso": _Family(
+        value=lambda beta, _: np.abs(beta),
+        grad=lambda beta, _: np.sign(beta),
+        bounds=lambda _: (1.0, inf, inf),
+        lipschitz=lambda r, _: 1.0,
+        kinked=lambda _: True,
+    ),
+    "ridge": _Family(
+        value=lambda beta, _: beta * beta,
+        grad=lambda beta, _: 2.0 * beta,
+        bounds=lambda _: (inf, inf, inf),
+        lipschitz=lambda r, _: 2.0 * r,
+        kinked=lambda _: False,
+    ),
+    "bridge": _Family(
+        value=lambda beta, q: np.abs(beta) ** q,
+        grad=_bridge_grad,
+        # the derivative is unbounded near 0 for q < 1 and near inf for q > 1
+        bounds=lambda q: (1.0 if q == 1.0 else inf, inf, inf if q >= 1.0 else 0.0),
+        lipschitz=lambda r, q: q * r ** (q - 1.0) if q > 1.0 else (1.0 if q == 1.0 else inf),
+        kinked=lambda q: q <= 1.0,
+        parameter="q", valid=lambda q: q > 0.0, rule="> 0",
+    ),
+    "elastic_net": _Family(
+        value=lambda beta, mix: mix * np.abs(beta) + (1.0 - mix) * beta * beta,
+        grad=lambda beta, mix: mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta,
+        bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
+        lipschitz=lambda r, mix: mix + 2.0 * (1.0 - mix) * r,
+        kinked=lambda mix: mix > 0.0,
+        parameter="mix", valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
+    ),
+    "scad": _Family(
+        value=_scad_value,
+        grad=_scad_grad,
+        # linear (hence convex) up to the unit threshold, concave beyond
+        bounds=lambda a: (1.0, (a + 1.0) / 2.0, 1.0),
+        lipschitz=lambda r, _: 1.0 if r > 0 else 0.0,
+        kinked=lambda _: True,
+        parameter="a", valid=lambda a: a > 2.0, rule="> 2",
+    ),
+    "mcp": _Family(
+        value=_mcp_value,
+        grad=lambda beta, c: np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0.0, None),
+        bounds=lambda c: (1.0, c / 2.0, 0.0),
+        lipschitz=lambda r, _: 1.0 if r > 0 else 0.0,
+        kinked=lambda _: True,
+        parameter="b", valid=lambda c: c > 0.0, rule="> 0",
+    ),
+    "laplace": _Family(
+        value=lambda beta, eps: -np.expm1(-np.abs(beta) / eps),
+        grad=lambda beta, eps: np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps,
+        bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
+        lipschitz=lambda r, eps: 1.0 / eps if r > 0 else 0.0,
+        kinked=lambda _: True,
+        parameter="epsilon", valid=lambda eps: eps > 0.0, rule="> 0",
+    ),
+    "arctan": _Family(
+        value=lambda beta, g: (2.0 / np.pi) * np.arctan(g * np.abs(beta)),
+        grad=lambda beta, g: np.sign(beta) * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta),
+        bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
+        lipschitz=lambda r, g: 2.0 * g / np.pi if r > 0 else 0.0,
+        kinked=lambda _: True,
+        parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
+    ),
+    "gaussian": _Family(
+        # expm1 keeps the ridge-like regime near 0 accurate; for large |beta|
+        # the value rounds to exactly 1, which is the saturation level anyway
+        value=lambda beta, k: -np.expm1(-k * beta * beta),
+        grad=_gaussian_grad,
+        # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
+        bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),
+        lipschitz=_gaussian_lipschitz,
+        kinked=lambda _: False,
+        parameter="kappa", valid=lambda k: k > 0.0, rule="> 0",
+    ),
+}
+
+FAMILIES = tuple(_TABLE)
 
 #: the one hyperparameter a parameterized family uses
-PARAMETER = {
-    "gaussian": "kappa",
-    "scad": "a",
-    "mcp": "b",
-    "laplace": "epsilon",
-    "arctan": "gamma",
-    "bridge": "q",
-    "elastic_net": "mix",
-}
+PARAMETER = {family: f.parameter for family, f in _TABLE.items() if f.parameter}
 
 
 @dataclass(frozen=True)
@@ -96,32 +236,22 @@ class PenaltySpec:
             raise ConfigurationError(
                 f"unknown penalty family {self.family!r}; expected one of {FAMILIES}"
             )
-        checks = {
-            "gaussian": (self.kappa > 0, "kappa must be > 0"),
-            "scad": (self.a > 2, "a must be > 2 for SCAD"),
-            "mcp": (self.b > 0, "b must be > 0 for MCP"),
-            "laplace": (self.epsilon > 0, "epsilon must be > 0 for Laplace"),
-            "arctan": (self.gamma > 0, "gamma must be > 0 for arctan"),
-            "bridge": (self.q > 0, "q must be > 0 for bridge"),
-            "elastic_net": (0.0 <= self.mix <= 1.0, "mix must be in [0, 1]"),
-        }
-        ok, msg = checks.get(self.family, (True, ""))
-        if not ok or not math.isfinite(self._relevant_param()):
-            raise ConfigurationError(f"invalid {self.family} penalty: {msg}")
+        entry, param = self._entry()
+        if entry.parameter is not None and not (math.isfinite(param) and entry.valid(param)):
+            raise ConfigurationError(
+                f"invalid {self.family} penalty: {entry.parameter} = {param} "
+                f"must be a finite number {entry.rule}"
+            )
 
-    def _relevant_param(self):
-        name = PARAMETER.get(self.family)
-        return 0.0 if name is None else getattr(self, name)
+    def _entry(self):
+        """The family's table entry and the value of its parameter."""
+        entry = _TABLE[self.family]
+        return entry, None if entry.parameter is None else getattr(self, entry.parameter)
 
     def has_kink(self):
         """True when the shape is non-differentiable at the origin."""
-        if self.family in KINKED_AT_ZERO:
-            return True
-        if self.family == "bridge":
-            return self.q <= 1.0
-        if self.family == "elastic_net":
-            return self.mix > 0.0
-        return False
+        entry, param = self._entry()
+        return entry.kinked(param)
 
     def label(self):
         """Short human-readable tag, e.g. ``gaussian(kappa=10)``.
@@ -130,14 +260,13 @@ class PenaltySpec:
         float and in full ``repr`` form otherwise, so distinct penalties
         never share a label.
         """
-        name = PARAMETER.get(self.family)
-        if name is None:
+        entry, param = self._entry()
+        if entry.parameter is None:
             return self.family
-        value = getattr(self, name)
-        text = f"{value:g}"
-        if float(text) != value:
-            text = repr(float(value))
-        return f"{self.family}({name}={text})"
+        text = f"{param:g}"
+        if float(text) != param:
+            text = repr(float(param))
+        return f"{self.family}({entry.parameter}={text})"
 
 
 @dataclass(frozen=True)
@@ -158,40 +287,10 @@ class PenaltyBounds:
 def value_array(spec, beta):
     """Elementwise penalty values for an array of coefficients."""
     beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise DomainError("penalty evaluated at a non-finite coefficient")
-    t = np.abs(beta)
-    f = spec.family
-    if f == "none":
-        return np.zeros_like(t)
-    if f == "lasso":
-        return t
-    if f == "ridge":
-        return t * t
-    if f == "bridge":
-        return t**spec.q
-    if f == "elastic_net":
-        return spec.mix * t + (1.0 - spec.mix) * t * t
-    if f == "scad":
-        a = spec.a
-        top = (a + 1.0) / 2.0
-        mid = np.clip(t, 1.0, a)
-        # near |b| = a the quadratic can round an ulp above its ceiling
-        quad = np.minimum((2.0 * a * mid - mid * mid - 1.0) / (2.0 * (a - 1.0)), top)
-        return np.where(t <= 1.0, t, np.where(t <= a, quad, top))
-    if f == "mcp":
-        c = spec.b
-        # as for SCAD, near |b| = c
-        return np.where(t <= c, np.minimum(t - t * t / (2.0 * c), c / 2.0), c / 2.0)
-    if f == "laplace":
-        return -np.expm1(-t / spec.epsilon)
-    if f == "arctan":
-        return (2.0 / np.pi) * np.arctan(spec.gamma * t)
-    if f == "gaussian":
-        # expm1 keeps the ridge-like regime near 0 accurate; for large |beta|
-        # the value rounds to exactly 1, which is the saturation level anyway
-        return -np.expm1(-spec.kappa * beta * beta)
-    raise ConfigurationError(f"unknown penalty family {f!r}")
+    entry, param = spec._entry()
+    return entry.value(beta, param)
 
 
 def grad_array(spec, beta, zero_at_kink=False):
@@ -203,57 +302,15 @@ def grad_array(spec, beta, zero_at_kink=False):
     :class:`SingularityError`.
     """
     beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise DomainError("penalty gradient requested at a non-finite coefficient")
-    if spec.has_kink() and not zero_at_kink and np.any(beta == 0.0):
+    entry, param = spec._entry()
+    if not zero_at_kink and entry.kinked(param) and np.any(beta == 0.0):
         raise SingularityError(
             f"{spec.family} penalty is not differentiable at 0; "
             "pass zero_at_kink=True to use the 0 subgradient convention"
         )
-    f = spec.family
-    if f == "none":
-        return np.zeros_like(beta)
-    if f == "ridge":
-        return 2.0 * beta
-    if f == "gaussian":
-        # 2k*b*exp(-k*b*b) in two buffers, with the same association (and so
-        # the same bits) as that expression; out= needs an array, so a 0-d
-        # beta gets 0-d buffers rather than numpy scalars
-        k = spec.kappa
-        expo = np.multiply(-k, beta, out=np.empty_like(beta))
-        expo *= beta
-        np.exp(expo, out=expo)
-        out = np.multiply(2.0 * k, beta, out=np.empty_like(beta))
-        out *= expo
-        return out
-    s = np.sign(beta)
-    if f == "lasso":
-        return s
-    if f == "elastic_net":
-        return spec.mix * s + 2.0 * (1.0 - spec.mix) * beta
-    if f == "arctan":
-        g = spec.gamma
-        return s * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta)
-    t = np.abs(beta)
-    if f == "bridge":
-        # q < 1 has an unbounded derivative at 0; the opt-in convention
-        # still pins the origin to 0 (it is always a stationary candidate)
-        q = spec.q
-        out = np.zeros_like(t)
-        nz = t > 0.0
-        out[nz] = q * t[nz] ** (q - 1.0) * s[nz]
-        return out
-    if f == "scad":
-        a = spec.a
-        mag = np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0))
-        return s * mag
-    if f == "mcp":
-        c = spec.b
-        mag = np.clip(1.0 - t / c, 0.0, None)
-        return s * mag
-    if f == "laplace":
-        return s * np.exp(-t / spec.epsilon) / spec.epsilon
-    raise ConfigurationError(f"unknown penalty family {f!r}")
+    return entry.grad(beta, param)
 
 
 def penalty_value(spec, beta):
@@ -277,40 +334,8 @@ def penalty_bounds(spec):
     Families without a finite global Lipschitz constant or supremum return
     ``math.inf``; use :func:`lipschitz_on_interval` for a per-interval bound.
     """
-    inf = math.inf
-    f = spec.family
-    if f == "none":
-        return PenaltyBounds(0.0, 0.0, inf)
-    if f == "lasso":
-        return PenaltyBounds(1.0, inf, inf)
-    if f == "ridge":
-        return PenaltyBounds(inf, inf, inf)
-    if f == "bridge":
-        # |b|^q: derivative unbounded near 0 for q < 1 and near inf for q > 1.
-        lip = 1.0 if spec.q == 1.0 else inf
-        radius = inf if spec.q >= 1.0 else 0.0
-        return PenaltyBounds(lip, inf, radius)
-    if f == "elastic_net":
-        lip = 1.0 if spec.mix == 1.0 else inf
-        return PenaltyBounds(lip, inf, inf)
-    if f == "scad":
-        # linear (hence convex) up to the unit threshold, concave beyond
-        return PenaltyBounds(1.0, (spec.a + 1.0) / 2.0, 1.0)
-    if f == "mcp":
-        return PenaltyBounds(1.0, spec.b / 2.0, 0.0)
-    if f == "laplace":
-        return PenaltyBounds(1.0 / spec.epsilon, 1.0, 0.0)
-    if f == "arctan":
-        return PenaltyBounds(2.0 * spec.gamma / np.pi, 1.0, 0.0)
-    if f == "gaussian":
-        # |P'| = 2k|b|exp(-k b^2) peaks at b = 1/sqrt(2k); P'' changes sign there
-        k = spec.kappa
-        return PenaltyBounds(
-            math.sqrt(2.0 * k) * math.exp(-0.5),
-            1.0,
-            1.0 / math.sqrt(2.0 * k),
-        )
-    raise ConfigurationError(f"unknown penalty family {f!r}")
+    entry, param = spec._entry()
+    return PenaltyBounds(*entry.bounds(param))
 
 
 def lipschitz_on_interval(spec, radius):
@@ -321,32 +346,5 @@ def lipschitz_on_interval(spec, radius):
     """
     if radius < 0:
         raise ConfigurationError("interval radius must be nonnegative")
-    r = float(radius)
-    f = spec.family
-    if f == "none":
-        return 0.0
-    if f == "lasso":
-        return 1.0
-    if f == "ridge":
-        return 2.0 * r
-    if f == "bridge":
-        if spec.q > 1.0:
-            return spec.q * r ** (spec.q - 1.0)
-        if spec.q == 1.0:
-            return 1.0
-        return math.inf
-    if f == "elastic_net":
-        return spec.mix + 2.0 * (1.0 - spec.mix) * r
-    if f in ("scad", "mcp"):
-        return 1.0 if r > 0 else 0.0
-    if f == "laplace":
-        return 1.0 / spec.epsilon if r > 0 else 0.0
-    if f == "arctan":
-        return 2.0 * spec.gamma / np.pi if r > 0 else 0.0
-    if f == "gaussian":
-        k = spec.kappa
-        peak = 1.0 / math.sqrt(2.0 * k)
-        if r >= peak:
-            return math.sqrt(2.0 * k) * math.exp(-0.5)
-        return 2.0 * k * r * math.exp(-k * r * r)
-    raise ConfigurationError(f"unknown penalty family {f!r}")
+    entry, param = spec._entry()
+    return entry.lipschitz(float(radius), param)

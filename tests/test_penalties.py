@@ -81,6 +81,54 @@ def test_invalid_hyperparameters_rejected():
         PenaltySpec("nonsense")
 
 
+# per parameterized family: values just outside its rule, and just inside
+PARAMETER_EDGES = {
+    "gaussian": ([0.0, -5e-324], [5e-324]),
+    "scad": ([2.0], [math.nextafter(2.0, 3.0)]),
+    "mcp": ([0.0], [5e-324]),
+    "laplace": ([0.0], [5e-324]),
+    "arctan": ([0.0], [5e-324]),
+    "bridge": ([0.0], [5e-324]),
+    "elastic_net": ([-5e-324, math.nextafter(1.0, 2.0)], [0.0, 1.0]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PARAMETER))
+def test_every_family_checks_its_parameter(family):
+    name = PARAMETER[family]
+    invalid, valid = PARAMETER_EDGES[family]
+    for value in invalid + [math.inf, -math.inf, math.nan]:
+        with pytest.raises(ConfigurationError, match=rf"invalid {family} penalty: {name} = "):
+            PenaltySpec(family, **{name: value})
+    for value in valid:
+        assert getattr(PenaltySpec(family, **{name: value}), name) == value
+
+
+def test_invalid_parameter_message_states_the_rule():
+    with pytest.raises(ConfigurationError) as info:
+        PenaltySpec("gaussian", kappa=math.inf)
+    assert str(info.value) == "invalid gaussian penalty: kappa = inf must be a finite number > 0"
+
+
+@pytest.mark.parametrize("family, param, kinked", [
+    ("bridge", 0.5, True),
+    ("bridge", 1.0, True),
+    ("bridge", 1.5, False),
+    ("elastic_net", 0.5, True),
+    ("elastic_net", 1.0, True),
+    ("elastic_net", 0.0, False),
+])
+def test_parameter_dependent_kink(family, param, kinked):
+    spec = PenaltySpec(family, **{PARAMETER[family]: param})
+    assert spec.has_kink() == kinked
+    if kinked:
+        with pytest.raises(SingularityError, match=spec.family):
+            penalty_grad(spec, 0.0)
+    else:
+        assert penalty_grad(spec, 0.0) == 0.0
+    assert penalty_grad(spec, 0.0, zero_at_kink=True) == 0.0
+
+
 def test_irrelevant_hyperparameters_ignored():
     # a negative kappa is fine as long as the family never reads it
     spec = PenaltySpec("lasso", kappa=-5.0)
@@ -181,10 +229,17 @@ FINITE_ARRAYS = hnp.arrays(
 
 @given(FINITE_ARRAYS, st.floats(min_value=1e-3, max_value=1e3))
 @example(np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64)), 10.0)
+@example(np.array(1e307), 10.0)
+@example(np.array([-1e307, 1e307]), 10.0)
+@example(np.zeros(0), 10.0)
 def test_gaussian_grad_bits_match_formula(beta, kappa):
     with np.errstate(over="ignore", invalid="ignore"):
         got = grad_array(PenaltySpec("gaussian", kappa=kappa), beta)
-        ref = np.asarray(2.0 * kappa * beta * np.exp(-kappa * beta * beta))
+        slope = 2.0 * kappa * beta
+        ref = np.asarray(slope * np.exp(-kappa * beta * beta))
+    # where 2k*b overflows, exp(-k*b*b) is 0 and the derivative's limit is
+    # a 0 with the sign of b, not the formula's inf * 0 = nan
+    ref = np.where(np.isfinite(slope), ref, np.copysign(0.0, beta))
     assert got.shape == beta.shape
     assert got.tobytes() == ref.tobytes()
 
@@ -244,6 +299,99 @@ def test_value_array_matches_scalar_even_and_bounded(beta, spec):
         np.testing.assert_array_equal(got, scalar)
     np.testing.assert_array_equal(mirrored, got)
     assert np.all((got >= 0.0) & (got <= penalty_bounds(spec).sup_value)), spec.label()
+
+
+def reference_value(spec, b):
+    """P(b) per element with ``math``, from the module docstring's formulas."""
+    f, t = spec.family, abs(b)
+    if f == "none":
+        return 0.0
+    if f == "lasso":
+        return t
+    if f == "ridge":
+        return b * b
+    if f == "bridge":
+        return t**spec.q
+    if f == "elastic_net":
+        return spec.mix * t + (1.0 - spec.mix) * b * b
+    if f == "scad":
+        a = spec.a
+        if t <= 1.0:
+            return t
+        return (2.0 * a * t - t * t - 1.0) / (2.0 * (a - 1.0)) if t <= a else (a + 1.0) / 2.0
+    if f == "mcp":
+        return t - t * t / (2.0 * spec.b) if t <= spec.b else spec.b / 2.0
+    if f == "laplace":
+        return -math.expm1(-t / spec.epsilon)
+    if f == "arctan":
+        return 2.0 / math.pi * math.atan(spec.gamma * t)
+    assert f == "gaussian", f
+    return -math.expm1(-spec.kappa * b * b)
+
+
+def reference_derivative(spec, b):
+    """P'(b) per element for b != 0, differentiated by hand from the formulas."""
+    f, t, s = spec.family, abs(b), math.copysign(1.0, b)
+    if f == "none":
+        return 0.0
+    if f == "lasso":
+        return s
+    if f == "ridge":
+        return 2.0 * b
+    if f == "bridge":
+        return s * spec.q * t ** (spec.q - 1.0)
+    if f == "elastic_net":
+        return spec.mix * s + 2.0 * (1.0 - spec.mix) * b
+    if f == "scad":
+        a = spec.a
+        return s * (1.0 if t <= 1.0 else max(a - t, 0.0) / (a - 1.0))
+    if f == "mcp":
+        return s * max(1.0 - t / spec.b, 0.0)
+    if f == "laplace":
+        return s * math.exp(-t / spec.epsilon) / spec.epsilon
+    if f == "arctan":
+        g = spec.gamma
+        return s * (2.0 * g / math.pi) / (1.0 + g * g * b * b)
+    assert f == "gaussian", f
+    return 2.0 * spec.kappa * b * math.exp(-spec.kappa * b * b)
+
+
+def within_ulps(got, ref, ulps=4):
+    return abs(got - ref) <= ulps * math.ulp(max(abs(got), abs(ref)))
+
+
+MODERATE_ARRAYS = hnp.arrays(float, st.integers(1, 16), elements=st.floats(-50.0, 50.0))
+
+
+@given(MODERATE_ARRAYS, any_spec())
+@example(np.array([-3.7, -1.0, 0.0, 1.0, 2.5, 3.7, 4.0]), PenaltySpec("scad", a=3.7))
+@example(np.array([-5.0, 0.0, 2.5, 5.0, 6.0]), PenaltySpec("mcp", b=5.0))
+def test_values_and_derivatives_match_reference_formulas(beta, spec):
+    values = value_array(spec, beta)
+    nonzero = beta[beta != 0.0]
+    slopes = grad_array(spec, nonzero)
+    for b, got in zip(beta.tolist(), values.tolist()):
+        assert within_ulps(got, reference_value(spec, b)), (spec.label(), b)
+    for b, got in zip(nonzero.tolist(), slopes.tolist()):
+        assert within_ulps(got, reference_derivative(spec, b)), (spec.label(), b)
+
+
+@given(any_spec(), st.floats(0.0, 50.0),
+       st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=32))
+@example(PenaltySpec("gaussian", kappa=10.0), 1.0 / math.sqrt(20.0), [1.0, -1.0])
+@example(PenaltySpec("gaussian", kappa=10.0), 0.1, [1.0, -1.0])
+@example(PenaltySpec("elastic_net", mix=0.25), 3.0, [1.0])
+def test_slopes_within_interval_and_global_lipschitz(spec, radius, fractions):
+    # samples of [-radius, radius], both ends included; |u * r| <= r exactly
+    beta = np.array([u * radius for u in fractions] + [radius, -radius])
+    slopes = np.abs(grad_array(spec, beta, zero_at_kink=True))
+    local = lipschitz_on_interval(spec, radius)
+    overall = penalty_bounds(spec).lipschitz
+    if math.isfinite(local):
+        for slope in slopes.tolist():
+            assert slope <= local or within_ulps(slope, local), (spec.label(), slope, local)
+    if math.isfinite(overall):
+        assert local <= overall or within_ulps(local, overall), (spec.label(), local, overall)
 
 
 def test_kink_requires_convention():
