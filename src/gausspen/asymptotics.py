@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
 from .penalties import PenaltySpec
-from .regression import LinearProblem, fit_batch
+from .regression import LinearProblem, check_design, fit_batch
 
 #: largest tolerated fraction of diverged replicates before the report aborts
 MAX_FAILED_FRACTION = 0.05
@@ -61,6 +61,8 @@ class SimSpec:
             raise ConfigurationError("C must be positive definite")
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
+        if self.n < 1:
+            raise ConfigurationError("n must be >= 1")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         if self.lambda_rule not in ("o_of_n", "sqrt_n"):
@@ -105,18 +107,38 @@ def simulate_linear_data(spec, replicate_index):
 
     Deterministic given (spec.seed, replicate_index).
     """
-    rng = np.random.default_rng([spec.seed, replicate_index])
+    columns, y = _draw(spec, _cholesky(spec.C), replicate_index)
+    return LinearProblem(columns.T, y, centered=True)
+
+
+def _cholesky(C):
     try:
-        chol = np.linalg.cholesky(spec.C)
+        return np.linalg.cholesky(C)
     except np.linalg.LinAlgError:
         raise ConfigurationError("C must be positive definite") from None
-    Z = rng.standard_normal((spec.n, spec.p))
-    X = Z @ chol.T
-    e = spec.sigma * rng.standard_normal(spec.n)
-    y = X @ spec.beta_true + e
-    X = X - X.mean(axis=0)
-    y = y - y.mean()
-    return LinearProblem(X, y, centered=True)
+
+
+def _draw(spec, chol, replicate_index):
+    """One centered replicate as ``(X', y)``, with ``chol`` the Cholesky
+    factor of ``spec.C``.
+
+    One ``standard_normal(n*p + n)`` call gives the same stream as drawing
+    the ``(n, p)`` design noise and then the n response noises.  The design
+    is built transposed, ``(p, n)``, so its column means are contiguous row
+    reductions, and both arrays are centered in place.
+    """
+    n, p = spec.n, spec.p
+    noise = np.random.default_rng([spec.seed, replicate_index]).standard_normal(n * p + n)
+    # an overflow shows up as a non-finite draw, which check_design rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = chol @ noise[:n * p].reshape(n, p).T
+        y = noise[n * p:]
+        y *= spec.sigma
+        y += spec.beta_true @ columns
+        columns -= columns.mean(axis=1, keepdims=True)
+        y -= y.mean()
+    check_design(columns, y, centered=True)
+    return columns, y
 
 
 def theoretical_rootn_bias(C, beta_true, lambda0, kappa):
@@ -144,28 +166,32 @@ def ridge_rootn_bias(C, beta_true, lambda0):
     return -lambda0 * np.linalg.solve(C, beta_true)
 
 
-def _reduce(problem):
-    X, y = problem.X, problem.y
-    return X.T @ X, X.T @ y, y @ y, np.linalg.lstsq(X, y, rcond=None)[0]
-
-
 def fit_replicates(spec, n=None, start_at_ols=True):
     """Draw every replicate of ``spec`` at sample size ``n`` (default
     ``spec.n``) and fit them all in one batched descent.
 
-    Each draw is reduced at once to its sufficient statistics (X'X, X'y,
-    y'y and the least-squares start) and its design is dropped, so memory
-    stays O(replicates * p^2).  With ``start_at_ols`` every replicate starts
-    at its unpenalized solution; otherwise the origin is tried as well and
-    the lower objective wins.  Returns the :class:`~gausspen.regression.BatchFit`,
-    one row per replicate.
+    ``C`` is factored once per cell.  Each draw is reduced at once to its
+    sufficient statistics X'X, X'y and y'y, and its design is dropped, so
+    memory stays O(replicates * p^2).  The unpenalized starts then come from
+    one batched solve of the normal equations.  With ``start_at_ols`` every
+    replicate starts at its unpenalized solution; otherwise the origin is
+    tried as well and the lower objective wins.  Returns the
+    :class:`~gausspen.regression.BatchFit`, one row per replicate.
     """
     local = spec if n is None else replace(spec, n=n)
     reps, p = local.replicates, local.p
-    gram, xty = np.empty((reps, p, p)), np.empty((reps, p))
-    yty, ols = np.empty(reps), np.empty((reps, p))
+    chol = _cholesky(local.C)
+    gram, xty, yty = np.empty((reps, p, p)), np.empty((reps, p)), np.empty(reps)
     for rep in range(reps):
-        gram[rep], xty[rep], yty[rep], ols[rep] = _reduce(simulate_linear_data(local, rep))
+        columns, y = _draw(local, chol, rep)
+        gram[rep], xty[rep], yty[rep] = columns @ columns.T, columns @ y, y @ y
+    if local.n > p:
+        ols = np.linalg.solve(gram, xty[:, :, None])
+    else:
+        # a centered design with n <= p rows has rank below p, so X'X is
+        # singular; its pseudo-inverse gives the minimum-norm start
+        ols = np.linalg.pinv(gram, hermitian=True) @ xty[:, :, None]
+    ols = ols[:, :, 0]
     starts = ols[:, None] if start_at_ols else np.stack([np.zeros_like(ols), ols], axis=1)
     pen = PenaltySpec("gaussian", kappa=local.kappa)
     return fit_batch(gram, xty, yty, local.n, pen, local.lambda_n() / local.n, starts)

@@ -100,7 +100,9 @@ def parse_idx(data):
 
 def serialize_idx(array):
     """Encode a uint8 array as IDX bytes; inverse of :func:`parse_idx`."""
-    array = np.ascontiguousarray(array, dtype=np.uint8)
+    # not ascontiguousarray, which turns a 0-d array into a 1-d one;
+    # tobytes writes C order whatever the layout
+    array = np.asarray(array, dtype=np.uint8)
     header = struct.pack(">BBBB", 0, 0, IDX_UBYTE, array.ndim)
     header += struct.pack(f">{array.ndim}I", *array.shape)
     return header + array.tobytes()

@@ -68,15 +68,23 @@ def _scad_grad(beta, a):
     return np.sign(beta) * np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0))
 
 
+def _gaussian_value(beta, k):
+    # -k*b*b overflows to -inf for |b| above about 1.3e154/sqrt(k), where
+    # the value is exactly 1 all the same
+    with np.errstate(over="ignore"):
+        return -np.expm1(-k * beta * beta)
+
+
 def _gaussian_grad(beta, k):
     # 2k*b*exp(-k*b*b) in two buffers, with the same association (and so
     # the same bits) as that expression; out= needs an array, so a 0-d
     # beta gets 0-d buffers rather than numpy scalars
-    expo = np.multiply(-k, beta, out=np.empty_like(beta))
-    expo *= beta
-    np.exp(expo, out=expo)
-    out = np.multiply(2.0 * k, beta, out=np.empty_like(beta))
-    out *= expo
+    with np.errstate(over="ignore", invalid="ignore"):
+        expo = np.multiply(-k, beta, out=np.empty_like(beta))
+        expo *= beta
+        np.exp(expo, out=expo)
+        out = np.multiply(2.0 * k, beta, out=np.empty_like(beta))
+        out *= expo
     # nan only where 2k*b overflowed and exp(-k*b*b) underflowed: the limit
     # there is 0 with the sign of b (max, cheaper than isnan, propagates nan)
     if np.isnan(out.max(initial=0.0)):
@@ -179,7 +187,7 @@ _TABLE = {
     "gaussian": _Family(
         # expm1 keeps the ridge-like regime near 0 accurate; for large |beta|
         # the value rounds to exactly 1, which is the saturation level anyway
-        value=lambda beta, k: -np.expm1(-k * beta * beta),
+        value=_gaussian_value,
         grad=_gaussian_grad,
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
         bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),

@@ -48,12 +48,7 @@ class LinearProblem:
             raise ConfigurationError("X must be a nonempty n x p matrix")
         if self.y.shape[0] != self.X.shape[0]:
             raise ConfigurationError("y length must match the number of rows of X")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
-            raise ConfigurationError("design and response must be finite")
-        if self.centered:
-            col_means = np.abs(self.X.mean(axis=0))
-            if col_means.max() > 1e-8 or abs(self.y.mean()) > 1e-8:
-                raise ConfigurationError("centered problem has nonzero column or response means")
+        check_design(self.X.T, self.y, self.centered)
 
     @property
     def n(self):
@@ -62,6 +57,16 @@ class LinearProblem:
     @property
     def p(self):
         return self.X.shape[1]
+
+
+def check_design(columns, y, centered):
+    """Raise :class:`ConfigurationError` unless the design, given as its
+    ``(p, n)`` transpose ``columns``, and the response ``y`` are finite and,
+    when ``centered``, every column and ``y`` have mean zero within 1e-8."""
+    if not (np.isfinite(columns).all() and np.isfinite(y).all()):
+        raise ConfigurationError("design and response must be finite")
+    if centered and (np.abs(columns.mean(axis=1)).max() > 1e-8 or abs(y.mean()) > 1e-8):
+        raise ConfigurationError("centered problem has nonzero column or response means")
 
 
 @dataclass

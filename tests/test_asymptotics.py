@@ -1,10 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gausspen.asymptotics import (
     SimSpec,
+    _cholesky,
+    _draw,
     fit_replicates,
     ridge_rootn_bias,
     run_bias_experiment,
@@ -12,6 +17,7 @@ from gausspen.asymptotics import (
     simulate_linear_data,
     theoretical_rootn_bias,
 )
+from gausspen.cli import main
 from gausspen.errors import ConfigurationError
 
 
@@ -113,6 +119,9 @@ def test_spec_validation():
         base_spec(lambda_rule="n_squared")
     with pytest.raises(ConfigurationError):
         base_spec(lambda_rule="o_of_n", r=1.0)
+    for n in (0, -5):
+        with pytest.raises(ConfigurationError):
+            base_spec(n=n)
 
 
 def test_simulated_data_is_centered_and_deterministic():
@@ -124,6 +133,97 @@ def test_simulated_data_is_centered_and_deterministic():
     assert not np.array_equal(a.X, c.X)
     assert np.abs(a.X.mean(axis=0)).max() < 1e-12
     assert abs(a.y.mean()) < 1e-12
+
+
+def _statistics(columns, y):
+    return columns @ columns.T, columns @ y, y @ y
+
+
+def _two_call_statistics(spec, rep):
+    # the draw as first written: the (n, p) noise, then the n response
+    # noises, a row-major design and copying centering
+    rng = np.random.default_rng([spec.seed, rep])
+    X = rng.standard_normal((spec.n, spec.p)) @ np.linalg.cholesky(spec.C).T
+    y = X @ spec.beta_true + spec.sigma * rng.standard_normal(spec.n)
+    X, y = X - X.mean(axis=0), y - y.mean()
+    return X.T @ X, X.T @ y, y @ y
+
+
+def _assert_statistics_close(got, want):
+    # round-off relative to the Cauchy-Schwarz scale of each entry
+    gram, xty, yty = got
+    scale = np.sqrt(np.diag(want[0]))
+    np.testing.assert_allclose(gram, want[0], rtol=0, atol=1e-12 * np.outer(scale, scale).max())
+    np.testing.assert_allclose(xty, want[1], rtol=0, atol=1e-12 * scale.max() * math.sqrt(want[2]))
+    assert yty == pytest.approx(want[2], rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 5), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
+       rep=st.integers(0, 1000), sigma=st.floats(0.01, 100.0),
+       beta_scale=st.floats(0.0, 100.0))
+def test_draw_statistics_match_public_draw(p, n, seed, rep, sigma, beta_scale):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((p, p))
+    C = A @ A.T + 0.1 * np.eye(p)
+    C = (C + C.T) / 2.0
+    beta = beta_scale * rng.uniform(-1.0, 1.0, p)
+    spec = base_spec(beta_true=beta, C=C, sigma=sigma, n=n, seed=seed)
+    got = _statistics(*_draw(spec, _cholesky(spec.C), rep))
+    problem = simulate_linear_data(spec, rep)
+    X, y = problem.X, problem.y
+    _assert_statistics_close(got, (X.T @ X, X.T @ y, y @ y))
+    _assert_statistics_close(got, _two_call_statistics(spec, rep))
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (7, 3), (6400, 3), (101, 10)])
+def test_one_call_stream_matches_two_calls(n, p):
+    # the draw takes the design noise and the response noise from one
+    # standard_normal(n*p + n) call; numpy yields the same bits as the
+    # (n, p) call followed by the n call
+    rng = np.random.default_rng([11, 4])
+    Z, e = rng.standard_normal((n, p)), rng.standard_normal(n)
+    noise = np.random.default_rng([11, 4]).standard_normal(n * p + n)
+    assert noise[:n * p].tobytes() == Z.tobytes()
+    assert noise[n * p:].tobytes() == e.tobytes()
+    # with C = I, beta = 0 and sigma = 1 the draw is that noise, centered
+    spec = base_spec(beta_true=np.zeros(p), C=np.eye(p), sigma=1.0, n=n, seed=11)
+    columns, y = _draw(spec, _cholesky(spec.C), 4)
+    Zt = np.ascontiguousarray(Z.T)
+    assert columns.tobytes() == (Zt - Zt.mean(axis=1, keepdims=True)).tobytes()
+    assert y.tobytes() == (e - e.mean()).tobytes()
+
+
+@pytest.mark.parametrize("beta", ["1e300", "1e308"])
+@pytest.mark.parametrize("command, extra", [
+    ("bias-mc", "n = 50\n"),
+    ("consistency-mc", "exponent = 0.5\nn_grid = 50, 100\n"),
+])
+def test_overflowing_draw_is_config_error(tmp_path, capsys, command, extra, beta):
+    # y = X beta is far from centered (1e300) or not finite (1e308): either
+    # way a config error (exit 1), with no numpy warning on the way
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"[experiment]\ncommand = {command}\nseeds = 1\n\n[{command}]\n"
+                   f"beta = {beta}\nc_diag = 4\nsigma = 1\nreplicates = 3\n{extra}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_rank_deficient_draws_start_at_minimum_norm():
+    # n <= p: the centered design has rank below p, so X'X is singular; the
+    # start is the minimum-norm least-squares solution, not a failed solve
+    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), n=2, replicates=4)
+    batch = fit_replicates(spec)
+    assert not batch.failed.any()
+    lam = spec.lambda_n() / spec.n
+    for rep in range(4):
+        problem = simulate_linear_data(spec, rep)
+        ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
+        residual = problem.y - problem.X @ ols
+        want = residual @ residual / spec.n + lam * (-np.expm1(-spec.kappa * ols**2)).sum()
+        assert batch.start_objective[rep] == pytest.approx(want, rel=1e-9)
 
 
 def test_pure_noise_variance():

@@ -338,23 +338,59 @@ def test_train_mlp_grid_completeness(tmp_path):
         assert float(cells[4]) == lower_median(seed_errs)
 
 
-def test_rerun_byte_identical(tmp_path):
-    cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
+MC_BIAS_CFG = """
+[experiment]
+command = bias-mc
+seeds = 1, 2, 3
+
+[bias-mc]
+beta = 1, -0.5
+sigma = 1
+kappa = 1
+n = 200
+replicates = 20
+"""
+
+MC_CONSISTENCY_CFG = """
+[experiment]
+command = consistency-mc
+seeds = 1, 2, 3
+
+[consistency-mc]
+beta = 1, -2
+sigma = 1
+kappa = 10
+exponent = 0.5
+replicates = 10
+n_grid = 50, 100
+"""
+
+RERUN_CASES = pytest.mark.parametrize(
+    "command, text, csv",
+    [("train-mlp", TRAIN_CFG, "train_mlp.csv"),
+     ("bias-mc", MC_BIAS_CFG, "bias_mc.csv"),
+     ("consistency-mc", MC_CONSISTENCY_CFG, "consistency_mc.csv")],
+    ids=["train-mlp", "bias-mc", "consistency-mc"],
+)
+
+
+@RERUN_CASES
+def test_rerun_byte_identical(tmp_path, command, text, csv):
+    cfg = write_config(tmp_path / "t.cfg", text)
     out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
-    first = (out / "train_mlp.csv").read_bytes()
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
-    assert (out / "train_mlp.csv").read_bytes() == first
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    first = (out / csv).read_bytes()
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert (out / csv).read_bytes() == first
 
 
-def test_jobs_parallel_same_bytes(tmp_path):
-    cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
+@RERUN_CASES
+def test_jobs_parallel_same_bytes(tmp_path, command, text, csv):
+    cfg = write_config(tmp_path / "t.cfg", text)
     serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
-    assert main(["train-mlp", "--config", cfg, "--out", str(serial_dir)]) == 0
-    assert main(["train-mlp", "--config", cfg, "--out", str(parallel_dir), "--jobs", "3"]) == 0
-    assert (serial_dir / "train_mlp.csv").read_bytes() == (
-        parallel_dir / "train_mlp.csv"
-    ).read_bytes()
+    assert main([command, "--config", cfg, "--out", str(serial_dir)]) == 0
+    assert main([command, "--config", cfg, "--out", str(parallel_dir), "--jobs", "3"]) == 0
+    assert (serial_dir / csv).read_bytes() == (parallel_dir / csv).read_bytes()
 
 
 def test_train_mlp_artifacts(tmp_path):

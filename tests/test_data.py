@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis.extra import numpy as hnp
 
 from gausspen.data import (
     IdxMagicError,
@@ -85,6 +87,26 @@ def test_idx_roundtrip():
         again = parse_idx(blob)
         assert np.array_equal(tensor, again)
         assert serialize_idx(again) == blob
+
+
+# uint8 arrays of ndim 0-4, empty sides included
+UINT8_ARRAYS = hnp.arrays(np.uint8, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5))
+
+
+@given(UINT8_ARRAYS)
+def test_idx_roundtrip_property(tensor):
+    again = parse_idx(serialize_idx(tensor))
+    assert again.dtype == np.uint8 and again.shape == tensor.shape
+    assert np.array_equal(again, tensor)
+
+
+@given(UINT8_ARRAYS)
+def test_idx_every_strict_prefix_is_truncated(tensor):
+    blob = serialize_idx(tensor)
+    for cut in range(len(blob)):
+        with pytest.raises(IdxTruncationError) as err:
+            parse_idx(blob[:cut])
+        assert err.value.offset == cut
 
 
 def test_load_idx_plain_and_gzip(tmp_path):

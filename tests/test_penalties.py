@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -242,6 +243,24 @@ def test_gaussian_grad_bits_match_formula(beta, kappa):
     ref = np.where(np.isfinite(slope), ref, np.copysign(0.0, beta))
     assert got.shape == beta.shape
     assert got.tobytes() == ref.tobytes()
+
+
+def test_gaussian_overflow_raises_no_warning():
+    # past |b| ~ 1.3e154/sqrt(kappa) k*b*b overflows, and past ~1.8e308/(2k)
+    # 2k*b does too; the value is still exactly 1 and the slope a 0 with
+    # the sign of b, and no RuntimeWarning escapes (so -W error runs pass)
+    spec = PenaltySpec("gaussian", kappa=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for b in (1e307, -1e307, 1e200, -1e155, 1.7e308):
+            slope = penalty_grad(spec, b)
+            assert slope == 0.0 and math.copysign(1.0, slope) == math.copysign(1.0, b)
+            assert penalty_value(spec, b) == 1.0
+        beta = np.array([-1e307, 0.5, 1e307])
+        slopes = grad_array(spec, beta)
+        assert np.array_equal(np.signbit(slopes), [True, False, False])
+        assert slopes[1] == 2.0 * 10 * 0.5 * np.exp(-10 * 0.5 * 0.5)
+        assert value_array(spec, beta).tolist() == [1.0, -np.expm1(-10 * 0.5 * 0.5), 1.0]
 
 
 @given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS))
