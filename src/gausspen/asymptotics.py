@@ -76,12 +76,11 @@ class SimSpec:
     def p(self):
         return self.beta_true.shape[0]
 
-    def lambda_n(self, n=None):
+    def lambda_n(self):
         """Penalty weight at sample size n (sum-of-squares loss convention)."""
-        n = self.n if n is None else n
         if self.lambda_rule == "sqrt_n":
-            return self.lambda0 * math.sqrt(n)
-        return self.lambda0 * n**self.r
+            return self.lambda0 * math.sqrt(self.n)
+        return self.lambda0 * self.n**self.r
 
 
 @dataclass

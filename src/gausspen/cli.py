@@ -21,33 +21,8 @@ import numpy as np
 
 from . import asymptotics, data, mlp, penalties, regression
 from .config import COMMANDS, parse_config, parse_seed_list
+from .data import write_csv
 from .errors import ConfigurationError
-
-
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
-def write_csv(path, header, rows):
-    """Write a CSV atomically: rows go to a temporary file in the target
-    directory, which then replaces ``path``, so a failure part-way leaves
-    any earlier file at ``path`` intact."""
-    path = os.fspath(path)
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="\n") as handle:
-            handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def lower_median(values):
@@ -104,8 +79,7 @@ def _sim_spec(options, seed, lambda_rule, n):
     return asymptotics.SimSpec(
         beta_true=beta, C=np.diag(np.ones(beta.size) if c_diag is None else c_diag),
         sigma=options["sigma"], n=n, lambda_rule=lambda_rule, lambda0=options["lambda0"],
-        # only consistency-mc, whose rule is o_of_n, has an exponent
-        r=options.get("exponent", asymptotics.SimSpec.r),
+        r=options.get("exponent", asymptotics.SimSpec.r),  # only consistency-mc has one
         kappa=options["kappa"], replicates=options["replicates"], seed=seed,
     )
 
@@ -180,21 +154,15 @@ def _train_cell(args):
     arch = mlp.MlpArchitecture(
         (train_set.features.shape[1], *options["hidden"], train_set.num_classes)
     )
-    cfg = mlp.TrainConfig(
-        penalty=spec, lam=lam, lr_min=options["lr_min"], lr_max=options["lr_max"],
-        batch_size=options["batch_size"], patience=options["patience"],
-        max_epochs=options["max_epochs"], seed=seed,
-    )
+    fields = ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")  # of TrainConfig
+    cfg = mlp.TrainConfig(penalty=spec, lam=lam, seed=seed, **{k: options[k] for k in fields})
     run = mlp.train(*splits, arch, cfg)
     if artifacts_dir is not None:
+        header = ("epoch", "train_objective", "total_val_loss", "lr_epoch_start")
         for slug in slugs:
             base = os.path.join(artifacts_dir, slug)
             mlp.save_weights(base + ".mlpw", run.weights)
-            write_csv(
-                base + "_epochs.csv",
-                ("epoch", "train_objective", "total_val_loss", "lr_epoch_start"),
-                run.epoch_log,
-            )
+            write_csv(base + "_epochs.csv", header, run.epoch_log)
     return run.test_error_rate, run.best_epoch, len(run.epoch_log), run.stop_reason
 
 
@@ -228,10 +196,8 @@ def run_train_mlp(config, jobs):
     for label, lam, seed, key in grid:
         rows.append(("run", label, lam, seed, *results[key]))
         errors.setdefault((label, lam), []).append(results[key][0])
-    for spec in config.penalties:
-        for lam in config.lambda_grid:
-            rows.append(("median", spec.label(), float(lam), None,
-                         lower_median(errors[spec.label(), float(lam)]), None, None, None))
+    for (label, lam), errs in errors.items():  # penalties and lambdas are distinct
+        rows.append(("median", label, lam, None, lower_median(errs), None, None, None))
     header = ("row", "penalty", "lambda", "seed", "test_error", "best_epoch",
               "epochs", "stop_reason")
     return "train_mlp.csv", header, rows

@@ -4,18 +4,19 @@ section per sub-config, parsed with :mod:`configparser`.
 Shared sections:
 
 * ``[experiment]`` -- ``command``, optional ``seeds`` (default ``1, 2, 3``)
-  and ``output`` directory.
+  and ``output`` directory.  A seed given twice is a configuration error.
 * ``[penalty:<name>]`` -- one per penalty in the grid; ``family`` plus that
   family's own hyperparameter, if it has one (``penalties.PARAMETER``).
   Two sections giving the same penalty are a configuration error.
-* ``[lambda]`` -- either explicit ``values = ...`` or a logarithmically
-  equidistant grid via ``log_min``, ``log_max``, ``count``.
+* ``[lambda]`` -- either explicit ``values = ...``, none given twice, or a
+  logarithmically equidistant grid via ``log_min``, ``log_max``, ``count``.
 
 plus one section named after the command (``[ortho-scan]``, ``[bias-mc]``,
 ``[consistency-mc]``, ``[train-mlp]``, ``[penalty-table]``) holding its own
 options.  ``COMMANDS`` maps each command to the schema of that section.  A
 schema maps a key to its parser alone (a required key) or to ``(parser,
-default)``.  Every section is parsed against its schema into typed values
+default)``, the default of the ``SimSpec`` or ``TrainConfig`` field it sets
+if it sets one.  Every section is parsed against its schema into typed values
 with the defaults filled in; reading a required key that is not set raises
 :class:`ConfigurationError`.  Any other section name, and any key that a
 section's schema does not list, is a configuration error.  Parse problems
@@ -25,11 +26,13 @@ are collected and reported all at once.
 import configparser
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import SimSpec
 from .errors import ConfigurationError
+from .mlp import TrainConfig
 from .penalties import PARAMETER, PenaltySpec
 
 
@@ -48,18 +51,29 @@ def _number(text):
     return value
 
 
+class _Repeated(ValueError):
+    """A value given twice in a list whose values must be distinct."""
+
+
+def _distinct(values):
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise _Repeated(f"{v!r} is repeated")
+    return values
+
+
 def _lambdas(text):
     values = _floats(text)
     if not all(0 <= v < math.inf for v in values):
         raise ValueError(text)
-    return values
+    return _distinct(values)
 
 
 def _seeds(text):
     seeds = _ints(text)
     if not seeds or any(s < 0 for s in seeds):
         raise ValueError(text)
-    return seeds
+    return _distinct(seeds)
 
 
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -77,10 +91,16 @@ _WHAT = {
     int: "an integer",
     _floats: "a list of numbers",
     _ints: "a list of integers",
-    _lambdas: "a list of finite nonnegative numbers",
-    _seeds: "a nonempty list of unsigned integers",
+    _lambdas: "a list of distinct finite nonnegative numbers",
+    _seeds: "a nonempty list of distinct unsigned integers",
     _flag: "a flag (1/true/yes or 0/false/no)",
 }
+
+
+def _rejection(text, parse, exc):
+    why = f" ({exc})" if isinstance(exc, _Repeated) else ""
+    return f"{text!r} is not {_WHAT[parse]}{why}"
+
 
 _EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (str, None)}
 
@@ -88,8 +108,8 @@ _LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "co
 
 _SIMULATION = {
     "beta": _floats, "c_diag": (_floats, None),  # c_diag None: identity covariance
-    "sigma": (_number, 1.0), "lambda0": (_number, 1.0), "kappa": (_number, 10.0),
-    "replicates": (int, 100),
+    "sigma": (_number, 1.0), "lambda0": (_number, SimSpec.lambda0),
+    "kappa": (_number, SimSpec.kappa), "replicates": (int, SimSpec.replicates),
 }
 
 COMMANDS = {
@@ -101,15 +121,16 @@ COMMANDS = {
         "lambda_min": _number, "lambda_max": _number, "lambda_step": _number,
     },
     "bias-mc": {**_SIMULATION, "n": int},
-    "consistency-mc": {**_SIMULATION, "exponent": (_number, 0.5), "n_grid": _ints},
+    "consistency-mc": {**_SIMULATION, "exponent": (_number, SimSpec.r), "n_grid": _ints},
     "train-mlp": {
         "save_artifacts": (_flag, False),
         "classes": (int, 3), "per_class": (int, 60), "dimension": (int, 8),
         "separation": (_number, 3.0), "data_seed": (int, 0),
         "fractions": (_floats, (0.5, 0.25, 0.25)), "split_seed": (int, 0),
         "label_noise": (_number, 0.0), "noise_seed": (int, 0),
-        "hidden": (_ints, (64, 64)), "lr_min": (_number, 0.01), "lr_max": (_number, 0.25),
-        "batch_size": (int, 64), "patience": (int, 20), "max_epochs": (int, 250),
+        "hidden": (_ints, (64, 64)), "lr_min": (_number, TrainConfig.lr_min),
+        "lr_max": (_number, TrainConfig.lr_max), "batch_size": (int, TrainConfig.batch_size),
+        "patience": (int, TrainConfig.patience), "max_epochs": (int, TrainConfig.max_epochs),
     },
 }
 
@@ -133,18 +154,18 @@ def loggrid(lo, hi, count):
 @dataclass
 class ExperimentConfig:
     command: str
-    penalties: list = field(default_factory=list)
-    lambda_grid: list = field(default_factory=list)
-    seeds: list = field(default_factory=lambda: [1, 2, 3])
-    output: str = "."
-    options: dict = field(default_factory=Options)  # the command's own section, typed
+    penalties: list
+    lambda_grid: list
+    seeds: list
+    output: str
+    options: Options  # the command's own section, typed
 
 
 def parse_seed_list(text):
     try:
         return _seeds(text)
-    except ValueError:
-        raise ConfigurationError(f"bad seed list {text!r}: not {_WHAT[_seeds]}") from None
+    except ValueError as exc:
+        raise ConfigurationError(f"bad seed list: {_rejection(text, _seeds, exc)}") from None
 
 
 def _parse_section(parser, section, schema, problems):
@@ -160,8 +181,8 @@ def _parse_section(parser, section, schema, problems):
             try:
                 options[key] = parse(body[key])
                 continue
-            except ValueError:
-                problems.append(f"[{section}] option `{key}` = {body[key]!r} is not {_WHAT[parse]}")
+            except ValueError as exc:
+                problems.append(f"[{section}] option `{key}` = {_rejection(body[key], parse, exc)}")
         if default:
             options[key] = default[0]
     return options

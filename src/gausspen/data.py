@@ -1,5 +1,5 @@
 """Dataset ingestion and synthesis: IDX binary tensors, Gaussian-blob
-classification data, and stratified split management.
+classification data, stratified split management, and atomic CSV writing.
 
 IDX layout (big-endian throughout):
 
@@ -11,6 +11,7 @@ IDX layout (big-endian throughout):
 """
 
 import gzip
+import os
 import struct
 from dataclasses import dataclass
 
@@ -216,15 +217,37 @@ def split(dataset, fractions, seed):
     return tuple(out)
 
 
+def _fmt(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path, header, rows):
+    """Write a CSV atomically: rows go to a temporary file in the target
+    directory, which then replaces ``path``, so a failure part-way leaves
+    any earlier file at ``path`` intact.  Floats get 17 significant digits."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="\n") as handle:
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(_fmt(v) for v in row) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_csv_dataset(path, dataset):
     """Plain CSV with a header row; feature columns first, `label` last."""
-    d = dataset.features.shape[1]
-    header = ",".join([f"x{i}" for i in range(d)] + ["label"])
-    with open(path, "w", newline="\n") as handle:
-        handle.write(header + "\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            cells = [f"{v:.17g}" for v in row] + [str(int(label))]
-            handle.write(",".join(cells) + "\n")
+    header = [f"x{i}" for i in range(dataset.features.shape[1])] + ["label"]
+    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
+    write_csv(path, header, (row + [label] for row, label in rows))
 
 
 def read_csv_dataset(path, split_tag="train"):

@@ -11,7 +11,7 @@ Weight checkpoints use a self-describing binary layout:
 """
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class TrainConfig:
     lam: float = 0.0
     lr_min: float = 0.01
     lr_max: float = 0.25
-    cycle_length: int = None  # iterations per half-triangle; None = 4 epochs' worth
     batch_size: int = 64
     patience: int = 20
     max_epochs: int = 250
@@ -75,8 +74,7 @@ class TrainRun:
     best_val_loss: float
     stop_reason: str  # "patience" or "max_epochs"
     weights: list  # best (W, b) pairs
-    test_error_rate: float = None
-    final_weights_id: str = None
+    test_error_rate: float
 
 
 def init_weights(arch, seed):
@@ -91,15 +89,14 @@ def init_weights(arch, seed):
     return weights
 
 
-def triangular_lr(iteration, config):
-    """Piecewise-linear cyclic rate: lr_min up to lr_max over cycle_length
-    iterations, back down over the next cycle_length, repeating.
+def triangular_lr(iteration, config, cycle):
+    """Piecewise-linear cyclic rate: lr_min up to lr_max over ``cycle``
+    iterations, back down over the next ``cycle``, repeating.
 
     The convex-combination form makes the breakpoints exact.
     """
-    cycle = config.cycle_length
-    if cycle is None or cycle < 1:
-        raise ConfigurationError("cycle_length must be >= 1")
+    if cycle < 1:
+        raise ConfigurationError("cycle must be >= 1")
     pos = iteration % (2 * cycle)
     if pos <= cycle:
         t = pos / cycle
@@ -185,23 +182,19 @@ def evaluate(weights, dataset):
     return float(np.mean(predicted != dataset.labels))
 
 
-def train(train_set, val_set, test_set, arch, config, checkpoint_path=None):
-    """Run the full protocol: shuffled mini-batches, triangular learning
-    rate per iteration, per-epoch total validation loss, best-weights
-    checkpointing, and stopping on patience or the epoch cap.
+def train(train_set, val_set, test_set, arch, config):
+    """Run the full protocol: shuffled mini-batches, a triangular learning
+    rate per iteration that rises over four epochs and falls over the next
+    four, per-epoch total validation loss, best-weights checkpointing, and
+    stopping on patience or the epoch cap.
 
     The returned :class:`TrainRun` carries the best weights (restored before
-    test evaluation); with ``checkpoint_path`` they are also stored on disk
-    in the binary layout above and the path recorded as the weights id.
+    test evaluation); :func:`save_weights` stores them on disk.
     """
     weights = init_weights(arch, config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     n_train = train_set.n
-    batches_per_epoch = max(1, -(-n_train // config.batch_size))
-    cycle = config.cycle_length
-    if cycle is None:
-        cycle = 4 * batches_per_epoch
-    cfg = replace(config, cycle_length=cycle)
+    cycle = 4 * -(-n_train // config.batch_size)  # iterations in four epochs
 
     iteration = 0
     best_val = np.inf
@@ -211,21 +204,21 @@ def train(train_set, val_set, test_set, arch, config, checkpoint_path=None):
     epoch_log = []
     stop_reason = "max_epochs"
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr_start = triangular_lr(iteration, cfg)
+    for epoch in range(1, config.max_epochs + 1):
+        lr_start = triangular_lr(iteration, config, cycle)
         order = shuffle_rng.permutation(n_train)
-        for lo in range(0, n_train, cfg.batch_size):
-            batch = order[lo:lo + cfg.batch_size]
-            lr = triangular_lr(iteration, cfg)
+        for lo in range(0, n_train, config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            lr = triangular_lr(iteration, config, cycle)
             logits, cache = forward(weights, train_set.features[batch])
-            grads = backward(weights, cache, train_set.labels[batch], cfg.penalty, cfg.lam)
+            grads = backward(weights, cache, train_set.labels[batch], config.penalty, config.lam)
             for (W, b), (gW, gb) in zip(weights, grads):
                 W -= lr * gW
                 b -= lr * gb
             iteration += 1
 
         train_obj = composite_objective(
-            weights, train_set.features, train_set.labels, cfg.penalty, cfg.lam
+            weights, train_set.features, train_set.labels, config.penalty, config.lam
         )
         val_logits, _ = forward(weights, val_set.features)
         val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
@@ -240,16 +233,12 @@ def train(train_set, val_set, test_set, arch, config, checkpoint_path=None):
             epochs_since_best = 0
         else:
             epochs_since_best += 1
-            if epochs_since_best >= cfg.patience:
+            if epochs_since_best >= config.patience:
                 stop_reason = "patience"
                 break
 
-    run = TrainRun(epoch_log, best_epoch, float(best_val), stop_reason, best_weights)
-    if checkpoint_path is not None:
-        save_weights(checkpoint_path, best_weights)
-        run.final_weights_id = str(checkpoint_path)
-    run.test_error_rate = evaluate(best_weights, test_set)
-    return run
+    return TrainRun(epoch_log, best_epoch, float(best_val), stop_reason, best_weights,
+                    evaluate(best_weights, test_set))
 
 
 def save_weights(path, weights):

@@ -25,6 +25,10 @@ import numpy as np
 from .errors import ConfigurationError, DivergenceError
 from .penalties import grad_array, value_array
 
+STEP_INIT = 1.0  # first trial step of every descent
+BACKTRACK = 0.5  # factor a rejected trial step is cut by
+GRAD_TOL = 1e-8  # gradient norm at which a descent has converged
+MAX_ITER = 100_000  # accepted steps after which a descent stops
 KINK_STEP_FLOOR = 1e-20  # smallest trial step for a penalty with a kink at 0
 
 
@@ -98,8 +102,7 @@ class MinimaProfile:
         return self.minima[self.global_index]
 
 
-def fit(problem, spec, lam, step_init=1.0, backtrack=0.5, grad_tol=1e-8,
-        max_iter=100_000, start=None):
+def fit(problem, spec, lam, start=None):
     """Minimize (1/n)||y - X beta||^2 + lam * sum_j P(beta_j).
 
     By default two starts are tried (the origin and the unpenalized
@@ -116,8 +119,7 @@ def fit(problem, spec, lam, step_init=1.0, backtrack=0.5, grad_tol=1e-8,
     else:
         starts = [np.zeros(problem.p), np.linalg.lstsq(X, y, rcond=None)[0]]
     batch = fit_batch((X.T @ X)[None], (X.T @ y)[None], np.array([y @ y]), problem.n,
-                      spec, lam, np.array(starts)[None], step_init, backtrack,
-                      grad_tol, max_iter)
+                      spec, lam, np.array(starts)[None])
     if batch.failed[0]:
         raise DivergenceError("objective is non-finite at the start point")
     return batch.result(0)
@@ -153,8 +155,7 @@ class BatchFit:
                          float(self.grad_norm_final[i]), int(self.iterations[i]))
 
 
-def fit_batch(gram, xty, yty, n, spec, lam, starts, step_init=1.0, backtrack=0.5,
-              grad_tol=1e-8, max_iter=100_000):
+def fit_batch(gram, xty, yty, n, spec, lam, starts):
     """Minimize M problems (1/n)(b'G_i b - 2 c_i'b + y_i'y_i) + lam * sum_j P(b_j)
     in one vectorized descent.
 
@@ -171,8 +172,7 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts, step_init=1.0, backtrack=0.5
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)
     beta, f, gnorm, its, f0, trace = _descend(
-        gram[problem], xty[problem], yty[problem], n, spec, lam, starts.reshape(m * k, p),
-        step_init, backtrack, grad_tol, max_iter)
+        gram[problem], xty[problem], yty[problem], n, spec, lam, starts.reshape(m * k, p))
     failed = np.isnan(f0).reshape(m, k).any(axis=1)
     best = np.argmin(np.where(np.isnan(f0), np.inf, f).reshape(m, k), axis=1)
     winner = np.arange(m) * k + best
@@ -180,14 +180,14 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts, step_init=1.0, backtrack=0.5
     beta[failed] = np.nan
     f[failed] = gnorm[failed] = np.nan
     its[failed] = 0
-    return BatchFit(beta, f, gnorm <= grad_tol, gnorm, its, failed, winner, f0, *trace)
+    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, failed, winner, f0, *trace)
 
 
 def _matvec(stack, vectors):
     return np.matmul(stack, vectors[:, :, None])[:, :, 0]
 
 
-def _descend(gram, xty, yty, n, spec, lam, beta0, step_init, backtrack, grad_tol, max_iter):
+def _descend(gram, xty, yty, n, spec, lam, beta0):
     """BB/Armijo gradient descent for every row of ``beta0`` at once.
 
     Each row keeps its own trial step, backtracking and stop; every pass
@@ -200,8 +200,8 @@ def _descend(gram, xty, yty, n, spec, lam, beta0, step_init, backtrack, grad_tol
     difference is within the round-off of the penalty terms, a step of a
     smooth penalty is accepted on the approximate Wolfe slope test
     g(b + s).g >= -(1 - 2*delta)|g|^2 with delta = 0.1 (Hager & Zhang 2005).
-    A row stops when its gradient norm is within ``grad_tol``, after
-    ``max_iter`` steps, or when its step no longer changes b at all.  For a
+    A row stops when its gradient norm is within ``GRAD_TOL``, after
+    ``MAX_ITER`` steps, or when its step no longer changes b at all.  For a
     penalty with a kink at 0 the slope test does not apply; such a row also
     stops once its step no longer lowers F by a representable amount, or
     once backtracking takes its trial step below ``KINK_STEP_FLOOR``.
@@ -231,11 +231,11 @@ def _descend(gram, xty, yty, n, spec, lam, beta0, step_init, backtrack, grad_tol
     g = (2.0 / n) * r + lam * grad_array(spec, b, zero_at_kink=True)
     gsq = (g * g).sum(axis=1)
     gnorm = np.sqrt(gsq)
-    t = np.full(rows.size, float(step_init))
+    t = np.full(rows.size, STEP_INIT)
     its = np.zeros(rows.size, dtype=int)
     f_traced = f.copy()
     traced = []
-    done = (gnorm <= grad_tol) | (its >= max_iter)
+    done = (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
     floor_scale = 8.0 * np.finfo(float).eps * lam
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -282,7 +282,7 @@ def _descend(gram, xty, yty, n, spec, lam, beta0, step_init, backtrack, grad_tol
             # quasi-Newton scaling that keeps gradient steps fast near the optimum
             sy = (s * (g_new - g)).sum(axis=1)
             bb = np.where(sy > 0.0, (s * s).sum(axis=1) / sy, 2.0 * t)
-            t = np.where(accept, np.clip(bb, 1e-12, 1e12), t * backtrack)
+            t = np.where(accept, np.clip(bb, 1e-12, 1e12), t * BACKTRACK)
             a = accept[:, None]
             b, r = np.where(a, cand, b), np.where(a, r_new, r)
             pen, g = np.where(a, pen_new, pen), np.where(a, g_new, g)
@@ -294,7 +294,7 @@ def _descend(gram, xty, yty, n, spec, lam, beta0, step_init, backtrack, grad_tol
             if drop.any():
                 traced.append((rows[drop], its[drop], f[drop]))
                 f_traced = np.where(drop, f, f_traced)
-            done = stall | (gnorm <= grad_tol) | (its >= max_iter)
+            done = stall | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
             if not smooth:
                 done |= t < KINK_STEP_FLOOR
 

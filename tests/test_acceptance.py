@@ -164,10 +164,10 @@ def test_criterion_5_solver_oracle_equivalence():
 def test_criterion_6_training_protocol_fidelity():
     with criterion(6, "training protocol: LR, init, early stop, cap, gradients", 60.0):
         # triangular schedule hits the exact endpoints
-        config = mlp.TrainConfig(cycle_length=40)
-        assert mlp.triangular_lr(0, config) == 0.01
-        assert mlp.triangular_lr(40, config) == 0.25
-        assert mlp.triangular_lr(80, config) == 0.01
+        config = mlp.TrainConfig()
+        assert mlp.triangular_lr(0, config, 40) == 0.01
+        assert mlp.triangular_lr(40, config, 40) == 0.25
+        assert mlp.triangular_lr(80, config, 40) == 0.01
 
         # init variance 4/(n_i + n_{i-1}) within 5 percent
         weights = mlp.init_weights(mlp.MlpArchitecture((784, 1024, 10)), seed=1)

@@ -127,6 +127,8 @@ def test_seed_list_parsing():
         parse_seed_list("1,-2")
     with pytest.raises(ConfigurationError):
         parse_seed_list("a,b")
+    with pytest.raises(ConfigurationError, match=r"'1,2,1' .*\(1 is repeated\)"):
+        parse_seed_list("1,2,1")
 
 
 def test_output_dir_env_fallback(tmp_path, monkeypatch):
@@ -503,6 +505,14 @@ def test_seed_list_override(tmp_path):
     runs = [l for l in lines if l.startswith("run")]
     assert len(runs) == 2 * 2 * 1
     assert all(r.split(",")[3] == "7" for r in runs)
+
+
+def test_repeated_seed_list_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
+    out = tmp_path / "out"
+    assert main(["train-mlp", "--config", cfg, "--out", str(out), "--seed-list", "7,7"]) == 1
+    assert "(7 is repeated)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_codes(tmp_path, capsys):

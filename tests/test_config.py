@@ -3,6 +3,7 @@ come back typed with the defaults filled in, and an unknown key or section
 is a configuration error (exit code 1)."""
 
 import contextlib
+import dataclasses
 import io
 import pathlib
 import tempfile
@@ -12,9 +13,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gausspen import cli, config
+from gausspen.asymptotics import SimSpec
 from gausspen.cli import main
 from gausspen.config import COMMANDS, parse_config
 from gausspen.errors import ConfigurationError
+from gausspen.mlp import TrainConfig
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
@@ -142,9 +145,15 @@ kappa = 10.0"""
         ("train-mlp", TRAIN + "save_artifacts = treu\n", "`save_artifacts` = 'treu'"),
         ("train-mlp", TRAIN.replace("[penalty:base]\nfamily = none", DUPLICATE),
          "[penalty:b] repeats [penalty:a]: both are gaussian(kappa=10)"),
+        ("bias-mc", BIAS.replace("seeds = 1", "seeds = 1, 2, 1"),
+         "`seeds` = '1, 2, 1' is not a nonempty list of distinct unsigned integers "
+         "(1 is repeated)"),
+        ("train-mlp", TRAIN.replace("values = 0.01", "values = 0.01, 0.1, 1e-2"),
+         "`values` = '0.01, 0.1, 1e-2' is not a list of distinct finite nonnegative numbers "
+         "(0.01 is repeated)"),
     ],
     ids=["command", "experiment", "lambda", "gaussian-gamma", "ridge-kappa", "section", "flag",
-         "duplicate-penalty"],
+         "duplicate-penalty", "duplicate-seed", "duplicate-lambda"],
 )
 def test_each_section_kind_rejects_a_misspelling(tmp_path, capsys, command, text, named):
     path = tmp_path / "c.cfg"
@@ -161,6 +170,25 @@ def test_save_artifacts_flag(tmp_path, text, value):
     path = tmp_path / "c.cfg"
     path.write_text(TRAIN + f"save_artifacts = {text}\n")
     assert parse_config(str(path)).options["save_artifacts"] is value
+
+
+# options that set a dataclass field, by command: option -> (dataclass, field)
+FIELD_DEFAULTS = {
+    "train-mlp": {key: (TrainConfig, key)
+                  for key in ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")},
+    "consistency-mc": {"lambda0": (SimSpec, "lambda0"), "kappa": (SimSpec, "kappa"),
+                       "replicates": (SimSpec, "replicates"), "exponent": (SimSpec, "r")},
+}
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_DEFAULTS))
+def test_empty_section_takes_dataclass_defaults(tmp_path, command):
+    path = tmp_path / "c.cfg"
+    path.write_text(f"[experiment]\ncommand = {command}\n\n{SHARED}\n[{command}]\n")
+    options = parse_config(str(path)).options
+    for key, (cls, name) in FIELD_DEFAULTS[command].items():
+        default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+        assert options[key] == default and type(options[key]) is type(default)
 
 
 def test_missing_required_option_is_config_error_at_run_time(tmp_path, capsys):

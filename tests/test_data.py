@@ -20,6 +20,7 @@ from gausspen.data import (
     read_csv_dataset,
     serialize_idx,
     split,
+    write_csv,
     write_csv_dataset,
 )
 from gausspen.errors import ConfigurationError
@@ -241,3 +242,24 @@ def test_csv_roundtrip(tmp_path):
     again = read_csv_dataset(path)
     assert np.array_equal(again.features, dataset.features)  # 17 digits round-trip
     assert np.array_equal(again.labels, dataset.labels)
+
+
+# values whose shortest repr is not their 17-digit form, a signed zero and a
+# value near the bottom of the normal range
+AWKWARD = [[0.1, 1.0 / 3.0], [-0.0, 1e-300]]
+AWKWARD_CELLS = "0.10000000000000001,0.33333333333333331,{}\n-0,1e-300,{}\n"
+
+
+def test_csv_bytes(tmp_path):
+    path = tmp_path / "rows.csv"
+    write_csv(path, ("a", "b", "c"), [(*AWKWARD[0], None), (*AWKWARD[1], "tag")])
+    assert path.read_bytes() == ("a,b,c\n" + AWKWARD_CELLS.format("", "tag")).encode()
+
+    dataset = LabeledDataset(np.array(AWKWARD), np.array([0, 2]))
+    path = tmp_path / "data.csv"
+    write_csv_dataset(path, dataset)
+    assert path.read_bytes() == ("x0,x1,label\n" + AWKWARD_CELLS.format(0, 2)).encode()
+    again = read_csv_dataset(path)
+    assert again.features.tobytes() == dataset.features.tobytes()  # -0.0 keeps its sign
+    assert np.array_equal(again.labels, dataset.labels)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "rows.csv"]  # no temp files

@@ -1,5 +1,11 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gausspen import data
 from gausspen.errors import ConfigurationError
@@ -92,19 +98,21 @@ def test_init_deterministic():
 
 
 def test_triangular_breakpoints_exact():
-    config = TrainConfig(cycle_length=8)
-    assert triangular_lr(0, config) == 0.01
-    assert triangular_lr(8, config) == 0.25
-    assert triangular_lr(16, config) == 0.01
-    assert triangular_lr(24, config) == 0.25
-    assert triangular_lr(4, config) == pytest.approx(0.13)
-    assert triangular_lr(12, config) == pytest.approx(0.13)
+    config = TrainConfig()
+    with pytest.raises(ConfigurationError):
+        triangular_lr(0, config, 0)
+    assert triangular_lr(0, config, 8) == 0.01
+    assert triangular_lr(8, config, 8) == 0.25
+    assert triangular_lr(16, config, 8) == 0.01
+    assert triangular_lr(24, config, 8) == 0.25
+    assert triangular_lr(4, config, 8) == pytest.approx(0.13)
+    assert triangular_lr(12, config, 8) == pytest.approx(0.13)
 
 
 def test_triangular_piecewise_linear():
-    config = TrainConfig(cycle_length=10)
-    up = [triangular_lr(i, config) for i in range(11)]
-    down = [triangular_lr(i, config) for i in range(10, 21)]
+    config = TrainConfig()
+    up = [triangular_lr(i, config, 10) for i in range(11)]
+    down = [triangular_lr(i, config, 10) for i in range(10, 21)]
     assert np.allclose(np.diff(up), (0.25 - 0.01) / 10)
     assert np.allclose(np.diff(down), -(0.25 - 0.01) / 10)
 
@@ -330,8 +338,8 @@ def test_checkpoint_reproduces_best_val_loss(tmp_path):
     tr, va, te = toy_splits(seed=6)
     path = tmp_path / "best.mlpw"
     config = TrainConfig(seed=7, batch_size=16, max_epochs=60)
-    run = train(tr, va, te, MlpArchitecture((2, 6, 2)), config, checkpoint_path=path)
-    assert run.final_weights_id == str(path)
+    run = train(tr, va, te, MlpArchitecture((2, 6, 2)), config)
+    save_weights(path, run.weights)
     loaded = load_weights(path)
     assert all(
         np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1])
@@ -379,3 +387,55 @@ def test_malformed_checkpoints_raise_typed_errors(tmp_path):
     assert offset_of(raw + b"\0") == len(raw)
     assert offset_of(b"NOPE" + raw[4:]) == 0
     assert offset_of(raw[:4] + (2).to_bytes(4, "little") + raw[8:]) == 4
+
+
+# --- checkpoint properties -------------------------------------------------------
+
+# every float64 bit pattern hypothesis reaches: NaN, +-inf, -0.0, subnormals
+ANY_DOUBLE = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def checkpoint_weights(draw):
+    """(W, b) pairs for 1-4 layers of size 1-8, with any float64 entries."""
+    sizes = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    return [(draw(hnp.arrays(np.float64, (fan_in, fan_out), elements=ANY_DOUBLE)),
+             draw(hnp.arrays(np.float64, fan_out, elements=ANY_DOUBLE)))
+            for fan_in, fan_out in zip(sizes[:-1], sizes[1:])]
+
+
+def _checkpoint_blob(weights):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "w.mlpw"
+        save_weights(path, weights)
+        return path.read_bytes()
+
+
+def _load_blob(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "w.mlpw"
+        path.write_bytes(blob)
+        return load_weights(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(checkpoint_weights())
+def test_checkpoint_roundtrip_is_bit_exact(weights):
+    loaded = _load_blob(_checkpoint_blob(weights))
+    assert len(loaded) == len(weights)
+    for (W, b), (W2, b2) in zip(weights, loaded):
+        assert W2.dtype == b2.dtype == np.float64
+        assert W2.shape == W.shape and b2.shape == b.shape
+        assert W2.tobytes() == W.tobytes() and b2.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(checkpoint_weights(), st.data())
+def test_any_header_byte_change_is_typed_error(weights, drawn):
+    blob = bytearray(_checkpoint_blob(weights))
+    header = 12 + 4 * (len(weights) + 1)  # magic, version, size count, size table
+    position = drawn.draw(st.integers(0, header - 1), label="position")
+    blob[position] = (blob[position] + drawn.draw(st.integers(1, 255), label="delta")) % 256
+    with pytest.raises(CheckpointFormatError) as err:
+        _load_blob(bytes(blob))
+    assert 0 <= err.value.offset <= len(blob)
