@@ -44,11 +44,20 @@ def _ints(text):
     return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
 
-def _number(text):
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(text)
-    return value
+def _checked(parse, ok):
+    """``parse``, rejecting as malformed a value for which ``ok`` is false."""
+    def checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ValueError(text)
+        return value
+    return checked
+
+
+_number = _checked(float, math.isfinite)
+_positive = _checked(_number, lambda v: v > 0)
+_count = _checked(int, lambda v: v >= 1)
+_sizes = _checked(_ints, lambda v: v and min(v) >= 1)
 
 
 class _Repeated(ValueError):
@@ -88,7 +97,10 @@ def _flag(text):
 # what each parser accepts, for error messages; str accepts anything
 _WHAT = {
     _number: "a finite number",
+    _positive: "a finite positive number",
     int: "an integer",
+    _count: "a positive integer",
+    _sizes: "a nonempty list of positive integers",
     _floats: "a list of numbers",
     _ints: "a list of integers",
     _lambdas: "a list of distinct finite nonnegative numbers",
@@ -113,15 +125,17 @@ _SIMULATION = {
 }
 
 COMMANDS = {
-    "penalty-table": {"beta_min": (_number, -3.0), "beta_max": (_number, 3.0), "count": (int, 121)},
+    "penalty-table": {
+        "beta_min": (_number, -3.0), "beta_max": (_number, 3.0), "count": (_count, 121),
+    },
     "ortho-scan": {
         "beta_ols": _number, "kappa": _number,
         # lambda_values None: the grid lambda_min..lambda_max by lambda_step
         "lambda_values": (_floats, None),
-        "lambda_min": _number, "lambda_max": _number, "lambda_step": _number,
+        "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
     },
     "bias-mc": {**_SIMULATION, "n": int},
-    "consistency-mc": {**_SIMULATION, "exponent": (_number, SimSpec.r), "n_grid": _ints},
+    "consistency-mc": {**_SIMULATION, "exponent": (_number, SimSpec.r), "n_grid": _sizes},
     "train-mlp": {
         "save_artifacts": (_flag, False),
         "classes": (int, 3), "per_class": (int, 60), "dimension": (int, 8),
@@ -218,17 +232,18 @@ def _parse_penalties(parser, problems):
 
 
 def _parse_lambda_grid(parser, problems):
+    """The ``[lambda]`` grid, or None once a problem with it is reported."""
     reported = len(problems)
     grid = _parse_section(parser, "lambda", _LAMBDA, problems)
+    if len(problems) > reported:
+        return None
     if not parser.has_section("lambda") or parser.has_option("lambda", "values"):
         return list(grid["values"])
-    if len(problems) > reported:
-        return []
     try:
         return loggrid(grid["log_min"], grid["log_max"], grid["count"])
     except ConfigurationError as exc:
         problems.append(f"[lambda]: {exc}")
-        return []
+        return None
 
 
 def parse_config(path, command=None, seed_list=None, out=None):
@@ -274,7 +289,7 @@ def parse_config(path, command=None, seed_list=None, out=None):
 
     if command in ("penalty-table", "train-mlp") and not penalties:
         problems.append(f"{command} needs at least one [penalty:*] section")
-    if command == "train-mlp" and not lambda_grid:
+    if command == "train-mlp" and lambda_grid == []:
         problems.append("train-mlp needs a [lambda] section with at least one value")
 
     if problems:

@@ -18,7 +18,7 @@ where ``lam_1d = n * lam`` under the 1/n loss normalization above.
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,13 +75,13 @@ def check_design(columns, y, centered):
 
 @dataclass
 class FitResult:
-    """Solver output: estimate, per-iteration objective trace, diagnostics."""
+    """Solver output: estimate, its objective, diagnostics."""
 
     beta_hat: np.ndarray
-    objective_trace: list = field(default_factory=list)
-    converged: bool = False
-    grad_norm_final: float = math.inf
-    iterations: int = 0
+    objective: float
+    converged: bool
+    grad_norm_final: float
+    iterations: int
 
 
 @dataclass
@@ -122,7 +122,8 @@ def fit(problem, spec, lam, start=None):
                       spec, lam, np.array(starts)[None])
     if batch.failed[0]:
         raise DivergenceError("objective is non-finite at the start point")
-    return batch.result(0)
+    return FitResult(batch.beta_hat[0], float(batch.objective[0]), bool(batch.converged[0]),
+                     float(batch.grad_norm_final[0]), int(batch.iterations[0]))
 
 
 @dataclass
@@ -139,20 +140,6 @@ class BatchFit:
     grad_norm_final: np.ndarray
     iterations: np.ndarray
     failed: np.ndarray
-    winner: np.ndarray  # descent row of each problem's winning start
-    start_objective: np.ndarray  # per descent row
-    trace_rows: np.ndarray  # (row, iteration, objective) of every trace entry
-    trace_iterations: np.ndarray
-    trace_values: np.ndarray
-
-    def result(self, i):
-        """Problem ``i`` as a :class:`FitResult`, with its objective trace."""
-        row = self.winner[i]
-        mine = self.trace_rows == row
-        trace = [(0, float(self.start_objective[row]))]
-        trace += zip(self.trace_iterations[mine].tolist(), self.trace_values[mine].tolist())
-        return FitResult(self.beta_hat[i].copy(), trace, bool(self.converged[i]),
-                         float(self.grad_norm_final[i]), int(self.iterations[i]))
 
 
 def fit_batch(gram, xty, yty, n, spec, lam, starts):
@@ -171,16 +158,16 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     starts = np.asarray(starts, dtype=float)
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)
-    beta, f, gnorm, its, f0, trace = _descend(
+    beta, f, gnorm, its = _descend(
         gram[problem], xty[problem], yty[problem], n, spec, lam, starts.reshape(m * k, p))
-    failed = np.isnan(f0).reshape(m, k).any(axis=1)
-    best = np.argmin(np.where(np.isnan(f0), np.inf, f).reshape(m, k), axis=1)
-    winner = np.arange(m) * k + best
+    # f is NaN only at a non-finite start; a failed problem's pick is overwritten below
+    failed = np.isnan(f).reshape(m, k).any(axis=1)
+    winner = np.arange(m) * k + np.argmin(f.reshape(m, k), axis=1)
     beta, f, gnorm, its = beta[winner], f[winner], gnorm[winner], its[winner]
     beta[failed] = np.nan
     f[failed] = gnorm[failed] = np.nan
     its[failed] = 0
-    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, failed, winner, f0, *trace)
+    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, failed)
 
 
 def _matvec(stack, vectors):
@@ -206,17 +193,14 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
     stops once its step no longer lowers F by a representable amount, or
     once backtracking takes its trial step below ``KINK_STEP_FLOOR``.
 
-    Returns the final rows, objectives (NaN where the start objective is
-    non-finite), gradient norms, iteration counts, start objectives and the
-    objective trace as (rows, iterations, values) arrays: an entry per step
-    that lowers the row's last traced objective.
+    Returns the final rows, objectives (NaN exactly where the start
+    objective is non-finite), gradient norms and iteration counts.
     """
     m = beta0.shape[0]
     beta = beta0.copy()
     f_out = np.full(m, np.nan)
     gnorm_out = np.full(m, np.nan)
     its_out = np.zeros(m, dtype=int)
-    f0 = np.full(m, np.nan)
     smooth = not spec.has_kink()
 
     rows = np.flatnonzero(np.isfinite(beta).all(axis=1))
@@ -226,15 +210,12 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
         pen = value_array(spec, b)
         f = ((b * (r - c)).sum(axis=1) + yty[rows]) / n + lam * pen.sum(axis=1)
     keep = np.isfinite(f) & np.isfinite(r).all(axis=1)
-    f0[rows[keep]] = f[keep]
     rows, G, r, b, pen, f = rows[keep], G[keep], r[keep], b[keep], pen[keep], f[keep]
     g = (2.0 / n) * r + lam * grad_array(spec, b, zero_at_kink=True)
     gsq = (g * g).sum(axis=1)
     gnorm = np.sqrt(gsq)
     t = np.full(rows.size, STEP_INIT)
     its = np.zeros(rows.size, dtype=int)
-    f_traced = f.copy()
-    traced = []
     done = (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
     floor_scale = 8.0 * np.finfo(float).eps * lam
 
@@ -245,8 +226,7 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
                 beta[out], f_out[out] = b[done], f[done]
                 gnorm_out[out], its_out[out] = gnorm[done], its[done]
                 live = ~done
-                rows, G, r, b, pen, f, f_traced = (
-                    rows[live], G[live], r[live], b[live], pen[live], f[live], f_traced[live])
+                rows, G, r, b, pen, f = rows[live], G[live], r[live], b[live], pen[live], f[live]
                 g, gsq, gnorm, t, its = g[live], gsq[live], gnorm[live], t[live], its[live]
             if not rows.size:
                 break
@@ -290,19 +270,10 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
             gsq = (g * g).sum(axis=1)
             gnorm = np.sqrt(gsq)
             its += accept
-            drop = accept & (f < f_traced)
-            if drop.any():
-                traced.append((rows[drop], its[drop], f[drop]))
-                f_traced = np.where(drop, f, f_traced)
             done = stall | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
             if not smooth:
                 done |= t < KINK_STEP_FLOOR
-
-    if traced:
-        trace = [np.concatenate(part) for part in zip(*traced)]
-    else:
-        trace = [np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)]
-    return beta, f_out, gnorm_out, its_out, f0, trace
+    return beta, f_out, gnorm_out, its_out
 
 
 def orthonormal_objective(beta_ols, beta, lam, kappa):

@@ -213,17 +213,16 @@ def test_overflowing_draw_is_config_error(tmp_path, capsys, command, extra, beta
 
 def test_rank_deficient_draws_start_at_minimum_norm():
     # n <= p: the centered design has rank below p, so X'X is singular; the
-    # start is the minimum-norm least-squares solution, not a failed solve
-    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), n=2, replicates=4)
+    # start is the minimum-norm least-squares solution, not a failed solve.
+    # Unpenalized, that start is already stationary, so no step is taken
+    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), n=2, replicates=4, lambda0=0.0)
     batch = fit_replicates(spec)
     assert not batch.failed.any()
-    lam = spec.lambda_n() / spec.n
+    assert (batch.iterations == 0).all()
     for rep in range(4):
         problem = simulate_linear_data(spec, rep)
         ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
-        residual = problem.y - problem.X @ ols
-        want = residual @ residual / spec.n + lam * (-np.expm1(-spec.kappa * ols**2)).sum()
-        assert batch.start_objective[rep] == pytest.approx(want, rel=1e-9)
+        assert np.abs(batch.beta_hat[rep] - ols).max() <= 1e-12
 
 
 def test_pure_noise_variance():

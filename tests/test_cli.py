@@ -538,6 +538,50 @@ def test_exit_codes(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+PENALTY_TABLE_CFG = """
+[experiment]
+command = penalty-table
+
+[penalty:g]
+family = gaussian
+kappa = 1
+
+[penalty-table]
+count = 13
+"""
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("consistency-mc", "n_grid", ""),
+    ("consistency-mc", "n_grid", "0, 50"),
+    ("ortho-scan", "lambda_step", "0"),
+    ("ortho-scan", "lambda_step", "-1"),
+    ("penalty-table", "count", "-1"),
+    ("penalty-table", "count", "0"),
+])
+def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
+    # caught at parse time, naming the option: past the parser each gives an
+    # index error, a division by zero, a numpy error, or an empty grid or table
+    text = {"consistency-mc": MC_CONSISTENCY_CFG, "ortho-scan": ORTHO_CFG,
+            "penalty-table": PENALTY_TABLE_CFG}[command]
+    text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)
+    cfg = write_config(tmp_path / "c.cfg", text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"`{key}`" in err
+
+
+def test_malformed_lambda_values_is_one_problem(tmp_path):
+    # a malformed list is not also reported as a missing [lambda] grid
+    for values in ("0.01, 1e-2", "0.1, -1"):
+        cfg = write_config(tmp_path / "t.cfg",
+                           TRAIN_CFG.replace("values = 0.001, 0.01", f"values = {values}"))
+        with pytest.raises(ConfigurationError) as err:
+            parse_config(cfg)
+        problems = str(err.value).splitlines()[1:]
+        assert len(problems) == 1 and "`values`" in problems[0]
+
+
 BIAS_CFG = """
 [experiment]
 command = bias-mc

@@ -36,9 +36,13 @@ def _listed(values):
 # for each option parser: (text written to the file, value it parses to)
 WRITTEN = {
     config._number: FINITE.map(lambda v: (repr(v), v)),
+    config._positive: st.floats(0.0, exclude_min=True, allow_infinity=False).map(
+        lambda v: (repr(v), v)),
     int: INTS.map(lambda v: (str(v), v)),
+    config._count: st.integers(1, 10**9).map(lambda v: (str(v), v)),
     config._floats: st.lists(FINITE, max_size=4).map(_listed),
     config._ints: st.lists(INTS, max_size=4).map(_listed),
+    config._sizes: st.lists(st.integers(1, 10**9), min_size=1, max_size=4).map(_listed),
     config._flag: st.tuples(st.sampled_from(sorted(FLAGS)), st.booleans()).map(
         lambda pair: (pair[0].upper() if pair[1] else pair[0], FLAGS[pair[0]])
     ),
