@@ -36,7 +36,6 @@ from .errors import (
     DivergenceError,
     DomainError,
     ExperimentError,
-    SingularityError,
 )
 from .mlp import (
     CheckpointFormatError,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
 from .penalties import PenaltySpec
-from .regression import LinearProblem, check_design, fit_batch
+from .regression import LinearProblem, fit_batch
 
 #: largest tolerated fraction of diverged replicates before the report aborts
 MAX_FAILED_FRACTION = 0.05
@@ -128,7 +128,7 @@ def _draw(spec, chol, replicate_index):
     """
     n, p = spec.n, spec.p
     noise = np.random.default_rng([spec.seed, replicate_index]).standard_normal(n * p + n)
-    # an overflow shows up as a non-finite draw, which check_design rejects
+    # an overflow shows up as a non-finite draw, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         columns = chol @ noise[:n * p].reshape(n, p).T
         y = noise[n * p:]
@@ -136,7 +136,6 @@ def _draw(spec, chol, replicate_index):
         y += spec.beta_true @ columns
         columns -= columns.mean(axis=1, keepdims=True)
         y -= y.mean()
-    check_design(columns, y, centered=True)
     return columns, y
 
 
@@ -175,15 +174,21 @@ def fit_replicates(spec, n=None, start_at_ols=True):
     one batched solve of the normal equations.  With ``start_at_ols`` every
     replicate starts at its unpenalized solution; otherwise the origin is
     tried as well and the lower objective wins.  Returns the
-    :class:`~gausspen.regression.BatchFit`, one row per replicate.
+    :class:`~gausspen.regression.BatchFit`, one row per replicate.  Draws
+    that overflow, so that a statistic is not finite, are a
+    :class:`ConfigurationError`.
     """
     local = spec if n is None else replace(spec, n=n)
     reps, p = local.replicates, local.p
     chol = _cholesky(local.C)
     gram, xty, yty = np.empty((reps, p, p)), np.empty((reps, p)), np.empty(reps)
-    for rep in range(reps):
-        columns, y = _draw(local, chol, rep)
-        gram[rep], xty[rep], yty[rep] = columns @ columns.T, columns @ y, y @ y
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rep in range(reps):
+            columns, y = _draw(local, chol, rep)
+            gram[rep], xty[rep], yty[rep] = columns @ columns.T, columns @ y, y @ y
+    if not (np.isfinite(gram).all() and np.isfinite(xty).all() and np.isfinite(yty).all()):
+        raise ConfigurationError(
+            f"simulated data overflow at n = {local.n}: X'X, X'y or y'y is not finite")
     if local.n > p:
         ols = np.linalg.solve(gram, xty[:, :, None])
     else:

@@ -53,12 +53,21 @@ def run_penalty_table(config, jobs):
 
 # --- ortho-scan ------------------------------------------------------------
 
+MAX_GRID = 1_000_000  # most lambdas a lambda_min..lambda_max grid may hold
+
+
 def run_ortho_scan(config, jobs):
     opts = config.options
     grid = opts["lambda_values"]
     if grid is None:
         step = opts["lambda_step"]
-        grid = list(np.arange(opts["lambda_min"], opts["lambda_max"] + step / 2.0, step))
+        lo, hi = opts["lambda_min"], opts["lambda_max"] + step / 2.0
+        # np.arange's length, ceil((hi - lo) / step), bounded before it allocates
+        if (hi - lo) / step > MAX_GRID:
+            raise ConfigurationError(
+                f"[ortho-scan] option `lambda_step` = {step!r} gives more than {MAX_GRID} "
+                f"lambdas from {opts['lambda_min']!r} to {opts['lambda_max']!r}")
+        grid = list(np.arange(lo, hi, step))
     profiles, lambda_star = regression.lambda_phase_scan(opts["beta_ols"], opts["kappa"], grid)
     rows = []
     for profile in profiles:

@@ -9,10 +9,6 @@ class DomainError(ValueError):
     """An input value is outside the mathematical domain (NaN, inf, ...)."""
 
 
-class SingularityError(ValueError):
-    """A derivative was requested at a kink without a subgradient convention."""
-
-
 class DivergenceError(RuntimeError):
     """An optimizer produced a non-finite objective value."""
 

@@ -149,8 +149,9 @@ def composite_objective(weights, inputs, labels, penalty, lam):
 def backward(weights, cache, labels, penalty, lam):
     """Gradient of mean cross-entropy plus the penalty term on the weights.
 
-    The penalty gradient uses the zero-at-kink subgradient convention so
-    singular-at-origin families remain trainable from zero weights.
+    A penalty with a kink at the origin contributes its subgradient 0 at a
+    weight of exactly 0, so singular-at-origin families remain trainable
+    from zero weights.
     """
     activations, pre = cache
     batch = len(labels)
@@ -165,7 +166,7 @@ def backward(weights, cache, labels, penalty, lam):
         gW = activations[i].T @ delta
         gb = delta.sum(axis=0)
         if lam > 0.0 and penalty.family != "none":
-            gW += lam * grad_array(penalty, W, zero_at_kink=True)
+            gW += lam * grad_array(penalty, W)
         grads[i] = (gW, gb)
         if i > 0:
             delta = (delta @ W.T) * (pre[i - 1] > 0.0)

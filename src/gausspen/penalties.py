@@ -23,7 +23,7 @@ MCP) therefore use the unit-threshold form of their published definitions:
   that is smooth (indeed locally convex) at the origin.
 
 Each family is one entry of ``_TABLE``: its hyperparameter and validity
-rule, value, derivative, bounds and kink rule.
+rule, value, derivative, bounds and slope at ``0+``.
 
 Every function is pure; everything is safe for concurrent use.
 """
@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, SingularityError
+from .errors import ConfigurationError, DomainError
 
 
 def _scad_value(beta, a):
@@ -54,8 +54,8 @@ def _mcp_value(beta, c):
 
 
 def _bridge_grad(beta, q):
-    # q < 1 has an unbounded derivative at 0; the opt-in convention
-    # still pins the origin to 0 (it is always a stationary candidate)
+    # q < 1 has an unbounded derivative at 0; the origin still gets 0, the
+    # kink convention of every family (it is always a stationary candidate)
     t = np.abs(beta)
     out = np.zeros_like(t)
     nz = t > 0.0
@@ -106,7 +106,7 @@ class _Family(NamedTuple):
     grad: Callable  # (beta array, p) -> P'(beta) elementwise
     bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius)
     lipschitz: Callable  # (radius, p) -> sup of |P'| over [-radius, radius]
-    kinked: Callable  # p -> True when P is not differentiable at 0
+    slope: Callable  # p -> P'(0+), the right slope at 0: > 0 exactly at a kink
     parameter: Optional[str] = None  # the PenaltySpec field the family reads
     valid: Optional[Callable] = None  # p -> True for a valid finite p
     rule: Optional[str] = None  # ``valid`` in words, after "a finite number"
@@ -118,21 +118,21 @@ _TABLE = {
         grad=lambda beta, _: np.zeros_like(beta),
         bounds=lambda _: (0.0, 0.0, inf),
         lipschitz=lambda r, _: 0.0,
-        kinked=lambda _: False,
+        slope=lambda _: 0.0,
     ),
     "lasso": _Family(
         value=lambda beta, _: np.abs(beta),
         grad=lambda beta, _: np.sign(beta),
         bounds=lambda _: (1.0, inf, inf),
         lipschitz=lambda r, _: 1.0,
-        kinked=lambda _: True,
+        slope=lambda _: 1.0,
     ),
     "ridge": _Family(
         value=lambda beta, _: beta * beta,
         grad=lambda beta, _: 2.0 * beta,
         bounds=lambda _: (inf, inf, inf),
         lipschitz=lambda r, _: 2.0 * r,
-        kinked=lambda _: False,
+        slope=lambda _: 0.0,
     ),
     "bridge": _Family(
         value=lambda beta, q: np.abs(beta) ** q,
@@ -140,7 +140,7 @@ _TABLE = {
         # the derivative is unbounded near 0 for q < 1 and near inf for q > 1
         bounds=lambda q: (1.0 if q == 1.0 else inf, inf, inf if q >= 1.0 else 0.0),
         lipschitz=lambda r, q: q * r ** (q - 1.0) if q > 1.0 else (1.0 if q == 1.0 else inf),
-        kinked=lambda q: q <= 1.0,
+        slope=lambda q: inf if q < 1.0 else float(q == 1.0),
         parameter="q", valid=lambda q: q > 0.0, rule="> 0",
     ),
     "elastic_net": _Family(
@@ -148,7 +148,7 @@ _TABLE = {
         grad=lambda beta, mix: mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta,
         bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
         lipschitz=lambda r, mix: mix + 2.0 * (1.0 - mix) * r,
-        kinked=lambda mix: mix > 0.0,
+        slope=lambda mix: mix,
         parameter="mix", valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
     ),
     "scad": _Family(
@@ -157,7 +157,7 @@ _TABLE = {
         # linear (hence convex) up to the unit threshold, concave beyond
         bounds=lambda a: (1.0, (a + 1.0) / 2.0, 1.0),
         lipschitz=lambda r, _: 1.0 if r > 0 else 0.0,
-        kinked=lambda _: True,
+        slope=lambda _: 1.0,
         parameter="a", valid=lambda a: a > 2.0, rule="> 2",
     ),
     "mcp": _Family(
@@ -165,7 +165,7 @@ _TABLE = {
         grad=lambda beta, c: np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0.0, None),
         bounds=lambda c: (1.0, c / 2.0, 0.0),
         lipschitz=lambda r, _: 1.0 if r > 0 else 0.0,
-        kinked=lambda _: True,
+        slope=lambda _: 1.0,
         parameter="b", valid=lambda c: c > 0.0, rule="> 0",
     ),
     "laplace": _Family(
@@ -173,7 +173,7 @@ _TABLE = {
         grad=lambda beta, eps: np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps,
         bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
         lipschitz=lambda r, eps: 1.0 / eps if r > 0 else 0.0,
-        kinked=lambda _: True,
+        slope=lambda eps: 1.0 / eps,
         parameter="epsilon", valid=lambda eps: eps > 0.0, rule="> 0",
     ),
     "arctan": _Family(
@@ -181,7 +181,7 @@ _TABLE = {
         grad=lambda beta, g: np.sign(beta) * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta),
         bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
         lipschitz=lambda r, g: 2.0 * g / np.pi if r > 0 else 0.0,
-        kinked=lambda _: True,
+        slope=lambda g: 2.0 * g / np.pi,
         parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
     ),
     "gaussian": _Family(
@@ -192,7 +192,7 @@ _TABLE = {
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
         bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),
         lipschitz=_gaussian_lipschitz,
-        kinked=lambda _: False,
+        slope=lambda _: 0.0,
         parameter="kappa", valid=lambda k: k > 0.0, rule="> 0",
     ),
 }
@@ -256,10 +256,11 @@ class PenaltySpec:
         entry = _TABLE[self.family]
         return entry, None if entry.parameter is None else getattr(self, entry.parameter)
 
-    def has_kink(self):
-        """True when the shape is non-differentiable at the origin."""
+    def slope_at_zero(self):
+        """The right slope P'(0+) at the origin: 0 where the shape is smooth
+        there, > 0 (``inf`` for bridge with q < 1) where it has a kink."""
         entry, param = self._entry()
-        return entry.kinked(param)
+        return entry.slope(param)
 
     def label(self):
         """Short human-readable tag, e.g. ``gaussian(kappa=10)``.
@@ -301,23 +302,17 @@ def value_array(spec, beta):
     return entry.value(beta, param)
 
 
-def grad_array(spec, beta, zero_at_kink=False):
+def grad_array(spec, beta):
     """Elementwise analytic derivative of the penalty.
 
     For families with a kink at the origin, coefficients that are exactly 0
-    either get the subgradient value 0 (``zero_at_kink=True``, the standard
-    convention that makes 0 a stationary candidate) or raise
-    :class:`SingularityError`.
+    get the subgradient value 0, the convention that makes 0 a stationary
+    candidate.
     """
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise DomainError("penalty gradient requested at a non-finite coefficient")
     entry, param = spec._entry()
-    if not zero_at_kink and entry.kinked(param) and np.any(beta == 0.0):
-        raise SingularityError(
-            f"{spec.family} penalty is not differentiable at 0; "
-            "pass zero_at_kink=True to use the 0 subgradient convention"
-        )
     return entry.grad(beta, param)
 
 
@@ -326,9 +321,9 @@ def penalty_value(spec, beta):
     return float(value_array(spec, np.asarray(beta, dtype=float)))
 
 
-def penalty_grad(spec, beta, zero_at_kink=False):
+def penalty_grad(spec, beta):
     """Analytic derivative P'(beta); odd in beta for every family."""
-    return float(grad_array(spec, np.asarray(beta, dtype=float), zero_at_kink=zero_at_kink))
+    return float(grad_array(spec, np.asarray(beta, dtype=float)))
 
 
 def penalty_vector(spec, beta):

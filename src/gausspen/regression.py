@@ -6,9 +6,8 @@ The solver minimizes
     F(beta) = (1/n) * ||y - X beta||^2 + lam * sum_j P(beta_j)
 
 with Barzilai-Borwein gradient steps and Armijo backtracking, one vectorized
-descent for a whole stack of problems; the penalty families here are smooth
-enough (or use the opt-in zero subgradient at the origin) that plain gradient
-steps suffice.
+descent for a whole stack of problems; a penalty with a kink at the origin
+takes orthant-wise steps (Andrew & Gao 2007) that can land on it.
 For an orthonormal design (X'X = I) the problem separates per coordinate into
 
     f(b) = -2 * beta_ols * b + b^2 + lam_1d * (1 - exp(-kappa b^2)),
@@ -29,7 +28,6 @@ STEP_INIT = 1.0  # first trial step of every descent
 BACKTRACK = 0.5  # factor a rejected trial step is cut by
 GRAD_TOL = 1e-8  # gradient norm at which a descent has converged
 MAX_ITER = 100_000  # accepted steps after which a descent stops
-KINK_STEP_FLOOR = 1e-20  # smallest trial step for a penalty with a kink at 0
 
 
 @dataclass
@@ -37,8 +35,8 @@ class LinearProblem:
     """A design matrix / response pair.
 
     ``centered=True`` asserts that every column of X and y itself have mean
-    zero (within 1e-8), the normalization under which the asymptotic results
-    are stated.
+    zero (within 1e-8 of its largest magnitude), the normalization under
+    which the asymptotic results are stated.
     """
 
     X: np.ndarray
@@ -52,7 +50,11 @@ class LinearProblem:
             raise ConfigurationError("X must be a nonempty n x p matrix")
         if self.y.shape[0] != self.X.shape[0]:
             raise ConfigurationError("y length must match the number of rows of X")
-        check_design(self.X.T, self.y, self.centered)
+        data = np.column_stack((self.X, self.y))
+        if not np.isfinite(data).all():
+            raise ConfigurationError("design and response must be finite")
+        if self.centered and (np.abs(data.mean(axis=0)) > 1e-8 * np.abs(data).max(axis=0)).any():
+            raise ConfigurationError("centered problem has nonzero column or response means")
 
     @property
     def n(self):
@@ -61,16 +63,6 @@ class LinearProblem:
     @property
     def p(self):
         return self.X.shape[1]
-
-
-def check_design(columns, y, centered):
-    """Raise :class:`ConfigurationError` unless the design, given as its
-    ``(p, n)`` transpose ``columns``, and the response ``y`` are finite and,
-    when ``centered``, every column and ``y`` have mean zero within 1e-8."""
-    if not (np.isfinite(columns).all() and np.isfinite(y).all()):
-        raise ConfigurationError("design and response must be finite")
-    if centered and (np.abs(columns.mean(axis=1)).max() > 1e-8 or abs(y.mean()) > 1e-8):
-        raise ConfigurationError("centered problem has nonzero column or response means")
 
 
 @dataclass
@@ -184,14 +176,15 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
         F(b + s) - F(b) = s'(2r + Gs)/n + lam * sum_j (P(b_j + s_j) - P(b_j)),
 
     which does not cancel the way b'Gb - 2c'b + y'y does.  Where that
-    difference is within the round-off of the penalty terms, a step of a
-    smooth penalty is accepted on the approximate Wolfe slope test
+    difference is within the round-off of the penalty terms, a step is
+    accepted on the approximate Wolfe slope test
     g(b + s).g >= -(1 - 2*delta)|g|^2 with delta = 0.1 (Hager & Zhang 2005).
-    A row stops when its gradient norm is within ``GRAD_TOL``, after
-    ``MAX_ITER`` steps, or when its step no longer changes b at all.  For a
-    penalty with a kink at 0 the slope test does not apply; such a row also
-    stops once its step no longer lowers F by a representable amount, or
-    once backtracking takes its trial step below ``KINK_STEP_FLOOR``.
+    A kink at 0, of slope kink = lam * P'(0+), is handled orthant-wise
+    (Andrew & Gao 2007): where b_j = 0, g_j is the minimum-norm subgradient
+    sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n; a trial coordinate that
+    leaves its orthant lands on 0; and Armijo tests the step taken.  A row
+    stops when its gradient norm is within ``GRAD_TOL``, after ``MAX_ITER``
+    steps, or when its step no longer changes b at all.
 
     Returns the final rows, objectives (NaN exactly where the start
     objective is non-finite), gradient norms and iteration counts.
@@ -201,7 +194,15 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
     f_out = np.full(m, np.nan)
     gnorm_out = np.full(m, np.nan)
     its_out = np.zeros(m, dtype=int)
-    smooth = not spec.has_kink()
+    # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
+    kink = lam * spec.slope_at_zero() if lam > 0 else 0.0
+
+    def gradient(r, b):
+        s = (2.0 / n) * r
+        g = s + lam * grad_array(spec, b)
+        if kink > 0:
+            np.copyto(g, np.sign(s) * np.maximum(np.abs(s) - kink, 0.0), where=b == 0.0)
+        return g
 
     rows = np.flatnonzero(np.isfinite(beta).all(axis=1))
     G, c, b = gram[rows], xty[rows], beta[rows]
@@ -211,7 +212,7 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
         f = ((b * (r - c)).sum(axis=1) + yty[rows]) / n + lam * pen.sum(axis=1)
     keep = np.isfinite(f) & np.isfinite(r).all(axis=1)
     rows, G, r, b, pen, f = rows[keep], G[keep], r[keep], b[keep], pen[keep], f[keep]
-    g = (2.0 / n) * r + lam * grad_array(spec, b, zero_at_kink=True)
+    g = gradient(r, b)
     gsq = (g * g).sum(axis=1)
     gnorm = np.sqrt(gsq)
     t = np.full(rows.size, STEP_INIT)
@@ -236,28 +237,26 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
                 # such a row backtracks, without evaluating the penalty out there
                 bad = ~np.isfinite(cand).all(axis=1)
                 cand[bad] = b[bad]
+            if kink > 0:
+                # only now: sign(nan) would have zeroed a non-finite row
+                orthant = np.where(b == 0.0, -np.sign(g), np.sign(b))
+                cand[np.sign(cand) != orthant] = 0.0
             s = cand - b
             r_new = r + _matvec(G, s)
             pen_new = value_array(spec, cand)
             delta = (s * (r + r_new)).sum(axis=1) / n + lam * (pen_new - pen).sum(axis=1)
-            g_new = (2.0 / n) * r_new + lam * grad_array(spec, cand, zero_at_kink=True)
+            g_new = gradient(r_new, cand)
             stall = (s == 0.0).all(axis=1)
             if bad is not None:
                 delta[bad] = np.nan
                 stall &= ~bad
             # a stalled row has delta = 0 exactly, which fails Armijo
-            accept = np.isfinite(delta) & (delta < -1e-4 * t * gsq)
-            if smooth and not accept.all():
+            decrease = 1e-4 * (g * s).sum(axis=1) if kink > 0 else -1e-4 * t * gsq
+            accept = np.isfinite(delta) & (delta < decrease)
+            if not accept.all():
                 floor = floor_scale * (pen + pen_new).sum(axis=1)
                 wolfe = (np.abs(delta) <= floor) & ((g_new * g).sum(axis=1) >= -0.8 * gsq)
                 accept |= wolfe & ~stall
-            elif not smooth:
-                # no slope test at a kink, where Armijo steps can creep on
-                # forever: a row stops once its step no longer lowers the
-                # objective by a representable amount
-                flat = accept & ~(f + delta < f)
-                accept &= ~flat
-                stall |= flat
             # Barzilai-Borwein trial step for the row's next iteration:
             # quasi-Newton scaling that keeps gradient steps fast near the optimum
             sy = (s * (g_new - g)).sum(axis=1)
@@ -271,8 +270,6 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
             gnorm = np.sqrt(gsq)
             its += accept
             done = stall | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
-            if not smooth:
-                done |= t < KINK_STEP_FLOOR
     return beta, f_out, gnorm_out, its_out
 
 

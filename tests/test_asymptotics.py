@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gausspen.asymptotics import (
@@ -209,6 +209,37 @@ def test_overflowing_draw_is_config_error(tmp_path, capsys, command, extra, beta
         warnings.simplefilter("error")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bias-mc", "n = 50\n"),
+    ("consistency-mc", "exponent = 0.5\nn_grid = 50, 100\n"),
+])
+def test_large_finite_beta_runs(tmp_path, command, extra):
+    # the round-off of centering grows with the data, so a check of the
+    # centered means against an absolute 1e-8 rejected this valid draw
+    cfg = tmp_path / "large.cfg"
+    cfg.write_text(f"[experiment]\ncommand = {command}\nseeds = 1\n\n[{command}]\n"
+                   f"beta = 1e9, -5e8, 2e9\nsigma = 1\nreplicates = 3\n{extra}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(mantissa=st.floats(1.0, 9.99), exponent=st.integers(-5, 308),
+       sigma_exponent=st.integers(-3, 140))
+def test_draw_runs_unless_it_overflows(tmp_path_factory, mantissa, exponent, sigma_exponent):
+    # y'y of a 50-row draw is finite for |beta|, sigma below 1e150 and not
+    # for |beta| from 1e160 on; the first runs, the second is a config error
+    assume(exponent < 150 or exponent >= 160)
+    out = tmp_path_factory.mktemp("draw")
+    cfg = out / "draw.cfg"
+    cfg.write_text(f"[experiment]\ncommand = bias-mc\nseeds = 1\n\n[bias-mc]\n"
+                   f"beta = {mantissa}e{exponent}, 0\nsigma = 1e{sigma_exponent}\n"
+                   f"replicates = 3\nn = 50\n")
+    assert main(["bias-mc", "--config", str(cfg), "--out", str(out)]) == (
+        0 if exponent < 150 else 1)
 
 
 def test_rank_deficient_draws_start_at_minimum_norm():

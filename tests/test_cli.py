@@ -556,12 +556,17 @@ count = 13
     ("consistency-mc", "n_grid", "0, 50"),
     ("ortho-scan", "lambda_step", "0"),
     ("ortho-scan", "lambda_step", "-1"),
+    # positive, but the grid would hold 1.5e301 or 1.5e10 lambdas: rejected
+    # from its length alone, before numpy is asked for the memory
+    ("ortho-scan", "lambda_step", "1e-300"),
+    ("ortho-scan", "lambda_step", "1e-9"),
     ("penalty-table", "count", "-1"),
     ("penalty-table", "count", "0"),
 ])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
-    # caught at parse time, naming the option: past the parser each gives an
-    # index error, a division by zero, a numpy error, or an empty grid or table
+    # caught before any work, naming the option: past the checks each gives
+    # an index error, a division by zero, a numpy error, an empty grid or
+    # table, or an attempt to allocate an enormous grid
     text = {"consistency-mc": MC_CONSISTENCY_CFG, "ortho-scan": ORTHO_CFG,
             "penalty-table": PENALTY_TABLE_CFG}[command]
     text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)

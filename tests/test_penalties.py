@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gausspen.errors import ConfigurationError, DomainError, SingularityError
+from gausspen.errors import ConfigurationError, DomainError
 from gausspen.penalties import (
     FAMILIES,
     PARAMETER,
@@ -121,13 +121,21 @@ def test_invalid_parameter_message_states_the_rule():
 ])
 def test_parameter_dependent_kink(family, param, kinked):
     spec = PenaltySpec(family, **{PARAMETER[family]: param})
-    assert spec.has_kink() == kinked
-    if kinked:
-        with pytest.raises(SingularityError, match=spec.family):
-            penalty_grad(spec, 0.0)
+    assert (spec.slope_at_zero() > 0.0) == kinked
+    assert_right_slope_at_zero(spec)
+
+
+def assert_right_slope_at_zero(spec):
+    # P'(0+) is the limit of the one-sided quotient (P(h) - P(0))/h, taken
+    # at an h small against 1/P'(0+); the gradient at 0 is 0 all the same
+    slope = spec.slope_at_zero()
+    h = 1e-14 / max(1.0, slope) if math.isfinite(slope) else 1e-14
+    quotient = (penalty_value(spec, h) - penalty_value(spec, 0.0)) / h
+    if math.isinf(slope):
+        assert quotient > 1e6, spec.label()
     else:
-        assert penalty_grad(spec, 0.0) == 0.0
-    assert penalty_grad(spec, 0.0, zero_at_kink=True) == 0.0
+        assert abs(quotient - slope) <= 1e-6 * max(1.0, slope), (spec.label(), quotient)
+    assert penalty_grad(spec, 0.0) == 0.0
 
 
 def test_irrelevant_hyperparameters_ignored():
@@ -266,8 +274,8 @@ def test_gaussian_overflow_raises_no_warning():
 @given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS))
 def test_grad_array_is_odd(beta, spec):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        plus = grad_array(spec, beta, zero_at_kink=True)
-        minus = grad_array(spec, -beta, zero_at_kink=True)
+        plus = grad_array(spec, beta)
+        minus = grad_array(spec, -beta)
     np.testing.assert_array_equal(minus, -plus)
 
 
@@ -276,7 +284,7 @@ def test_grad_array_rejects_non_finite(beta, spec, data):
     index = data.draw(st.integers(0, beta.size - 1))
     beta.flat[index] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
     with pytest.raises(DomainError):
-        grad_array(spec, beta, zero_at_kink=True)
+        grad_array(spec, beta)
 
 
 # each family's parameter over a wide slice of its valid range
@@ -403,7 +411,7 @@ def test_values_and_derivatives_match_reference_formulas(beta, spec):
 def test_slopes_within_interval_and_global_lipschitz(spec, radius, fractions):
     # samples of [-radius, radius], both ends included; |u * r| <= r exactly
     beta = np.array([u * radius for u in fractions] + [radius, -radius])
-    slopes = np.abs(grad_array(spec, beta, zero_at_kink=True))
+    slopes = np.abs(grad_array(spec, beta))
     local = lipschitz_on_interval(spec, radius)
     overall = penalty_bounds(spec).lipschitz
     if math.isfinite(local):
@@ -414,14 +422,14 @@ def test_slopes_within_interval_and_global_lipschitz(spec, radius, fractions):
 
 
 def test_kink_requires_convention():
+    # the kinked families have a positive slope at 0+ and still the
+    # gradient 0 at 0; the smooth ones have slope 0 there
     for family in ("lasso", "scad", "mcp", "laplace", "arctan"):
-        spec = PenaltySpec(family)
-        with pytest.raises(SingularityError, match=family):
-            penalty_grad(spec, 0.0)
-        assert penalty_grad(spec, 0.0, zero_at_kink=True) == 0.0
-    # smooth families never raise at 0
+        assert PenaltySpec(family).slope_at_zero() > 0.0
     for family in ("none", "ridge", "gaussian"):
-        assert penalty_grad(PenaltySpec(family), 0.0) == 0.0
+        assert PenaltySpec(family).slope_at_zero() == 0.0
+    for spec in ALL_SPECS:
+        assert_right_slope_at_zero(spec)
 
 
 # --- bounds ------------------------------------------------------------------

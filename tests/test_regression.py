@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from gausspen.cli import run_ortho_scan
 from gausspen.config import parse_config
 from gausspen.errors import ConfigurationError, DivergenceError
-from gausspen.penalties import FAMILIES, PenaltySpec, value_array
+from gausspen.penalties import FAMILIES, PenaltySpec, grad_array, value_array
 from gausspen.regression import (
+    GRAD_TOL,
     LinearProblem,
     _brentq,
     fit,
@@ -151,7 +152,7 @@ def random_problems(rng, count, n, p):
     count=st.integers(1, 4),
     p=st.integers(1, 4),
     extra_rows=st.integers(1, 8),
-    family=st.sampled_from(["none", "ridge", "gaussian"]),
+    family=st.sampled_from(["none", "ridge", "gaussian", "lasso", "scad", "bridge"]),
     kappa=st.floats(0.5, 20.0),
     lam=st.floats(0.0, 2.0),
     start_kinds=st.lists(st.sampled_from(["zero", "ols", "random", "both"]),
@@ -186,16 +187,101 @@ def test_batch_rows_match_scalar_fit(seed, count, p, extra_rows, family, kappa, 
 
 
 def test_kinked_penalty_descent_stops():
-    # with no slope test at the kink, a descent that can only creep toward
-    # it in round-off-sized decreases stops instead of running to max_iter
+    # a descent toward a kink at 0 lands on it and stops, converged, instead
+    # of creeping toward it in round-off-sized decreases to max_iter
     rng = np.random.default_rng(0)
     X = rng.standard_normal((50, 5))
     y = X @ np.array([2.0, 0.0, 0.0, 0.1, -1.0]) + rng.standard_normal(50)
     for family in ("lasso", "scad", "laplace"):
         spec, problem = PenaltySpec(family, epsilon=0.5), LinearProblem(X, y)
         result = fit(problem, spec, 0.1, start=np.zeros(5))
+        assert result.converged
         assert result.iterations < 1000
         assert result.objective <= objective(problem, spec, 0.1, np.zeros(5))
+
+
+KINKED_SPECS = [PenaltySpec("lasso"), PenaltySpec("bridge", q=0.5), PenaltySpec("bridge", q=1.0),
+                PenaltySpec("elastic_net", mix=0.5), PenaltySpec("scad"), PenaltySpec("mcp"),
+                PenaltySpec("laplace"), PenaltySpec("laplace", epsilon=0.5),
+                PenaltySpec("arctan")]
+
+
+def sparse_problem(rng, n, p):
+    # half the true coefficients (rounded down) are 0
+    beta = rng.uniform(-3.0, 3.0, p)
+    beta[rng.permutation(p)[:p // 2]] = 0.0
+    X = rng.standard_normal((n, p))
+    return LinearProblem(X, X @ beta + rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("spec", KINKED_SPECS, ids=PenaltySpec.label)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 59), p=st.integers(1, 5),
+       lam=st.floats(0.0, 2.0, exclude_max=True))
+def test_kinked_fit_meets_kkt(spec, seed, n, p, lam):
+    # a converged fit is first-order stationary: at a zero the loss slope
+    # s = 2X'(Xb - y)/n is within the kink lam * P'(0+), elsewhere the
+    # gradient is within GRAD_TOL (plus the round-off of recomputing it)
+    problem = sparse_problem(np.random.default_rng(seed), n, p)
+    result = fit(problem, spec, lam)
+    assert result.converged
+    b = result.beta_hat
+    s = (2.0 / n) * (problem.X.T @ (problem.X @ b - problem.y))
+    zero = b == 0.0
+    kink = lam * spec.slope_at_zero() if lam > 0.0 else 0.0
+    assert (np.abs(s[zero]) <= kink + 1e-9).all()
+    g = s + lam * grad_array(spec, b)
+    assert (np.abs(g[~zero]) <= GRAD_TOL + 1e-12).all()
+
+
+def _scan_argmin(z, lam, spec):
+    # the minimizer of b^2 - 2zb + lam P(b), by a coarse scan of
+    # [-|z| - 1, |z| + 1] refined around its best point
+    def best(grid):
+        return grid[np.argmin(grid * grid - 2.0 * z * grid + lam * value_array(spec, grid))]
+    coarse = best(np.linspace(-abs(z) - 1.0, abs(z) + 1.0, 40_001))
+    return best(np.linspace(coarse - 1e-3, coarse + 1e-3, 200_001))
+
+
+def test_orthonormal_kinked_fits_match_thresholding():
+    # X'X = nI separates F into b_j^2 - 2 z_j b_j + lam P(b_j) with z = X'y/n:
+    # soft thresholding at lam/2 for lasso; for SCAD (a = 3.7) and MCP (b = 3)
+    # with lam < 1 each coordinate objective is convex, and a scan finds it
+    for seed in range(12):
+        rng = np.random.default_rng([seed, 11])
+        n, p = int(rng.integers(10, 40)), int(rng.integers(1, 6))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        X = math.sqrt(n) * Q
+        beta = rng.uniform(-1.5, 1.5, p) * (rng.random(p) < 0.5)
+        problem = LinearProblem(X, X @ beta + 0.3 * rng.standard_normal(n))
+        z = X.T @ problem.y / n
+        lam = rng.uniform(0.0, 1.0)
+        soft = np.sign(z) * np.maximum(np.abs(z) - lam / 2.0, 0.0)
+        lasso = fit(problem, PenaltySpec("lasso"), lam)
+        assert lasso.converged
+        assert np.abs(lasso.beta_hat - soft).max() <= 1e-12
+        assert np.array_equal(lasso.beta_hat == 0.0, soft == 0.0)
+        for spec in (PenaltySpec("scad", a=3.7), PenaltySpec("mcp", b=3.0)):
+            result = fit(problem, spec, lam)
+            assert result.converged
+            # the same threshold: P'(0+) = 1 for both
+            assert np.array_equal(result.beta_hat == 0.0, soft == 0.0)
+            for j in range(p):
+                assert abs(result.beta_hat[j] - _scan_argmin(z[j], lam, spec)) <= 2e-8
+
+
+def test_tiny_problems_converge_for_every_family():
+    # tiny problems, n < p among them, on which kinked descents used to run
+    # to MAX_ITER and take seconds to minutes per fit
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(3, 30)), int(rng.integers(1, 6))
+        X = rng.standard_normal((n, p))
+        problem = LinearProblem(X, X @ rng.uniform(-3.0, 3.0, p) + rng.standard_normal(n))
+        lam = rng.uniform(0.0, 2.0)
+        for family in FAMILIES:
+            result = fit(problem, PenaltySpec(family), lam)
+            assert result.converged and result.iterations < 1000, (seed, family)
 
 
 def test_batch_isolates_non_finite_start():
