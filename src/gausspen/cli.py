@@ -15,12 +15,11 @@ import argparse
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import asymptotics, data, mlp, penalties, regression
-from .config import COMMANDS, parse_config, parse_seed_list
+from .config import COMMANDS, MAX_GRID, parse_config, parse_seed_list
 from .data import write_csv
 from .errors import ConfigurationError
 
@@ -34,6 +33,8 @@ def lower_median(values):
 def _map_cells(fn, cells, jobs):
     if jobs <= 1:
         return [fn(cell) for cell in cells]
+    from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, cells))
 
@@ -43,18 +44,17 @@ def _map_cells(fn, cells, jobs):
 def run_penalty_table(config, jobs):
     opts = config.options
     betas = np.linspace(opts["beta_min"], opts["beta_max"], opts["count"])
-    rows = []
-    for spec in config.penalties:
-        label = spec.label()
-        values = penalties.value_array(spec, betas).tolist()
-        rows.extend((label, beta, value) for beta, value in zip(betas.tolist(), values))
+    # every value first, so a DomainError comes before any directory or file
+    # is made; the rows themselves are streamed to the writer
+    columns = [(spec.label(), penalties.value_array(spec, betas).tolist())
+               for spec in config.penalties]
+    betas = betas.tolist()
+    rows = ((label, beta, value) for label, values in columns
+            for beta, value in zip(betas, values))
     return "penalty_table.csv", ("penalty", "beta", "value"), rows
 
 
 # --- ortho-scan ------------------------------------------------------------
-
-MAX_GRID = 1_000_000  # most lambdas a lambda_min..lambda_max grid may hold
-
 
 def run_ortho_scan(config, jobs):
     opts = config.options

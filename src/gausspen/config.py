@@ -54,9 +54,11 @@ def _checked(parse, ok):
     return checked
 
 
+MAX_GRID = 1_000_000  # most points a grid may hold, checked before it is built
+
 _number = _checked(float, math.isfinite)
 _positive = _checked(_number, lambda v: v > 0)
-_count = _checked(int, lambda v: v >= 1)
+_count = _checked(int, lambda v: 1 <= v <= MAX_GRID)
 _sizes = _checked(_ints, lambda v: v and min(v) >= 1)
 
 
@@ -99,7 +101,7 @@ _WHAT = {
     _number: "a finite number",
     _positive: "a finite positive number",
     int: "an integer",
-    _count: "a positive integer",
+    _count: f"a positive integer up to {MAX_GRID}",
     _sizes: "a nonempty list of positive integers",
     _floats: "a list of numbers",
     _ints: "a list of integers",
@@ -116,7 +118,7 @@ def _rejection(text, parse, exc):
 
 _EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (str, None)}
 
-_LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "count": int}
+_LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "count": _count}
 
 _SIMULATION = {
     "beta": _floats, "c_diag": (_floats, None),  # c_diag None: identity covariance

@@ -217,18 +217,23 @@ def split(dataset, fractions, seed):
     return tuple(out)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
-
-
 def write_csv(path, header, rows):
     """Write a CSV atomically: rows go to a temporary file in the target
     directory, which then replaces ``path``, so a failure part-way leaves
-    any earlier file at ``path`` intact.  Floats get 17 significant digits."""
+    any earlier file at ``path`` intact.  Floats get 17 significant digits,
+    each distinct value converted once; None is an empty cell."""
+    texts = {}  # nonzero float -> its text; 0.0 == -0.0 but they print apart
+
+    def cell(value):
+        if not isinstance(value, float):
+            return "" if value is None else str(value)
+        text = texts.get(value)
+        if text is None:
+            text = f"{value:.17g}"
+            if value:
+                texts[value] = text
+        return text
+
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -236,7 +241,7 @@ def write_csv(path, header, rows):
         with open(tmp, "w", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
             for row in rows:
-                handle.write(",".join(_fmt(v) for v in row) + "\n")
+                handle.write(",".join(map(cell, row)) + "\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

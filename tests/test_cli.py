@@ -240,6 +240,47 @@ count = 13
             assert value == pytest.approx(1.0 - math.exp(-beta * beta))
 
 
+SIGNED_ZERO_TABLE_CFG = """
+[experiment]
+command = penalty-table
+
+[penalty:g]
+family = gaussian
+kappa = 1
+
+[penalty:lasso]
+family = lasso
+
+[penalty-table]
+beta_min = 0.0
+beta_max = -0.0
+count = 2
+"""
+
+
+def test_penalty_table_keeps_signed_zeros(tmp_path):
+    # np.linspace(0.0, -0.0, 2) is [0.0, -0.0]: equal floats that print apart,
+    # in every family's rows
+    cfg = write_config(tmp_path / "p.cfg", SIGNED_ZERO_TABLE_CFG)
+    out = tmp_path / "out"
+    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "penalty_table.csv").read_text().splitlines()
+    assert [line.split(",")[1] for line in lines[1:]] == ["0", "-0", "0", "-0"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_penalty_table_domain_error_opens_no_file(tmp_path, capsys):
+    # the range overflows, so the betas hold NaN; every value is computed
+    # before the output directory is made
+    text = SIGNED_ZERO_TABLE_CFG.replace("beta_min = 0.0", "beta_min = -1e308")
+    cfg = write_config(tmp_path / "p.cfg", text.replace("beta_max = -0.0", "beta_max = 1e308"))
+    out = tmp_path / "out"
+    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 2
+    assert "non-finite coefficient" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bias_mc_end_to_end(tmp_path):
     cfg = write_config(
         tmp_path / "b.cfg",
@@ -551,6 +592,10 @@ count = 13
 """
 
 
+TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
+                                      "log_min = 0.001\nlog_max = 0.01\ncount = 2")
+
+
 @pytest.mark.parametrize("command, key, bad", [
     ("consistency-mc", "n_grid", ""),
     ("consistency-mc", "n_grid", "0, 50"),
@@ -562,13 +607,19 @@ count = 13
     ("ortho-scan", "lambda_step", "1e-9"),
     ("penalty-table", "count", "-1"),
     ("penalty-table", "count", "0"),
+    # above MAX_GRID: rejected as parsed, before numpy is asked for the memory
+    ("penalty-table", "count", "1000001"),
+    ("penalty-table", "count", str(10**12)),
+    ("train-mlp", "count", "0"),
+    ("train-mlp", "count", "1000001"),
+    ("train-mlp", "count", str(10**12)),
 ])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
     # caught before any work, naming the option: past the checks each gives
     # an index error, a division by zero, a numpy error, an empty grid or
     # table, or an attempt to allocate an enormous grid
     text = {"consistency-mc": MC_CONSISTENCY_CFG, "ortho-scan": ORTHO_CFG,
-            "penalty-table": PENALTY_TABLE_CFG}[command]
+            "penalty-table": PENALTY_TABLE_CFG, "train-mlp": TRAIN_LOG_GRID_CFG}[command]
     text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)
     cfg = write_config(tmp_path / "c.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1

@@ -39,7 +39,7 @@ WRITTEN = {
     config._positive: st.floats(0.0, exclude_min=True, allow_infinity=False).map(
         lambda v: (repr(v), v)),
     int: INTS.map(lambda v: (str(v), v)),
-    config._count: st.integers(1, 10**9).map(lambda v: (str(v), v)),
+    config._count: st.integers(1, config.MAX_GRID).map(lambda v: (str(v), v)),
     config._floats: st.lists(FINITE, max_size=4).map(_listed),
     config._ints: st.lists(INTS, max_size=4).map(_listed),
     config._sizes: st.lists(st.integers(1, 10**9), min_size=1, max_size=4).map(_listed),

@@ -1,9 +1,12 @@
 import gzip
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gausspen.data import (
@@ -263,3 +266,34 @@ def test_csv_bytes(tmp_path):
     assert again.features.tobytes() == dataset.features.tobytes()  # -0.0 keeps its sign
     assert np.array_equal(again.labels, dataset.labels)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "rows.csv"]  # no temp files
+
+
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+# every float64 hypothesis reaches (NaN, +-inf, +-0.0, subnormals), also as
+# np.float64, next to ints and bools that compare equal to some floats
+CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.sampled_from([0.0, -0.0, 1.0, 1, True]),
+    st.integers(), st.booleans(), st.none(), st.from_regex(r"[A-Za-z0-9_.()=+-]*", fullmatch=True),
+)
+
+
+@given(st.lists(st.lists(CELLS, max_size=6), max_size=12))
+@example([[0.0, -0.0], [-0.0, 0.0]])
+@example([[-0.0, 0.0, -0.0], [np.float64(-0.0), 0.0]])
+@example([[1.0, 1, True, np.float64(1.0)], [True, 1, 1.0, False, 0, 0.0]])
+@example([[10.0**17, 10**17, 5e-324, -5e-324, float("nan"), float("inf"), -float("inf")]])
+def test_csv_cells_match_per_cell_reference(rows):
+    # converting each distinct float once must not change a byte
+    expected = "a,b\n" + "".join(",".join(map(_reference_cell, row)) + "\n" for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        write_csv(path, ("a", "b"), rows)
+        with open(path, "rb") as handle:
+            assert handle.read() == expected.encode()
