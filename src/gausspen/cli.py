@@ -12,6 +12,7 @@ rows are always written in deterministic grid order.  Exit codes: 0 success,
 """
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -43,7 +44,12 @@ def _map_cells(fn, cells, jobs):
 
 def run_penalty_table(config, jobs):
     opts = config.options
-    betas = np.linspace(opts["beta_min"], opts["beta_max"], opts["count"])
+    lo, hi = opts["beta_min"], opts["beta_max"]
+    if not math.isfinite(hi - lo):
+        raise ConfigurationError(
+            f"[penalty-table] options `beta_min` = {lo!r} and `beta_max` = {hi!r} "
+            "are further apart than the largest double")
+    betas = np.linspace(lo, hi, opts["count"])
     # every value first, so a DomainError comes before any directory or file
     # is made; the rows themselves are streamed to the writer
     columns = [(spec.label(), penalties.value_array(spec, betas).tolist())
@@ -61,7 +67,11 @@ def run_ortho_scan(config, jobs):
     grid = opts["lambda_values"]
     if grid is None:
         step = opts["lambda_step"]
-        lo, hi = opts["lambda_min"], opts["lambda_max"] + step / 2.0
+        lo, hi = opts["lambda_min"], opts["lambda_max"]
+        if lo > hi:
+            raise ConfigurationError(
+                f"[ortho-scan] option `lambda_min` = {lo!r} is above `lambda_max` = {hi!r}")
+        hi += step / 2.0
         # np.arange's length, ceil((hi - lo) / step), bounded before it allocates
         if (hi - lo) / step > MAX_GRID:
             raise ConfigurationError(

@@ -59,7 +59,7 @@ MAX_GRID = 1_000_000  # most points a grid may hold, checked before it is built
 _number = _checked(float, math.isfinite)
 _positive = _checked(_number, lambda v: v > 0)
 _count = _checked(int, lambda v: 1 <= v <= MAX_GRID)
-_sizes = _checked(_ints, lambda v: v and min(v) >= 1)
+_sizes = _checked(_ints, lambda v: v and min(v) >= 1 and max(v) <= MAX_GRID)
 
 
 class _Repeated(ValueError):
@@ -102,7 +102,7 @@ _WHAT = {
     _positive: "a finite positive number",
     int: "an integer",
     _count: f"a positive integer up to {MAX_GRID}",
-    _sizes: "a nonempty list of positive integers",
+    _sizes: f"a nonempty list of positive integers up to {MAX_GRID}",
     _floats: "a list of numbers",
     _ints: "a list of integers",
     _lambdas: "a list of distinct finite nonnegative numbers",
@@ -123,7 +123,7 @@ _LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "co
 _SIMULATION = {
     "beta": _floats, "c_diag": (_floats, None),  # c_diag None: identity covariance
     "sigma": (_number, 1.0), "lambda0": (_number, SimSpec.lambda0),
-    "kappa": (_number, SimSpec.kappa), "replicates": (int, SimSpec.replicates),
+    "kappa": (_number, SimSpec.kappa), "replicates": (_count, SimSpec.replicates),
 }
 
 COMMANDS = {
@@ -136,7 +136,7 @@ COMMANDS = {
         "lambda_values": (_floats, None),
         "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
     },
-    "bias-mc": {**_SIMULATION, "n": int},
+    "bias-mc": {**_SIMULATION, "n": _count},
     "consistency-mc": {**_SIMULATION, "exponent": (_number, SimSpec.r), "n_grid": _sizes},
     "train-mlp": {
         "save_artifacts": (_flag, False),

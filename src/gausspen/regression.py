@@ -282,58 +282,172 @@ def orthonormal_objective(beta_ols, beta, lam, kappa):
     return -2.0 * beta_ols * beta + beta * beta - lam * math.expm1(-kappa * beta * beta)
 
 
+def _libm(fn, x):
+    """``fn`` of every element of ``x`` by the ``math`` module: numpy's own
+    ``exp`` differs from libm's in the last bit on some inputs."""
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
 def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
-    """A root of ``f`` in [xa, xb] by Brent's method: a line-by-line port of
-    scipy's ``brentq`` (its C source ``Zeros/brentq.c``), defaults included,
-    so it returns scipy's roots to the bit.  On return a sign change of ``f``
-    (or a zero) lies within ``xtol + rtol*|x|`` of ``x``.  Raises ValueError
-    when f(xa) and f(xb) have the same sign or ``f`` returns NaN, and
-    RuntimeError after ``maxiter`` steps without convergence.
+    """Roots of ``f`` in the brackets [xa[i], xb[i]] by Brent's method, all
+    brackets at once; ``f(x, i)`` returns f at the points ``x`` of the
+    brackets ``i`` (an index array into ``xa``).
+
+    Each bracket takes exactly the steps of a line-by-line port of scipy's
+    ``brentq`` (its C source ``Zeros/brentq.c``), defaults included, so it
+    returns scipy's roots to the bit, alone or in any batch: every branch is
+    computed for the batch and each bracket's own is selected, and a bracket
+    leaves the batch once it has converged.  On return a sign change of f
+    (or a zero) lies within ``xtol + rtol*|x[i]|`` of ``x[i]``.  Raises
+    ValueError when f has the same sign at both ends of a bracket or returns
+    NaN, and RuntimeError when a bracket has not converged after ``maxiter``
+    steps.
     """
+    xpre = np.asarray(xa, dtype=float)
+    xcur = np.asarray(xb, dtype=float)
+    root = np.empty(xpre.size)
+    live = np.arange(xpre.size)
 
     def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN")
+        fx = f(x, live)
+        if np.count_nonzero(np.isnan(fx)):
+            raise ValueError(f"f({float(x[np.isnan(fx)][0])!r}) is NaN")
         return fx
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"no convergence after {maxiter} iterations, last x = {xcur!r}")
+    # like the scalar port's Python floats, overflow and 0/0 pass silently
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        fpre, fcur = value(xpre), value(xcur)
+        at_end = (fpre == 0.0) | (fcur == 0.0)  # a zero at an end is the root
+        if (np.signbit(fpre) == np.signbit(fcur))[~at_end].any():
+            raise ValueError("f(xa) and f(xb) must have different signs")
+        if at_end.any():
+            root[at_end] = np.where(fpre == 0.0, xpre, xcur)[at_end]
+            keep = ~at_end
+            live, xpre, xcur, fpre, fcur = live[keep], xpre[keep], xcur[keep], fpre[keep], fcur[keep]
+        if not live.size:
+            return root
+        xblk = fblk = spre = scur = np.zeros(live.size)
+        for _ in range(maxiter):
+            # fpre is nonzero here: a zero at xcur ended the bracket's last step
+            flip = np.sign(fpre) * fcur < 0.0
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (np.where(swap, xcur, xpre), np.where(swap, xblk, xcur),
+                                np.where(swap, xcur, xblk))
+            fpre, fcur, fblk = (np.where(swap, fcur, fpre), np.where(swap, fblk, fcur),
+                                np.where(swap, fcur, fblk))
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            abs_sbis = np.abs(sbis)
+            done = (fcur == 0.0) | (abs_sbis < delta)
+            if np.count_nonzero(done):
+                root[live[done]] = xcur[done]
+                keep = ~done
+                live, xpre, xcur, xblk = live[keep], xpre[keep], xcur[keep], xblk[keep]
+                fpre, fcur, fblk = fpre[keep], fcur[keep], fblk[keep]
+                spre, scur = spre[keep], scur[keep]
+                delta, sbis, abs_sbis = delta[keep], sbis[keep], abs_sbis[keep]
+                if not live.size:
+                    return root
+            # interpolate where xpre == xblk, else extrapolate; the port's
+            # -fcur*(xcur - xpre)/(fcur - fpre) is nf*dx/df to the bit, as
+            # rounding is symmetric in sign
+            nf, dx, df = -fcur, xpre - xcur, fpre - fcur
+            dpre, dblk = df / dx, (fblk - fcur) / (xblk - xcur)
+            stry = np.where(xpre == xblk, nf * dx / df,
+                            nf * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)))
+            abs_spre, bound = np.abs(spre), 3 * abs_sbis - delta
+            short = ((abs_spre > delta) & (np.abs(fcur) < np.abs(fpre))
+                     & (2 * np.abs(stry) < np.where(bound < abs_spre, bound, abs_spre)))
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            # sbis is nonzero: f has opposite signs at xblk and xcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.copysign(delta, sbis))
+            fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {maxiter} iterations, last x = {float(xcur[0])!r}")
+
+
+def _profiles(beta_ols, lams, kappa):
+    """:func:`solve_orthonormal` at every lambda of ``lams`` at once: one
+    :func:`_brentq` batch finds the knots of every lambda, and one more the
+    root in every piece with a sign change; each profile is the one
+    ``solve_orthonormal`` gives for its lambda alone, to the bit.  The
+    errors are those of the first lambda in ``lams`` that has one.
+    """
+    if kappa <= 0:
+        raise ConfigurationError("kappa must be positive")
+    lams = np.array(lams, dtype=float)
+    hi = abs(beta_ols) + 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        in_range = np.isfinite(4.0 * lams * kappa * hi) & math.isfinite(2.0 * hi * hi)
+    bad = (lams < 0) | ~in_range
+    if bad.any():
+        lam = float(lams[bad][0])
+        if lam < 0:
+            raise ConfigurationError("lam must be nonnegative")
+        raise ConfigurationError(
+            f"orthonormal profile out of range at beta_ols = {beta_ols!r}, lam = {lam!r}, "
+            f"kappa = {kappa!r}: its values or slopes are not finite doubles")
+    c = lams * kappa
+    coef = 2.0 * lams * kappa  # of f'(b) = -2 beta_ols + 2b + coef b exp(-kappa b^2)
+
+    # points: -hi, -k2, -k1, k1, k2, hi for knots k1 < k2 < hi; a knot that
+    # is missing or not below hi repeats its outer neighbour
+    points = np.empty((lams.size, 6))
+    points[:, :3], points[:, 3:] = -hi, hi
+    two = np.flatnonzero(2.0 * c * math.exp(-1.5) > 1.0)
+    if two.size:
+        k = two.size
+        upper = 2.0 * _libm(math.log, 4.0 * c[two])
+        ck = np.tile(c[two], 2)
+        u = _brentq(lambda x, i: 1.0 + ck[i] * _libm(math.exp, -x) * (1.0 - 2.0 * x),
+                    np.repeat([0.5, 1.5], k), np.concatenate((np.full(k, 1.5), upper)))
+        knot = np.sqrt(u / kappa)
+        for col, ks in ((2, knot[:k]), (1, knot[k:])):
+            inside = ks < hi
+            points[two[inside], col] = -ks[inside]
+            points[two[inside], 5 - col] = ks[inside]
+
+    def fprime(b, coef):
+        return -2.0 * beta_ols + 2.0 * b + coef * b * _libm(math.exp, -kappa * b * b)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = fprime(points.ravel(), np.repeat(coef, 6)).reshape(-1, 6)
+        row, col = np.nonzero(fp[:, :-1] * fp[:, 1:] < 0.0)
+    distinct = np.ones_like(points, dtype=bool)
+    distinct[:, 1:] = points[:, 1:] != points[:, :-1]
+    at_point = (fp == 0.0) & distinct
+    coef_row = coef[row]
+    # a root tolerance well below 1/sqrt(kappa), the width of the pieces around 0
+    xtol = min(1e-14, 1e-6 / math.sqrt(kappa))
+    inner = _brentq(lambda x, i: fprime(x, coef_row[i]), points[row, col], points[row, col + 1],
+                    xtol=xtol, rtol=8.9e-16)
+    roots = np.concatenate((points[at_point], inner))
+    row = np.concatenate((np.nonzero(at_point)[0], row))
+    order = np.lexsort((roots, row))  # stable: sorted(roots) per lambda
+    roots, row = roots[order], row[order]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = kappa * roots * roots
+        e = _libm(math.exp, -u)  # 0 wherever 1 - 2u could overflow
+        curvature = 2.0 + np.where(e != 0.0, coef[row] * e * (1.0 - 2.0 * u), 0.0)
+        value = (-2.0 * beta_ols * roots + roots * roots
+                 - lams[row] * _libm(math.expm1, -kappa * roots * roots))
+    convex = curvature > 0.0
+    roots, value, curvature, row = roots[convex], value[convex], curvature[convex], row[convex]
+    start = np.searchsorted(row, np.arange(lams.size + 1))  # each lambda's minima
+    if np.count_nonzero(start[1:] == start[:-1]):
+        # coercive objective always has a minimum; only reachable if the
+        # brackets degenerate, which the bounds above prevent
+        raise DivergenceError("no local minimum found on the search interval")
+    # the smallest value, ties to the smaller |location|, then to the first
+    best = np.lexsort((np.abs(roots), value, row))[start[:-1]] - start[:-1]
+    minima = list(zip(roots.tolist(), value.tolist(), curvature.tolist()))
+    start = start.tolist()
+    return [MinimaProfile(lam, minima[a:b], g)
+            for lam, a, b, g in zip(lams.tolist(), start, start[1:], best.tolist())]
 
 
 def solve_orthonormal(beta_ols, lam, kappa):
@@ -350,68 +464,26 @@ def solve_orthonormal(beta_ols, lam, kappa):
     interval (up to 2 lam kappa (|beta_ols| + 1)) are not finite doubles is a
     ConfigurationError.
     """
-    if kappa <= 0:
-        raise ConfigurationError("kappa must be positive")
-    if lam < 0:
-        raise ConfigurationError("lam must be nonnegative")
-    hi = abs(beta_ols) + 1.0
-    if not (math.isfinite(2.0 * hi * hi) and math.isfinite(4.0 * lam * kappa * hi)):
-        raise ConfigurationError(
-            f"orthonormal profile out of range at beta_ols = {beta_ols!r}, lam = {lam!r}, "
-            f"kappa = {kappa!r}: its values or slopes are not finite doubles")
-    c = lam * kappa
-
-    def fprime(b):
-        return -2.0 * beta_ols + 2.0 * b + 2.0 * lam * kappa * b * math.exp(-kappa * b * b)
-
-    def g(u):
-        return 1.0 + c * math.exp(-u) * (1.0 - 2.0 * u)
-
-    points = [-hi, hi]
-    if 2.0 * c * math.exp(-1.5) > 1.0:
-        for u in (_brentq(g, 0.5, 1.5), _brentq(g, 1.5, 2.0 * math.log(4.0 * c))):
-            knot = math.sqrt(u / kappa)
-            if knot < hi:
-                points += [-knot, knot]
-    points.sort()
-    fp = [fprime(b) for b in points]
-    roots = [b for b, v in zip(points, fp) if v == 0.0]
-    # a root tolerance well below 1/sqrt(kappa), the width of the pieces around 0
-    xtol = min(1e-14, 1e-6 / math.sqrt(kappa))
-    for i in range(len(points) - 1):
-        if fp[i] * fp[i + 1] < 0.0:
-            roots.append(_brentq(fprime, points[i], points[i + 1], xtol=xtol, rtol=8.9e-16))
-
-    minima = []
-    for r in sorted(roots):
-        u = kappa * r * r
-        e = math.exp(-u)  # 0 wherever 1 - 2u could overflow
-        curvature = 2.0 + (2.0 * lam * kappa * e * (1.0 - 2.0 * u) if e else 0.0)
-        if curvature > 0.0:
-            minima.append((r, orthonormal_objective(beta_ols, r, lam, kappa), curvature))
-    if not minima:
-        # coercive objective always has a minimum; only reachable if the
-        # brackets degenerate, which the bounds above prevent
-        raise DivergenceError("no local minimum found on the search interval")
-    global_index = min(
-        range(len(minima)), key=lambda i: (minima[i][1], abs(minima[i][0]))
-    )
-    return MinimaProfile(float(lam), minima, global_index)
+    return _profiles(beta_ols, [lam], kappa)[0]
 
 
 def lambda_phase_scan(beta_ols, kappa, lambda_grid):
     """Profile every lambda in an increasing grid and estimate the crossing
     lambda* at which the global minimum jumps basins.
 
-    Returns ``(profiles, lambda_star)``; ``lambda_star`` is None when the two
-    local minima never trade places inside the grid span.
+    The grid is profiled in one batch (:func:`_profiles`); lambda* is then
+    found by Brent's method on the gap between the two minima, over the
+    first grid step where it turns nonpositive, reusing the gaps already
+    computed at that step's ends.  Returns ``(profiles, lambda_star)``;
+    ``lambda_star`` is None when the two local minima never trade places
+    inside the grid span.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     if not lambda_grid:
         raise ConfigurationError("lambda grid must be nonempty")
     if any(b <= a for a, b in zip(lambda_grid, lambda_grid[1:])):
         raise ConfigurationError("lambda grid must be strictly increasing")
-    profiles = [solve_orthonormal(beta_ols, lam, kappa) for lam in lambda_grid]
+    profiles = _profiles(beta_ols, lambda_grid, kappa)
 
     def profile_gap(profile):
         # inner-minus-outer objective values; negative once the near-zero
@@ -424,13 +496,18 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
         loc = profile.minima[profile.global_index][0]
         return 1.0 if abs(loc) > abs(beta_ols) / 2.0 else -1.0
 
-    def value_gap(lam):
-        return profile_gap(solve_orthonormal(beta_ols, lam, kappa))
-
-    gaps = [profile_gap(profile) for profile in profiles]
-    lambda_star = None
-    for (lo, glo), (hi_, ghi) in zip(zip(lambda_grid, gaps), zip(lambda_grid[1:], gaps[1:])):
+    gaps = map(profile_gap, profiles)
+    glo = next(gaps)
+    for lo, hi, ghi in zip(lambda_grid, lambda_grid[1:], gaps):
         if glo > 0.0 and ghi <= 0.0:
-            lambda_star = _brentq(value_gap, lo, hi_, xtol=1e-10)
-            break
-    return profiles, lambda_star
+            known = {lo: glo, hi: ghi}
+
+            def gap(x, i):
+                lam = float(x[0])
+                if lam not in known:
+                    known[lam] = profile_gap(_profiles(beta_ols, [lam], kappa)[0])
+                return np.array([known[lam]])
+
+            return profiles, float(_brentq(gap, [lo], [hi], xtol=1e-10)[0])
+        glo = ghi
+    return profiles, None

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from gausspen import cli, mlp
+from gausspen import cli, mlp, penalties
 from gausspen.cli import lower_median, main, write_csv
 from gausspen.config import loggrid, parse_config, parse_seed_list
-from gausspen.errors import ConfigurationError
+from gausspen.errors import ConfigurationError, DomainError
 from gausspen.penalties import PenaltySpec
 
 
@@ -270,11 +270,18 @@ def test_penalty_table_keeps_signed_zeros(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
-def test_penalty_table_domain_error_opens_no_file(tmp_path, capsys):
-    # the range overflows, so the betas hold NaN; every value is computed
-    # before the output directory is made
-    text = SIGNED_ZERO_TABLE_CFG.replace("beta_min = 0.0", "beta_min = -1e308")
-    cfg = write_config(tmp_path / "p.cfg", text.replace("beta_max = -0.0", "beta_max = 1e308"))
+def test_penalty_table_domain_error_opens_no_file(tmp_path, capsys, monkeypatch):
+    # every value is computed before the output directory is made, so a
+    # DomainError at the last family leaves nothing behind
+    value_array = penalties.value_array
+
+    def failing(spec, betas):
+        if spec.family == "lasso":
+            raise DomainError("penalty evaluated at a non-finite coefficient")
+        return value_array(spec, betas)
+
+    monkeypatch.setattr(penalties, "value_array", failing)
+    cfg = write_config(tmp_path / "p.cfg", SIGNED_ZERO_TABLE_CFG)
     out = tmp_path / "out"
     assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 2
     assert "non-finite coefficient" in capsys.readouterr().err
@@ -588,6 +595,7 @@ family = gaussian
 kappa = 1
 
 [penalty-table]
+beta_min = -3
 count = 13
 """
 
@@ -605,11 +613,16 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     # from its length alone, before numpy is asked for the memory
     ("ortho-scan", "lambda_step", "1e-300"),
     ("ortho-scan", "lambda_step", "1e-9"),
+    # a reversed range, whose grid would be empty or run past lambda_max
+    ("ortho-scan", "lambda_min", "20"),
+    ("ortho-scan", "lambda_min", "15.2"),
     ("penalty-table", "count", "-1"),
     ("penalty-table", "count", "0"),
     # above MAX_GRID: rejected as parsed, before numpy is asked for the memory
     ("penalty-table", "count", "1000001"),
     ("penalty-table", "count", str(10**12)),
+    # each end finite, but beta_max - beta_min overflows a double
+    ("penalty-table", "beta_min", "-1e308\nbeta_max = 1e308"),
     ("train-mlp", "count", "0"),
     ("train-mlp", "count", "1000001"),
     ("train-mlp", "count", str(10**12)),

@@ -6,6 +6,7 @@ import contextlib
 import dataclasses
 import io
 import pathlib
+import re
 import tempfile
 
 import pytest
@@ -42,7 +43,7 @@ WRITTEN = {
     config._count: st.integers(1, config.MAX_GRID).map(lambda v: (str(v), v)),
     config._floats: st.lists(FINITE, max_size=4).map(_listed),
     config._ints: st.lists(INTS, max_size=4).map(_listed),
-    config._sizes: st.lists(st.integers(1, 10**9), min_size=1, max_size=4).map(_listed),
+    config._sizes: st.lists(st.integers(1, config.MAX_GRID), min_size=1, max_size=4).map(_listed),
     config._flag: st.tuples(st.sampled_from(sorted(FLAGS)), st.booleans()).map(
         lambda pair: (pair[0].upper() if pair[1] else pair[0], FLAGS[pair[0]])
     ),
@@ -166,6 +167,24 @@ def test_each_section_kind_rejects_a_misspelling(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+CONSISTENCY = BIAS.replace("bias-mc", "consistency-mc").replace("n = 50", "n_grid = 50, 100")
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    ("bias-mc", "n", "0"), ("bias-mc", "n", "1000001"), ("bias-mc", "n", str(10**12)),
+    ("bias-mc", "replicates", "0"), ("bias-mc", "replicates", "1000001"),
+    ("consistency-mc", "replicates", str(10**12)),
+    ("consistency-mc", "n_grid", "50, 1000001"), ("consistency-mc", "n_grid", f"{10**12}, 50"),
+])
+def test_monte_carlo_sizes_are_bounded(tmp_path, command, key, bad):
+    # rejected as parsed, before a replicate is drawn or its memory asked for
+    text = {"bias-mc": BIAS, "consistency-mc": CONSISTENCY}[command]
+    path = tmp_path / "c.cfg"
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M))
+    with pytest.raises(ConfigurationError, match=re.escape(f"`{key}` = {bad!r} is not")):
+        parse_config(str(path))
 
 
 @pytest.mark.parametrize("text, value", [("TRUE", True), ("Yes", True), ("1", True),

@@ -450,6 +450,24 @@ def test_lambda_star_of_shipped_config_is_pinned():
     assert rows[-1][:2] == ("lambda_star", float.fromhex("0x1.1cc8299c2761ap+3"))
 
 
+def _bits(profile):
+    return (profile.lam.hex(), [tuple(v.hex() for v in m) for m in profile.minima],
+            profile.global_index)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-5.0, 5.0), st.floats(0.1, 100.0), st.lists(st.floats(0.01, 0.999), max_size=5),
+       st.lists(st.floats(1.001, 30.0), min_size=1, max_size=5))
+def test_phase_scan_profiles_match_single_solves(beta_ols, kappa, below, above):
+    # the grid holds 0 and lambdas on both sides of 2 lam kappa e^{-3/2} = 1,
+    # above which each lambda has two knots and up to five pieces
+    lam_knots = math.exp(1.5) / (2.0 * kappa)
+    grid = sorted({0.0, *(m * lam_knots for m in below + above)})
+    profiles, _ = lambda_phase_scan(beta_ols, kappa, grid)
+    assert [_bits(p) for p in profiles] == [
+        _bits(solve_orthonormal(beta_ols, lam, kappa)) for lam in grid]
+
+
 def test_phase_scan_no_crossing():
     profiles, lambda_star = lambda_phase_scan(3.0, 10.0, [0.1, 0.4, 0.7])
     assert lambda_star is None
@@ -498,23 +516,37 @@ _ROOT_FUNCTIONS = {
 }
 
 
+def _batch(g):
+    """A ``_brentq`` function of x alone, for every bracket of a batch."""
+    return lambda x, i: np.array([g(v) for v in x.tolist()])
+
+
+_BRACKETS = st.tuples(st.sampled_from(sorted(_ROOT_FUNCTIONS)), st.floats(-10.0, 10.0),
+                      st.floats(0.01, 50.0), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+_XTOLS = st.sampled_from([2e-12, 1e-14, 1e-6, 0.1])
+_RTOLS = st.sampled_from([4 * sys.float_info.epsilon, 8.9e-16, 1e-8])
+
+
+def _brackets_a_root(name, r, s, a, b):
+    fa, fb = _ROOT_FUNCTIONS[name](a, r, s), _ROOT_FUNCTIONS[name](b, r, s)
+    return fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(sorted(_ROOT_FUNCTIONS)), st.floats(-10.0, 10.0), st.floats(0.01, 50.0),
-       st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
-       st.sampled_from([2e-12, 1e-14, 1e-6, 0.1]),
-       st.sampled_from([4 * sys.float_info.epsilon, 8.9e-16, 1e-8]))
-def test_brentq_returns_a_bracketed_sign_change(name, r, s, a, b, xtol, rtol):
+@given(_BRACKETS, _XTOLS, _RTOLS)
+def test_brentq_returns_a_bracketed_sign_change(bracket, xtol, rtol):
+    name, r, s, a, b = bracket
     seen = {}
 
     def f(x):
         seen[x] = _ROOT_FUNCTIONS[name](x, r, s)
         return seen[x]
 
-    fa, fb = _ROOT_FUNCTIONS[name](a, r, s), _ROOT_FUNCTIONS[name](b, r, s)
-    assume(fa == 0.0 or fb == 0.0 or (fa < 0.0) != (fb < 0.0))
+    assume(_brackets_a_root(*bracket))
     # Brent's method may need more than the default 100 steps (a triple root
     # converges slowly); its worst case over these brackets is a few thousand
-    x = _brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=10_000)
+    x = float(_brentq(_batch(f), np.array([a]), np.array([b]), xtol=xtol, rtol=rtol,
+                      maxiter=10_000)[0])
     assert min(a, b) <= x <= max(a, b)
     # f(x) = 0, or an evaluated point within xtol + rtol|x| has the other sign
     assert seen[x] == 0.0 or any(
@@ -522,13 +554,39 @@ def test_brentq_returns_a_bracketed_sign_change(name, r, s, a, b, xtol, rtol):
         for y, fy in seen.items())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_BRACKETS, min_size=1, max_size=8), _XTOLS, _RTOLS)
+def test_brentq_batch_matches_each_bracket_alone(brackets, xtol, rtol):
+    brackets = [bracket for bracket in brackets if _brackets_a_root(*bracket)]
+    assume(brackets)
+
+    def f(x, i):
+        return np.array([_ROOT_FUNCTIONS[brackets[k][0]](v, *brackets[k][1:3])
+                         for v, k in zip(x.tolist(), i.tolist())])
+
+    ends = np.array([bracket[3:] for bracket in brackets])
+    batch = _brentq(f, ends[:, 0], ends[:, 1], xtol=xtol, rtol=rtol, maxiter=10_000)
+    for k in range(len(brackets)):
+        alone = _brentq(lambda x, i: f(x, i + k), ends[k:k + 1, 0], ends[k:k + 1, 1],
+                        xtol=xtol, rtol=rtol, maxiter=10_000)
+        assert float(batch[k]).hex() == float(alone[0]).hex()
+
+
 def test_brentq_error_contract():
     with pytest.raises(ValueError, match="different signs"):
-        _brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        _brentq(_batch(lambda x: x * x + 1.0), np.array([-1.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: math.nan, 0.0, 1.0)
+        _brentq(_batch(lambda x: math.nan), np.array([0.0]), np.array([1.0]))
     with pytest.raises(ValueError, match="NaN"):
-        _brentq(lambda x: math.nan if 0.0 < x < 10.0 else x - 5.0, 0.0, 10.0)
+        _brentq(_batch(lambda x: math.nan if 0.0 < x < 10.0 else x - 5.0),
+                np.array([0.0]), np.array([10.0]))
     with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
-        _brentq(lambda x: x ** 3 - 2.0, 0.0, 10.0, maxiter=1)
-    assert _brentq(lambda x: x, 0.0, 1.0) == 0.0  # a zero at an end is the root
+        _brentq(_batch(lambda x: x ** 3 - 2.0), np.array([0.0]), np.array([10.0]), maxiter=1)
+    # a zero at an end is the root
+    assert _brentq(_batch(lambda x: x), np.array([0.0]), np.array([1.0]))[0] == 0.0
+    # one bad bracket fails the batch; the others keep their own roots
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq(_batch(lambda x: x * x - 1.0), np.array([0.0, 2.0]), np.array([2.0, 3.0]))
+    roots = _brentq(_batch(lambda x: x * x - 1.0), np.array([1.0, 0.0, -3.0]),
+                    np.array([3.0, 3.0, 0.0]))
+    assert roots[0] == 1.0 and abs(roots[1] - 1.0) < 1e-11 and abs(roots[2] + 1.0) < 1e-11
