@@ -51,13 +51,14 @@ def run_penalty_table(config, jobs):
             "are further apart than the largest double")
     betas = np.linspace(lo, hi, opts["count"])
     # every value first, so a DomainError comes before any directory or file
-    # is made; the rows themselves are streamed to the writer
-    columns = [(spec.label(), penalties.value_array(spec, betas).tolist())
-               for spec in config.penalties]
-    betas = betas.tolist()
-    rows = ((label, beta, value) for label, values in columns
-            for beta, value in zip(betas, values))
-    return "penalty_table.csv", ("penalty", "beta", "value"), rows
+    # is made; the beta column repeats the grid once per family, so the
+    # writer converts each beta once
+    values = np.concatenate([penalties.value_array(spec, betas) for spec in config.penalties])
+    labels = []
+    for spec in config.penalties:
+        labels += [spec.label()] * betas.size
+    columns = (labels, betas.tolist() * len(config.penalties), values.tolist())
+    return "penalty_table.csv", ("penalty", "beta", "value"), columns
 
 
 # --- ortho-scan ------------------------------------------------------------
@@ -87,7 +88,7 @@ def run_ortho_scan(config, jobs):
             )
     rows.append(("lambda_star", lambda_star, None, None, None, None))
     header = ("row", "lambda", "location", "value", "second_derivative", "is_global")
-    return "ortho_scan.csv", header, rows
+    return "ortho_scan.csv", header, zip(*rows)
 
 
 # --- bias-mc and consistency-mc --------------------------------------------
@@ -127,7 +128,7 @@ def run_bias_mc(config, jobs):
         rows.append(("median", None, j, med_mean, None, theo, med_z))
     header = ("row", "seed", "coordinate", "empirical_mean", "empirical_se",
               "theoretical_bias", "z_score")
-    return "bias_mc.csv", header, rows
+    return "bias_mc.csv", header, zip(*rows)
 
 
 def _consistency_cell(args):
@@ -146,7 +147,7 @@ def run_consistency_mc(config, jobs):
             rows.append(("run", seed, n, err))
     for i, n in enumerate(n_grid):
         rows.append(("median", None, n, lower_median([t[i][1] for t in tables])))
-    return "consistency_mc.csv", ("row", "seed", "n", "median_l2_error"), rows
+    return "consistency_mc.csv", ("row", "seed", "n", "median_l2_error"), zip(*rows)
 
 
 # --- train-mlp -------------------------------------------------------------
@@ -181,7 +182,7 @@ def _train_cell(args):
         for slug in slugs:
             base = os.path.join(artifacts_dir, slug)
             mlp.save_weights(base + ".mlpw", run.weights)
-            write_csv(base + "_epochs.csv", header, run.epoch_log)
+            write_csv(base + "_epochs.csv", header, zip(*run.epoch_log))
     return run.test_error_rate, run.best_epoch, len(run.epoch_log), run.stop_reason
 
 
@@ -219,7 +220,7 @@ def run_train_mlp(config, jobs):
         rows.append(("median", label, lam, None, lower_median(errs), None, None, None))
     header = ("row", "penalty", "lambda", "seed", "test_error", "best_epoch",
               "epochs", "stop_reason")
-    return "train_mlp.csv", header, rows
+    return "train_mlp.csv", header, zip(*rows)
 
 
 # --- driver ----------------------------------------------------------------
@@ -237,10 +238,10 @@ def run(config, jobs=1):
     """Execute one experiment; returns the path of the CSV it wrote."""
     if config.command not in RUNNERS:
         raise ConfigurationError(f"unknown command {config.command!r}")
-    name, header, rows = RUNNERS[config.command](config, jobs)
+    name, header, columns = RUNNERS[config.command](config, jobs)
     os.makedirs(config.output, exist_ok=True)
     path = os.path.join(config.output, name)
-    write_csv(path, header, rows)
+    write_csv(path, header, columns)
     return path
 
 

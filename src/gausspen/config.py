@@ -55,11 +55,14 @@ def _checked(parse, ok):
 
 
 MAX_GRID = 1_000_000  # most points a grid may hold, checked before it is built
+MAX_MATRIX = 100_000_000  # most elements a blob or weight matrix may hold (800 MB)
 
 _number = _checked(float, math.isfinite)
 _positive = _checked(_number, lambda v: v > 0)
 _count = _checked(int, lambda v: 1 <= v <= MAX_GRID)
 _sizes = _checked(_ints, lambda v: v and min(v) >= 1 and max(v) <= MAX_GRID)
+_positive_int = _checked(int, lambda v: v >= 1)
+_widths = _checked(_ints, lambda v: v and min(v) >= 1)
 
 
 class _Repeated(ValueError):
@@ -67,9 +70,11 @@ class _Repeated(ValueError):
 
 
 def _distinct(values):
-    for i, v in enumerate(values):
-        if v in values[:i]:
+    seen = set()
+    for v in values:
+        if v in seen:
             raise _Repeated(f"{v!r} is repeated")
+        seen.add(v)
     return values
 
 
@@ -78,6 +83,9 @@ def _lambdas(text):
     if not all(0 <= v < math.inf for v in values):
         raise ValueError(text)
     return _distinct(values)
+
+
+_grid = _checked(_lambdas, lambda v: v and v == sorted(v))  # distinct, so strictly increasing
 
 
 def _seeds(text):
@@ -103,8 +111,10 @@ _WHAT = {
     int: "an integer",
     _count: f"a positive integer up to {MAX_GRID}",
     _sizes: f"a nonempty list of positive integers up to {MAX_GRID}",
+    _positive_int: "a positive integer",
+    _widths: "a nonempty list of positive integers",
+    _grid: "a nonempty strictly increasing list of finite nonnegative numbers",
     _floats: "a list of numbers",
-    _ints: "a list of integers",
     _lambdas: "a list of distinct finite nonnegative numbers",
     _seeds: "a nonempty list of distinct unsigned integers",
     _flag: "a flag (1/true/yes or 0/false/no)",
@@ -133,18 +143,19 @@ COMMANDS = {
     "ortho-scan": {
         "beta_ols": _number, "kappa": _number,
         # lambda_values None: the grid lambda_min..lambda_max by lambda_step
-        "lambda_values": (_floats, None),
+        "lambda_values": (_grid, None),
         "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
     },
     "bias-mc": {**_SIMULATION, "n": _count},
     "consistency-mc": {**_SIMULATION, "exponent": (_number, SimSpec.r), "n_grid": _sizes},
     "train-mlp": {
         "save_artifacts": (_flag, False),
-        "classes": (int, 3), "per_class": (int, 60), "dimension": (int, 8),
+        "classes": (_positive_int, 3), "per_class": (_positive_int, 60),
+        "dimension": (_positive_int, 8),
         "separation": (_number, 3.0), "data_seed": (int, 0),
         "fractions": (_floats, (0.5, 0.25, 0.25)), "split_seed": (int, 0),
         "label_noise": (_number, 0.0), "noise_seed": (int, 0),
-        "hidden": (_ints, (64, 64)), "lr_min": (_number, TrainConfig.lr_min),
+        "hidden": (_widths, (64, 64)), "lr_min": (_number, TrainConfig.lr_min),
         "lr_max": (_number, TrainConfig.lr_max), "batch_size": (int, TrainConfig.batch_size),
         "patience": (int, TrainConfig.patience), "max_epochs": (int, TrainConfig.max_epochs),
     },
@@ -248,6 +259,26 @@ def _parse_lambda_grid(parser, problems):
         return None
 
 
+def _matrix_problems(options):
+    """train-mlp sizes whose blob matrix or some weight matrix would hold
+    more than ``MAX_MATRIX`` elements, found before either is allocated."""
+    problems = []
+    classes, dimension = options["classes"], options["dimension"]
+    blob = classes * options["per_class"] * dimension
+    if blob > MAX_MATRIX:
+        problems.append(f"[train-mlp] options `classes` x `per_class` x `dimension` give a "
+                        f"blob matrix of {blob} elements, more than {MAX_MATRIX}")
+    layers = [("dimension", dimension), *(("hidden", w) for w in options["hidden"]),
+              ("classes", classes)]
+    for (key_in, fan_in), (key_out, fan_out) in zip(layers, layers[1:]):
+        if fan_in * fan_out > MAX_MATRIX:
+            keys = (f"option `{key_in}` gives" if key_in == key_out
+                    else f"options `{key_in}` and `{key_out}` give")
+            problems.append(f"[train-mlp] {keys} a {fan_in} x {fan_out} weight matrix, "
+                            f"more than {MAX_MATRIX} elements")
+    return problems
+
+
 def parse_config(path, command=None, seed_list=None, out=None):
     """Read a config file into an :class:`ExperimentConfig`.
 
@@ -291,8 +322,10 @@ def parse_config(path, command=None, seed_list=None, out=None):
 
     if command in ("penalty-table", "train-mlp") and not penalties:
         problems.append(f"{command} needs at least one [penalty:*] section")
-    if command == "train-mlp" and lambda_grid == []:
-        problems.append("train-mlp needs a [lambda] section with at least one value")
+    if command == "train-mlp":
+        if lambda_grid == []:
+            problems.append("train-mlp needs a [lambda] section with at least one value")
+        problems.extend(_matrix_problems(options))
 
     if problems:
         raise ConfigurationError("config problems:\n  - " + "\n  - ".join(problems))

@@ -217,31 +217,54 @@ def split(dataset, fractions, seed):
     return tuple(out)
 
 
-def write_csv(path, header, rows):
-    """Write a CSV atomically: rows go to a temporary file in the target
+CSV_BLOCK_ROWS = 2048  # rows converted and written at a time
+
+
+def _column_texts(values, texts):
+    """The cell text of each value of one block of a column.  ``texts`` is
+    the file's cache of converted floats, used where at least half of the
+    block's floats are values converted before."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return values
+    if kinds == {float}:
+        new = set(values).difference(texts)
+        if 2 * len(new) > len(values):
+            return [f"{v:.17g}" for v in values]
+        texts.update(zip(new, [f"{v:.17g}" for v in new]))
+        # 0.0 == -0.0 share a key but print apart, so zeros skip the cache
+        return [texts[v] if v else f"{v:.17g}" for v in values]
+    return ["" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+            for v in values]
+
+
+def write_csv(path, header, columns):
+    """Write a table, given as equal-length columns (sequences), as CSV.
+
+    The write is atomic: the text goes to a temporary file in the target
     directory, which then replaces ``path``, so a failure part-way leaves
-    any earlier file at ``path`` intact.  Floats get 17 significant digits,
-    each distinct value converted once; None is an empty cell."""
-    texts = {}  # nonzero float -> its text; 0.0 == -0.0 but they print apart
-
-    def cell(value):
-        if not isinstance(value, float):
-            return "" if value is None else str(value)
-        text = texts.get(value)
-        if text is None:
-            text = f"{value:.17g}"
-            if value:
-                texts[value] = text
-        return text
-
+    any earlier file at ``path`` intact.  Rows are converted and written
+    ``CSV_BLOCK_ROWS`` at a time, so the text of a whole table is never
+    held at once.  A float prints with 17 significant digits (``-0`` apart
+    from ``0``), None as an empty cell and anything else as ``str`` gives
+    it; within a block, a float column is converted in one pass, each
+    distinct value once where the column repeats values.
+    """
+    columns = list(columns)
+    count = len(columns[0]) if columns else 0
+    if any(len(column) != count for column in columns):
+        raise ValueError("CSV columns differ in length")
+    texts = {}  # float -> its text, for the whole file (zeros never read)
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
-            for row in rows:
-                handle.write(",".join(map(cell, row)) + "\n")
+            for start in range(0, count, CSV_BLOCK_ROWS):
+                block = [_column_texts(column[start:start + CSV_BLOCK_ROWS], texts)
+                         for column in columns]
+                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -251,8 +274,7 @@ def write_csv(path, header, rows):
 def write_csv_dataset(path, dataset):
     """Plain CSV with a header row; feature columns first, `label` last."""
     header = [f"x{i}" for i in range(dataset.features.shape[1])] + ["label"]
-    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
-    write_csv(path, header, (row + [label] for row, label in rows))
+    write_csv(path, header, [*dataset.features.T.tolist(), dataset.labels.tolist()])
 
 
 def read_csv_dataset(path, split_tag="train"):

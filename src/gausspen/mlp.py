@@ -245,14 +245,12 @@ def train(train_set, val_set, test_set, arch, config):
 def save_weights(path, weights):
     """Write (W, b) pairs in the self-describing checkpoint layout."""
     sizes = [weights[0][0].shape[0]] + [W.shape[1] for W, _ in weights]
-    blob = CHECKPOINT_MAGIC
-    blob += struct.pack("<II", CHECKPOINT_VERSION, len(sizes))
-    blob += struct.pack(f"<{len(sizes)}I", *sizes)
-    for W, b in weights:
-        blob += np.ascontiguousarray(W, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
     with open(path, "wb") as handle:
-        handle.write(blob)
+        handle.write(CHECKPOINT_MAGIC)
+        handle.write(struct.pack(f"<II{len(sizes)}I", CHECKPOINT_VERSION, len(sizes), *sizes))
+        for W, b in weights:
+            handle.write(np.ascontiguousarray(W, dtype="<f8"))
+            handle.write(np.ascontiguousarray(b, dtype="<f8"))
 
 
 def _unpack(blob, fmt, offset, part):

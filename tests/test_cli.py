@@ -5,9 +5,10 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gausspen import cli, mlp, penalties
+from gausspen import cli, data, mlp, penalties, regression
 from gausspen.cli import lower_median, main, write_csv
 from gausspen.config import loggrid, parse_config, parse_seed_list
 from gausspen.errors import ConfigurationError, DomainError
@@ -144,22 +145,24 @@ def test_output_dir_env_fallback(tmp_path, monkeypatch):
 def test_write_csv_17_digit_roundtrip(tmp_path):
     path = tmp_path / "x.csv"
     value = 1.0 / 3.0
-    write_csv(path, ("a", "b"), [(value, "tag")])
+    write_csv(path, ("a", "b"), [[value], ["tag"]])
     line = path.read_text().splitlines()[1]
     assert float(line.split(",")[0]) == value
 
 
-def test_write_csv_failure_keeps_earlier_file(tmp_path):
+def test_write_csv_failure_keeps_earlier_file(tmp_path, monkeypatch):
     path = tmp_path / "x.csv"
-    write_csv(path, ("a",), [(1.0,)])
+    write_csv(path, ("a",), [[1.0]])
     before = path.read_bytes()
 
-    def rows():
-        yield (2.0,)
-        raise RuntimeError("row source failed")
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cell cannot be printed")
 
+    # the first block is written before the second one fails
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 2)
     with pytest.raises(RuntimeError):
-        write_csv(path, ("a",), rows())
+        write_csv(path, ("a",), [[2.0, 3.0, Unprintable()]])
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["x.csv"]
 
@@ -266,6 +269,66 @@ def test_penalty_table_keeps_signed_zeros(tmp_path):
     assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "penalty_table.csv").read_text().splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "-0", "0", "-0"]
+
+
+def _reference_csv(header, rows):
+    def cell(value):
+        if value is None:
+            return ""
+        return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
+
+
+REFERENCE_TABLE_CFG = """
+[experiment]
+command = penalty-table
+
+[penalty:lasso]
+family = lasso
+
+[penalty:scad]
+family = scad
+a = 3.7
+
+[penalty:g]
+family = gaussian
+kappa = 10
+
+[penalty-table]
+beta_min = -2
+beta_max = 2
+count = 41
+"""
+
+SCAN_GRID = [0.25 * k for k in range(61)]
+
+
+def test_tables_match_per_cell_reference(tmp_path, monkeypatch):
+    # each table spans several blocks; its CSV must be the row-by-row,
+    # cell-by-cell rendering of the values computed here without the runner
+    monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "p.cfg", REFERENCE_TABLE_CFG)
+    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    betas = np.linspace(-2.0, 2.0, 41)
+    rows = [(spec.label(), beta, value) for spec in parse_config(cfg).penalties
+            for beta, value in zip(betas.tolist(), penalties.value_array(spec, betas).tolist())]
+    assert len(rows) == 123
+    expected = _reference_csv(("penalty", "beta", "value"), rows)
+    assert (out / "penalty_table.csv").read_text() == expected
+
+    text = ORTHO_CFG.replace("lambda_min = 0.1",
+                             "lambda_values = " + ", ".join(map(repr, SCAN_GRID)))
+    cfg = write_config(tmp_path / "o.cfg", text)
+    assert main(["ortho-scan", "--config", cfg, "--out", str(out)]) == 0
+    profiles, lambda_star = regression.lambda_phase_scan(3.0, 10.0, SCAN_GRID)
+    rows = [("minimum", profile.lam, *minimum, int(i == profile.global_index))
+            for profile in profiles for i, minimum in enumerate(profile.minima)]
+    rows.append(("lambda_star", lambda_star, None, None, None, None))
+    assert len(rows) > 3 * 16
+    header = ("row", "lambda", "location", "value", "second_derivative", "is_global")
+    assert (out / "ortho_scan.csv").read_text() == _reference_csv(header, rows)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
@@ -515,7 +578,7 @@ def test_train_mlp_trains_each_distinct_run_once(tmp_path, monkeypatch):
         assert float(shared[0][4]) == own.test_error_rate
         path = tmp_path / "own_epochs.csv"
         write_csv(path, ("epoch", "train_objective", "total_val_loss", "lr_epoch_start"),
-                  own.epoch_log)
+                  zip(*own.epoch_log))
         assert path.read_bytes() == (runs_dir / (slugs[0] + "_epochs.csv")).read_bytes()
     assert len(list(runs_dir.iterdir())) == 2 * len(runs)
 
@@ -638,6 +701,17 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"`{key}`" in err
+
+
+@pytest.mark.parametrize("bad", ["", "3, 1", "1, 1", "-1, 2", "nan"])
+def test_bad_lambda_values_is_config_error(tmp_path, capsys, bad):
+    # empty, unsorted, repeated, negative or NaN: rejected as parsed, naming
+    # the option, not left to the analyzer's own errors
+    cfg = write_config(tmp_path / "o.cfg", ORTHO_CFG + f"lambda_values = {bad}\n")
+    assert main(["ortho-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"`lambda_values` = {bad!r} is not" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_lambda_values_is_one_problem(tmp_path):

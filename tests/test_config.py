@@ -42,7 +42,12 @@ WRITTEN = {
     int: INTS.map(lambda v: (str(v), v)),
     config._count: st.integers(1, config.MAX_GRID).map(lambda v: (str(v), v)),
     config._floats: st.lists(FINITE, max_size=4).map(_listed),
-    config._ints: st.lists(INTS, max_size=4).map(_listed),
+    config._grid: st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4, unique=True).map(
+        lambda values: _listed(sorted(values))),
+    # widths small enough that, with the other two sizes at their defaults
+    # or drawn here too, every blob and weight matrix stays within MAX_MATRIX
+    config._positive_int: st.integers(1, 100).map(lambda v: (str(v), v)),
+    config._widths: st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(_listed),
     config._sizes: st.lists(st.integers(1, config.MAX_GRID), min_size=1, max_size=4).map(_listed),
     config._flag: st.tuples(st.sampled_from(sorted(FLAGS)), st.booleans()).map(
         lambda pair: (pair[0].upper() if pair[1] else pair[0], FLAGS[pair[0]])
@@ -185,6 +190,38 @@ def test_monte_carlo_sizes_are_bounded(tmp_path, command, key, bad):
     path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M))
     with pytest.raises(ConfigurationError, match=re.escape(f"`{key}` = {bad!r} is not")):
         parse_config(str(path))
+
+
+BIG = config.MAX_MATRIX
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ("classes = 0", "`classes`"), ("per_class = -1", "`per_class`"),
+    ("dimension = 0", "`dimension`"), ("hidden = 4, 0", "`hidden`"), ("hidden =", "`hidden`"),
+    # blob matrix classes x per_class x dimension above MAX_MATRIX
+    (f"per_class = {BIG}\nclasses = 2\ndimension = 1", "`per_class`"),
+    (f"per_class = 1\nclasses = 3\ndimension = {BIG // 2}", "`dimension`"),
+    (f"classes = {10**12}", "`classes`"),
+    # one weight matrix above MAX_MATRIX, the blob matrix within it
+    (f"per_class = 1\ndimension = {BIG // 3}\nhidden = 4", "`dimension` and `hidden`"),
+    (f"hidden = 4, {BIG}, 4", "`hidden` gives a 4 x"),
+    (f"hidden = {10**4}, {10**4 + 1}", "`hidden` gives a"),
+    (f"per_class = 1\nclasses = {BIG // 10}\ndimension = 1\nhidden = 11",
+     "`hidden` and `classes`"),
+])
+def test_mlp_sizes_are_bounded(sizes, named):
+    # rejected as parsed, before blobs or weights are asked for their memory
+    keys = re.findall(r"^(\w+) =", sizes, flags=re.M)
+    text = "".join(line + "\n" for line in TRAIN.splitlines()
+                   if line.split(" =")[0] not in keys)
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        _parse_text(text + sizes + "\n")
+
+
+def test_mlp_sizes_at_the_bound_parse():
+    sizes = f"per_class = 1\nclasses = 1\ndimension = {BIG}\nhidden = 1, {10**4}, {10**4}"
+    text = TRAIN.replace("per_class = 10\nhidden = 4\n", sizes + "\n")
+    assert _parse_text(text).options["dimension"] == BIG
 
 
 @pytest.mark.parametrize("text, value", [("TRUE", True), ("Yes", True), ("1", True),

@@ -2,13 +2,15 @@ import gzip
 import os
 import struct
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from gausspen import data
 from gausspen.data import (
     IdxMagicError,
     IdxParseError,
@@ -255,7 +257,7 @@ AWKWARD_CELLS = "0.10000000000000001,0.33333333333333331,{}\n-0,1e-300,{}\n"
 
 def test_csv_bytes(tmp_path):
     path = tmp_path / "rows.csv"
-    write_csv(path, ("a", "b", "c"), [(*AWKWARD[0], None), (*AWKWARD[1], "tag")])
+    write_csv(path, ("a", "b", "c"), zip(*[(*AWKWARD[0], None), (*AWKWARD[1], "tag")]))
     assert path.read_bytes() == ("a,b,c\n" + AWKWARD_CELLS.format("", "tag")).encode()
 
     dataset = LabeledDataset(np.array(AWKWARD), np.array([0, 2]))
@@ -282,18 +284,50 @@ CELLS = st.one_of(
     st.floats(), st.floats().map(np.float64), st.sampled_from([0.0, -0.0, 1.0, 1, True]),
     st.integers(), st.booleans(), st.none(), st.from_regex(r"[A-Za-z0-9_.()=+-]*", fullmatch=True),
 )
+# columns the writer converts in one pass: all floats (repeated values, signed
+# zeros and NaN among them) or all str
+REPEATED_FLOATS = st.sampled_from([0.0, -0.0, 0.1, -2.5, float("nan"), float("inf"),
+                                   -float("inf")]) | st.floats()
+COLUMN_CELLS = (CELLS, REPEATED_FLOATS, st.text(alphabet="ab_.-", max_size=3))
 
 
-@given(st.lists(st.lists(CELLS, max_size=6), max_size=12))
-@example([[0.0, -0.0], [-0.0, 0.0]])
-@example([[-0.0, 0.0, -0.0], [np.float64(-0.0), 0.0]])
-@example([[1.0, 1, True, np.float64(1.0)], [True, 1, 1.0, False, 0, 0.0]])
-@example([[10.0**17, 10**17, 5e-324, -5e-324, float("nan"), float("inf"), -float("inf")]])
-def test_csv_cells_match_per_cell_reference(rows):
-    # converting each distinct float once must not change a byte
+@st.composite
+def tables(draw):
+    rows = draw(st.integers(0, 12))
+    width = draw(st.integers(1, 4))
+    return [draw(st.lists(draw(st.sampled_from(COLUMN_CELLS)), min_size=rows, max_size=rows))
+            for _ in range(width)]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@settings(max_examples=200)
+@given(tables(), st.integers(1, 5))
+# signed zeros on both sides of each block boundary, in and out of the cache
+@example([[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.5, 1.5], [-0.0, 0.0, 0.0, -0.0] * 2], 2)
+@example([[0.0, -0.0, 0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, 0.0, -0.0]], 1)
+@example([[np.float64(-0.0), -0.0, 0.0, np.float64(0.0)]], 3)
+@example([[1.0, 1, True, np.float64(1.0), 1.0, 1], [True, 1, 1.0, False, 0, 0.0]], 4)
+@example([[NAN, INF, -INF, NAN, INF, -INF, 5e-324, -5e-324, 5e-324]], 2)
+@example([[10.0**17, 10**17, 5e-324, -5e-324, NAN, INF, -INF]], 5)
+@example([["x", "y", "x"], ["", "", ""], [None, None, None]], 2)
+def test_csv_cells_match_per_cell_reference(columns, block_rows):
+    # converting a column a block at a time, each repeated float once, must
+    # not change a byte of the row-by-row, cell-by-cell rendering
+    rows = zip(*columns)
     expected = "a,b\n" + "".join(",".join(map(_reference_cell, row)) + "\n" for row in rows)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(data, "CSV_BLOCK_ROWS", block_rows):
         path = os.path.join(tmp, "rows.csv")
-        write_csv(path, ("a", "b"), rows)
+        write_csv(path, ("a", "b"), columns)
         with open(path, "rb") as handle:
             assert handle.read() == expected.encode()
+
+
+def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
+    # rows of a table are the zip of its columns: a ragged table has no rows
+    path = tmp_path / "rows.csv"
+    with pytest.raises(ValueError, match="differ in length"):
+        write_csv(path, ("a", "b"), [[1.0, 2.0], [3.0]])
+    assert not list(tmp_path.iterdir())

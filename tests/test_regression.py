@@ -446,8 +446,9 @@ def test_phase_scan_bifurcation_and_crossing():
 def test_lambda_star_of_shipped_config_is_pinned():
     # the crossing scipy's brentq gave on configs/ortho_scan.cfg, to the bit
     path = pathlib.Path(__file__).parents[1] / "configs" / "ortho_scan.cfg"
-    _, _, rows = run_ortho_scan(parse_config(str(path)), 1)
-    assert rows[-1][:2] == ("lambda_star", float.fromhex("0x1.1cc8299c2761ap+3"))
+    _, _, columns = run_ortho_scan(parse_config(str(path)), 1)
+    kinds, lams = list(columns)[:2]
+    assert (kinds[-1], lams[-1]) == ("lambda_star", float.fromhex("0x1.1cc8299c2761ap+3"))
 
 
 def _bits(profile):
