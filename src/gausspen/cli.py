@@ -51,13 +51,12 @@ def run_penalty_table(config, jobs):
             "are further apart than the largest double")
     betas = np.linspace(lo, hi, opts["count"])
     # every value first, so a DomainError comes before any directory or file
-    # is made; the beta column repeats the grid once per family, so the
-    # writer converts each beta once
+    # is made; the beta column repeats the grid once per family, converted once
     values = np.concatenate([penalties.value_array(spec, betas) for spec in config.penalties])
     labels = []
     for spec in config.penalties:
         labels += [spec.label()] * betas.size
-    columns = (labels, betas.tolist() * len(config.penalties), values.tolist())
+    columns = (labels, data.cell_texts(betas.tolist()) * len(config.penalties), values.tolist())
     return "penalty_table.csv", ("penalty", "beta", "value"), columns
 
 

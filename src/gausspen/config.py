@@ -60,8 +60,10 @@ MAX_MATRIX = 100_000_000  # most elements a blob or weight matrix may hold (800 
 _number = _checked(float, math.isfinite)
 _positive = _checked(_number, lambda v: v > 0)
 _count = _checked(int, lambda v: 1 <= v <= MAX_GRID)
-_sizes = _checked(_ints, lambda v: v and min(v) >= 1 and max(v) <= MAX_GRID)
+# strictly increasing: sorted and each size once
+_sizes = _checked(_ints, lambda v: v and 1 <= v[0] and v[-1] <= MAX_GRID and v == sorted(set(v)))
 _positive_int = _checked(int, lambda v: v >= 1)
+_unsigned = _checked(int, lambda v: v >= 0)
 _widths = _checked(_ints, lambda v: v and min(v) >= 1)
 
 
@@ -108,10 +110,10 @@ def _flag(text):
 _WHAT = {
     _number: "a finite number",
     _positive: "a finite positive number",
-    int: "an integer",
     _count: f"a positive integer up to {MAX_GRID}",
-    _sizes: f"a nonempty list of positive integers up to {MAX_GRID}",
+    _sizes: f"a nonempty strictly increasing list of positive integers up to {MAX_GRID}",
     _positive_int: "a positive integer",
+    _unsigned: "an unsigned integer",
     _widths: "a nonempty list of positive integers",
     _grid: "a nonempty strictly increasing list of finite nonnegative numbers",
     _floats: "a list of numbers",
@@ -132,7 +134,7 @@ _LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "co
 
 _SIMULATION = {
     "beta": _floats, "c_diag": (_floats, None),  # c_diag None: identity covariance
-    "sigma": (_number, 1.0), "lambda0": (_number, SimSpec.lambda0),
+    "sigma": (_positive, 1.0), "lambda0": (_number, SimSpec.lambda0),
     "kappa": (_number, SimSpec.kappa), "replicates": (_count, SimSpec.replicates),
 }
 
@@ -152,12 +154,14 @@ COMMANDS = {
         "save_artifacts": (_flag, False),
         "classes": (_positive_int, 3), "per_class": (_positive_int, 60),
         "dimension": (_positive_int, 8),
-        "separation": (_number, 3.0), "data_seed": (int, 0),
-        "fractions": (_floats, (0.5, 0.25, 0.25)), "split_seed": (int, 0),
-        "label_noise": (_number, 0.0), "noise_seed": (int, 0),
+        "separation": (_number, 3.0), "data_seed": (_unsigned, 0),
+        "fractions": (_floats, (0.5, 0.25, 0.25)), "split_seed": (_unsigned, 0),
+        "label_noise": (_number, 0.0), "noise_seed": (_unsigned, 0),
         "hidden": (_widths, (64, 64)), "lr_min": (_number, TrainConfig.lr_min),
-        "lr_max": (_number, TrainConfig.lr_max), "batch_size": (int, TrainConfig.batch_size),
-        "patience": (int, TrainConfig.patience), "max_epochs": (int, TrainConfig.max_epochs),
+        "lr_max": (_number, TrainConfig.lr_max),
+        "batch_size": (_positive_int, TrainConfig.batch_size),
+        "patience": (_positive_int, TrainConfig.patience),
+        "max_epochs": (_positive_int, TrainConfig.max_epochs),
     },
 }
 

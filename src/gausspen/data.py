@@ -220,20 +220,10 @@ def split(dataset, fractions, seed):
 CSV_BLOCK_ROWS = 2048  # rows converted and written at a time
 
 
-def _column_texts(values, texts):
-    """The cell text of each value of one block of a column.  ``texts`` is
-    the file's cache of converted floats, used where at least half of the
-    block's floats are values converted before."""
-    kinds = set(map(type, values))
-    if kinds == {str}:
-        return values
-    if kinds == {float}:
-        new = set(values).difference(texts)
-        if 2 * len(new) > len(values):
-            return [f"{v:.17g}" for v in values]
-        texts.update(zip(new, [f"{v:.17g}" for v in new]))
-        # 0.0 == -0.0 share a key but print apart, so zeros skip the cache
-        return [texts[v] if v else f"{v:.17g}" for v in values]
+def cell_texts(values):
+    """The CSV cell text of each value: None is an empty cell, a float
+    prints with 17 significant digits (``-0`` apart from ``0``) and anything
+    else as ``str`` gives it."""
     return ["" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
             for v in values]
 
@@ -245,16 +235,13 @@ def write_csv(path, header, columns):
     directory, which then replaces ``path``, so a failure part-way leaves
     any earlier file at ``path`` intact.  Rows are converted and written
     ``CSV_BLOCK_ROWS`` at a time, so the text of a whole table is never
-    held at once.  A float prints with 17 significant digits (``-0`` apart
-    from ``0``), None as an empty cell and anything else as ``str`` gives
-    it; within a block, a float column is converted in one pass, each
-    distinct value once where the column repeats values.
+    held at once.  Every cell is converted by :func:`cell_texts`, so a
+    column already converted by it is written as it is.
     """
     columns = list(columns)
     count = len(columns[0]) if columns else 0
     if any(len(column) != count for column in columns):
         raise ValueError("CSV columns differ in length")
-    texts = {}  # float -> its text, for the whole file (zeros never read)
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -262,7 +249,7 @@ def write_csv(path, header, columns):
         with open(tmp, "w", newline="\n") as handle:
             handle.write(",".join(header) + "\n")
             for start in range(0, count, CSV_BLOCK_ROWS):
-                block = [_column_texts(column[start:start + CSV_BLOCK_ROWS], texts)
+                block = [cell_texts(column[start:start + CSV_BLOCK_ROWS])
                          for column in columns]
                 handle.write("\n".join(map(",".join, zip(*block))) + "\n")
         os.replace(tmp, path)

@@ -670,6 +670,10 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
 @pytest.mark.parametrize("command, key, bad", [
     ("consistency-mc", "n_grid", ""),
     ("consistency-mc", "n_grid", "0, 50"),
+    # unsorted or repeated sizes, and a zero noise level
+    ("consistency-mc", "n_grid", "400, 100"),
+    ("consistency-mc", "n_grid", "50, 50"),
+    ("consistency-mc", "sigma", "0"),
     ("ortho-scan", "lambda_step", "0"),
     ("ortho-scan", "lambda_step", "-1"),
     # positive, but the grid would hold 1.5e301 or 1.5e10 lambdas: rejected
@@ -689,6 +693,8 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     ("train-mlp", "count", "0"),
     ("train-mlp", "count", "1000001"),
     ("train-mlp", "count", str(10**12)),
+    *(("train-mlp", key, bad) for key in ("batch_size", "patience", "max_epochs")
+      for bad in ("0", "-1")),
 ])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
     # caught before any work, naming the option: past the checks each gives
@@ -696,7 +702,9 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad
     # table, or an attempt to allocate an enormous grid
     text = {"consistency-mc": MC_CONSISTENCY_CFG, "ortho-scan": ORTHO_CFG,
             "penalty-table": PENALTY_TABLE_CFG, "train-mlp": TRAIN_LOG_GRID_CFG}[command]
-    text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)
+    text, found = re.subn(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)
+    if not found:  # an option the config leaves at its default; its section is last
+        text += f"{key} = {bad}\n"
     cfg = write_config(tmp_path / "c.cfg", text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err

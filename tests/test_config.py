@@ -26,7 +26,6 @@ CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.cfg"))
 SHARED = "[penalty:g]\nfamily = gaussian\nkappa = 1\n\n[lambda]\nvalues = 0.1\n"
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-INTS = st.integers(-10**9, 10**9)
 FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -39,7 +38,7 @@ WRITTEN = {
     config._number: FINITE.map(lambda v: (repr(v), v)),
     config._positive: st.floats(0.0, exclude_min=True, allow_infinity=False).map(
         lambda v: (repr(v), v)),
-    int: INTS.map(lambda v: (str(v), v)),
+    config._unsigned: st.integers(0, 10**9).map(lambda v: (str(v), v)),
     config._count: st.integers(1, config.MAX_GRID).map(lambda v: (str(v), v)),
     config._floats: st.lists(FINITE, max_size=4).map(_listed),
     config._grid: st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4, unique=True).map(
@@ -48,7 +47,8 @@ WRITTEN = {
     # or drawn here too, every blob and weight matrix stays within MAX_MATRIX
     config._positive_int: st.integers(1, 100).map(lambda v: (str(v), v)),
     config._widths: st.lists(st.integers(1, 10**4), min_size=1, max_size=4).map(_listed),
-    config._sizes: st.lists(st.integers(1, config.MAX_GRID), min_size=1, max_size=4).map(_listed),
+    config._sizes: st.lists(st.integers(1, config.MAX_GRID), min_size=1, max_size=4,
+                            unique=True).map(lambda values: _listed(sorted(values))),
     config._flag: st.tuples(st.sampled_from(sorted(FLAGS)), st.booleans()).map(
         lambda pair: (pair[0].upper() if pair[1] else pair[0], FLAGS[pair[0]])
     ),
@@ -222,6 +222,13 @@ def test_mlp_sizes_at_the_bound_parse():
     sizes = f"per_class = 1\nclasses = 1\ndimension = {BIG}\nhidden = 1, {10**4}, {10**4}"
     text = TRAIN.replace("per_class = 10\nhidden = 4\n", sizes + "\n")
     assert _parse_text(text).options["dimension"] == BIG
+
+
+@pytest.mark.parametrize("key", ["data_seed", "split_seed", "noise_seed"])
+def test_negative_mlp_seed_is_config_error(key):
+    # rejected as parsed, naming the option, before numpy's generator sees it
+    with pytest.raises(ConfigurationError, match=f"`{key}` = '-1' is not an unsigned integer"):
+        _parse_text(TRAIN + f"{key} = -1\n")
 
 
 @pytest.mark.parametrize("text, value", [("TRUE", True), ("Yes", True), ("1", True),

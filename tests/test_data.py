@@ -284,8 +284,8 @@ CELLS = st.one_of(
     st.floats(), st.floats().map(np.float64), st.sampled_from([0.0, -0.0, 1.0, 1, True]),
     st.integers(), st.booleans(), st.none(), st.from_regex(r"[A-Za-z0-9_.()=+-]*", fullmatch=True),
 )
-# columns the writer converts in one pass: all floats (repeated values, signed
-# zeros and NaN among them) or all str
+# columns of one type: all floats (repeated values, signed zeros and NaN among
+# them) or all str
 REPEATED_FLOATS = st.sampled_from([0.0, -0.0, 0.1, -2.5, float("nan"), float("inf"),
                                    -float("inf")]) | st.floats()
 COLUMN_CELLS = (CELLS, REPEATED_FLOATS, st.text(alphabet="ab_.-", max_size=3))
@@ -304,7 +304,8 @@ NAN, INF = float("nan"), float("inf")
 
 @settings(max_examples=200)
 @given(tables(), st.integers(1, 5))
-# signed zeros on both sides of each block boundary, in and out of the cache
+# signed zeros on both sides of each block boundary, and ints, bools and
+# np.float64 next to the floats they compare equal to
 @example([[0.0, -0.0, -0.0, 0.0, 0.0, -0.0, 1.5, 1.5], [-0.0, 0.0, 0.0, -0.0] * 2], 2)
 @example([[0.0, -0.0, 0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, 0.0, -0.0]], 1)
 @example([[np.float64(-0.0), -0.0, 0.0, np.float64(0.0)]], 3)
@@ -313,8 +314,8 @@ NAN, INF = float("nan"), float("inf")
 @example([[10.0**17, 10**17, 5e-324, -5e-324, NAN, INF, -INF]], 5)
 @example([["x", "y", "x"], ["", "", ""], [None, None, None]], 2)
 def test_csv_cells_match_per_cell_reference(columns, block_rows):
-    # converting a column a block at a time, each repeated float once, must
-    # not change a byte of the row-by-row, cell-by-cell rendering
+    # converting a column a block at a time must not change a byte of the
+    # row-by-row, cell-by-cell rendering
     rows = zip(*columns)
     expected = "a,b\n" + "".join(",".join(map(_reference_cell, row)) + "\n" for row in rows)
     with tempfile.TemporaryDirectory() as tmp, \

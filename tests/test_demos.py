@@ -1,4 +1,5 @@
-"""Every script under demos/ runs to completion in a fresh interpreter."""
+"""Every script under demos/ runs to completion in a fresh interpreter, with
+every Python warning (a numpy RuntimeWarning, say) raised as an error."""
 
 import os
 import pathlib
@@ -13,7 +14,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("script", DEMOS, ids=[path.name for path in DEMOS])
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONWARNINGS="error")
     result = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
