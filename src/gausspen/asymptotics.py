@@ -13,7 +13,10 @@ residuals); :func:`gausspen.regression.fit` normalizes the loss by 1/n, so a
 weight ``lam_n`` is passed to the solver as ``lam_n / n``.
 
 Each replicate derives its randomness from (seed, replicate_index), so
-reports are bit-reproducible and independent of execution order.
+reports are bit-reproducible and independent of execution order.  That one
+stream serves every sample size: the draw at n is a prefix of the draw at
+any larger n, so a grid of sample sizes draws each replicate once, at its
+largest n.
 """
 
 import math
@@ -106,7 +109,7 @@ def simulate_linear_data(spec, replicate_index):
 
     Deterministic given (spec.seed, replicate_index).
     """
-    columns, y = _draw(spec, _cholesky(spec.C), replicate_index)
+    columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, replicate_index, spec.n), spec.n)
     return LinearProblem(columns.T, y, centered=True)
 
 
@@ -117,22 +120,27 @@ def _cholesky(C):
         raise ConfigurationError("C must be positive definite") from None
 
 
-def _draw(spec, chol, replicate_index):
-    """One centered replicate as ``(X', y)``, with ``chol`` the Cholesky
-    factor of ``spec.C``.
+def _noise(spec, replicate_index, n):
+    """The replicate's noise at n: one ``standard_normal(n*p + n)`` call,
+    whose first ``m*p + m`` values are its noise at any m < n, to the bit."""
+    return np.random.default_rng([spec.seed, replicate_index]).standard_normal(n * spec.p + n)
 
-    One ``standard_normal(n*p + n)`` call gives the same stream as drawing
-    the ``(n, p)`` design noise and then the n response noises.  The design
-    is built transposed, ``(p, n)``, so its column means are contiguous row
-    reductions, and both arrays are centered in place.
+
+def _draw(spec, chol, noise, n):
+    """One centered replicate at sample size n as ``(X', y)``, from the
+    first ``n*p + n`` values of its :func:`_noise` (left unchanged), with
+    ``chol`` the Cholesky factor of ``spec.C``.
+
+    The first ``n*p`` values are the ``(n, p)`` design noise and the next n
+    the response noise, the same stream as drawing the two one after the
+    other.  The design is built transposed, ``(p, n)``, so its column means
+    are contiguous row reductions.
     """
-    n, p = spec.n, spec.p
-    noise = np.random.default_rng([spec.seed, replicate_index]).standard_normal(n * p + n)
+    p = spec.p
     # an overflow shows up as a non-finite draw, which the caller rejects
     with np.errstate(over="ignore", invalid="ignore"):
         columns = chol @ noise[:n * p].reshape(n, p).T
-        y = noise[n * p:]
-        y *= spec.sigma
+        y = spec.sigma * noise[n * p:n * p + n]
         y += spec.beta_true @ columns
         columns -= columns.mean(axis=1, keepdims=True)
         y -= y.mean()
@@ -165,40 +173,50 @@ def ridge_rootn_bias(C, beta_true, lambda0):
 
 
 def fit_replicates(spec, n=None, start_at_ols=True):
-    """Draw every replicate of ``spec`` at sample size ``n`` (default
-    ``spec.n``) and fit them all in one batched descent.
+    """:func:`_fit_grid` at the one sample size ``n`` (default ``spec.n``):
+    a :class:`~gausspen.regression.BatchFit` with one row per replicate."""
+    return _fit_grid(spec, [spec.n if n is None else n], start_at_ols)
 
-    ``C`` is factored once per cell.  Each draw is reduced at once to its
-    sufficient statistics X'X, X'y and y'y, and its design is dropped, so
-    memory stays O(replicates * p^2).  The unpenalized starts then come from
-    one batched solve of the normal equations.  With ``start_at_ols`` every
-    replicate starts at its unpenalized solution; otherwise the origin is
-    tried as well and the lower objective wins.  Returns the
-    :class:`~gausspen.regression.BatchFit`, one row per replicate.  Draws
-    that overflow, so that a statistic is not finite, are a
-    :class:`ConfigurationError`.
+
+def _fit_grid(spec, n_grid, start_at_ols):
+    """Fit every replicate of ``spec`` at every n of the increasing
+    ``n_grid`` in one batched descent; returns the
+    :class:`~gausspen.regression.BatchFit`, one row per (n, replicate),
+    n-major.
+
+    ``C`` is factored once.  Each replicate is drawn once, at the largest n,
+    and a smaller n takes a prefix of its noise.  Each draw is reduced at
+    once to X'X, X'y and y'y and its design dropped.  Checked per n in grid
+    order, a draw that overflows, so that a statistic is not finite, is a
+    :class:`ConfigurationError`.  With ``start_at_ols`` every problem starts
+    at its unpenalized solution, from one batched solve of the normal
+    equations per n; otherwise the origin is tried as well and the lower
+    objective wins.
     """
-    local = spec if n is None else replace(spec, n=n)
-    reps, p = local.replicates, local.p
-    chol = _cholesky(local.C)
-    gram, xty, yty = np.empty((reps, p, p)), np.empty((reps, p)), np.empty(reps)
+    reps, p, grid = spec.replicates, spec.p, len(n_grid)
+    pen = PenaltySpec("gaussian", kappa=spec.kappa)
+    lam = [replace(spec, n=n).lambda_n() / n for n in n_grid]
+    chol = _cholesky(spec.C)
+    gram, xty, yty = np.empty((grid, reps, p, p)), np.empty((grid, reps, p)), np.empty((grid, reps))
     with np.errstate(over="ignore", invalid="ignore"):
         for rep in range(reps):
-            columns, y = _draw(local, chol, rep)
-            gram[rep], xty[rep], yty[rep] = columns @ columns.T, columns @ y, y @ y
-    if not (np.isfinite(gram).all() and np.isfinite(xty).all() and np.isfinite(yty).all()):
-        raise ConfigurationError(
-            f"simulated data overflow at n = {local.n}: X'X, X'y or y'y is not finite")
-    if local.n > p:
-        ols = np.linalg.solve(gram, xty[:, :, None])
-    else:
+            noise = _noise(spec, rep, n_grid[-1])
+            for i, n in enumerate(n_grid):
+                columns, y = _draw(spec, chol, noise, n)
+                gram[i, rep], xty[i, rep], yty[i, rep] = columns @ columns.T, columns @ y, y @ y
+    ols = []
+    for n, G, c, t in zip(n_grid, gram, xty, yty):
+        if not (np.isfinite(G).all() and np.isfinite(c).all() and np.isfinite(t).all()):
+            raise ConfigurationError(
+                f"simulated data overflow at n = {n}: X'X, X'y or y'y is not finite")
         # a centered design with n <= p rows has rank below p, so X'X is
         # singular; its pseudo-inverse gives the minimum-norm start
-        ols = np.linalg.pinv(gram, hermitian=True) @ xty[:, :, None]
-    ols = ols[:, :, 0]
+        ols.append(np.linalg.solve(G, c[:, :, None]) if n > p
+                   else np.linalg.pinv(G, hermitian=True) @ c[:, :, None])
+    ols = np.concatenate(ols)[:, :, 0]
     starts = ols[:, None] if start_at_ols else np.stack([np.zeros_like(ols), ols], axis=1)
-    pen = PenaltySpec("gaussian", kappa=local.kappa)
-    return fit_batch(gram, xty, yty, local.n, pen, local.lambda_n() / local.n, starts)
+    return fit_batch(gram.reshape(-1, p, p), xty.reshape(-1, p), yty.ravel(),
+                     np.repeat(n_grid, reps), pen, np.repeat(lam, reps), starts)
 
 
 def run_bias_experiment(spec):
@@ -240,15 +258,15 @@ def run_consistency_experiment(spec, n_grid):
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ConfigurationError("n grid must be nonempty and strictly increasing")
+    # the default two starts (origin and the unpenalized solution): the
+    # experiment wants the argmin, not a basin-local solution
+    batch = _fit_grid(spec, n_grid, start_at_ols=False)
+    shape = (len(n_grid), spec.replicates)
     table = []
-    for n in n_grid:
-        # the default two starts (origin and the unpenalized solution): the
-        # experiment wants the argmin, not a basin-local solution
-        batch = fit_replicates(spec, n=n, start_at_ols=False)
-        failed = int(batch.failed.sum())
-        errs = [float(np.linalg.norm(beta_hat - spec.beta_true))
-                for beta_hat in batch.beta_hat[~batch.failed]]
-        if failed > MAX_FAILED_FRACTION * spec.replicates:
-            raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged at n={n}")
+    for n, beta_hats, failed in zip(n_grid, batch.beta_hat.reshape(*shape, spec.p),
+                                    batch.failed.reshape(shape)):
+        errs = [float(np.linalg.norm(beta_hat - spec.beta_true)) for beta_hat in beta_hats[~failed]]
+        if failed.sum() > MAX_FAILED_FRACTION * spec.replicates:
+            raise ExperimentError(f"{failed.sum()}/{spec.replicates} replicates diverged at n={n}")
         table.append((n, float(np.median(errs))))
     return table

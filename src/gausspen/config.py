@@ -59,6 +59,10 @@ MAX_MATRIX = 100_000_000  # most elements a blob or weight matrix may hold (800 
 
 _number = _checked(float, math.isfinite)
 _positive = _checked(_number, lambda v: v > 0)
+_nonnegative = _checked(_number, lambda v: v >= 0)
+_below_one = _checked(_number, lambda v: v < 1)
+_finites = _checked(_floats, lambda v: v and all(map(math.isfinite, v)))
+_positives = _checked(_floats, lambda v: all(0 < x < math.inf for x in v))
 _count = _checked(int, lambda v: 1 <= v <= MAX_GRID)
 # strictly increasing: sorted and each size once
 _sizes = _checked(_ints, lambda v: v and 1 <= v[0] and v[-1] <= MAX_GRID and v == sorted(set(v)))
@@ -110,6 +114,10 @@ def _flag(text):
 _WHAT = {
     _number: "a finite number",
     _positive: "a finite positive number",
+    _nonnegative: "a finite nonnegative number",
+    _below_one: "a finite number below 1",
+    _finites: "a nonempty list of finite numbers",
+    _positives: "a list of finite positive numbers",
     _count: f"a positive integer up to {MAX_GRID}",
     _sizes: f"a nonempty strictly increasing list of positive integers up to {MAX_GRID}",
     _positive_int: "a positive integer",
@@ -133,9 +141,9 @@ _EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (
 _LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "count": _count}
 
 _SIMULATION = {
-    "beta": _floats, "c_diag": (_floats, None),  # c_diag None: identity covariance
-    "sigma": (_positive, 1.0), "lambda0": (_number, SimSpec.lambda0),
-    "kappa": (_number, SimSpec.kappa), "replicates": (_count, SimSpec.replicates),
+    "beta": _finites, "c_diag": (_positives, None),  # c_diag None: identity covariance
+    "sigma": (_positive, 1.0), "lambda0": (_nonnegative, SimSpec.lambda0),
+    "kappa": (_positive, SimSpec.kappa), "replicates": (_count, SimSpec.replicates),
 }
 
 COMMANDS = {
@@ -149,7 +157,7 @@ COMMANDS = {
         "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
     },
     "bias-mc": {**_SIMULATION, "n": _count},
-    "consistency-mc": {**_SIMULATION, "exponent": (_number, SimSpec.r), "n_grid": _sizes},
+    "consistency-mc": {**_SIMULATION, "exponent": (_below_one, SimSpec.r), "n_grid": _sizes},
     "train-mlp": {
         "save_artifacts": (_flag, False),
         "classes": (_positive_int, 3), "per_class": (_positive_int, 60),
@@ -283,6 +291,28 @@ def _matrix_problems(options):
     return problems
 
 
+def _simulation_problems(command, options):
+    """bias-mc and consistency-mc sizes whose arrays would hold more than
+    ``MAX_MATRIX`` elements, found before any is allocated, and a ``c_diag``
+    whose length is not ``beta``'s."""
+    key, starts = ("n", 1) if command == "bias-mc" else ("n_grid", 2)
+    beta, c_diag, sizes = options.get("beta"), options["c_diag"], options.get(key)
+    if beta is None or sizes is None:
+        return []
+    p, sizes = len(beta), [sizes] if key == "n" else sizes
+    problems = [] if c_diag is None or len(c_diag) == p else [
+        f"[{command}] option `c_diag` has {len(c_diag)} entries and `beta` has {p}"]
+    # the descent's X'X per start, size and replicate; one replicate's noise
+    for keys, what, size in (
+            (f"`beta`, `replicates` and `{key}`", "an X'X stack",
+             starts * len(sizes) * options["replicates"] * p * p),
+            (f"`beta` and `{key}`", "a noise draw", sizes[-1] * (p + 1))):
+        if size > MAX_MATRIX:
+            problems.append(f"[{command}] options {keys} give {what} of {size} elements, "
+                            f"more than {MAX_MATRIX}")
+    return problems
+
+
 def parse_config(path, command=None, seed_list=None, out=None):
     """Read a config file into an :class:`ExperimentConfig`.
 
@@ -330,6 +360,8 @@ def parse_config(path, command=None, seed_list=None, out=None):
         if lambda_grid == []:
             problems.append("train-mlp needs a [lambda] section with at least one value")
         problems.extend(_matrix_problems(options))
+    if command in ("bias-mc", "consistency-mc"):
+        problems.extend(_simulation_problems(command, options))
 
     if problems:
         raise ConfigurationError("config problems:\n  - " + "\n  - ".join(problems))

@@ -135,21 +135,24 @@ class BatchFit:
 
 
 def fit_batch(gram, xty, yty, n, spec, lam, starts):
-    """Minimize M problems (1/n)(b'G_i b - 2 c_i'b + y_i'y_i) + lam * sum_j P(b_j)
+    """Minimize M problems (1/n_i)(b'G_i b - 2 c_i'b + y_i'y_i) + lam_i * sum_j P(b_j)
     in one vectorized descent.
 
     ``gram`` is the (M, p, p) stack of X'X, ``xty`` the (M, p) stack of X'y,
     ``yty`` the (M,) vector of y'y, and ``starts`` an (M, k, p) array of k
-    start points per problem.  Every start runs its own descent; per problem
-    the lower final objective wins, ties going to the earlier start.  A
-    problem with a non-finite objective at any start is marked ``failed``
-    and leaves the others untouched.
+    start points per problem.  ``n`` and ``lam`` are each a scalar shared by
+    every problem or an (M,) vector of per-problem values; every problem's
+    arithmetic is, to the bit, what it is when fitted alone.  Every start
+    runs its own descent; per problem the lower final objective wins, ties
+    going to the earlier start.  A problem with a non-finite objective at any
+    start is marked ``failed`` and leaves the others untouched.
     """
-    if lam < 0:
+    if np.any(np.asarray(lam) < 0):
         raise ConfigurationError("lam must be nonnegative")
     starts = np.asarray(starts, dtype=float)
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)
+    n, lam = (np.broadcast_to(np.asarray(v, dtype=float), m)[problem] for v in (n, lam))
     beta, f, gnorm, its = _descend(
         gram[problem], xty[problem], yty[problem], n, spec, lam, starts.reshape(m * k, p))
     # f is NaN only at a non-finite start; a failed problem's pick is overwritten below
@@ -167,7 +170,8 @@ def _matvec(stack, vectors):
 
 
 def _descend(gram, xty, yty, n, spec, lam, beta0):
-    """BB/Armijo gradient descent for every row of ``beta0`` at once.
+    """BB/Armijo gradient descent for every row i of ``beta0`` at once, with
+    its own ``n[i]`` and ``lam[i]``.
 
     Each row keeps its own trial step, backtracking and stop; every pass
     evaluates one step for each row still running.  The decrease test never
@@ -194,31 +198,34 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
     f_out = np.full(m, np.nan)
     gnorm_out = np.full(m, np.nan)
     its_out = np.zeros(m, dtype=int)
-    # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
-    kink = lam * spec.slope_at_zero() if lam > 0 else 0.0
+    slope = spec.slope_at_zero()
+    kinked = slope > 0 and bool(np.any(lam > 0))  # else no row takes orthant steps
 
-    def gradient(r, b):
-        s = (2.0 / n) * r
-        g = s + lam * grad_array(spec, b)
-        if kink > 0:
-            np.copyto(g, np.sign(s) * np.maximum(np.abs(s) - kink, 0.0), where=b == 0.0)
+    def gradient(r, b):  # with the live rows' n, lam and kink
+        s = (2.0 / n)[:, None] * r
+        g = s + lam[:, None] * grad_array(spec, b)
+        if kinked:
+            np.copyto(g, np.sign(s) * np.maximum(np.abs(s) - kink[:, None], 0.0),
+                      where=(b == 0.0) & (kink[:, None] > 0))
         return g
 
     rows = np.flatnonzero(np.isfinite(beta).all(axis=1))
-    G, c, b = gram[rows], xty[rows], beta[rows]
+    G, c, b, n, lam = gram[rows], xty[rows], beta[rows], n[rows], lam[rows]
     with np.errstate(over="ignore", invalid="ignore"):
+        # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
+        kink = np.where(lam > 0, lam * slope, 0.0)
         r = _matvec(G, b) - c
         pen = value_array(spec, b)
         f = ((b * (r - c)).sum(axis=1) + yty[rows]) / n + lam * pen.sum(axis=1)
     keep = np.isfinite(f) & np.isfinite(r).all(axis=1)
     rows, G, r, b, pen, f = rows[keep], G[keep], r[keep], b[keep], pen[keep], f[keep]
+    n, lam, kink = n[keep], lam[keep], kink[keep]
     g = gradient(r, b)
     gsq = (g * g).sum(axis=1)
     gnorm = np.sqrt(gsq)
     t = np.full(rows.size, STEP_INIT)
     its = np.zeros(rows.size, dtype=int)
     done = (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
-    floor_scale = 8.0 * np.finfo(float).eps * lam
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while True:
@@ -229,6 +236,7 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
                 live = ~done
                 rows, G, r, b, pen, f = rows[live], G[live], r[live], b[live], pen[live], f[live]
                 g, gsq, gnorm, t, its = g[live], gsq[live], gnorm[live], t[live], its[live]
+                n, lam, kink = n[live], lam[live], kink[live]
             if not rows.size:
                 break
             cand = b - t[:, None] * g
@@ -237,10 +245,10 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
                 # such a row backtracks, without evaluating the penalty out there
                 bad = ~np.isfinite(cand).all(axis=1)
                 cand[bad] = b[bad]
-            if kink > 0:
+            if kinked:
                 # only now: sign(nan) would have zeroed a non-finite row
                 orthant = np.where(b == 0.0, -np.sign(g), np.sign(b))
-                cand[np.sign(cand) != orthant] = 0.0
+                cand[(np.sign(cand) != orthant) & (kink[:, None] > 0)] = 0.0
             s = cand - b
             r_new = r + _matvec(G, s)
             pen_new = value_array(spec, cand)
@@ -251,10 +259,12 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
                 delta[bad] = np.nan
                 stall &= ~bad
             # a stalled row has delta = 0 exactly, which fails Armijo
-            decrease = 1e-4 * (g * s).sum(axis=1) if kink > 0 else -1e-4 * t * gsq
+            decrease = -1e-4 * t * gsq
+            if kinked:
+                decrease = np.where(kink > 0, 1e-4 * (g * s).sum(axis=1), decrease)
             accept = np.isfinite(delta) & (delta < decrease)
             if not accept.all():
-                floor = floor_scale * (pen + pen_new).sum(axis=1)
+                floor = 8.0 * np.finfo(float).eps * lam * (pen + pen_new).sum(axis=1)
                 wolfe = (np.abs(delta) <= floor) & ((g_new * g).sum(axis=1) >= -0.8 * gsq)
                 accept |= wolfe & ~stall
             # Barzilai-Borwein trial step for the row's next iteration:

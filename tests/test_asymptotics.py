@@ -3,13 +3,15 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gausspen.asymptotics import (
     SimSpec,
     _cholesky,
     _draw,
+    _fit_grid,
+    _noise,
     fit_replicates,
     ridge_rootn_bias,
     run_bias_experiment,
@@ -158,18 +160,22 @@ def _assert_statistics_close(got, want):
     assert yty == pytest.approx(want[2], rel=1e-12)
 
 
+def _random_covariance(rng, p):
+    A = rng.standard_normal((p, p))
+    C = A @ A.T + 0.1 * np.eye(p)
+    return (C + C.T) / 2.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=st.integers(1, 5), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
        rep=st.integers(0, 1000), sigma=st.floats(0.01, 100.0),
        beta_scale=st.floats(0.0, 100.0))
 def test_draw_statistics_match_public_draw(p, n, seed, rep, sigma, beta_scale):
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((p, p))
-    C = A @ A.T + 0.1 * np.eye(p)
-    C = (C + C.T) / 2.0
+    C = _random_covariance(rng, p)
     beta = beta_scale * rng.uniform(-1.0, 1.0, p)
     spec = base_spec(beta_true=beta, C=C, sigma=sigma, n=n, seed=seed)
-    got = _statistics(*_draw(spec, _cholesky(spec.C), rep))
+    got = _statistics(*_draw(spec, _cholesky(spec.C), _noise(spec, rep, spec.n), spec.n))
     problem = simulate_linear_data(spec, rep)
     X, y = problem.X, problem.y
     _assert_statistics_close(got, (X.T @ X, X.T @ y, y @ y))
@@ -188,10 +194,70 @@ def test_one_call_stream_matches_two_calls(n, p):
     assert noise[n * p:].tobytes() == e.tobytes()
     # with C = I, beta = 0 and sigma = 1 the draw is that noise, centered
     spec = base_spec(beta_true=np.zeros(p), C=np.eye(p), sigma=1.0, n=n, seed=11)
-    columns, y = _draw(spec, _cholesky(spec.C), 4)
+    columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, 4, n), n)
     Zt = np.ascontiguousarray(Z.T)
     assert columns.tobytes() == (Zt - Zt.mean(axis=1, keepdims=True)).tobytes()
     assert y.tobytes() == (e - e.mean()).tobytes()
+
+
+def _alone_statistics(spec, rep, n):
+    # the draw at n alone, written out as it was before sample-size grids
+    # shared one: its own n*p + n normals, the response noise scaled in place
+    p = spec.p
+    noise = np.random.default_rng([spec.seed, rep]).standard_normal(n * p + n)
+    columns = np.linalg.cholesky(spec.C) @ noise[:n * p].reshape(n, p).T
+    y = noise[n * p:]
+    y *= spec.sigma
+    y += spec.beta_true @ columns
+    columns -= columns.mean(axis=1, keepdims=True)
+    y -= y.mean()
+    return _statistics(columns, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 5), n=st.integers(1, 300), more=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1), rep=st.integers(0, 1000), sigma=st.floats(0.01, 100.0),
+       beta_scale=st.floats(0.0, 100.0))
+def test_prefix_of_larger_draw_is_draw_alone(p, n, more, seed, rep, sigma, beta_scale):
+    # a replicate drawn once, at the grid's largest n, gives at every n the
+    # statistics of its draw at that n alone, to the bit
+    rng = np.random.default_rng(seed)
+    C = _random_covariance(rng, p)
+    spec = base_spec(beta_true=beta_scale * rng.uniform(-1.0, 1.0, p), C=C, sigma=sigma,
+                     n=n + more, seed=seed)
+    noise = _noise(spec, rep, n + more)
+    for size in (n, n + more):
+        got = _statistics(*_draw(spec, _cholesky(spec.C), noise, size))
+        want = _alone_statistics(spec, rep, size)
+        assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(1, 4), extra=st.lists(st.integers(1, 200), min_size=1, max_size=4, unique=True),
+       seed=st.integers(0, 2**32 - 1), lambda0=st.floats(0.0, 3.0), r=st.floats(0.0, 0.99),
+       kappa=st.floats(0.5, 20.0), replicates=st.integers(1, 8))
+# sizes at or below p take the pseudo-inverse start; drawn, such sizes with
+# a penalty can take 10^4 descent steps, so they come in unpenalized here
+@example(p=3, extra=[-2, 0, 40], seed=5, lambda0=0.0, r=0.5, kappa=10.0, replicates=6)
+def test_consistency_grid_matches_per_n_fits(p, extra, seed, lambda0, r, kappa, replicates):
+    # one draw per replicate and one descent for the whole grid give, at
+    # each n, what a draw and a fit at that n alone give, to the bit
+    rng = np.random.default_rng(seed)
+    grid = sorted(p + e for e in extra)
+    spec = base_spec(beta_true=rng.uniform(-2.0, 2.0, p), C=np.diag(rng.uniform(0.5, 2.0, p)),
+                     n=grid[0], lambda_rule="o_of_n", lambda0=lambda0, r=r, kappa=kappa,
+                     replicates=replicates, seed=seed)
+    batch = _fit_grid(spec, grid, start_at_ols=False)
+    table = run_consistency_experiment(spec, grid)
+    for i, (n, (table_n, median)) in enumerate(zip(grid, table)):
+        alone = fit_replicates(spec, n=n, start_at_ols=False)
+        rows = slice(i * replicates, (i + 1) * replicates)
+        assert batch.beta_hat[rows].tobytes() == alone.beta_hat.tobytes()
+        assert batch.objective[rows].tobytes() == alone.objective.tobytes()
+        assert np.array_equal(batch.iterations[rows], alone.iterations)
+        assert np.array_equal(batch.converged[rows], alone.converged)
+        errs = [float(np.linalg.norm(b - spec.beta_true)) for b in alone.beta_hat[~alone.failed]]
+        assert (table_n, median) == (n, float(np.median(errs)))
 
 
 @pytest.mark.parametrize("beta", ["1e300", "1e308"])

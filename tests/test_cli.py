@@ -695,12 +695,28 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     ("train-mlp", "count", str(10**12)),
     *(("train-mlp", key, bad) for key in ("batch_size", "patience", "max_epochs")
       for bad in ("0", "-1")),
+    # Monte Carlo options that failed only once a cell was built or drawn,
+    # with a message naming no option
+    ("bias-mc", "kappa", "-2"),
+    ("bias-mc", "kappa", "0"),
+    ("consistency-mc", "kappa", "-2"),
+    ("bias-mc", "lambda0", "-1"),
+    ("consistency-mc", "lambda0", "-0.5"),
+    ("consistency-mc", "exponent", "1"),
+    ("consistency-mc", "exponent", "1.5"),
+    ("bias-mc", "c_diag", "1"),  # beta has two entries
+    ("consistency-mc", "c_diag", "1, 2, 3"),
+    ("bias-mc", "c_diag", "1, 0"),
+    ("consistency-mc", "c_diag", "1, -1"),
+    # an empty beta ran into a numpy error (exit 2)
+    ("bias-mc", "beta", ""),
+    ("consistency-mc", "beta", "1, nan"),
 ])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
     # caught before any work, naming the option: past the checks each gives
     # an index error, a division by zero, a numpy error, an empty grid or
     # table, or an attempt to allocate an enormous grid
-    text = {"consistency-mc": MC_CONSISTENCY_CFG, "ortho-scan": ORTHO_CFG,
+    text = {"bias-mc": MC_BIAS_CFG, "consistency-mc": MC_CONSISTENCY_CFG, "ortho-scan": ORTHO_CFG,
             "penalty-table": PENALTY_TABLE_CFG, "train-mlp": TRAIN_LOG_GRID_CFG}[command]
     text, found = re.subn(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M)
     if not found:  # an option the config leaves at its default; its section is last

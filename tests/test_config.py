@@ -41,6 +41,14 @@ WRITTEN = {
     config._unsigned: st.integers(0, 10**9).map(lambda v: (str(v), v)),
     config._count: st.integers(1, config.MAX_GRID).map(lambda v: (str(v), v)),
     config._floats: st.lists(FINITE, max_size=4).map(_listed),
+    config._nonnegative: st.floats(0.0, allow_infinity=False).map(lambda v: (repr(v), v)),
+    config._below_one: st.floats(max_value=1.0, exclude_max=True, allow_infinity=False).map(
+        lambda v: (repr(v), v)),
+    # beta and c_diag of one length, so that the two agree, and short enough
+    # that every Monte Carlo array stays within MAX_MATRIX
+    config._finites: st.lists(FINITE, min_size=2, max_size=2).map(_listed),
+    config._positives: st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False),
+                                min_size=2, max_size=2).map(_listed),
     config._grid: st.lists(st.floats(0.0, 1e300), min_size=1, max_size=4, unique=True).map(
         lambda values: _listed(sorted(values))),
     # widths small enough that, with the other two sizes at their defaults
@@ -190,6 +198,33 @@ def test_monte_carlo_sizes_are_bounded(tmp_path, command, key, bad):
     path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {bad}", text, flags=re.M))
     with pytest.raises(ConfigurationError, match=re.escape(f"`{key}` = {bad!r} is not")):
         parse_config(str(path))
+
+
+@pytest.mark.parametrize("command, p, replicates, sizes, named", [
+    # an X'X stack of one p x p matrix per start, size and replicate: one
+    # start in bias-mc, two in consistency-mc
+    ("bias-mc", 1000, 100, "50", None),
+    ("bias-mc", 1000, 101, "50", "`beta`, `replicates` and `n`"),
+    ("bias-mc", 1000, 10**6, "50", "`beta`, `replicates` and `n`"),  # 7.28 TiB at n = 50
+    ("consistency-mc", 100, 1250, "50, 100, 200, 400", None),
+    ("consistency-mc", 100, 1251, "50, 100, 200, 400", "`beta`, `replicates` and `n_grid`"),
+    # one replicate's noise, p + 1 values per row at the largest size
+    ("bias-mc", 99, 1, "1000000", None),
+    ("bias-mc", 100, 1, "1000000", "`beta` and `n`"),
+    ("consistency-mc", 99, 1, "10, 1000000", None),
+    ("consistency-mc", 100, 1, "10, 1000000", "`beta` and `n_grid`"),
+])
+def test_monte_carlo_arrays_are_bounded(command, p, replicates, sizes, named):
+    # at MAX_MATRIX elements a config parses; one more is rejected as
+    # parsed, before any array is asked for its memory
+    size_key = "n" if command == "bias-mc" else "n_grid"
+    text = (f"[experiment]\ncommand = {command}\n\n[{command}]\nbeta = {', '.join(['1'] * p)}\n"
+            f"replicates = {replicates}\n{size_key} = {sizes}\n")
+    if named is None:
+        assert _parse_text(text).options["replicates"] == replicates
+        return
+    with pytest.raises(ConfigurationError, match=re.escape(named) + ".* more than 100000000"):
+        _parse_text(text)
 
 
 BIG = config.MAX_MATRIX

@@ -186,6 +186,35 @@ def test_batch_rows_match_scalar_fit(seed, count, p, extra_rows, family, kappa, 
         assert batch.iterations[i] == scalar.iterations
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 10),
+       rows=st.lists(st.tuples(st.integers(1, 40),
+                               st.sampled_from([0.0, 0.0, 0.3]) | st.floats(0.0, 2.0)),
+                     min_size=1, max_size=5),
+       two_starts=st.booleans())
+def test_batch_with_per_problem_n_and_lam_matches_each_alone(family, seed, p, rows, two_starts):
+    # problems of differing n and lam in one batch, lam = 0 rows of kinked
+    # families among them, are bit for bit each problem's batch of one
+    rng = np.random.default_rng(seed)
+    spec = PenaltySpec(family)
+    # n > p: with n <= p and lam near 0 some kinked descents take 10^4 to
+    # 10^5 steps
+    rows = [(p + extra, lam) for extra, lam in rows]
+    ns, lams = [n for n, _ in rows], [lam for _, lam in rows]
+    problems = [random_problems(rng, 1, n, p)[0] for n in ns]
+    starts = np.stack([[np.zeros(p), np.linalg.lstsq(pr.X, pr.y, rcond=None)[0]]
+                       for pr in problems])[:, (0 if two_starts else 1):]
+    stats = sufficient_statistics(problems)
+    batch = fit_batch(*stats, ns, spec, lams, starts)
+    for i, (n, lam) in enumerate(rows):
+        alone = fit_batch(*(s[i:i + 1] for s in stats), n, spec, lam, starts[i:i + 1])
+        assert batch.beta_hat[i].tobytes() == alone.beta_hat[0].tobytes()
+        assert batch.objective[i].tobytes() == alone.objective[0].tobytes()
+        assert batch.iterations[i] == alone.iterations[0]
+        assert batch.converged[i] == alone.converged[0]
+
+
 def test_kinked_penalty_descent_stops():
     # a descent toward a kink at 0 lands on it and stops, converged, instead
     # of creeping toward it in round-off-sized decreases to max_iter
