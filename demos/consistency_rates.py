@@ -1,7 +1,8 @@
 """Estimator consistency under a slowly growing penalty weight.
 
-As long as the penalty weight grows strictly slower than n (here
-lam_n = sqrt(n)), the penalized estimator stays consistent: the median
+The consistency experiment weights the penalty by lam_n = lam0 * n^r at
+every n of its grid.  As long as that weight grows strictly slower than n
+(here lam_n = sqrt(n)), the penalized estimator stays consistent: the median
 l2 estimation error keeps shrinking at the usual 1/sqrt(n) pace.  Push the
 weight to lam_n ~ 5n instead and the error stalls above a floor.
 """
@@ -15,9 +16,8 @@ N_GRID = [100, 400, 1600, 6400]
 
 def main():
     good = SimSpec(
-        beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0, n=100,
-        lambda_rule="o_of_n", lambda0=1.0, r=0.5, kappa=10.0,
-        replicates=100, seed=1,
+        beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0,
+        lambda0=1.0, r=0.5, kappa=10.0, replicates=100, seed=1,
     )
     table = run_consistency_experiment(good, N_GRID)
     print("lam_n = sqrt(n): median ||estimate - beta||_2")
@@ -27,9 +27,8 @@ def main():
     print("  step ratios (1/2 expected):", " ".join(f"{r:.3f}" for r in ratios))
 
     bad = SimSpec(
-        beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0, n=100,
-        lambda_rule="o_of_n", lambda0=5.0, r=0.999, kappa=10.0,
-        replicates=100, seed=1,
+        beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0,
+        lambda0=5.0, r=0.999, kappa=10.0, replicates=100, seed=1,
     )
     table = run_consistency_experiment(bad, N_GRID)
     print("\nlam_n ~ 5n (too fast): the error no longer vanishes")

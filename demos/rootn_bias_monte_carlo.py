@@ -4,6 +4,8 @@ The penalized least-squares estimator is asymptotically biased, but the
 bias of the bounded exponential penalty is  -lam0*kappa*C^{-1}(beta*e^{-kappa beta^2}),
 which dies off exponentially in the signal size.  A ridge penalty pays
 -lam0*C^{-1}*beta instead: the stronger the signal, the bigger the distortion.
+The bias experiment takes its sample size n at the call and weights the
+penalty by lam_n = lam0 * sqrt(n).
 """
 
 import numpy as np
@@ -13,11 +15,10 @@ from gausspen import SimSpec, ridge_rootn_bias, run_bias_experiment, theoretical
 
 def experiment(beta, kappa):
     spec = SimSpec(
-        beta_true=[beta], C=np.eye(1), sigma=1.0, n=1600,
-        lambda_rule="sqrt_n", lambda0=1.0, kappa=kappa,
+        beta_true=[beta], C=np.eye(1), sigma=1.0, lambda0=1.0, kappa=kappa,
         replicates=300, seed=42,
     )
-    return run_bias_experiment(spec)
+    return run_bias_experiment(spec, 1600)
 
 
 def main():

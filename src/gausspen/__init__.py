@@ -26,10 +26,8 @@ from .data import (
     load_idx,
     make_blobs,
     parse_idx,
-    read_csv_dataset,
     serialize_idx,
     split,
-    write_csv_dataset,
 )
 from .errors import (
     ConfigurationError,

@@ -8,9 +8,13 @@ Two regimes are exercised for the Gaussian-penalized least-squares estimator:
   form  -lam0 * kappa * C^{-1} (beta * exp(-kappa beta^2))  and vanishes
   exponentially fast in |beta|.
 
-``lam_n`` follows the raw sum-of-squares convention (loss = sum of squared
-residuals); :func:`gausspen.regression.fit` normalizes the loss by 1/n, so a
-weight ``lam_n`` is passed to the solver as ``lam_n / n``.
+A :class:`SimSpec` holds what the two experiments share: the model, the
+penalty and the replicates.  Each experiment takes its own sample sizes and
+its own weight rule: :func:`run_bias_experiment` one n with
+lam_n = lam0 * sqrt(n), :func:`run_consistency_experiment` a grid of n with
+lam_n = lam0 * n^r.  ``lam_n`` follows the raw sum-of-squares convention
+(loss = sum of squared residuals); the solver normalizes the loss by 1/n, so
+a weight ``lam_n`` is passed to it as ``lam_n / n``.
 
 Each replicate derives its randomness from (seed, replicate_index), so
 reports are bit-reproducible and independent of execution order.  That one
@@ -20,7 +24,7 @@ largest n.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,18 +38,14 @@ MAX_FAILED_FRACTION = 0.05
 
 @dataclass
 class SimSpec:
-    """One simulated-regression configuration.
-
-    ``lambda_rule`` selects how the penalty weight scales with n:
-    ``"o_of_n"`` uses lam_n = lam0 * n^r (r < 1), ``"sqrt_n"`` uses
-    lam_n = lam0 * sqrt(n).
-    """
+    """One simulated-regression configuration, at every sample size: the
+    model (``beta_true``, ``C``, ``sigma``), the penalty (``lambda0``, the
+    exponent ``r < 1`` of the consistency rule, ``kappa``) and the
+    replicates.  The sample sizes are the experiment's."""
 
     beta_true: np.ndarray
     C: np.ndarray
     sigma: float
-    n: int
-    lambda_rule: str = "sqrt_n"
     lambda0: float = 1.0
     r: float = 0.5
     kappa: float = 10.0
@@ -64,26 +64,16 @@ class SimSpec:
             raise ConfigurationError("C must be positive definite")
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
-        if self.n < 1:
-            raise ConfigurationError("n must be >= 1")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
-        if self.lambda_rule not in ("o_of_n", "sqrt_n"):
-            raise ConfigurationError(f"unknown lambda rule {self.lambda_rule!r}")
-        if self.lambda_rule == "o_of_n" and not self.r < 1.0:
-            raise ConfigurationError("o_of_n rule requires exponent r < 1")
+        if not self.r < 1.0:
+            raise ConfigurationError("exponent r must be < 1")
         if self.lambda0 < 0:
             raise ConfigurationError("lambda0 must be nonnegative")
 
     @property
     def p(self):
         return self.beta_true.shape[0]
-
-    def lambda_n(self):
-        """Penalty weight at sample size n (sum-of-squares loss convention)."""
-        if self.lambda_rule == "sqrt_n":
-            return self.lambda0 * math.sqrt(self.n)
-        return self.lambda0 * self.n**self.r
 
 
 @dataclass
@@ -103,13 +93,15 @@ class BiasReport:
     replicates_unconverged: int = 0
 
 
-def simulate_linear_data(spec, replicate_index):
-    """Draw one replicate: rows ~ N(0, C), y = X beta + N(0, sigma^2) noise,
-    then center the covariate columns and the response.
+def simulate_linear_data(spec, n, replicate_index):
+    """Draw one replicate of n rows: rows ~ N(0, C), y = X beta + N(0, sigma^2)
+    noise, then center the covariate columns and the response.
 
     Deterministic given (spec.seed, replicate_index).
     """
-    columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, replicate_index, spec.n), spec.n)
+    if n < 1:
+        raise ConfigurationError("n must be >= 1")
+    columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, replicate_index, n), n)
     return LinearProblem(columns.T, y, centered=True)
 
 
@@ -172,30 +164,27 @@ def ridge_rootn_bias(C, beta_true, lambda0):
     return -lambda0 * np.linalg.solve(C, beta_true)
 
 
-def fit_replicates(spec, n=None, start_at_ols=True):
-    """:func:`_fit_grid` at the one sample size ``n`` (default ``spec.n``):
-    a :class:`~gausspen.regression.BatchFit` with one row per replicate."""
-    return _fit_grid(spec, [spec.n if n is None else n], start_at_ols)
-
-
-def _fit_grid(spec, n_grid, start_at_ols):
-    """Fit every replicate of ``spec`` at every n of the increasing
-    ``n_grid`` in one batched descent; returns the
+def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
+    """Fit every replicate of ``spec`` at every n of ``n_grid``, with penalty
+    weight ``lam_n(n)``, in one batched descent; returns the
     :class:`~gausspen.regression.BatchFit`, one row per (n, replicate),
     n-major.
 
-    ``C`` is factored once.  Each replicate is drawn once, at the largest n,
-    and a smaller n takes a prefix of its noise.  Each draw is reduced at
-    once to X'X, X'y and y'y and its design dropped.  Checked per n in grid
-    order, a draw that overflows, so that a statistic is not finite, is a
-    :class:`ConfigurationError`.  With ``start_at_ols`` every problem starts
-    at its unpenalized solution, from one batched solve of the normal
-    equations per n; otherwise the origin is tried as well and the lower
-    objective wins.
+    ``n_grid`` is a list of sample sizes that is nonempty, starts at 1 or
+    above and strictly increases.  ``C`` is factored once.  Each replicate
+    is drawn once, at the largest n, and a smaller n takes a prefix of its
+    noise.  Each draw is reduced at once to X'X, X'y and y'y and its design
+    dropped.  Checked per n in grid order, a draw that overflows, so that a
+    statistic is not finite, is a :class:`ConfigurationError`.  With
+    ``start_at_ols`` every problem starts at its unpenalized solution, from
+    one batched solve of the normal equations per n; otherwise the origin is
+    tried as well and the lower objective wins.
     """
+    if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")
     reps, p, grid = spec.replicates, spec.p, len(n_grid)
     pen = PenaltySpec("gaussian", kappa=spec.kappa)
-    lam = [replace(spec, n=n).lambda_n() / n for n in n_grid]
+    lam = [lam_n(n) / n for n in n_grid]
     chol = _cholesky(spec.C)
     gram, xty, yty = np.empty((grid, reps, p, p)), np.empty((grid, reps, p)), np.empty((grid, reps))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -219,8 +208,9 @@ def _fit_grid(spec, n_grid, start_at_ols):
                      np.repeat(n_grid, reps), pen, np.repeat(lam, reps), starts)
 
 
-def run_bias_experiment(spec):
-    """Monte Carlo check of the sqrt(n) limit law's mean.
+def run_bias_experiment(spec, n):
+    """Monte Carlo check of the sqrt(n) limit law's mean at sample size n,
+    under lam_n = lam0 * sqrt(n).
 
     Fits the penalized estimator per replicate (started at the unpenalized
     solution), aggregates sqrt(n)*(beta_hat - beta), and compares against
@@ -229,14 +219,12 @@ def run_bias_experiment(spec):
     Diverged replicates are dropped and counted; more than
     ``MAX_FAILED_FRACTION`` of them raises :class:`ExperimentError`.
     """
-    if spec.lambda_rule != "sqrt_n":
-        raise ConfigurationError("bias experiment requires the sqrt_n lambda rule")
-    batch = fit_replicates(spec)
+    batch = fit_replicates(spec, [n], lambda n: spec.lambda0 * math.sqrt(n))
     failed = int(batch.failed.sum())
     if failed > MAX_FAILED_FRACTION * spec.replicates:
         raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged")
     used = ~batch.failed
-    errors = math.sqrt(spec.n) * (batch.beta_hat[used] - spec.beta_true)
+    errors = math.sqrt(n) * (batch.beta_hat[used] - spec.beta_true)
     mean = errors.mean(axis=0)
     if len(errors) >= 2:
         se = errors.std(axis=0, ddof=1) / math.sqrt(len(errors))
@@ -250,17 +238,16 @@ def run_bias_experiment(spec):
 
 
 def run_consistency_experiment(spec, n_grid):
-    """Median l2 estimation error across an increasing grid of sample sizes.
+    """Median l2 estimation error across an increasing grid of sample sizes,
+    under lam_n = lam0 * n^r.
 
-    Returns a list of (n, median ||beta_hat - beta||_2) pairs; under
-    lam_n = o(n) the medians shrink toward zero as n grows.
+    Returns a list of (n, median ||beta_hat - beta||_2) pairs; as r < 1,
+    lam_n = o(n) and the medians shrink toward zero as n grows.
     """
     n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
-        raise ConfigurationError("n grid must be nonempty and strictly increasing")
     # the default two starts (origin and the unpenalized solution): the
     # experiment wants the argmin, not a basin-local solution
-    batch = _fit_grid(spec, n_grid, start_at_ols=False)
+    batch = fit_replicates(spec, n_grid, lambda n: spec.lambda0 * n**spec.r, start_at_ols=False)
     shape = (len(n_grid), spec.replicates)
     table = []
     for n, beta_hats, failed in zip(n_grid, batch.beta_hat.reshape(*shape, spec.p),

@@ -6,9 +6,10 @@ Commands: penalty-table, ortho-scan, bias-mc, consistency-mc, train-mlp.
 Each writes one CSV (header row; floats with 17 significant digits so values
 round-trip exactly) into the output directory, chosen by --out, then the
 config file's ``output`` key, then $GAUSSPEN_OUT, then the working directory.
-Grid cells are independent; --jobs N > 1 computes them in a process pool but
-rows are always written in deterministic grid order.  Exit codes: 0 success,
-1 configuration error, 2 runtime error.
+Grid cells are independent; --jobs N > 1 computes them in a pool of N worker
+processes, or of one per cell if there are fewer cells, but rows are always
+written in deterministic grid order.  Exit codes: 0 success, 1 configuration
+error, 2 runtime error.
 """
 
 import argparse
@@ -32,6 +33,7 @@ def lower_median(values):
 
 
 def _map_cells(fn, cells, jobs):
+    jobs = min(jobs, len(cells))  # a pool forks all its workers at once
     if jobs <= 1:
         return [fn(cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
@@ -92,12 +94,12 @@ def run_ortho_scan(config, jobs):
 
 # --- bias-mc and consistency-mc --------------------------------------------
 
-def _sim_spec(options, seed, lambda_rule, n):
+def _sim_spec(options, seed):
     beta = np.asarray(options["beta"])
     c_diag = options["c_diag"]
     return asymptotics.SimSpec(
         beta_true=beta, C=np.diag(np.ones(beta.size) if c_diag is None else c_diag),
-        sigma=options["sigma"], n=n, lambda_rule=lambda_rule, lambda0=options["lambda0"],
+        sigma=options["sigma"], lambda0=options["lambda0"],
         r=options.get("exponent", asymptotics.SimSpec.r),  # only consistency-mc has one
         kappa=options["kappa"], replicates=options["replicates"], seed=seed,
     )
@@ -105,7 +107,7 @@ def _sim_spec(options, seed, lambda_rule, n):
 
 def _bias_cell(args):
     options, seed = args
-    return asymptotics.run_bias_experiment(_sim_spec(options, seed, "sqrt_n", options["n"]))
+    return asymptotics.run_bias_experiment(_sim_spec(options, seed), options["n"])
 
 
 def run_bias_mc(config, jobs):
@@ -132,8 +134,7 @@ def run_bias_mc(config, jobs):
 
 def _consistency_cell(args):
     options, seed = args
-    spec = _sim_spec(options, seed, "o_of_n", options["n_grid"][0])
-    return asymptotics.run_consistency_experiment(spec, options["n_grid"])
+    return asymptotics.run_consistency_experiment(_sim_spec(options, seed), options["n_grid"])
 
 
 def run_consistency_mc(config, jobs):

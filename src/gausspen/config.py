@@ -13,11 +13,14 @@ Shared sections:
 
 plus one section named after the command (``[ortho-scan]``, ``[bias-mc]``,
 ``[consistency-mc]``, ``[train-mlp]``, ``[penalty-table]``) holding its own
-options.  ``COMMANDS`` maps each command to the schema of that section.  A
-schema maps a key to its parser alone (a required key) or to ``(parser,
-default)``, the default of the ``SimSpec`` or ``TrainConfig`` field it sets
-if it sets one.  Every section is parsed against its schema into typed values
-with the defaults filled in; reading a required key that is not set raises
+options.  Only penalty-table and train-mlp read ``[penalty:*]`` and only
+train-mlp reads ``[lambda]``; a section the command does not read, another
+command's included, is a configuration error.  ``COMMANDS`` maps each
+command to the schema of its own section.  A schema maps a key to its
+parser alone (a required key) or to ``(parser, default)``, the default of
+the ``SimSpec`` or ``TrainConfig`` field it sets if it sets one.  Every
+section is parsed against its schema into typed values with the defaults
+filled in; reading a required key that is not set raises
 :class:`ConfigurationError`.  Any other section name, and any key that a
 section's schema does not list, is a configuration error.  Parse problems
 are collected and reported all at once.
@@ -172,6 +175,11 @@ COMMANDS = {
         "max_epochs": (_positive_int, TrainConfig.max_epochs),
     },
 }
+
+
+# the shared sections besides [experiment] that a command reads; a command
+# reads no other section but its own
+_READS = {"penalty-table": ("penalty",), "train-mlp": ("penalty", "lambda")}
 
 
 class Options(dict):
@@ -330,12 +338,6 @@ def parse_config(path, command=None, seed_list=None, out=None):
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from None
 
-    for section in parser.sections():
-        if section not in ("experiment", "lambda", *COMMANDS) and not _is_penalty(section):
-            problems.append(
-                f"unknown section [{section}]; expected experiment, lambda, "
-                "penalty:<name> or a command name"
-            )
     exp = _parse_section(parser, "experiment", _EXPERIMENT, problems)
     file_command = exp["command"]
     if command is None:
@@ -346,6 +348,15 @@ def parse_config(path, command=None, seed_list=None, out=None):
         )
     if command not in COMMANDS:
         problems.append(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
+    for section in parser.sections():
+        kind = "penalty" if _is_penalty(section) else section
+        if kind not in ("experiment", "lambda", "penalty", *COMMANDS):
+            problems.append(
+                f"unknown section [{section}]; expected experiment, lambda, "
+                "penalty:<name> or a command name"
+            )
+        elif command in COMMANDS and kind not in ("experiment", command, *_READS.get(command, ())):
+            problems.append(f"[{section}] is not read by {command}")
 
     seeds = list(exp["seeds"]) if seed_list is None else seed_list
     if out is None:

@@ -256,26 +256,3 @@ def write_csv(path, header, columns):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
-
-
-def write_csv_dataset(path, dataset):
-    """Plain CSV with a header row; feature columns first, `label` last."""
-    header = [f"x{i}" for i in range(dataset.features.shape[1])] + ["label"]
-    write_csv(path, header, [*dataset.features.T.tolist(), dataset.labels.tolist()])
-
-
-def read_csv_dataset(path, split_tag="train"):
-    """Read the CSV layout written by :func:`write_csv_dataset`."""
-    with open(path) as handle:
-        header = handle.readline().strip().split(",")
-        if not header or header[-1] != "label":
-            raise ConfigurationError("dataset CSV must end with a `label` column")
-        rows = []
-        labels = []
-        for line in handle:
-            cells = line.strip().split(",")
-            if len(cells) != len(header):
-                raise ConfigurationError("ragged row in dataset CSV")
-            rows.append([float(v) for v in cells[:-1]])
-            labels.append(int(cells[-1]))
-    return LabeledDataset(np.asarray(rows), np.asarray(labels), split_tag)

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gausspen import asymptotics
 from gausspen.asymptotics import (
     SimSpec,
     _cholesky,
     _draw,
-    _fit_grid,
     _noise,
     fit_replicates,
     ridge_rootn_bias,
@@ -21,6 +21,7 @@ from gausspen.asymptotics import (
 )
 from gausspen.cli import main
 from gausspen.errors import ConfigurationError
+from gausspen.regression import fit_batch
 
 
 def limit_criterion(u, C, beta, lam0, kappa):
@@ -99,8 +100,6 @@ def base_spec(**overrides):
         beta_true=[1.0],
         C=np.eye(1),
         sigma=1.0,
-        n=400,
-        lambda_rule="sqrt_n",
         lambda0=1.0,
         kappa=1.0,
         replicates=50,
@@ -108,6 +107,15 @@ def base_spec(**overrides):
     )
     defaults.update(overrides)
     return SimSpec(**defaults)
+
+
+# the weight rules of the two experiments, sum-of-squares convention
+def sqrt_n(spec):
+    return lambda n: spec.lambda0 * math.sqrt(n)
+
+
+def o_of_n(spec):
+    return lambda n: spec.lambda0 * n**spec.r
 
 
 def test_spec_validation():
@@ -118,20 +126,25 @@ def test_spec_validation():
     with pytest.raises(ConfigurationError):
         base_spec(sigma=0.0)
     with pytest.raises(ConfigurationError):
-        base_spec(lambda_rule="n_squared")
-    with pytest.raises(ConfigurationError):
-        base_spec(lambda_rule="o_of_n", r=1.0)
+        base_spec(r=1.0)
     for n in (0, -5):
         with pytest.raises(ConfigurationError):
-            base_spec(n=n)
+            run_bias_experiment(base_spec(), n)
+        with pytest.raises(ConfigurationError):
+            simulate_linear_data(base_spec(), n, 0)
+        with pytest.raises(ConfigurationError):
+            run_consistency_experiment(base_spec(), [n, 100])
+    for grid in ([], [100, 100], [400, 100]):
+        with pytest.raises(ConfigurationError):
+            run_consistency_experiment(base_spec(), grid)
 
 
 def test_simulated_data_is_centered_and_deterministic():
-    spec = base_spec(beta_true=[0.5, -1.0], C=np.eye(2), n=300)
-    a = simulate_linear_data(spec, 7)
-    b = simulate_linear_data(spec, 7)
+    spec = base_spec(beta_true=[0.5, -1.0], C=np.eye(2))
+    a = simulate_linear_data(spec, 300, 7)
+    b = simulate_linear_data(spec, 300, 7)
     assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    c = simulate_linear_data(spec, 8)
+    c = simulate_linear_data(spec, 300, 8)
     assert not np.array_equal(a.X, c.X)
     assert np.abs(a.X.mean(axis=0)).max() < 1e-12
     assert abs(a.y.mean()) < 1e-12
@@ -141,12 +154,12 @@ def _statistics(columns, y):
     return columns @ columns.T, columns @ y, y @ y
 
 
-def _two_call_statistics(spec, rep):
+def _two_call_statistics(spec, n, rep):
     # the draw as first written: the (n, p) noise, then the n response
     # noises, a row-major design and copying centering
     rng = np.random.default_rng([spec.seed, rep])
-    X = rng.standard_normal((spec.n, spec.p)) @ np.linalg.cholesky(spec.C).T
-    y = X @ spec.beta_true + spec.sigma * rng.standard_normal(spec.n)
+    X = rng.standard_normal((n, spec.p)) @ np.linalg.cholesky(spec.C).T
+    y = X @ spec.beta_true + spec.sigma * rng.standard_normal(n)
     X, y = X - X.mean(axis=0), y - y.mean()
     return X.T @ X, X.T @ y, y @ y
 
@@ -174,12 +187,12 @@ def test_draw_statistics_match_public_draw(p, n, seed, rep, sigma, beta_scale):
     rng = np.random.default_rng(seed)
     C = _random_covariance(rng, p)
     beta = beta_scale * rng.uniform(-1.0, 1.0, p)
-    spec = base_spec(beta_true=beta, C=C, sigma=sigma, n=n, seed=seed)
-    got = _statistics(*_draw(spec, _cholesky(spec.C), _noise(spec, rep, spec.n), spec.n))
-    problem = simulate_linear_data(spec, rep)
+    spec = base_spec(beta_true=beta, C=C, sigma=sigma, seed=seed)
+    got = _statistics(*_draw(spec, _cholesky(spec.C), _noise(spec, rep, n), n))
+    problem = simulate_linear_data(spec, n, rep)
     X, y = problem.X, problem.y
     _assert_statistics_close(got, (X.T @ X, X.T @ y, y @ y))
-    _assert_statistics_close(got, _two_call_statistics(spec, rep))
+    _assert_statistics_close(got, _two_call_statistics(spec, n, rep))
 
 
 @pytest.mark.parametrize("n, p", [(1, 1), (7, 3), (6400, 3), (101, 10)])
@@ -193,7 +206,7 @@ def test_one_call_stream_matches_two_calls(n, p):
     assert noise[:n * p].tobytes() == Z.tobytes()
     assert noise[n * p:].tobytes() == e.tobytes()
     # with C = I, beta = 0 and sigma = 1 the draw is that noise, centered
-    spec = base_spec(beta_true=np.zeros(p), C=np.eye(p), sigma=1.0, n=n, seed=11)
+    spec = base_spec(beta_true=np.zeros(p), C=np.eye(p), sigma=1.0, seed=11)
     columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, 4, n), n)
     Zt = np.ascontiguousarray(Z.T)
     assert columns.tobytes() == (Zt - Zt.mean(axis=1, keepdims=True)).tobytes()
@@ -224,7 +237,7 @@ def test_prefix_of_larger_draw_is_draw_alone(p, n, more, seed, rep, sigma, beta_
     rng = np.random.default_rng(seed)
     C = _random_covariance(rng, p)
     spec = base_spec(beta_true=beta_scale * rng.uniform(-1.0, 1.0, p), C=C, sigma=sigma,
-                     n=n + more, seed=seed)
+                     seed=seed)
     noise = _noise(spec, rep, n + more)
     for size in (n, n + more):
         got = _statistics(*_draw(spec, _cholesky(spec.C), noise, size))
@@ -245,12 +258,11 @@ def test_consistency_grid_matches_per_n_fits(p, extra, seed, lambda0, r, kappa, 
     rng = np.random.default_rng(seed)
     grid = sorted(p + e for e in extra)
     spec = base_spec(beta_true=rng.uniform(-2.0, 2.0, p), C=np.diag(rng.uniform(0.5, 2.0, p)),
-                     n=grid[0], lambda_rule="o_of_n", lambda0=lambda0, r=r, kappa=kappa,
-                     replicates=replicates, seed=seed)
-    batch = _fit_grid(spec, grid, start_at_ols=False)
+                     lambda0=lambda0, r=r, kappa=kappa, replicates=replicates, seed=seed)
+    batch = fit_replicates(spec, grid, o_of_n(spec), start_at_ols=False)
     table = run_consistency_experiment(spec, grid)
     for i, (n, (table_n, median)) in enumerate(zip(grid, table)):
-        alone = fit_replicates(spec, n=n, start_at_ols=False)
+        alone = fit_replicates(spec, [n], o_of_n(spec), start_at_ols=False)
         rows = slice(i * replicates, (i + 1) * replicates)
         assert batch.beta_hat[rows].tobytes() == alone.beta_hat.tobytes()
         assert batch.objective[rows].tobytes() == alone.objective.tobytes()
@@ -312,26 +324,26 @@ def test_rank_deficient_draws_start_at_minimum_norm():
     # n <= p: the centered design has rank below p, so X'X is singular; the
     # start is the minimum-norm least-squares solution, not a failed solve.
     # Unpenalized, that start is already stationary, so no step is taken
-    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), n=2, replicates=4, lambda0=0.0)
-    batch = fit_replicates(spec)
+    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), replicates=4, lambda0=0.0)
+    batch = fit_replicates(spec, [2], sqrt_n(spec))
     assert not batch.failed.any()
     assert (batch.iterations == 0).all()
     for rep in range(4):
-        problem = simulate_linear_data(spec, rep)
+        problem = simulate_linear_data(spec, 2, rep)
         ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
         assert np.abs(batch.beta_hat[rep] - ols).max() <= 1e-12
 
 
 def test_pure_noise_variance():
-    spec = base_spec(beta_true=[0.0], sigma=2.0, n=4000)
-    problem = simulate_linear_data(spec, 0)
+    spec = base_spec(beta_true=[0.0], sigma=2.0)
+    problem = simulate_linear_data(spec, 4000, 0)
     assert abs(problem.y.mean()) < 1e-12
     assert problem.y.var() == pytest.approx(4.0, rel=3.0 / math.sqrt(4000))
 
 
 def test_gram_approaches_identity():
-    spec = base_spec(beta_true=[0.0, 0.0, 0.0], C=np.eye(3), n=10_000)
-    problem = simulate_linear_data(spec, 1)
+    spec = base_spec(beta_true=[0.0, 0.0, 0.0], C=np.eye(3))
+    problem = simulate_linear_data(spec, 10_000, 1)
     gram = problem.X.T @ problem.X / problem.n
     assert np.linalg.norm(gram - np.eye(3)) < 0.05
 
@@ -394,32 +406,48 @@ def test_ridge_contrast():
 
 
 def test_bias_experiment_lambda0_zero_is_centered():
-    spec = base_spec(lambda0=0.0, n=200, replicates=120)
-    report = run_bias_experiment(spec)
+    spec = base_spec(lambda0=0.0, replicates=120)
+    report = run_bias_experiment(spec, 200)
     assert np.array_equal(report.theoretical_bias, np.zeros(1))
     assert np.all(report.z_scores <= 3.0)
 
 
 def test_bias_experiment_reproducible():
     spec = base_spec(replicates=30)
-    a = run_bias_experiment(spec)
-    b = run_bias_experiment(spec)
+    a = run_bias_experiment(spec, 400)
+    b = run_bias_experiment(spec, 400)
     assert (a.replicates_used, a.replicates_failed, a.replicates_unconverged) == (30, 0, 0)
     assert np.array_equal(a.empirical_mean, b.empirical_mean)
     assert np.array_equal(a.empirical_se, b.empirical_se)
     assert np.array_equal(a.z_scores, b.z_scores)
 
 
-def test_bias_experiment_requires_sqrt_rule():
-    with pytest.raises(ConfigurationError):
-        run_bias_experiment(base_spec(lambda_rule="o_of_n", r=0.5))
+def test_each_experiment_passes_its_own_weight(monkeypatch):
+    # at r = 0.5 the two rules agree in exact arithmetic, but at n = 2921
+    # sqrt(n) and n**0.5 differ in the last bit, and so, at lam0 = 1.3, do
+    # the weights the solver gets: the bias experiment must keep sqrt and
+    # the consistency experiment pow, or their CSVs change
+    n, lam0 = 2921, 1.3
+    assert lam0 * math.sqrt(n) / n != lam0 * n**0.5 / n
+    passed = []
+
+    def recording(gram, xty, yty, sizes, pen, lam, starts):
+        passed.append(lam)
+        return fit_batch(gram, xty, yty, sizes, pen, lam, starts)
+
+    monkeypatch.setattr(asymptotics, "fit_batch", recording)
+    spec = base_spec(lambda0=lam0, r=0.5, replicates=3)
+    run_bias_experiment(spec, n)
+    run_consistency_experiment(spec, [n])
+    bias_lam, consistency_lam = passed
+    assert np.asarray(bias_lam).tobytes() == np.full(3, lam0 * math.sqrt(n) / n).tobytes()
+    assert np.asarray(consistency_lam).tobytes() == np.full(3, lam0 * n**0.5 / n).tobytes()
 
 
 def test_consistency_rate_matches_root_n():
     # unpenalized: median error should shrink like 1/sqrt(n)
     spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda_rule="o_of_n", lambda0=0.0,
-        replicates=200, seed=77,
+        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=0.0, replicates=200, seed=77,
     )
     table = run_consistency_experiment(spec, [250, 1000])
     ratio = table[1][1] / table[0][1]
@@ -431,8 +459,8 @@ def test_consistency_violating_rule_has_error_floor():
     # global argmin sits near 0, so the estimation error stalls above a
     # positive floor instead of vanishing
     spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda_rule="o_of_n", lambda0=5.0,
-        r=0.999, kappa=10.0, replicates=60, seed=5,
+        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=5.0, r=0.999, kappa=10.0,
+        replicates=60, seed=5,
     )
     table = run_consistency_experiment(spec, [100, 400, 1600])
     assert all(err > 2.0 for _, err in table)  # near ||beta|| = sqrt(5)
@@ -443,10 +471,10 @@ def test_consistency_replicates_all_converge():
     # winning descent meets the gradient tolerance rather than stalling on
     # round-off just above it
     spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), n=100, lambda_rule="o_of_n", lambda0=1.0,
-        r=0.5, kappa=10.0, replicates=200, seed=11,
+        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=1.0, r=0.5, kappa=10.0,
+        replicates=200, seed=11,
     )
-    batch = fit_replicates(spec, n=1600, start_at_ols=False)
+    batch = fit_replicates(spec, [1600], o_of_n(spec), start_at_ols=False)
     assert not batch.failed.any()
     assert batch.converged.all()
     assert np.all(batch.grad_norm_final <= 1e-8)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import pathlib
@@ -504,6 +505,35 @@ def test_jobs_parallel_same_bytes(tmp_path, command, text, csv):
     assert main([command, "--config", cfg, "--out", str(serial_dir)]) == 0
     assert main([command, "--config", cfg, "--out", str(parallel_dir), "--jobs", "3"]) == 0
     assert (serial_dir / csv).read_bytes() == (parallel_dir / csv).read_bytes()
+
+
+@pytest.mark.parametrize("seeds, pools", [("1, 2, 3", [3]), ("4", [])])
+def test_jobs_above_cell_count_opens_one_worker_per_cell(tmp_path, monkeypatch, seeds, pools):
+    # a pool forks all its workers at once, so --jobs 500 on three cells
+    # must ask for three; a stand-in pool records the request and maps in
+    # this process, so no process is started
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells):
+            return map(fn, cells)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg = write_config(tmp_path / "t.cfg", MC_BIAS_CFG.replace("1, 2, 3", seeds))
+    serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
+    assert main(["bias-mc", "--config", cfg, "--out", str(serial_dir)]) == 0
+    assert main(["bias-mc", "--config", cfg, "--out", str(parallel_dir), "--jobs", "500"]) == 0
+    assert opened == pools
+    assert (serial_dir / "bias_mc.csv").read_bytes() == (parallel_dir / "bias_mc.csv").read_bytes()
 
 
 def test_train_mlp_artifacts(tmp_path):

@@ -22,8 +22,15 @@ from gausspen.mlp import TrainConfig
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
-# sections every command may carry; penalty-table and train-mlp need them
-SHARED = "[penalty:g]\nfamily = gaussian\nkappa = 1\n\n[lambda]\nvalues = 0.1\n"
+# the shared sections a command reads, and needs: penalty-table and
+# train-mlp a [penalty:*], train-mlp a [lambda] too
+PENALTY = "[penalty:g]\nfamily = gaussian\nkappa = 1\n\n"
+SHARED = {"penalty-table": PENALTY, "train-mlp": PENALTY + "[lambda]\nvalues = 0.1\n\n"}
+
+
+def _head(command):
+    """A config for ``command`` up to the header of its own section."""
+    return f"[experiment]\ncommand = {command}\n\n{SHARED.get(command, '')}[{command}]\n"
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
@@ -90,7 +97,7 @@ def test_command_options_round_trip(command, data):
     chosen = data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
     written = {key: data.draw(WRITTEN[_parser(schema[key])]) for key in chosen}
     body = "".join(f"{key} = {text}\n" for key, (text, _) in written.items())
-    parsed = _parse_text(f"[experiment]\ncommand = {command}\n\n{SHARED}\n[{command}]\n{body}")
+    parsed = _parse_text(_head(command) + body)
     options = parsed.options
     for key, entry in schema.items():
         if key in written:
@@ -107,7 +114,7 @@ def test_command_options_round_trip(command, data):
 @given(st.sampled_from(sorted(COMMANDS)), st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True))
 def test_unknown_command_key_is_config_error(command, key):
     assume(key not in COMMANDS[command])
-    text = f"[experiment]\ncommand = {command}\n\n{SHARED}\n[{command}]\n{key} = 1\n"
+    text = _head(command) + f"{key} = 1\n"
     with pytest.raises(ConfigurationError, match=f"unknown key `{key}`"):
         _parse_text(text)
     code, err = _main_text(text, command)
@@ -180,6 +187,26 @@ def test_each_section_kind_rejects_a_misspelling(tmp_path, capsys, command, text
     err = capsys.readouterr().err
     assert "config error" in err and named in err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, section", [
+    ("bias-mc", "[penalty:lasso]\nfamily = lasso\n"),
+    ("bias-mc", "[lambda]\nvalues = 5\n"),
+    ("consistency-mc", "[penalty:g]\nfamily = gaussian\nkappa = 1\n"),
+    ("consistency-mc", "[lambda]\nlog_min = 0.1\nlog_max = 1\ncount = 3\n"),
+    ("ortho-scan", "[penalty:scad]\nfamily = scad\na = 3.7\n"),
+    ("ortho-scan", "[lambda]\nvalues = 5\n"),
+    ("penalty-table", "[lambda]\nvalues = 5\n"),
+    ("penalty-table", "[train-mlp]\n"),
+    ("bias-mc", "[consistency-mc]\nn_grid = 50\n"),
+    ("train-mlp", "[bias-mc]\n"),
+])
+def test_section_the_command_does_not_read_is_config_error(command, section):
+    # a bias-mc config with [penalty:lasso] and [lambda] once ran the
+    # Gaussian and exited 0, as if the penalty were the one it studies
+    header = section.split("\n")[0]
+    code, err = _main_text(section + "\n" + _head(command), command)
+    assert code == 1 and f"{header} is not read by {command}" in err
 
 
 CONSISTENCY = BIAS.replace("bias-mc", "consistency-mc").replace("n = 50", "n_grid = 50, 100")
@@ -286,7 +313,7 @@ FIELD_DEFAULTS = {
 @pytest.mark.parametrize("command", sorted(FIELD_DEFAULTS))
 def test_empty_section_takes_dataclass_defaults(tmp_path, command):
     path = tmp_path / "c.cfg"
-    path.write_text(f"[experiment]\ncommand = {command}\n\n{SHARED}\n[{command}]\n")
+    path.write_text(_head(command))
     options = parse_config(str(path)).options
     for key, (cls, name) in FIELD_DEFAULTS[command].items():
         default = {f.name: f.default for f in dataclasses.fields(cls)}[name]

@@ -22,11 +22,9 @@ from gausspen.data import (
     load_idx,
     make_blobs,
     parse_idx,
-    read_csv_dataset,
     serialize_idx,
     split,
     write_csv,
-    write_csv_dataset,
 )
 from gausspen.errors import ConfigurationError
 
@@ -238,17 +236,6 @@ def test_split_validation():
 # --- CSV ------------------------------------------------------------------------
 
 
-def test_csv_roundtrip(tmp_path):
-    dataset = make_blobs(3, 7, 4, 2.0, seed=15)
-    path = tmp_path / "data.csv"
-    write_csv_dataset(path, dataset)
-    header = path.read_text().splitlines()[0]
-    assert header.split(",")[-1] == "label"
-    again = read_csv_dataset(path)
-    assert np.array_equal(again.features, dataset.features)  # 17 digits round-trip
-    assert np.array_equal(again.labels, dataset.labels)
-
-
 # values whose shortest repr is not their 17-digit form, a signed zero and a
 # value near the bottom of the normal range
 AWKWARD = [[0.1, 1.0 / 3.0], [-0.0, 1e-300]]
@@ -259,15 +246,7 @@ def test_csv_bytes(tmp_path):
     path = tmp_path / "rows.csv"
     write_csv(path, ("a", "b", "c"), zip(*[(*AWKWARD[0], None), (*AWKWARD[1], "tag")]))
     assert path.read_bytes() == ("a,b,c\n" + AWKWARD_CELLS.format("", "tag")).encode()
-
-    dataset = LabeledDataset(np.array(AWKWARD), np.array([0, 2]))
-    path = tmp_path / "data.csv"
-    write_csv_dataset(path, dataset)
-    assert path.read_bytes() == ("x0,x1,label\n" + AWKWARD_CELLS.format(0, 2)).encode()
-    again = read_csv_dataset(path)
-    assert again.features.tobytes() == dataset.features.tobytes()  # -0.0 keeps its sign
-    assert np.array_equal(again.labels, dataset.labels)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "rows.csv"]  # no temp files
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]  # no temp files
 
 
 def _reference_cell(value):
