@@ -105,22 +105,33 @@ def triangular_lr(iteration, config, cycle):
     return (1.0 - t) * config.lr_min + t * config.lr_max
 
 
-def forward(weights, inputs):
-    """Forward pass; returns (logits, cache) with everything backward needs."""
+def _pass_arrays(weights, rows, cache=True):
+    """Per-layer (activations, pre-activations) that a forward pass over up to
+    ``rows`` examples writes.  Without ``cache`` each ReLU runs in place: the
+    pass then leaves its logits, but not what :func:`backward` reads."""
+    pre = [np.empty((rows, W.shape[1])) for W, _ in weights]
+    return [np.empty_like(z) if cache else z for z in pre[:-1]] + pre[-1:], pre
+
+
+def forward(weights, inputs, *, out=None):
+    """Forward pass; returns (logits, cache) with everything backward needs.
+
+    ``out`` takes :func:`_pass_arrays` arrays for the pass to write its first
+    ``len(inputs)`` rows into; by default they are fresh."""
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[1] != weights[0][0].shape[0]:
         raise ConfigurationError(
             f"input width {inputs.shape} does not match first layer {weights[0][0].shape}"
         )
-    activations = [inputs]
-    pre = []
-    a = inputs
+    rows = len(inputs)
+    act, pre = out if out is not None else _pass_arrays(weights, rows)
+    activations, pres = [inputs], []
     for i, (W, b) in enumerate(weights):
-        z = a @ W + b
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < len(weights) - 1 else z
-        activations.append(a)
-    return activations[-1], (activations, pre)
+        z = np.matmul(activations[-1], W, out=pre[i][:rows])
+        z += b
+        pres.append(z)
+        activations.append(np.maximum(z, 0.0, out=act[i][:rows]) if i < len(weights) - 1 else z)
+    return activations[-1], (activations, pres)
 
 
 def _log_softmax(logits):
@@ -141,17 +152,22 @@ def penalty_term(weights, penalty, lam):
     return lam * sum(float(np.sum(value_array(penalty, W))) for W, _ in weights)
 
 
-def composite_objective(weights, inputs, labels, penalty, lam):
-    logits, _ = forward(weights, inputs)
+def composite_objective(weights, inputs, labels, penalty, lam, *, out=None):
+    logits, _ = forward(weights, inputs, out=out)
     return cross_entropy(logits, labels) + penalty_term(weights, penalty, lam)
 
 
-def backward(weights, cache, labels, penalty, lam):
+def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
     """Gradient of mean cross-entropy plus the penalty term on the weights.
 
     A penalty with a kink at the origin contributes its subgradient 0 at a
     weight of exactly 0, so singular-at-origin families remain trainable
     from zero weights.
+
+    ``out`` takes (gW, gb) arrays shaped like ``weights``, and backward then
+    writes its deltas over ``cache``.  With ``lr`` it steps each layer by
+    ``lr`` times its gradient, which the returned arrays then hold, as soon as
+    the layer's weights have given the delta below.  By default every array is fresh.
     """
     activations, pre = cache
     batch = len(labels)
@@ -160,16 +176,25 @@ def backward(weights, cache, labels, penalty, lam):
     delta = probs
     delta[np.arange(batch), labels] -= 1.0
     delta /= batch
-    grads = [None] * len(weights)
+    grads = out if out is not None else [(np.empty_like(W), np.empty_like(b)) for W, b in weights]
     for i in range(len(weights) - 1, -1, -1):
-        W, _ = weights[i]
-        gW = activations[i].T @ delta
-        gb = delta.sum(axis=0)
+        W, b = weights[i]
+        gW, gb = grads[i]
+        np.matmul(activations[i].T, delta, out=gW)
+        np.sum(delta, axis=0, out=gb)
         if lam > 0.0 and penalty.family != "none":
-            gW += lam * grad_array(penalty, W)
-        grads[i] = (gW, gb)
+            pen = grad_array(penalty, W)
+            pen *= lam
+            gW += pen
         if i > 0:
-            delta = (delta @ W.T) * (pre[i - 1] > 0.0)
+            # a float 0/1 mask in place of pre[i - 1] multiplies like the bool one
+            mask = np.greater(pre[i - 1], 0.0, out=pre[i - 1] if out is not None else None)
+            delta = np.matmul(delta, W.T, out=activations[i] if out is not None else None)
+            delta *= mask
+        if lr is not None:
+            for grad, param in ((gW, W), (gb, b)):
+                grad *= lr
+                param -= grad
     return grads
 
 
@@ -178,7 +203,8 @@ def evaluate(weights, dataset):
     lowest class index (numpy argmax convention)."""
     if dataset.n < 1:
         raise ConfigurationError("test split is empty")
-    logits, _ = forward(weights, dataset.features)
+    logits_only = _pass_arrays(weights, dataset.n, cache=False)
+    logits, _ = forward(weights, dataset.features, out=logits_only)
     predicted = np.argmax(logits, axis=1)
     return float(np.mean(predicted != dataset.labels))
 
@@ -196,6 +222,11 @@ def train(train_set, val_set, test_set, arch, config):
     shuffle_rng = np.random.default_rng([config.seed, 1])
     n_train = train_set.n
     cycle = 4 * -(-n_train // config.batch_size)  # iterations in four epochs
+    # the run's working arrays; a short last batch uses their first rows
+    batch_x = np.empty((min(config.batch_size, n_train), train_set.features.shape[1]))
+    step_arrays = _pass_arrays(weights, len(batch_x))
+    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in weights]
+    logits_only = _pass_arrays(weights, max(n_train, val_set.n), cache=False)
 
     iteration = 0
     best_val = np.inf
@@ -211,17 +242,16 @@ def train(train_set, val_set, test_set, arch, config):
         for lo in range(0, n_train, config.batch_size):
             batch = order[lo:lo + config.batch_size]
             lr = triangular_lr(iteration, config, cycle)
-            logits, cache = forward(weights, train_set.features[batch])
-            grads = backward(weights, cache, train_set.labels[batch], config.penalty, config.lam)
-            for (W, b), (gW, gb) in zip(weights, grads):
-                W -= lr * gW
-                b -= lr * gb
+            # mode="clip" writes straight into out; "raise" would buffer a copy
+            x = np.take(train_set.features, batch, axis=0, out=batch_x[:len(batch)], mode="clip")
+            _, cache = forward(weights, x, out=step_arrays)
+            backward(weights, cache, train_set.labels[batch], config.penalty, config.lam,
+                     out=grads, lr=lr)
             iteration += 1
 
-        train_obj = composite_objective(
-            weights, train_set.features, train_set.labels, config.penalty, config.lam
-        )
-        val_logits, _ = forward(weights, val_set.features)
+        train_obj = composite_objective(weights, train_set.features, train_set.labels,
+                                        config.penalty, config.lam, out=logits_only)
+        val_logits, _ = forward(weights, val_set.features, out=logits_only)
         val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
         if not (np.isfinite(train_obj) and np.isfinite(val_loss)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
@@ -230,7 +260,8 @@ def train(train_set, val_set, test_set, arch, config):
         if val_loss < best_val:
             best_val = val_loss
             best_epoch = epoch
-            best_weights = [(W.copy(), b.copy()) for W, b in weights]
+            for (W_best, b_best), (W, b) in zip(best_weights, weights):
+                W_best[...], b_best[...] = W, b
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -269,7 +300,11 @@ def load_weights(path):
     version, n_sizes = _unpack(blob, "<4xII", 0, "header")
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}", 4)
+    if n_sizes < 2:
+        raise CheckpointFormatError(f"checkpoint has {n_sizes} layer sizes, need at least 2", 8)
     sizes = _unpack(blob, f"<{n_sizes}I", 12, "layer-size table")
+    if 0 in sizes:
+        raise CheckpointFormatError("checkpoint has a layer of size 0", 12 + 4 * sizes.index(0))
     shapes = list(zip(sizes[:-1], sizes[1:]))
     offset = 12 + 4 * n_sizes
     end = offset + 8 * sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes)

@@ -3,7 +3,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from gausspen.mlp import (
     CheckpointFormatError,
     MlpArchitecture,
     TrainConfig,
+    TrainRun,
     backward,
     composite_objective,
     cross_entropy,
@@ -24,7 +25,7 @@ from gausspen.mlp import (
     train,
     triangular_lr,
 )
-from gausspen.penalties import PenaltySpec
+from gausspen.penalties import PenaltySpec, grad_array, value_array
 
 
 def flatten(weights):
@@ -334,6 +335,159 @@ def test_training_deterministic():
     )
 
 
+# --- train against the allocate-per-step reference ---------------------------------
+
+
+def _reference_forward(weights, inputs):
+    activations, pre = [inputs], []
+    for i, (W, b) in enumerate(weights):
+        z = activations[-1] @ W + b
+        pre.append(z)
+        activations.append(np.maximum(z, 0.0) if i < len(weights) - 1 else z)
+    return activations, pre
+
+
+def _reference_backward(weights, activations, pre, labels, penalty, lam):
+    logits = activations[-1]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    delta = np.exp(shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True)))
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= len(labels)
+    grads = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        W, _ = weights[i]
+        gW = activations[i].T @ delta
+        if lam > 0.0 and penalty.family != "none":
+            gW += lam * grad_array(penalty, W)
+        grads[i] = (gW, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ W.T) * (pre[i - 1] > 0.0)
+    return grads
+
+
+def _reference_train(train_set, val_set, test_set, arch, config):
+    """The training protocol as one loop that allocates every array it
+    computes, step by step: the reference :func:`train` must match bit for bit."""
+    weights = init_weights(arch, config.seed)
+    shuffle_rng = np.random.default_rng([config.seed, 1])
+    n_train = train_set.n
+    cycle = 4 * -(-n_train // config.batch_size)
+    penalty, lam = config.penalty, config.lam
+
+    def objective(dataset):
+        logits = _reference_forward(weights, dataset.features)[0][-1]
+        return cross_entropy(logits, dataset.labels)
+
+    iteration, best_val, best_epoch, since = 0, np.inf, 0, 0
+    best_weights = [(W.copy(), b.copy()) for W, b in weights]
+    epoch_log, stop_reason = [], "max_epochs"
+    for epoch in range(1, config.max_epochs + 1):
+        lr_start = triangular_lr(iteration, config, cycle)
+        order = shuffle_rng.permutation(n_train)
+        for lo in range(0, n_train, config.batch_size):
+            batch = order[lo:lo + config.batch_size]
+            lr = triangular_lr(iteration, config, cycle)
+            activations, pre = _reference_forward(weights, train_set.features[batch])
+            grads = _reference_backward(weights, activations, pre, train_set.labels[batch],
+                                        penalty, lam)
+            for (W, b), (gW, gb) in zip(weights, grads):
+                W -= lr * gW
+                b -= lr * gb
+            iteration += 1
+        train_obj = objective(train_set)
+        if lam != 0.0:
+            train_obj += lam * sum(float(np.sum(value_array(penalty, W))) for W, _ in weights)
+        val_loss = objective(val_set) * val_set.n
+        epoch_log.append((epoch, train_obj, val_loss, lr_start))
+        if val_loss < best_val:
+            best_val, best_epoch, since = val_loss, epoch, 0
+            best_weights = [(W.copy(), b.copy()) for W, b in weights]
+        else:
+            since += 1
+            if since >= config.patience:
+                stop_reason = "patience"
+                break
+    logits = _reference_forward(best_weights, test_set.features)[0][-1]
+    error = float(np.mean(np.argmax(logits, axis=1) != test_set.labels))
+    return TrainRun(epoch_log, best_epoch, float(best_val), stop_reason, best_weights, error)
+
+
+def _run_bits(run):
+    return ([tuple(v.hex() if isinstance(v, float) else v for v in row) for row in run.epoch_log],
+            [(W.tobytes(), b.tobytes()) for W, b in run.weights],
+            run.best_epoch, run.best_val_loss.hex(), run.stop_reason, run.test_error_rate.hex())
+
+
+PROPERTY_PENALTIES = {
+    "none": PenaltySpec("none"),
+    "gaussian": PenaltySpec("gaussian", kappa=10.0),
+    "lasso": PenaltySpec("lasso"),
+    "arctan": PenaltySpec("arctan", gamma=2.0),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hidden=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+    batch_size=st.sampled_from([1, 5, 7, 8, 10, 16, 23, 40, 64]),
+    family=st.sampled_from(sorted(PROPERTY_PENALTIES)),
+    lam=st.sampled_from([0.0, 1e-3, 0.05]),
+    seed=st.integers(0, 50),
+    patience=st.integers(1, 4),
+    rates=st.just("cyclic"),
+)
+# learning rates too small to move any weight bit: the validation loss is
+# flat, so the run stops on patience right after its first epoch
+@example(hidden=[4], batch_size=16, family="gaussian", lam=0.05, seed=2, patience=3,
+         rates="flat")
+def test_train_matches_allocating_reference(hidden, batch_size, family, lam, seed, patience,
+                                            rates):
+    # 40 training rows: the batch sizes include divisors (5, 8, 10, 40),
+    # non-divisors that leave a short last batch (7, 16, 23) and one above
+    # the row count
+    tr, va, te = toy_splits(seed=seed % 7, classes=4, per_class=20, dimension=3)
+    assert tr.n == 40
+    arch = MlpArchitecture((3, *hidden, 4))
+    flat = {"lr_min": 1e-30, "lr_max": 2e-30} if rates == "flat" else {}
+    config = TrainConfig(penalty=PROPERTY_PENALTIES[family], lam=lam, batch_size=batch_size,
+                         patience=patience, max_epochs=12, seed=seed, **flat)
+    run = train(tr, va, te, arch, config)
+    assert _run_bits(run) == _run_bits(_reference_train(tr, va, te, arch, config))
+    if rates == "flat":
+        assert run.stop_reason == "patience"
+        assert run.best_epoch == 1 and len(run.epoch_log) == 1 + patience
+
+
+def test_results_do_not_change_after_later_calls():
+    # a run keeps its working arrays to itself: nothing a call returns is a
+    # view of an array that a later call writes
+    tr, va, te = toy_splits(seed=8, classes=3, per_class=30, dimension=4)
+    arch = MlpArchitecture((4, 6, 5, 3))
+    penalty = PenaltySpec("gaussian", kappa=10.0)
+    weights = init_weights(arch, seed=1)
+    logits, cache = forward(weights, tr.features)
+    grads = backward(weights, cache, tr.labels, penalty, 0.1)
+    config = TrainConfig(penalty=penalty, lam=0.01, batch_size=7, max_epochs=5, seed=2)
+    run = train(tr, va, te, arch, config)
+    kept = (logits.copy(), [a.copy() for a in cache[0]],
+            [(gW.copy(), gb.copy()) for gW, gb in grads],
+            [(W.copy(), b.copy()) for W, b in run.weights])
+
+    # the same shapes again, with other weights, data and settings
+    other = init_weights(arch, seed=3)
+    _, other_cache = forward(other, tr.features[::-1])
+    backward(other, other_cache, tr.labels[::-1], penalty, 0.5)
+    train(tr, va, te, arch, TrainConfig(penalty=penalty, lam=0.5, batch_size=7, max_epochs=5,
+                                        seed=4))
+    evaluate(other, te)
+    assert logits.tobytes() == kept[0].tobytes()
+    assert all(a.tobytes() == k.tobytes() for a, k in zip(cache[0], kept[1]))
+    for (gW, gb), (kW, kb) in zip(grads, kept[2]):
+        assert gW.tobytes() == kW.tobytes() and gb.tobytes() == kb.tobytes()
+    for (W, b), (kW, kb) in zip(run.weights, kept[3]):
+        assert W.tobytes() == kW.tobytes() and b.tobytes() == kb.tobytes()
+
+
 def test_checkpoint_reproduces_best_val_loss(tmp_path):
     tr, va, te = toy_splits(seed=6)
     path = tmp_path / "best.mlpw"
@@ -387,6 +541,14 @@ def test_malformed_checkpoints_raise_typed_errors(tmp_path):
     assert offset_of(raw + b"\0") == len(raw)
     assert offset_of(b"NOPE" + raw[4:]) == 0
     assert offset_of(raw[:4] + (2).to_bytes(4, "little") + raw[8:]) == 4
+    # a size count below 2 or a layer size of 0, which save_weights never writes
+    header = raw[:8]
+    assert offset_of(header + (0).to_bytes(4, "little")) == 8
+    assert offset_of(header + (1).to_bytes(4, "little") + (3).to_bytes(4, "little")) == 8
+    for i in range(3):
+        sizes = raw[12:24]
+        zeroed = sizes[:4 * i] + bytes(4) + sizes[4 * i + 4:]
+        assert offset_of(raw[:12] + zeroed + raw[24:]) == 12 + 4 * i
 
 
 # --- checkpoint properties -------------------------------------------------------
