@@ -255,5 +255,8 @@ def run_consistency_experiment(spec, n_grid):
         errs = [float(np.linalg.norm(beta_hat - spec.beta_true)) for beta_hat in beta_hats[~failed]]
         if failed.sum() > MAX_FAILED_FRACTION * spec.replicates:
             raise ExperimentError(f"{failed.sum()}/{spec.replicates} replicates diverged at n={n}")
-        table.append((n, float(np.median(errs))))
+        # np.median's value, bit for bit, without its first-call import of numpy.ma
+        errs.sort()
+        mid = len(errs) // 2
+        table.append((n, errs[mid] if len(errs) % 2 else (errs[mid - 1] + errs[mid]) / 2))
     return table

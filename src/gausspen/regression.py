@@ -12,7 +12,10 @@ For an orthonormal design (X'X = I) the problem separates per coordinate into
 
     f(b) = -2 * beta_ols * b + b^2 + lam_1d * (1 - exp(-kappa b^2)),
 
-where ``lam_1d = n * lam`` under the 1/n loss normalization above.
+where ``lam_1d = n * lam`` under the 1/n loss normalization above.  Its
+roots come from two ports of scipy's ``brentq`` that agree to the bit: one in
+Python floats for a lone lambda, and one vectorized for a grid, where a Brent
+step's tens of microseconds of numpy overhead are shared.
 """
 
 import math
@@ -298,20 +301,70 @@ def _libm(fn, x):
     return np.fromiter(map(fn, x.tolist()), float, x.size)
 
 
+def _brentq_scalar(f, xa, xb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """A root of ``f`` in [xa, xb] by Brent's method: a line-by-line port of
+    scipy's ``brentq`` (its C source ``Zeros/brentq.c``), defaults included,
+    over Python floats, so it returns scipy's roots to the bit.  On return a
+    sign change of f (or a zero) lies within ``xtol + rtol*|x|`` of ``x``.
+    Raises ValueError when f(xa) and f(xb) have the same sign or f returns
+    NaN, and RuntimeError after ``maxiter`` steps without convergence.
+    """
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate; C's inf or NaN from an underflowed divisor bisects
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {maxiter} iterations, last x = {xcur!r}")
+
+
 def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
     """Roots of ``f`` in the brackets [xa[i], xb[i]] by Brent's method, all
     brackets at once; ``f(x, i)`` returns f at the points ``x`` of the
     brackets ``i`` (an index array into ``xa``).
 
-    Each bracket takes exactly the steps of a line-by-line port of scipy's
-    ``brentq`` (its C source ``Zeros/brentq.c``), defaults included, so it
+    Each bracket takes exactly the steps of :func:`_brentq_scalar`, the
+    line-by-line port of scipy's ``brentq``, defaults included, so it
     returns scipy's roots to the bit, alone or in any batch: every branch is
     computed for the batch and each bracket's own is selected, and a bracket
-    leaves the batch once it has converged.  On return a sign change of f
-    (or a zero) lies within ``xtol + rtol*|x[i]|`` of ``x[i]``.  Raises
-    ValueError when f has the same sign at both ends of a bracket or returns
-    NaN, and RuntimeError when a bracket has not converged after ``maxiter``
-    steps.
+    leaves the batch once it has converged.  It returns and raises what the
+    scalar port does, bracket by bracket; one bad bracket fails the batch.
     """
     xpre = np.asarray(xa, dtype=float)
     xcur = np.asarray(xb, dtype=float)
@@ -380,9 +433,9 @@ def _brentq(f, xa, xb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100)
 
 
 def _profiles(beta_ols, lams, kappa):
-    """:func:`solve_orthonormal` at every lambda of ``lams`` at once: one
-    :func:`_brentq` batch finds the knots of every lambda, and one more the
-    root in every piece with a sign change; each profile is the one
+    """:func:`solve_orthonormal` at every lambda of a grid ``lams`` at once:
+    one :func:`_brentq` batch finds the knots of every lambda, and one more
+    the root in every piece with a sign change; each profile is the one
     ``solve_orthonormal`` gives for its lambda alone, to the bit.  The
     errors are those of the first lambda in ``lams`` that has one.
     """
@@ -393,13 +446,8 @@ def _profiles(beta_ols, lams, kappa):
     with np.errstate(over="ignore", invalid="ignore"):
         in_range = np.isfinite(4.0 * lams * kappa * hi) & math.isfinite(2.0 * hi * hi)
     bad = (lams < 0) | ~in_range
-    if bad.any():
-        lam = float(lams[bad][0])
-        if lam < 0:
-            raise ConfigurationError("lam must be nonnegative")
-        raise ConfigurationError(
-            f"orthonormal profile out of range at beta_ols = {beta_ols!r}, lam = {lam!r}, "
-            f"kappa = {kappa!r}: its values or slopes are not finite doubles")
+    if bad.any():  # the scalar solve raises that lambda's error
+        solve_orthonormal(beta_ols, float(lams[bad][0]), kappa)
     c = lams * kappa
     coef = 2.0 * lams * kappa  # of f'(b) = -2 beta_ols + 2b + coef b exp(-kappa b^2)
 
@@ -468,13 +516,57 @@ def solve_orthonormal(beta_ols, lam, kappa):
     nowhere if 2c exp(-3/2) <= 1 (g's minimum, at u = 3/2), else once in (1/2, 3/2)
     and once in (3/2, 2 ln(4c)).  The knots +-sqrt(u/kappa) cut [-|beta_ols|-1,
     |beta_ols|+1], outside which f' keeps its sign, into at most five pieces on which
-    f' is monotone; a sign change over a piece brackets its one root for _brentq.
-    Minima are the roots with f'' > 0; a single minimum is a valid profile.
+    f' is monotone; a sign change over a piece brackets its one root for
+    _brentq_scalar.  Minima are the roots with f'' > 0; a single minimum is a
+    valid profile.  One lambda is solved in Python floats; a grid, to the
+    same bits, by _profiles.
     An input whose minimum values (about -beta_ols^2) or terms of f' on that
     interval (up to 2 lam kappa (|beta_ols| + 1)) are not finite doubles is a
     ConfigurationError.
     """
-    return _profiles(beta_ols, [lam], kappa)[0]
+    if kappa <= 0:
+        raise ConfigurationError("kappa must be positive")
+    if lam < 0:
+        raise ConfigurationError("lam must be nonnegative")
+    # Python floats: numpy scalars would warn where a double overflows
+    b0, lam, k = float(beta_ols), float(lam), float(kappa)
+    hi = abs(b0) + 1.0
+    if not (math.isfinite(2.0 * hi * hi) and math.isfinite(4.0 * lam * k * hi)):
+        raise ConfigurationError(
+            f"orthonormal profile out of range at beta_ols = {beta_ols!r}, lam = {lam!r}, "
+            f"kappa = {kappa!r}: its values or slopes are not finite doubles")
+    c = lam * k
+
+    def fprime(b):
+        return -2.0 * b0 + 2.0 * b + 2.0 * lam * k * b * math.exp(-k * b * b)
+
+    points = [-hi, hi]
+    if 2.0 * c * math.exp(-1.5) > 1.0:
+        for lo, up in ((0.5, 1.5), (1.5, 2.0 * math.log(4.0 * c))):
+            u = _brentq_scalar(lambda u: 1.0 + c * math.exp(-u) * (1.0 - 2.0 * u), lo, up)
+            knot = math.sqrt(u / k)
+            if knot < hi:
+                points += [-knot, knot]
+    points.sort()
+    fp = [fprime(b) for b in points]
+    roots = [b for b, v in zip(points, fp) if v == 0.0]
+    # a root tolerance well below 1/sqrt(kappa), the width of the pieces around 0
+    xtol = min(1e-14, 1e-6 / math.sqrt(k))
+    for i in range(len(points) - 1):
+        if fp[i] * fp[i + 1] < 0.0:
+            roots.append(_brentq_scalar(fprime, points[i], points[i + 1], xtol=xtol, rtol=8.9e-16))
+
+    minima = []
+    for r in sorted(roots):
+        u = k * r * r
+        e = math.exp(-u)  # 0 wherever 1 - 2u could overflow
+        curvature = 2.0 + (2.0 * lam * k * e * (1.0 - 2.0 * u) if e else 0.0)
+        if curvature > 0.0:
+            minima.append((r, orthonormal_objective(b0, r, lam, k), curvature))
+    if not minima:  # unreachable: the objective is coercive, the brackets sound
+        raise DivergenceError("no local minimum found on the search interval")
+    global_index = min(range(len(minima)), key=lambda i: (minima[i][1], abs(minima[i][0])))
+    return MinimaProfile(lam, minima, global_index)
 
 
 def lambda_phase_scan(beta_ols, kappa, lambda_grid):
@@ -482,9 +574,10 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
     lambda* at which the global minimum jumps basins.
 
     The grid is profiled in one batch (:func:`_profiles`); lambda* is then
-    found by Brent's method on the gap between the two minima, over the
-    first grid step where it turns nonpositive, reusing the gaps already
-    computed at that step's ends.  Returns ``(profiles, lambda_star)``;
+    found by the scalar Brent port on the gap between the two minima, over
+    the first grid step where it turns nonpositive: the gaps at that step's
+    ends come from the grid, and every other lambda it tries is one
+    :func:`solve_orthonormal`.  Returns ``(profiles, lambda_star)``;
     ``lambda_star`` is None when the two local minima never trade places
     inside the grid span.
     """
@@ -510,14 +603,13 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
     glo = next(gaps)
     for lo, hi, ghi in zip(lambda_grid, lambda_grid[1:], gaps):
         if glo > 0.0 and ghi <= 0.0:
-            known = {lo: glo, hi: ghi}
+            ends = {lo: glo, hi: ghi}
 
-            def gap(x, i):
-                lam = float(x[0])
-                if lam not in known:
-                    known[lam] = profile_gap(_profiles(beta_ols, [lam], kappa)[0])
-                return np.array([known[lam]])
+            def gap(lam):
+                if lam in ends:
+                    return ends[lam]
+                return profile_gap(solve_orthonormal(beta_ols, lam, kappa))
 
-            return profiles, float(_brentq(gap, [lo], [hi], xtol=1e-10)[0])
+            return profiles, _brentq_scalar(gap, lo, hi, xtol=1e-10)
         glo = ghi
     return profiles, None

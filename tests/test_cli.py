@@ -200,6 +200,26 @@ def test_ortho_scan_end_to_end(tmp_path):
     assert 8.5 <= lam_star <= 9.3
 
 
+def test_lambda_star_depends_only_on_its_grid_step(tmp_path):
+    # lambda* is searched for on the first grid step where the gap between
+    # the two minima turns nonpositive: a scan of that step's two lambdas
+    # alone must give the full run's lambda_star row, byte for byte
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "ortho_scan.cfg"
+    step = "8.0999999999999996, 9.0999999999999996"
+    cfg = write_config(tmp_path / "step.cfg", shipped.read_text() + f"lambda_values = {step}\n")
+    rows = {}
+    for name, path in (("full", str(shipped)), ("step", cfg)):
+        assert main(["ortho-scan", "--config", path, "--out", str(tmp_path / name)]) == 0
+        rows[name] = (tmp_path / name / "ortho_scan.csv").read_text().splitlines()
+    lams = sorted({row.split(",")[1] for row in rows["full"] if row.startswith("minimum,")},
+                  key=float)
+    star = [row for row in rows["full"] if row.startswith("lambda_star,")]
+    assert len(star) == 1
+    lo = max(lam for lam in lams if float(lam) < float(star[0].split(",")[1]))
+    assert step == f"{lo}, {lams[lams.index(lo) + 1]}"
+    assert [row for row in rows["step"] if row.startswith("lambda_star,")] == star
+
+
 def test_penalty_table_matches_figure_curves(tmp_path):
     cfg = write_config(
         tmp_path / "p.cfg",
@@ -822,3 +842,18 @@ def test_import_loads_no_scipy(tmp_path):
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_consistency_mc_loads_no_numpy_ma(tmp_path):
+    # np.median imports numpy.ma on its first call, about 14 ms of every
+    # consistency-mc process; the experiment takes its medians without it
+    cfg = write_config(tmp_path / "c.cfg", "[experiment]\ncommand = consistency-mc\n"
+                       "[consistency-mc]\nbeta = 1, -2\nreplicates = 4\nn_grid = 20, 40\n")
+    code = ("import sys\nfrom gausspen.cli import main\n"
+            f"assert main(['consistency-mc', '--config', {cfg!r}, '--out', 'out']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["out/consistency_mc.csv", "False"]

@@ -15,6 +15,8 @@ from gausspen.regression import (
     GRAD_TOL,
     LinearProblem,
     _brentq,
+    _brentq_scalar,
+    _profiles,
     fit,
     fit_batch,
     lambda_phase_scan,
@@ -498,6 +500,23 @@ def test_phase_scan_profiles_match_single_solves(beta_ols, kappa, below, above):
         _bits(solve_orthonormal(beta_ols, lam, kappa)) for lam in grid]
 
 
+def _profile_or_error(solve, *args):
+    try:
+        return _bits(solve(*args))
+    except ConfigurationError as err:
+        return str(err)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(), st.floats(), st.floats())
+def test_solve_orthonormal_matches_a_batch_of_one(beta_ols, lam, kappa):
+    # the scalar solve of one lambda and the batched solve of a grid are each
+    # other's reference: the same profile to the bit, or the same error, for
+    # every float input
+    assert _profile_or_error(solve_orthonormal, beta_ols, lam, kappa) == _profile_or_error(
+        lambda *args: _profiles(*args)[0], beta_ols, [lam], kappa)
+
+
 def test_phase_scan_no_crossing():
     profiles, lambda_star = lambda_phase_scan(3.0, 10.0, [0.1, 0.4, 0.7])
     assert lambda_star is None
@@ -596,10 +615,22 @@ def test_brentq_batch_matches_each_bracket_alone(brackets, xtol, rtol):
 
     ends = np.array([bracket[3:] for bracket in brackets])
     batch = _brentq(f, ends[:, 0], ends[:, 1], xtol=xtol, rtol=rtol, maxiter=10_000)
-    for k in range(len(brackets)):
-        alone = _brentq(lambda x, i: f(x, i + k), ends[k:k + 1, 0], ends[k:k + 1, 1],
-                        xtol=xtol, rtol=rtol, maxiter=10_000)
-        assert float(batch[k]).hex() == float(alone[0]).hex()
+    # the scalar port, over Python floats, is the reference for every bracket
+    for k, (name, r, s, a, b) in enumerate(brackets):
+        alone = _brentq_scalar(lambda x: _ROOT_FUNCTIONS[name](x, r, s), a, b,
+                               xtol=xtol, rtol=rtol, maxiter=10_000)
+        assert float(batch[k]).hex() == alone.hex()
+
+
+def test_brentq_underflowed_divisor_bisects():
+    # with values near 1e-200, the extrapolation's divisor underflows to 0;
+    # in C (and numpy) the step is then inf or NaN and Brent bisects
+    def f(x):
+        return 1e-200 * (x ** 3 - 2.0)
+
+    root = _brentq_scalar(f, 0.0, 10.0)
+    assert root.hex() == float(_brentq(_batch(f), np.array([0.0]), np.array([10.0]))[0]).hex()
+    assert abs(root - 2.0 ** (1.0 / 3.0)) < 1e-11
 
 
 def test_brentq_error_contract():
@@ -620,3 +651,11 @@ def test_brentq_error_contract():
     roots = _brentq(_batch(lambda x: x * x - 1.0), np.array([1.0, 0.0, -3.0]),
                     np.array([3.0, 3.0, 0.0]))
     assert roots[0] == 1.0 and abs(roots[1] - 1.0) < 1e-11 and abs(roots[2] + 1.0) < 1e-11
+    # the scalar port keeps the same contract
+    with pytest.raises(ValueError, match="different signs"):
+        _brentq_scalar(lambda x: x * x + 1.0, -1.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        _brentq_scalar(lambda x: math.nan if 0.0 < x < 10.0 else x - 5.0, 0.0, 10.0)
+    with pytest.raises(RuntimeError, match="no convergence after 1 iterations"):
+        _brentq_scalar(lambda x: x ** 3 - 2.0, 0.0, 10.0, maxiter=1)
+    assert _brentq_scalar(lambda x: x, 0.0, 1.0) == 0.0
