@@ -9,7 +9,7 @@ weight to lam_n ~ 5n instead and the error stalls above a floor.
 
 import numpy as np
 
-from gausspen import SimSpec, run_consistency_experiment
+from gausspen import PenaltySpec, SimSpec, run_consistency_experiment
 
 N_GRID = [100, 400, 1600, 6400]
 
@@ -17,7 +17,8 @@ N_GRID = [100, 400, 1600, 6400]
 def main():
     good = SimSpec(
         beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0,
-        lambda0=1.0, r=0.5, kappa=10.0, replicates=100, seed=1,
+        lambda0=1.0, r=0.5, penalty=PenaltySpec("gaussian", kappa=10.0),
+        replicates=100, seed=1,
     )
     table = run_consistency_experiment(good, N_GRID)
     print("lam_n = sqrt(n): median ||estimate - beta||_2")
@@ -28,7 +29,8 @@ def main():
 
     bad = SimSpec(
         beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0,
-        lambda0=5.0, r=0.999, kappa=10.0, replicates=100, seed=1,
+        lambda0=5.0, r=0.999, penalty=PenaltySpec("gaussian", kappa=10.0),
+        replicates=100, seed=1,
     )
     table = run_consistency_experiment(bad, N_GRID)
     print("\nlam_n ~ 5n (too fast): the error no longer vanishes")

@@ -12,7 +12,6 @@ stratified splits).
 from .asymptotics import (
     BiasReport,
     SimSpec,
-    ridge_rootn_bias,
     run_bias_experiment,
     run_consistency_experiment,
     simulate_linear_data,

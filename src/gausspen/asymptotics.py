@@ -1,12 +1,15 @@
 """Monte Carlo checks of the penalized estimator's large-sample behavior.
 
-Two regimes are exercised for the Gaussian-penalized least-squares estimator:
+Two regimes are exercised for least squares under any penalty of the table
+in :mod:`~gausspen.penalties`:
 
 * consistency when the penalty weight grows strictly slower than n
   (instantiated as lam_n = lam0 * n^r with r < 1), and
-* the sqrt(n) limit law, whose mean -- the asymptotic bias -- has the closed
-  form  -lam0 * kappa * C^{-1} (beta * exp(-kappa beta^2))  and vanishes
-  exponentially fast in |beta|.
+* the sqrt(n) limit law, whose mean -- the asymptotic bias -- is
+  -(lam0 / 2) * C^{-1} P'(beta) wherever no coordinate of beta sits at a
+  kink (Knight & Fu 2000, "Asymptotics for lasso-type estimators"): for the
+  Gaussian penalty it vanishes exponentially fast in |beta|, for ridge it
+  grows with it.
 
 A :class:`SimSpec` holds what the two experiments share: the model, the
 penalty and the replicates.  Each experiment takes its own sample sizes and
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
-from .penalties import PenaltySpec
+from .penalties import PenaltySpec, grad_array
 from .regression import LinearProblem, fit_batch
 
 #: largest tolerated fraction of diverged replicates before the report aborts
@@ -39,16 +42,18 @@ MAX_FAILED_FRACTION = 0.05
 @dataclass
 class SimSpec:
     """One simulated-regression configuration, at every sample size: the
-    model (``beta_true``, ``C``, ``sigma``), the penalty (``lambda0``, the
-    exponent ``r < 1`` of the consistency rule, ``kappa``) and the
-    replicates.  The sample sizes are the experiment's."""
+    model (``beta_true``, ``C``, ``sigma``), the penalty weight (``lambda0``
+    and the exponent ``r < 1`` of the consistency rule), the penalty shape
+    (``penalty``, a :class:`~gausspen.penalties.PenaltySpec`, by default the
+    Gaussian of kappa 10) and the replicates.  The sample sizes are the
+    experiment's."""
 
     beta_true: np.ndarray
     C: np.ndarray
     sigma: float
     lambda0: float = 1.0
     r: float = 0.5
-    kappa: float = 10.0
+    penalty: PenaltySpec = PenaltySpec()
     replicates: int = 100
     seed: int = 0
 
@@ -139,29 +144,26 @@ def _draw(spec, chol, noise, n):
     return columns, y
 
 
-def theoretical_rootn_bias(C, beta_true, lambda0, kappa):
-    """Mean of the sqrt(n) limit law: -lam0*kappa*C^{-1}(beta*exp(-kappa beta^2)).
+def theoretical_rootn_bias(C, beta_true, lambda0, penalty):
+    """Mean of the sqrt(n) limit law under lam_n = lam0 * sqrt(n):
+    -(lam0 / 2) * C^{-1} P'(beta), with P' from ``penalty``'s table entry.
 
-    The limit criterion is a convex quadratic in the local parameter whose
-    linear term carries the penalty slope at beta; its argmin has this mean
-    because the Gaussian noise term is centered.
+    The limit criterion u'Cu + lam0 * u'P'(beta) - 2u'W is a convex
+    quadratic in the local parameter u; its argmin has this mean because the
+    Gaussian noise term W is centered.  A penalty with a kink at 0 and a zero
+    coordinate of beta puts |u_j| in the criterion instead, whose argmin has
+    no closed-form mean: that is a :class:`ConfigurationError`.
     """
     C = np.asarray(C, dtype=float)
     beta_true = np.asarray(beta_true, dtype=float).ravel()
-    slope = beta_true * np.exp(-kappa * beta_true**2)
+    if penalty.slope_at_zero() > 0 and not beta_true.all():
+        raise ConfigurationError(
+            f"the sqrt(n) limit law of {penalty.label()} has no closed-form mean "
+            "where a coordinate of beta is 0")
     try:
-        return -lambda0 * kappa * np.linalg.solve(C, slope)
+        return -(lambda0 / 2) * np.linalg.solve(C, grad_array(penalty, beta_true))
     except np.linalg.LinAlgError:
         raise ConfigurationError("C must be invertible") from None
-
-
-def ridge_rootn_bias(C, beta_true, lambda0):
-    """Ridge analogue of the limit-law mean, -lam0 * C^{-1} beta: grows
-    linearly in beta where the Gaussian penalty's bias decays exponentially.
-    Provided for comparison plots only."""
-    C = np.asarray(C, dtype=float)
-    beta_true = np.asarray(beta_true, dtype=float).ravel()
-    return -lambda0 * np.linalg.solve(C, beta_true)
 
 
 def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
@@ -183,7 +185,6 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
     if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")
     reps, p, grid = spec.replicates, spec.p, len(n_grid)
-    pen = PenaltySpec("gaussian", kappa=spec.kappa)
     lam = [lam_n(n) / n for n in n_grid]
     chol = _cholesky(spec.C)
     gram, xty, yty = np.empty((grid, reps, p, p)), np.empty((grid, reps, p)), np.empty((grid, reps))
@@ -205,20 +206,23 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
     ols = np.concatenate(ols)[:, :, 0]
     starts = ols[:, None] if start_at_ols else np.stack([np.zeros_like(ols), ols], axis=1)
     return fit_batch(gram.reshape(-1, p, p), xty.reshape(-1, p), yty.ravel(),
-                     np.repeat(n_grid, reps), pen, np.repeat(lam, reps), starts)
+                     np.repeat(n_grid, reps), spec.penalty, np.repeat(lam, reps), starts)
 
 
 def run_bias_experiment(spec, n):
     """Monte Carlo check of the sqrt(n) limit law's mean at sample size n,
     under lam_n = lam0 * sqrt(n).
 
-    Fits the penalized estimator per replicate (started at the unpenalized
-    solution), aggregates sqrt(n)*(beta_hat - beta), and compares against
-    :func:`theoretical_rootn_bias` coordinate by coordinate via z-scores.
+    Computes :func:`theoretical_rootn_bias` first, so a penalty and beta
+    without a closed-form limit mean fail before any draw.  Then fits the
+    penalized estimator per replicate (started at the unpenalized solution),
+    aggregates sqrt(n)*(beta_hat - beta), and compares against the limit
+    mean coordinate by coordinate via z-scores.
 
     Diverged replicates are dropped and counted; more than
     ``MAX_FAILED_FRACTION`` of them raises :class:`ExperimentError`.
     """
+    theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.penalty)
     batch = fit_replicates(spec, [n], lambda n: spec.lambda0 * math.sqrt(n))
     failed = int(batch.failed.sum())
     if failed > MAX_FAILED_FRACTION * spec.replicates:
@@ -230,7 +234,6 @@ def run_bias_experiment(spec, n):
         se = errors.std(axis=0, ddof=1) / math.sqrt(len(errors))
     else:
         se = np.full(spec.p, np.nan)
-    theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.kappa)
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(mean - theo) / se
     unconverged = int(np.count_nonzero(~batch.converged[used]))

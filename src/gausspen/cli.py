@@ -101,7 +101,8 @@ def _sim_spec(options, seed):
         beta_true=beta, C=np.diag(np.ones(beta.size) if c_diag is None else c_diag),
         sigma=options["sigma"], lambda0=options["lambda0"],
         r=options.get("exponent", asymptotics.SimSpec.r),  # only consistency-mc has one
-        kappa=options["kappa"], replicates=options["replicates"], seed=seed,
+        penalty=penalties.PenaltySpec("gaussian", kappa=options["kappa"]),
+        replicates=options["replicates"], seed=seed,
     )
 
 
@@ -165,7 +166,8 @@ def _mlp_splits(options):
 
 
 def _slug(label, lam, seed):
-    return re.sub(r"[^A-Za-z0-9.]+", "-", f"{label}_lam{lam:g}_seed{seed}").strip("-")
+    text = f"{label}_lam{penalties.float_text(lam)}_seed{seed}"  # distinct lambdas, distinct names
+    return re.sub(r"[^A-Za-z0-9.]+", "-", text).strip("-")
 
 
 def _train_cell(args):

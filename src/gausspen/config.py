@@ -18,9 +18,9 @@ train-mlp reads ``[lambda]``; a section the command does not read, another
 command's included, is a configuration error.  ``COMMANDS`` maps each
 command to the schema of its own section.  A schema maps a key to its
 parser alone (a required key) or to ``(parser, default)``, the default of
-the ``SimSpec`` or ``TrainConfig`` field it sets if it sets one.  Every
-section is parsed against its schema into typed values with the defaults
-filled in; reading a required key that is not set raises
+the ``SimSpec``, ``PenaltySpec`` or ``TrainConfig`` field it sets if it sets
+one.  Every section is parsed against its schema into typed values with the
+defaults filled in; reading a required key that is not set raises
 :class:`ConfigurationError`.  Any other section name, and any key that a
 section's schema does not list, is a configuration error.  Parse problems
 are collected and reported all at once.
@@ -39,6 +39,15 @@ from .mlp import TrainConfig
 from .penalties import PARAMETER, PenaltySpec
 
 
+def _accepts(what):
+    """Mark a parser with ``what`` it accepts, in words, for error messages."""
+    def mark(parse):
+        parse.what = what
+        return parse
+    return mark
+
+
+@_accepts("a list of numbers")
 def _floats(text):
     return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
@@ -47,8 +56,9 @@ def _ints(text):
     return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
 
-def _checked(parse, ok):
+def _checked(parse, ok, what):
     """``parse``, rejecting as malformed a value for which ``ok`` is false."""
+    @_accepts(what)
     def checked(text):
         value = parse(text)
         if not ok(value):
@@ -60,18 +70,21 @@ def _checked(parse, ok):
 MAX_GRID = 1_000_000  # most points a grid may hold, checked before it is built
 MAX_MATRIX = 100_000_000  # most elements a blob or weight matrix may hold (800 MB)
 
-_number = _checked(float, math.isfinite)
-_positive = _checked(_number, lambda v: v > 0)
-_nonnegative = _checked(_number, lambda v: v >= 0)
-_below_one = _checked(_number, lambda v: v < 1)
-_finites = _checked(_floats, lambda v: v and all(map(math.isfinite, v)))
-_positives = _checked(_floats, lambda v: all(0 < x < math.inf for x in v))
-_count = _checked(int, lambda v: 1 <= v <= MAX_GRID)
+_number = _checked(float, math.isfinite, "a finite number")
+_positive = _checked(_number, lambda v: v > 0, "a finite positive number")
+_nonnegative = _checked(_number, lambda v: v >= 0, "a finite nonnegative number")
+_below_one = _checked(_number, lambda v: v < 1, "a finite number below 1")
+_finites = _checked(_floats, lambda v: v and all(map(math.isfinite, v)),
+                    "a nonempty list of finite numbers")
+_positives = _checked(_floats, lambda v: all(0 < x < math.inf for x in v),
+                      "a list of finite positive numbers")
+_count = _checked(int, lambda v: 1 <= v <= MAX_GRID, f"a positive integer up to {MAX_GRID}")
 # strictly increasing: sorted and each size once
-_sizes = _checked(_ints, lambda v: v and 1 <= v[0] and v[-1] <= MAX_GRID and v == sorted(set(v)))
-_positive_int = _checked(int, lambda v: v >= 1)
-_unsigned = _checked(int, lambda v: v >= 0)
-_widths = _checked(_ints, lambda v: v and min(v) >= 1)
+_sizes = _checked(_ints, lambda v: v and 1 <= v[0] and v[-1] <= MAX_GRID and v == sorted(set(v)),
+                  f"a nonempty strictly increasing list of positive integers up to {MAX_GRID}")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_unsigned = _checked(int, lambda v: v >= 0, "an unsigned integer")
+_widths = _checked(_ints, lambda v: v and min(v) >= 1, "a nonempty list of positive integers")
 
 
 class _Repeated(ValueError):
@@ -87,6 +100,7 @@ def _distinct(values):
     return values
 
 
+@_accepts("a list of distinct finite nonnegative numbers")
 def _lambdas(text):
     values = _floats(text)
     if not all(0 <= v < math.inf for v in values):
@@ -94,9 +108,11 @@ def _lambdas(text):
     return _distinct(values)
 
 
-_grid = _checked(_lambdas, lambda v: v and v == sorted(v))  # distinct, so strictly increasing
+_grid = _checked(_lambdas, lambda v: v and v == sorted(v),  # distinct, so strictly increasing
+                 "a nonempty strictly increasing list of finite nonnegative numbers")
 
 
+@_accepts("a nonempty list of distinct unsigned integers")
 def _seeds(text):
     seeds = _ints(text)
     if not seeds or any(s < 0 for s in seeds):
@@ -107,36 +123,16 @@ def _seeds(text):
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
+@_accepts("a flag (1/true/yes or 0/false/no)")
 def _flag(text):
     if text.lower() not in _FLAGS:
         raise ValueError(text)
     return _FLAGS[text.lower()]
 
 
-# what each parser accepts, for error messages; str accepts anything
-_WHAT = {
-    _number: "a finite number",
-    _positive: "a finite positive number",
-    _nonnegative: "a finite nonnegative number",
-    _below_one: "a finite number below 1",
-    _finites: "a nonempty list of finite numbers",
-    _positives: "a list of finite positive numbers",
-    _count: f"a positive integer up to {MAX_GRID}",
-    _sizes: f"a nonempty strictly increasing list of positive integers up to {MAX_GRID}",
-    _positive_int: "a positive integer",
-    _unsigned: "an unsigned integer",
-    _widths: "a nonempty list of positive integers",
-    _grid: "a nonempty strictly increasing list of finite nonnegative numbers",
-    _floats: "a list of numbers",
-    _lambdas: "a list of distinct finite nonnegative numbers",
-    _seeds: "a nonempty list of distinct unsigned integers",
-    _flag: "a flag (1/true/yes or 0/false/no)",
-}
-
-
 def _rejection(text, parse, exc):
     why = f" ({exc})" if isinstance(exc, _Repeated) else ""
-    return f"{text!r} is not {_WHAT[parse]}{why}"
+    return f"{text!r} is not {parse.what}{why}"
 
 
 _EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (str, None)}
@@ -146,7 +142,7 @@ _LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "co
 _SIMULATION = {
     "beta": _finites, "c_diag": (_positives, None),  # c_diag None: identity covariance
     "sigma": (_positive, 1.0), "lambda0": (_nonnegative, SimSpec.lambda0),
-    "kappa": (_positive, SimSpec.kappa), "replicates": (_count, SimSpec.replicates),
+    "kappa": (_positive, PenaltySpec.kappa), "replicates": (_count, SimSpec.replicates),
 }
 
 COMMANDS = {

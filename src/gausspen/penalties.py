@@ -203,6 +203,13 @@ FAMILIES = tuple(_TABLE)
 PARAMETER = {family: f.parameter for family, f in _TABLE.items() if f.parameter}
 
 
+def float_text(value):
+    """``value`` in ``:g`` form when that reads back as the same float, and
+    in full ``repr`` form otherwise, so distinct floats never share a text."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 @dataclass(frozen=True)
 class PenaltySpec:
     """A penalty family plus the hyperparameters that family actually uses.
@@ -213,7 +220,7 @@ class PenaltySpec:
     Parameters
     ----------
     family : str
-        One of ``FAMILIES``.
+        One of ``FAMILIES``; by default the Gaussian, the package's centerpiece.
     kappa : float
         Gaussian curvature parameter (> 0).
     a : float
@@ -230,7 +237,7 @@ class PenaltySpec:
         Elastic-net mixing weight on the absolute-value part, in [0, 1].
     """
 
-    family: str
+    family: str = "gaussian"
     kappa: float = 10.0
     a: float = 3.7
     b: float = 5.0
@@ -263,19 +270,13 @@ class PenaltySpec:
         return entry.slope(param)
 
     def label(self):
-        """Short human-readable tag, e.g. ``gaussian(kappa=10)``.
-
-        The parameter prints in ``:g`` form when that reads back as the same
-        float and in full ``repr`` form otherwise, so distinct penalties
-        never share a label.
-        """
+        """Short human-readable tag, e.g. ``gaussian(kappa=10)``; the
+        parameter prints by :func:`float_text`, so distinct penalties never
+        share a label."""
         entry, param = self._entry()
         if entry.parameter is None:
             return self.family
-        text = f"{param:g}"
-        if float(text) != param:
-            text = repr(float(param))
-        return f"{self.family}({entry.parameter}={text})"
+        return f"{self.family}({entry.parameter}={float_text(param)})"
 
 
 @dataclass(frozen=True)

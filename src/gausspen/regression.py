@@ -92,10 +92,6 @@ class MinimaProfile:
     minima: list
     global_index: int
 
-    @property
-    def global_minimum(self):
-        return self.minima[self.global_index]
-
 
 def fit(problem, spec, lam, start=None):
     """Minimize (1/n)||y - X beta||^2 + lam * sum_j P(beta_j).

@@ -110,8 +110,8 @@ def test_criterion_2_orthonormal_phase_transition():
 def test_criterion_3_rootn_bias():
     with criterion(3, "sqrt(n) bias matches -exp(-1), then vanishes at beta=5", 120.0):
         spec = SimSpec(
-            beta_true=[1.0], C=np.eye(1), sigma=1.0, lambda0=1.0, kappa=1.0,
-            replicates=500, seed=20260809,
+            beta_true=[1.0], C=np.eye(1), sigma=1.0, lambda0=1.0,
+            penalty=PenaltySpec("gaussian", kappa=1.0), replicates=500, seed=20260809,
         )
         report = run_bias_experiment(spec, 1600)
         target = -math.exp(-1.0)
@@ -119,8 +119,8 @@ def test_criterion_3_rootn_bias():
         assert abs(report.empirical_mean[0] - target) <= 3.0 * report.empirical_se[0]
 
         spec_far = SimSpec(
-            beta_true=[5.0], C=np.eye(1), sigma=1.0, lambda0=1.0, kappa=10.0,
-            replicates=500, seed=20260809,
+            beta_true=[5.0], C=np.eye(1), sigma=1.0, lambda0=1.0,
+            penalty=PenaltySpec("gaussian", kappa=10.0), replicates=500, seed=20260809,
         )
         far = run_bias_experiment(spec_far, 1600)
         assert abs(far.theoretical_bias[0]) < 1e-50  # exponentially vanished
@@ -131,7 +131,8 @@ def test_criterion_4_consistency():
     with criterion(4, "consistency under lambda_n = sqrt(n)", 180.0):
         spec = SimSpec(
             beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0,
-            lambda0=1.0, r=0.5, kappa=10.0, replicates=200, seed=11,
+            lambda0=1.0, r=0.5, penalty=PenaltySpec("gaussian", kappa=10.0),
+            replicates=200, seed=11,
         )
         table = run_consistency_experiment(spec, [100, 400, 1600, 6400])
         errors = [err for _, err in table]

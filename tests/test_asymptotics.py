@@ -13,7 +13,6 @@ from gausspen.asymptotics import (
     _draw,
     _noise,
     fit_replicates,
-    ridge_rootn_bias,
     run_bias_experiment,
     run_consistency_experiment,
     simulate_linear_data,
@@ -21,13 +20,15 @@ from gausspen.asymptotics import (
 )
 from gausspen.cli import main
 from gausspen.errors import ConfigurationError
+from gausspen.penalties import FAMILIES, PARAMETER, PenaltySpec, grad_array
 from gausspen.regression import fit_batch
 
 
-def limit_criterion(u, C, beta, lam0, kappa):
-    # V(u) with the noise term at its mean (W = 0)
+def limit_criterion(u, C, beta, lam0, penalty):
+    # V(u) with the noise term at its mean (W = 0); the penalty enters
+    # through its slope at beta, from the table
     u = np.asarray(u, dtype=float)
-    slope_term = 2.0 * lam0 * kappa * np.sum(u * beta * np.exp(-kappa * beta**2))
+    slope_term = lam0 * np.sum(u * grad_array(penalty, beta))
     return float(u @ C @ u + slope_term)
 
 
@@ -71,7 +72,7 @@ def golden_then_polish(fn, lo, hi):
     return 0.5 * (a + b)
 
 
-def minimize_limit_criterion(C, beta, lam0, kappa):
+def minimize_limit_criterion(C, beta, lam0, penalty):
     """Value-only minimizer of V: 1-D searches along Cholesky-rotated
     coordinates, where the quadratic part separates exactly."""
     p = len(beta)
@@ -86,7 +87,7 @@ def minimize_limit_criterion(C, beta, lam0, kappa):
         def along(t, k=k):
             w = v.copy()
             w[k] = t
-            return limit_criterion(as_u(w), C, beta, lam0, kappa)
+            return limit_criterion(as_u(w), C, beta, lam0, penalty)
 
         v[k] = golden_then_polish(along, -50.0, 50.0)
     return as_u(v)
@@ -101,7 +102,7 @@ def base_spec(**overrides):
         C=np.eye(1),
         sigma=1.0,
         lambda0=1.0,
-        kappa=1.0,
+        penalty=PenaltySpec("gaussian", kappa=1.0),
         replicates=50,
         seed=123,
     )
@@ -258,7 +259,8 @@ def test_consistency_grid_matches_per_n_fits(p, extra, seed, lambda0, r, kappa, 
     rng = np.random.default_rng(seed)
     grid = sorted(p + e for e in extra)
     spec = base_spec(beta_true=rng.uniform(-2.0, 2.0, p), C=np.diag(rng.uniform(0.5, 2.0, p)),
-                     lambda0=lambda0, r=r, kappa=kappa, replicates=replicates, seed=seed)
+                     lambda0=lambda0, r=r, penalty=PenaltySpec("gaussian", kappa=kappa),
+                     replicates=replicates, seed=seed)
     batch = fit_replicates(spec, grid, o_of_n(spec), start_at_ols=False)
     table = run_consistency_experiment(spec, grid)
     for i, (n, (table_n, median)) in enumerate(zip(grid, table)):
@@ -353,32 +355,87 @@ def test_gram_approaches_identity():
 
 def test_bias_zero_for_zero_beta():
     assert np.array_equal(
-        theoretical_rootn_bias(np.eye(3), np.zeros(3), 2.0, 5.0), np.zeros(3)
+        theoretical_rootn_bias(np.eye(3), np.zeros(3), 2.0, PenaltySpec("gaussian", kappa=5.0)),
+        np.zeros(3)
     )
 
 
 def test_bias_scalar_value():
-    value = theoretical_rootn_bias(np.eye(1), [1.0], 1.0, 1.0)
+    value = theoretical_rootn_bias(np.eye(1), [1.0], 1.0, PenaltySpec("gaussian", kappa=1.0))
     assert value[0] == pytest.approx(-math.exp(-1.0), abs=1e-12)
 
 
 def test_bias_underflows_for_large_beta():
-    value = theoretical_rootn_bias(np.eye(1), [5.0], 1.0, 10.0)
+    value = theoretical_rootn_bias(np.eye(1), [5.0], 1.0, PenaltySpec("gaussian", kappa=10.0))
     assert abs(value[0]) <= 1e-100
 
 
-def test_bias_matches_numeric_minimizer():
+# a range inside each family parameter's validity rule
+PARAMETER_RANGES = {"kappa": (0.2, 5.0), "q": (0.3, 2.0), "mix": (0.0, 1.0), "a": (2.1, 5.0),
+                    "b": (0.5, 5.0), "epsilon": (0.1, 2.0), "gamma": (0.2, 5.0)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_bias_matches_numeric_minimizer(family):
     rng = np.random.default_rng(10)
+    kinked = PenaltySpec(family).slope_at_zero() > 0
     for _ in range(50):
         p = int(rng.integers(1, 4))
         A = rng.standard_normal((p, p))
         C = A @ A.T + (0.5 + rng.uniform()) * np.eye(p)
-        beta = rng.uniform(-2.0, 2.0, size=p)
+        if kinked:  # nonzero, where the limit law has a closed-form mean
+            beta = rng.choice([-1.0, 1.0], size=p) * rng.uniform(0.1, 2.0, size=p)
+        else:
+            beta = rng.uniform(-2.0, 2.0, size=p)
         lam0 = rng.uniform(0.0, 3.0)
-        kappa = rng.uniform(0.2, 5.0)
-        closed = theoretical_rootn_bias(C, beta, lam0, kappa)
-        numeric = minimize_limit_criterion(C, beta, lam0, kappa)
+        params = {}
+        if family in PARAMETER:
+            params[PARAMETER[family]] = rng.uniform(*PARAMETER_RANGES[PARAMETER[family]])
+        penalty = PenaltySpec(family, **params)
+        closed = theoretical_rootn_bias(C, beta, lam0, penalty)
+        numeric = minimize_limit_criterion(C, beta, lam0, penalty)
         assert np.abs(closed - numeric).max() < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 5),
+       lam0=st.just(0.0) | st.floats(1e-100, 100.0),
+       beta=st.lists(st.floats(1e-100, 1e6) | st.floats(-1e6, -1e-100) | st.just(0.0),
+                     min_size=5, max_size=5))
+def test_ridge_bias_through_the_table_is_its_closed_form(seed, p, lam0, beta):
+    # -(lam0 / 2) C^{-1} (2 beta) is -lam0 C^{-1} beta to the bit: halving
+    # and doubling are exact away from underflow, which the ranges keep off
+    C = _random_covariance(np.random.default_rng(seed), p)
+    beta = np.array(beta[:p])
+    got = theoretical_rootn_bias(C, beta, lam0, PenaltySpec("ridge"))
+    assert got.tobytes() == (-lam0 * np.linalg.solve(C, beta)).tobytes()
+
+
+@pytest.mark.parametrize("beta, kappa", [
+    ([1.0], 1.0),  # configs/bias_mc.cfg
+    ([0.3, -0.5, 1.0], 1.0),  # the benchmark's bias-mc workload
+    ([5.0], 10.0),  # the acceptance suite's far case
+])
+def test_gaussian_bias_keeps_its_closed_form_bits(beta, kappa):
+    # the table's Gaussian slope 2k*b*exp(-k*b*b), halved, gives these betas
+    # the bits of the Gaussian closed form -lam0*kappa*C^{-1}(b*exp(-kappa*b^2))
+    beta = np.array(beta)
+    closed = -1.0 * kappa * np.linalg.solve(np.eye(beta.size), beta * np.exp(-kappa * beta**2))
+    got = theoretical_rootn_bias(np.eye(beta.size), beta, 1.0, PenaltySpec("gaussian", kappa=kappa))
+    assert got.tobytes() == closed.tobytes()
+
+
+@pytest.mark.parametrize("family", [f for f in FAMILIES if PenaltySpec(f).slope_at_zero() > 0])
+def test_kinked_family_with_a_zero_beta_fails_before_any_draw(monkeypatch, family):
+    # at a kink the limit law's mean has no closed form: a config error,
+    # raised before a single replicate is drawn
+    def no_draw(*args):
+        raise AssertionError("drew a replicate")
+
+    monkeypatch.setattr(asymptotics, "_noise", no_draw)
+    spec = base_spec(beta_true=[1.0, 0.0], C=np.eye(2), penalty=PenaltySpec(family))
+    with pytest.raises(ConfigurationError, match="no closed-form mean"):
+        run_bias_experiment(spec, 100)
 
 
 def test_exponential_decay_ratio():
@@ -386,7 +443,8 @@ def test_exponential_decay_ratio():
     lam0, kappa = 1.3, 2.0
     ratios = []
     for beta in (0.5, 1.0, 2.0):
-        bias = theoretical_rootn_bias(np.eye(1), [beta], lam0, kappa)[0]
+        bias = theoretical_rootn_bias(np.eye(1), [beta], lam0,
+                                      PenaltySpec("gaussian", kappa=kappa))[0]
         ratios.append(abs(bias) / (beta * math.exp(-kappa * beta * beta)))
     assert max(ratios) - min(ratios) < 1e-8
 
@@ -394,11 +452,12 @@ def test_exponential_decay_ratio():
 def test_ridge_contrast():
     # Gaussian bias collapses by > 1e10 from beta=0.3 to beta=3 (kappa=10);
     # the ridge analogue grows linearly instead
-    g_small = abs(theoretical_rootn_bias(np.eye(1), [0.3], 1.0, 10.0)[0])
-    g_large = abs(theoretical_rootn_bias(np.eye(1), [3.0], 1.0, 10.0)[0])
+    gauss, ridge = PenaltySpec("gaussian", kappa=10.0), PenaltySpec("ridge")
+    g_small = abs(theoretical_rootn_bias(np.eye(1), [0.3], 1.0, gauss)[0])
+    g_large = abs(theoretical_rootn_bias(np.eye(1), [3.0], 1.0, gauss)[0])
     assert g_small / g_large > 1e10
-    r_small = abs(ridge_rootn_bias(np.eye(1), [0.3], 1.0)[0])
-    r_large = abs(ridge_rootn_bias(np.eye(1), [3.0], 1.0)[0])
+    r_small = abs(theoretical_rootn_bias(np.eye(1), [0.3], 1.0, ridge)[0])
+    r_large = abs(theoretical_rootn_bias(np.eye(1), [3.0], 1.0, ridge)[0])
     assert r_large == pytest.approx(10.0 * r_small)
 
 
@@ -444,6 +503,27 @@ def test_each_experiment_passes_its_own_weight(monkeypatch):
     assert np.asarray(consistency_lam).tobytes() == np.full(3, lam0 * n**0.5 / n).tobytes()
 
 
+# Seed 1's replicate set at n = 1600 misses on coordinate 1 by itself: the
+# unpenalized fit (family none, bias 0) is at z = 3.08 there.  These families
+# miss there too, at z 3.04-3.37; bridge (2.99) and gaussian (2.21) pass.
+_DRAW_MISSES_AT_1600 = ("none", "lasso", "ridge", "elastic_net", "scad", "mcp", "laplace",
+                        "arctan")
+
+
+@pytest.mark.parametrize("family, n", [
+    pytest.param(family, n, marks=pytest.mark.xfail(
+        strict=True, reason="seed 1's draw misses coordinate 1 at n = 1600 unpenalized too"))
+    if n == 1600 and family in _DRAW_MISSES_AT_1600 else (family, n)
+    for family in FAMILIES for n in (1600, 6400)])
+def test_bias_experiment_matches_the_limit_law_for_every_family(family, n):
+    # the acceptance suite's 3-SE rule, each family at its default parameter
+    spec = base_spec(beta_true=[0.3, -0.5, 1.0, 2.5], C=np.eye(4), lambda0=1.0,
+                     penalty=PenaltySpec(family), replicates=400, seed=1)
+    report = run_bias_experiment(spec, n)
+    assert (report.replicates_used, report.replicates_unconverged) == (400, 0)
+    assert np.all(report.z_scores <= 3.0), report.z_scores
+
+
 def test_consistency_rate_matches_root_n():
     # unpenalized: median error should shrink like 1/sqrt(n)
     spec = base_spec(
@@ -459,8 +539,8 @@ def test_consistency_violating_rule_has_error_floor():
     # global argmin sits near 0, so the estimation error stalls above a
     # positive floor instead of vanishing
     spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=5.0, r=0.999, kappa=10.0,
-        replicates=60, seed=5,
+        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=5.0, r=0.999,
+        penalty=PenaltySpec("gaussian", kappa=10.0), replicates=60, seed=5,
     )
     table = run_consistency_experiment(spec, [100, 400, 1600])
     assert all(err > 2.0 for _, err in table)  # near ||beta|| = sqrt(5)
@@ -471,8 +551,8 @@ def test_consistency_replicates_all_converge():
     # winning descent meets the gradient tolerance rather than stalling on
     # round-off just above it
     spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=1.0, r=0.5, kappa=10.0,
-        replicates=200, seed=11,
+        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=1.0, r=0.5,
+        penalty=PenaltySpec("gaussian", kappa=10.0), replicates=200, seed=11,
     )
     batch = fit_replicates(spec, [1600], o_of_n(spec), start_at_ols=False)
     assert not batch.failed.any()

@@ -656,6 +656,26 @@ def test_train_mlp_close_parameters_stay_distinct(tmp_path):
     assert len(checkpoints) == 2
 
 
+def test_train_mlp_close_lambdas_keep_their_own_artifacts(tmp_path):
+    # 0.001 and 0.0010000001 both print as 0.001 under :g; each must still
+    # name its own checkpoint and epoch log, the ones its run alone writes
+    text = TRAIN_CFG.replace("seeds = 1, 2, 3", "seeds = 1") + "save_artifacts = true\n"
+    both = tmp_path / "both"
+    cfg = write_config(tmp_path / "both.cfg", text.replace(
+        "values = 0.001, 0.01", "values = 0.001, 0.0010000001"))
+    assert main(["train-mlp", "--config", cfg, "--out", str(both), "--jobs", "2"]) == 0
+    lines = (both / "train_mlp.csv").read_text().splitlines()
+    assert len([line for line in lines if line.startswith("run")]) == 4
+    alone = {}
+    for lam in ("0.001", "0.0010000001"):
+        cfg = write_config(tmp_path / f"{lam}.cfg", text.replace(
+            "values = 0.001, 0.01", f"values = {lam}"))
+        assert main(["train-mlp", "--config", cfg, "--out", str(tmp_path / lam)]) == 0
+        alone.update(_tree(tmp_path / lam / "train_mlp_runs"))
+    assert len(alone) == 2 * 4
+    assert _tree(both / "train_mlp_runs") == alone
+
+
 def test_seed_list_override(tmp_path):
     cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
     out = tmp_path / "out"

@@ -19,6 +19,7 @@ from gausspen.cli import main
 from gausspen.config import COMMANDS, parse_config
 from gausspen.errors import ConfigurationError
 from gausspen.mlp import TrainConfig
+from gausspen.penalties import PenaltySpec
 
 CONFIGS = sorted((pathlib.Path(__file__).parents[1] / "configs").glob("*.cfg"))
 
@@ -305,7 +306,7 @@ def test_save_artifacts_flag(tmp_path, text, value):
 FIELD_DEFAULTS = {
     "train-mlp": {key: (TrainConfig, key)
                   for key in ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")},
-    "consistency-mc": {"lambda0": (SimSpec, "lambda0"), "kappa": (SimSpec, "kappa"),
+    "consistency-mc": {"lambda0": (SimSpec, "lambda0"), "kappa": (PenaltySpec, "kappa"),
                        "replicates": (SimSpec, "replicates"), "exponent": (SimSpec, "r")},
 }
 
