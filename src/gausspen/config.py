@@ -13,23 +13,25 @@ Shared sections:
 
 plus one section named after the command (``[ortho-scan]``, ``[bias-mc]``,
 ``[consistency-mc]``, ``[train-mlp]``, ``[penalty-table]``) holding its own
-options.  Only penalty-table and train-mlp read ``[penalty:*]`` and only
-train-mlp reads ``[lambda]``; a section the command does not read, another
-command's included, is a configuration error.  ``COMMANDS`` maps each
-command to the schema of its own section.  A schema maps a key to its
-parser alone (a required key) or to ``(parser, default)``, the default of
-the ``SimSpec``, ``PenaltySpec`` or ``TrainConfig`` field it sets if it sets
-one.  Every section is parsed against its schema into typed values with the
-defaults filled in; reading a required key that is not set raises
-:class:`ConfigurationError`.  Any other section name, and any key that a
-section's schema does not list, is a configuration error.  Parse problems
-are collected and reported all at once.
+options.  ``COMMANDS`` maps each command to a :class:`Command`, which states
+the schema of its section, the shared sections it reads (and needs), and the
+check of its options taken together; a section the command does not read,
+another command's included, is a configuration error.  A schema maps a key
+to its parser alone (a required key) or to ``(parser, default)``, the
+default of the ``SimSpec``, ``PenaltySpec`` or ``TrainConfig`` field it sets
+if it sets one; a parser checks its one option's range.  Every section is
+parsed against its schema into typed values with the defaults filled in;
+reading a required key that is not set raises :class:`ConfigurationError`.
+Any other section name, and any key that a section's schema does not list,
+is a configuration error.  Parse problems are collected and reported at once.
 """
 
 import configparser
 import math
 import os
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -74,8 +76,11 @@ _number = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(_number, lambda v: v > 0, "a finite positive number")
 _nonnegative = _checked(_number, lambda v: v >= 0, "a finite nonnegative number")
 _below_one = _checked(_number, lambda v: v < 1, "a finite number below 1")
+_fraction = _checked(_number, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _finites = _checked(_floats, lambda v: v and all(map(math.isfinite, v)),
                     "a nonempty list of finite numbers")
+_fractions = _checked(_floats, lambda v: len(v) == 3 and all(f > 0 for f in v)
+                      and abs(sum(v) - 1.0) <= 1e-9, "three positive numbers summing to 1")
 _positives = _checked(_floats, lambda v: all(0 < x < math.inf for x in v),
                       "a list of finite positive numbers")
 _count = _checked(int, lambda v: 1 <= v <= MAX_GRID, f"a positive integer up to {MAX_GRID}")
@@ -145,37 +150,85 @@ _SIMULATION = {
     "kappa": (_positive, PenaltySpec.kappa), "replicates": (_count, SimSpec.replicates),
 }
 
+
+def _matrix_problems(options):
+    """train-mlp sizes whose blob matrix or some weight matrix would hold
+    more than ``MAX_MATRIX`` elements, found before either is allocated."""
+    problems = []
+    classes, dimension = options["classes"], options["dimension"]
+    blob = classes * options["per_class"] * dimension
+    if blob > MAX_MATRIX:
+        problems.append("options `classes` x `per_class` x `dimension` give a "
+                        f"blob matrix of {blob} elements, more than {MAX_MATRIX}")
+    layers = [("dimension", dimension), *(("hidden", w) for w in options["hidden"]),
+              ("classes", classes)]
+    for (key_in, fan_in), (key_out, fan_out) in zip(layers, layers[1:]):
+        if fan_in * fan_out > MAX_MATRIX:
+            keys = (f"option `{key_in}` gives" if key_in == key_out
+                    else f"options `{key_in}` and `{key_out}` give")
+            problems.append(f"{keys} a {fan_in} x {fan_out} weight matrix, "
+                            f"more than {MAX_MATRIX} elements")
+    return problems
+
+
+def _simulation_problems(key, starts, options):
+    """Monte Carlo sizes, option ``key``, whose arrays would hold more than
+    ``MAX_MATRIX`` elements for a fit of ``starts`` starts, found before any
+    is allocated, and a ``c_diag`` whose length is not ``beta``'s."""
+    beta, c_diag, sizes = options.get("beta"), options["c_diag"], options.get(key)
+    if beta is None or sizes is None:
+        return []
+    p, sizes = len(beta), sizes if isinstance(sizes, list) else [sizes]
+    problems = [] if c_diag is None or len(c_diag) == p else [
+        f"option `c_diag` has {len(c_diag)} entries and `beta` has {p}"]
+    # the descent's X'X per start, size and replicate; one replicate's noise
+    for keys, what, size in (
+            (f"`beta`, `replicates` and `{key}`", "an X'X stack",
+             starts * len(sizes) * options["replicates"] * p * p),
+            (f"`beta` and `{key}`", "a noise draw", sizes[-1] * (p + 1))):
+        if size > MAX_MATRIX:
+            problems.append(f"options {keys} give {what} of {size} elements, "
+                            f"more than {MAX_MATRIX}")
+    return problems
+
+
+class Command(NamedTuple):
+    """A command: its section's schema, the shared sections it reads and needs
+    (``penalty``, ``lambda``), and the check of its options taken together."""
+
+    schema: dict
+    reads: tuple = ()
+    check: Callable = lambda options: []  # options -> problems in the section
+
+
 COMMANDS = {
-    "penalty-table": {
+    "penalty-table": Command({
         "beta_min": (_number, -3.0), "beta_max": (_number, 3.0), "count": (_count, 121),
-    },
-    "ortho-scan": {
-        "beta_ols": _number, "kappa": _number,
+    }, reads=("penalty",)),
+    "ortho-scan": Command({
+        "beta_ols": _number, "kappa": _positive,
         # lambda_values None: the grid lambda_min..lambda_max by lambda_step
         "lambda_values": (_grid, None),
         "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
-    },
-    "bias-mc": {**_SIMULATION, "n": _count},
-    "consistency-mc": {**_SIMULATION, "exponent": (_below_one, SimSpec.r), "n_grid": _sizes},
-    "train-mlp": {
+    }),
+    "bias-mc": Command({**_SIMULATION, "n": _count}, check=partial(_simulation_problems, "n", 1)),
+    "consistency-mc": Command(
+        {**_SIMULATION, "exponent": (_below_one, SimSpec.r), "n_grid": _sizes},
+        check=partial(_simulation_problems, "n_grid", 2)),
+    "train-mlp": Command({
         "save_artifacts": (_flag, False),
         "classes": (_positive_int, 3), "per_class": (_positive_int, 60),
         "dimension": (_positive_int, 8),
-        "separation": (_number, 3.0), "data_seed": (_unsigned, 0),
-        "fractions": (_floats, (0.5, 0.25, 0.25)), "split_seed": (_unsigned, 0),
-        "label_noise": (_number, 0.0), "noise_seed": (_unsigned, 0),
-        "hidden": (_widths, (64, 64)), "lr_min": (_number, TrainConfig.lr_min),
-        "lr_max": (_number, TrainConfig.lr_max),
+        "separation": (_nonnegative, 3.0), "data_seed": (_unsigned, 0),
+        "fractions": (_fractions, (0.5, 0.25, 0.25)), "split_seed": (_unsigned, 0),
+        "label_noise": (_fraction, 0.0), "noise_seed": (_unsigned, 0),
+        "hidden": (_widths, (64, 64)), "lr_min": (_positive, TrainConfig.lr_min),
+        "lr_max": (_positive, TrainConfig.lr_max),
         "batch_size": (_positive_int, TrainConfig.batch_size),
         "patience": (_positive_int, TrainConfig.patience),
         "max_epochs": (_positive_int, TrainConfig.max_epochs),
-    },
+    }, reads=("penalty", "lambda"), check=_matrix_problems),
 }
-
-
-# the shared sections besides [experiment] that a command reads; a command
-# reads no other section but its own
-_READS = {"penalty-table": ("penalty",), "train-mlp": ("penalty", "lambda")}
 
 
 class Options(dict):
@@ -275,48 +328,6 @@ def _parse_lambda_grid(parser, problems):
         return None
 
 
-def _matrix_problems(options):
-    """train-mlp sizes whose blob matrix or some weight matrix would hold
-    more than ``MAX_MATRIX`` elements, found before either is allocated."""
-    problems = []
-    classes, dimension = options["classes"], options["dimension"]
-    blob = classes * options["per_class"] * dimension
-    if blob > MAX_MATRIX:
-        problems.append(f"[train-mlp] options `classes` x `per_class` x `dimension` give a "
-                        f"blob matrix of {blob} elements, more than {MAX_MATRIX}")
-    layers = [("dimension", dimension), *(("hidden", w) for w in options["hidden"]),
-              ("classes", classes)]
-    for (key_in, fan_in), (key_out, fan_out) in zip(layers, layers[1:]):
-        if fan_in * fan_out > MAX_MATRIX:
-            keys = (f"option `{key_in}` gives" if key_in == key_out
-                    else f"options `{key_in}` and `{key_out}` give")
-            problems.append(f"[train-mlp] {keys} a {fan_in} x {fan_out} weight matrix, "
-                            f"more than {MAX_MATRIX} elements")
-    return problems
-
-
-def _simulation_problems(command, options):
-    """bias-mc and consistency-mc sizes whose arrays would hold more than
-    ``MAX_MATRIX`` elements, found before any is allocated, and a ``c_diag``
-    whose length is not ``beta``'s."""
-    key, starts = ("n", 1) if command == "bias-mc" else ("n_grid", 2)
-    beta, c_diag, sizes = options.get("beta"), options["c_diag"], options.get(key)
-    if beta is None or sizes is None:
-        return []
-    p, sizes = len(beta), [sizes] if key == "n" else sizes
-    problems = [] if c_diag is None or len(c_diag) == p else [
-        f"[{command}] option `c_diag` has {len(c_diag)} entries and `beta` has {p}"]
-    # the descent's X'X per start, size and replicate; one replicate's noise
-    for keys, what, size in (
-            (f"`beta`, `replicates` and `{key}`", "an X'X stack",
-             starts * len(sizes) * options["replicates"] * p * p),
-            (f"`beta` and `{key}`", "a noise draw", sizes[-1] * (p + 1))):
-        if size > MAX_MATRIX:
-            problems.append(f"[{command}] options {keys} give {what} of {size} elements, "
-                            f"more than {MAX_MATRIX}")
-    return problems
-
-
 def parse_config(path, command=None, seed_list=None, out=None):
     """Read a config file into an :class:`ExperimentConfig`.
 
@@ -342,7 +353,8 @@ def parse_config(path, command=None, seed_list=None, out=None):
         problems.append(
             f"config file says command = {file_command}, command line says {command}"
         )
-    if command not in COMMANDS:
+    entry = COMMANDS.get(command)
+    if entry is None:
         problems.append(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
     for section in parser.sections():
         kind = "penalty" if _is_penalty(section) else section
@@ -351,7 +363,7 @@ def parse_config(path, command=None, seed_list=None, out=None):
                 f"unknown section [{section}]; expected experiment, lambda, "
                 "penalty:<name> or a command name"
             )
-        elif command in COMMANDS and kind not in ("experiment", command, *_READS.get(command, ())):
+        elif entry is not None and kind not in ("experiment", command, *entry.reads):
             problems.append(f"[{section}] is not read by {command}")
 
     seeds = list(exp["seeds"]) if seed_list is None else seed_list
@@ -359,16 +371,13 @@ def parse_config(path, command=None, seed_list=None, out=None):
         out = os.environ.get("GAUSSPEN_OUT", ".") if exp["output"] is None else exp["output"]
     penalties = _parse_penalties(parser, problems)
     lambda_grid = _parse_lambda_grid(parser, problems)
-    options = _parse_section(parser, command, COMMANDS.get(command, {}), problems)
-
-    if command in ("penalty-table", "train-mlp") and not penalties:
-        problems.append(f"{command} needs at least one [penalty:*] section")
-    if command == "train-mlp":
-        if lambda_grid == []:
-            problems.append("train-mlp needs a [lambda] section with at least one value")
-        problems.extend(_matrix_problems(options))
-    if command in ("bias-mc", "consistency-mc"):
-        problems.extend(_simulation_problems(command, options))
+    options = _parse_section(parser, command, entry.schema if entry else {}, problems)
+    if entry is not None:
+        if "penalty" in entry.reads and not penalties:
+            problems.append(f"{command} needs at least one [penalty:*] section")
+        if "lambda" in entry.reads and lambda_grid == []:
+            problems.append(f"{command} needs a [lambda] section with at least one value")
+        problems.extend(f"[{command}] {problem}" for problem in entry.check(options))
 
     if problems:
         raise ConfigurationError("config problems:\n  - " + "\n  - ".join(problems))

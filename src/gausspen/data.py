@@ -17,17 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, FormatError
 
 IDX_UBYTE = 0x08
 
 
-class IdxParseError(ValueError):
+class IdxParseError(FormatError):
     """Malformed IDX stream; ``offset`` is the byte position of the problem."""
-
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 class IdxMagicError(IdxParseError):

@@ -15,19 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, FormatError
 from .penalties import PenaltySpec, grad_array, value_array
 
 CHECKPOINT_MAGIC = b"MLPW"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointFormatError(ConfigurationError):
+class CheckpointFormatError(FormatError):
     """Malformed weight checkpoint; ``offset`` is the byte position of the problem."""
-
-    def __init__(self, message, offset):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 @dataclass

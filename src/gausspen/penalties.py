@@ -92,20 +92,13 @@ def _gaussian_grad(beta, k):
     return out
 
 
-def _gaussian_lipschitz(r, k):
-    # |P'| = 2k|b|exp(-k b^2) rises up to its peak at b = 1/sqrt(2k)
-    if r >= 1.0 / math.sqrt(2.0 * k):
-        return math.sqrt(2.0 * k) * math.exp(-0.5)
-    return 2.0 * k * r * math.exp(-k * r * r)
-
-
 class _Family(NamedTuple):
     """One penalty family; ``p`` is the value of its parameter, or None."""
 
     value: Callable  # (beta array, p) -> P(beta) elementwise
     grad: Callable  # (beta array, p) -> P'(beta) elementwise
-    bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius)
-    lipschitz: Callable  # (radius, p) -> sup of |P'| over [-radius, radius]
+    bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius R), where
+    # |P'| rises on (0, R] and not beyond: ``lipschitz`` is |P'| at R (0+ if R = 0)
     slope: Callable  # p -> P'(0+), the right slope at 0: > 0 exactly at a kink
     parameter: Optional[str] = None  # the PenaltySpec field the family reads
     valid: Optional[Callable] = None  # p -> True for a valid finite p
@@ -117,21 +110,18 @@ _TABLE = {
         value=lambda beta, _: np.zeros_like(beta),
         grad=lambda beta, _: np.zeros_like(beta),
         bounds=lambda _: (0.0, 0.0, inf),
-        lipschitz=lambda r, _: 0.0,
         slope=lambda _: 0.0,
     ),
     "lasso": _Family(
         value=lambda beta, _: np.abs(beta),
         grad=lambda beta, _: np.sign(beta),
         bounds=lambda _: (1.0, inf, inf),
-        lipschitz=lambda r, _: 1.0,
         slope=lambda _: 1.0,
     ),
     "ridge": _Family(
         value=lambda beta, _: beta * beta,
         grad=lambda beta, _: 2.0 * beta,
         bounds=lambda _: (inf, inf, inf),
-        lipschitz=lambda r, _: 2.0 * r,
         slope=lambda _: 0.0,
     ),
     "bridge": _Family(
@@ -139,7 +129,6 @@ _TABLE = {
         grad=_bridge_grad,
         # the derivative is unbounded near 0 for q < 1 and near inf for q > 1
         bounds=lambda q: (1.0 if q == 1.0 else inf, inf, inf if q >= 1.0 else 0.0),
-        lipschitz=lambda r, q: q * r ** (q - 1.0) if q > 1.0 else (1.0 if q == 1.0 else inf),
         slope=lambda q: inf if q < 1.0 else float(q == 1.0),
         parameter="q", valid=lambda q: q > 0.0, rule="> 0",
     ),
@@ -147,7 +136,6 @@ _TABLE = {
         value=lambda beta, mix: mix * np.abs(beta) + (1.0 - mix) * beta * beta,
         grad=lambda beta, mix: mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta,
         bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
-        lipschitz=lambda r, mix: mix + 2.0 * (1.0 - mix) * r,
         slope=lambda mix: mix,
         parameter="mix", valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
     ),
@@ -156,7 +144,6 @@ _TABLE = {
         grad=_scad_grad,
         # linear (hence convex) up to the unit threshold, concave beyond
         bounds=lambda a: (1.0, (a + 1.0) / 2.0, 1.0),
-        lipschitz=lambda r, _: 1.0 if r > 0 else 0.0,
         slope=lambda _: 1.0,
         parameter="a", valid=lambda a: a > 2.0, rule="> 2",
     ),
@@ -164,7 +151,6 @@ _TABLE = {
         value=_mcp_value,
         grad=lambda beta, c: np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0.0, None),
         bounds=lambda c: (1.0, c / 2.0, 0.0),
-        lipschitz=lambda r, _: 1.0 if r > 0 else 0.0,
         slope=lambda _: 1.0,
         parameter="b", valid=lambda c: c > 0.0, rule="> 0",
     ),
@@ -172,7 +158,6 @@ _TABLE = {
         value=lambda beta, eps: -np.expm1(-np.abs(beta) / eps),
         grad=lambda beta, eps: np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps,
         bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
-        lipschitz=lambda r, eps: 1.0 / eps if r > 0 else 0.0,
         slope=lambda eps: 1.0 / eps,
         parameter="epsilon", valid=lambda eps: eps > 0.0, rule="> 0",
     ),
@@ -180,7 +165,6 @@ _TABLE = {
         value=lambda beta, g: (2.0 / np.pi) * np.arctan(g * np.abs(beta)),
         grad=lambda beta, g: np.sign(beta) * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta),
         bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
-        lipschitz=lambda r, g: 2.0 * g / np.pi if r > 0 else 0.0,
         slope=lambda g: 2.0 * g / np.pi,
         parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
     ),
@@ -191,7 +175,6 @@ _TABLE = {
         grad=_gaussian_grad,
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
         bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),
-        lipschitz=_gaussian_lipschitz,
         slope=lambda _: 0.0,
         parameter="kappa", valid=lambda k: k > 0.0, rule="> 0",
     ),
@@ -343,12 +326,19 @@ def penalty_bounds(spec):
 
 
 def lipschitz_on_interval(spec, radius):
-    """Supremum of |P'| over [-radius, radius].
-
-    Finite for every family except bridge with q < 1, whose derivative is
-    unbounded at the origin.
+    """Supremum of |P'| over [-radius, radius]: 0 at radius 0, where the
+    gradient is the subgradient 0; as |P'| rises on (0, R] and not beyond,
+    R the convexity radius, the global Lipschitz constant from R on, and
+    ``max(P'(0+), |P'(radius)|)`` below R.  Finite for every family except
+    bridge with q < 1, whose derivative is unbounded at the origin.
     """
-    if radius < 0:
-        raise ConfigurationError("interval radius must be nonnegative")
+    if not radius >= 0:  # NaN too
+        raise ConfigurationError(f"interval radius must be a nonnegative number, not {radius!r}")
     entry, param = spec._entry()
-    return entry.lipschitz(float(radius), param)
+    lipschitz, _, convexity_radius = entry.bounds(param)
+    if radius == 0:
+        return 0.0
+    if radius >= convexity_radius:
+        return lipschitz
+    with np.errstate(over="ignore"):  # an overflowing slope is inf, as the bound is
+        return max(entry.slope(param), abs(penalty_grad(spec, radius)))

@@ -781,6 +781,19 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     # an empty beta ran into a numpy error (exit 2)
     ("bias-mc", "beta", ""),
     ("consistency-mc", "beta", "1, nan"),
+    # options that passed the parse and failed at run time with a message
+    # naming no option: a noise fraction, split fractions, a blob separation
+    # or a learning rate out of range, and a nonpositive curvature
+    ("train-mlp", "label_noise", "1.5"),
+    ("train-mlp", "label_noise", "-0.25"),
+    ("train-mlp", "fractions", "0.5, 0.5"),
+    ("train-mlp", "fractions", "0.5, 0.25, 0.5"),
+    ("train-mlp", "fractions", "0.75, 0.5, -0.25"),
+    ("train-mlp", "separation", "-1"),
+    ("train-mlp", "lr_min", "0"),
+    ("train-mlp", "lr_max", "-0.25"),
+    ("ortho-scan", "kappa", "0"),
+    ("ortho-scan", "kappa", "-10"),
 ])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
     # caught before any work, naming the option: past the checks each gives

@@ -52,6 +52,10 @@ WRITTEN = {
     config._nonnegative: st.floats(0.0, allow_infinity=False).map(lambda v: (repr(v), v)),
     config._below_one: st.floats(max_value=1.0, exclude_max=True, allow_infinity=False).map(
         lambda v: (repr(v), v)),
+    config._fraction: st.floats(0.0, 1.0).map(lambda v: (repr(v), v)),
+    # three positive weights over their sum: within round-off of summing to 1
+    config._fractions: st.lists(st.integers(1, 10**6), min_size=3, max_size=3).map(
+        lambda weights: _listed([w / sum(weights) for w in weights])),
     # beta and c_diag of one length, so that the two agree, and short enough
     # that every Monte Carlo array stays within MAX_MATRIX
     config._finites: st.lists(FINITE, min_size=2, max_size=2).map(_listed),
@@ -94,7 +98,7 @@ def _main_text(text, command):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(sorted(COMMANDS)), st.data())
 def test_command_options_round_trip(command, data):
-    schema = COMMANDS[command]
+    schema = COMMANDS[command].schema
     chosen = data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
     written = {key: data.draw(WRITTEN[_parser(schema[key])]) for key in chosen}
     body = "".join(f"{key} = {text}\n" for key, (text, _) in written.items())
@@ -114,7 +118,7 @@ def test_command_options_round_trip(command, data):
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(COMMANDS)), st.from_regex(r"[a-z][a-z0-9_]{0,12}", fullmatch=True))
 def test_unknown_command_key_is_config_error(command, key):
-    assume(key not in COMMANDS[command])
+    assume(key not in COMMANDS[command].schema)
     text = _head(command) + f"{key} = 1\n"
     with pytest.raises(ConfigurationError, match=f"unknown key `{key}`"):
         _parse_text(text)
@@ -125,7 +129,7 @@ def test_unknown_command_key_is_config_error(command, key):
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.name)
 def test_shipped_configs_parse(path):
     parsed = parse_config(str(path))
-    assert set(parsed.options) <= set(COMMANDS[parsed.command])
+    assert set(parsed.options) <= set(COMMANDS[parsed.command].schema)
 
 
 def test_runners_match_commands():
@@ -208,6 +212,28 @@ def test_section_the_command_does_not_read_is_config_error(command, section):
     header = section.split("\n")[0]
     code, err = _main_text(section + "\n" + _head(command), command)
     assert code == 1 and f"{header} is not read by {command}" in err
+
+
+# each shared section besides [experiment]: a text giving it, and its name
+SHARED_SECTIONS = {"penalty": (PENALTY, "[penalty:*]"),
+                   "lambda": ("[lambda]\nvalues = 0.1\n\n", "[lambda]")}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_each_command_needs_the_sections_it_reads_and_no_other(command):
+    reads = COMMANDS[command].reads
+    for kind, (text, name) in SHARED_SECTIONS.items():
+        if kind in reads:  # every section the command reads but this one
+            rest = "".join(SHARED_SECTIONS[other][0] for other in reads if other != kind)
+            missing = f"[experiment]\ncommand = {command}\n\n{rest}[{command}]\n"
+            with pytest.raises(ConfigurationError, match=re.escape(f"{command} needs ") + ".*"
+                               + re.escape(name)):
+                _parse_text(missing)
+        else:
+            header = text.split("\n")[0]
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"{header} is not read by {command}")):
+                _parse_text(text + _head(command))
 
 
 CONSISTENCY = BIAS.replace("bias-mc", "consistency-mc").replace("n = 50", "n_grid = 50, 100")

@@ -83,6 +83,14 @@ def test_parse_idx_error_hierarchy():
         parse_idx(b"\x00\x00")
 
 
+def test_corrupt_idx_stream_is_a_configuration_error_with_its_offset():
+    # a corrupt input file exits 1, as a malformed checkpoint does
+    blob = bytes([0, 0, 0x08, 1]) + struct.pack(">I", 5) + bytes(3)
+    with pytest.raises(ConfigurationError) as err:
+        parse_idx(blob)
+    assert err.value.offset == len(blob) and "byte offset 11" in str(err.value)
+
+
 def test_idx_roundtrip():
     rng = np.random.default_rng(0)
     for shape in [(7,), (3, 5), (2, 3, 4), (28, 28)]:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -477,6 +477,43 @@ def test_interval_lipschitz_dominates_samples():
             - np.array([penalty_value(spec, y) for y in ys])
         )
         assert np.all(gap <= bound * np.abs(xs - ys) + 1e-12), spec.label()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_interval_lipschitz_is_zero_at_radius_zero(family):
+    # [-0, 0] holds only the origin, whose gradient is the subgradient 0
+    assert lipschitz_on_interval(PenaltySpec(family), 0.0) == 0.0
+
+
+def test_interval_lipschitz_of_pure_lasso_elastic_net_on_the_whole_line():
+    assert lipschitz_on_interval(PenaltySpec("elastic_net", mix=1.0), math.inf) == 1.0
+
+
+@pytest.mark.parametrize("radius", [math.nan, -1.0, -math.inf])
+def test_interval_lipschitz_rejects_a_radius_that_is_not_nonnegative(radius):
+    for spec in ALL_SPECS:
+        with pytest.raises(ConfigurationError, match="radius"):
+            lipschitz_on_interval(spec, radius)
+
+
+@settings(deadline=None)
+@given(any_spec(), st.floats(0.0, 50.0, exclude_min=True))
+@example(PenaltySpec("gaussian", kappa=10.0), 1.0 / math.sqrt(20.0))
+@example(PenaltySpec("gaussian", kappa=10.0), 0.1)
+@example(PenaltySpec("scad", a=3.7), 0.5)
+def test_interval_lipschitz_matches_a_numeric_maximum(spec, radius):
+    # maximize |P'| over (0, r] by dense grid + golden section, with P'(0+)
+    # as the value at the open end; no bound from the table involved
+    bound = lipschitz_on_interval(spec, radius)
+    assume(math.isfinite(bound))
+    grid = np.linspace(0.0, radius, 4001)
+    slopes = np.abs(grad_array(spec, grid))
+    i = int(np.argmax(slopes))
+    _, peak = golden_section_max(
+        lambda b: abs(penalty_grad(spec, b)), grid[max(i - 1, 0)], grid[min(i + 1, 4000)]
+    )
+    oracle = max(spec.slope_at_zero(), float(slopes[i]), peak)
+    assert abs(bound - oracle) <= 1e-9 * oracle, (spec.label(), radius, bound, oracle)
 
 
 # --- invariants from the module contract -------------------------------------
