@@ -13,7 +13,6 @@ error, 2 runtime error.
 """
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -21,7 +20,7 @@ import sys
 import numpy as np
 
 from . import asymptotics, data, mlp, penalties, regression
-from .config import COMMANDS, MAX_GRID, parse_config, parse_seed_list
+from .config import COMMANDS, parse_config, parse_seed_list
 from .data import write_csv
 from .errors import ConfigurationError
 
@@ -46,12 +45,7 @@ def _map_cells(fn, cells, jobs):
 
 def run_penalty_table(config, jobs):
     opts = config.options
-    lo, hi = opts["beta_min"], opts["beta_max"]
-    if not math.isfinite(hi - lo):
-        raise ConfigurationError(
-            f"[penalty-table] options `beta_min` = {lo!r} and `beta_max` = {hi!r} "
-            "are further apart than the largest double")
-    betas = np.linspace(lo, hi, opts["count"])
+    betas = np.linspace(opts["beta_min"], opts["beta_max"], opts["count"])
     # every value first, so a DomainError comes before any directory or file
     # is made; the beta column repeats the grid once per family, converted once
     values = np.concatenate([penalties.value_array(spec, betas) for spec in config.penalties])
@@ -68,18 +62,8 @@ def run_ortho_scan(config, jobs):
     opts = config.options
     grid = opts["lambda_values"]
     if grid is None:
-        step = opts["lambda_step"]
-        lo, hi = opts["lambda_min"], opts["lambda_max"]
-        if lo > hi:
-            raise ConfigurationError(
-                f"[ortho-scan] option `lambda_min` = {lo!r} is above `lambda_max` = {hi!r}")
-        hi += step / 2.0
-        # np.arange's length, ceil((hi - lo) / step), bounded before it allocates
-        if (hi - lo) / step > MAX_GRID:
-            raise ConfigurationError(
-                f"[ortho-scan] option `lambda_step` = {step!r} gives more than {MAX_GRID} "
-                f"lambdas from {opts['lambda_min']!r} to {opts['lambda_max']!r}")
-        grid = list(np.arange(lo, hi, step))
+        step = opts["lambda_step"]  # parse_config has bounded the grid's length
+        grid = list(np.arange(opts["lambda_min"], opts["lambda_max"] + step / 2.0, step))
     profiles, lambda_star = regression.lambda_phase_scan(opts["beta_ols"], opts["kappa"], grid)
     rows = []
     for profile in profiles:
@@ -189,10 +173,6 @@ def _train_cell(args):
 
 
 def run_train_mlp(config, jobs):
-    artifacts_dir = None
-    if config.options["save_artifacts"]:
-        artifacts_dir = os.path.join(config.output, "train_mlp_runs")
-        os.makedirs(artifacts_dir, exist_ok=True)
     # A cell with family none or lambda 0 trains exactly what an unpenalized
     # run trains, whatever its label and lambda: such cells share one run per
     # seed, and every cell still gets its own row and artifacts.
@@ -210,6 +190,10 @@ def run_train_mlp(config, jobs):
                 runs.setdefault(key, []).append(_slug(spec.label(), lam, seed))
                 grid.append((spec.label(), lam, seed, key))
     splits = _mlp_splits(config.options)
+    artifacts_dir = None  # made once the data are built, which can fail
+    if config.options["save_artifacts"]:
+        artifacts_dir = os.path.join(config.output, "train_mlp_runs")
+        os.makedirs(artifacts_dir, exist_ok=True)
     cells = [(splits, config.options, *key, artifacts_dir, slugs)
              for key, slugs in runs.items()]
     results = dict(zip(runs, _map_cells(_train_cell, cells, jobs)))
@@ -261,7 +245,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
-        seeds = parse_seed_list(args.seed_list) if args.seed_list else None
+        seeds = parse_seed_list(args.seed_list) if args.seed_list is not None else None
         config = parse_config(args.config, command=args.command, seed_list=seeds, out=args.out)
         path = run(config, jobs=max(1, args.jobs))
     except ConfigurationError as exc:

@@ -19,7 +19,10 @@ check of its options taken together; a section the command does not read,
 another command's included, is a configuration error.  A schema maps a key
 to its parser alone (a required key) or to ``(parser, default)``, the
 default of the ``SimSpec``, ``PenaltySpec`` or ``TrainConfig`` field it sets
-if it sets one; a parser checks its one option's range.  Every section is
+if it sets one.  Every parser that can reject a value is a ``_checked``
+rule, a parse and a predicate on its result, and checks its one option;
+``Command.check`` holds every rule over several options, each mirroring
+an allocation or a failure that would come later.  Every section is
 parsed against its schema into typed values with the defaults filled in;
 reading a required key that is not set raises :class:`ConfigurationError`.
 Any other section name, and any key that a section's schema does not list,
@@ -41,15 +44,6 @@ from .mlp import TrainConfig
 from .penalties import PARAMETER, PenaltySpec
 
 
-def _accepts(what):
-    """Mark a parser with ``what`` it accepts, in words, for error messages."""
-    def mark(parse):
-        parse.what = what
-        return parse
-    return mark
-
-
-@_accepts("a list of numbers")
 def _floats(text):
     return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
 
@@ -59,13 +53,13 @@ def _ints(text):
 
 
 def _checked(parse, ok, what):
-    """``parse``, rejecting as malformed a value for which ``ok`` is false."""
-    @_accepts(what)
+    """``parse``, rejecting a value for which ``ok`` is false; ``what`` it accepts, in words."""
     def checked(text):
         value = parse(text)
         if not ok(value):
             raise ValueError(text)
         return value
+    checked.what = what
     return checked
 
 
@@ -97,42 +91,24 @@ class _Repeated(ValueError):
 
 
 def _distinct(values):
+    """True, or :class:`_Repeated` naming the first value given twice."""
     seen = set()
     for v in values:
         if v in seen:
             raise _Repeated(f"{v!r} is repeated")
         seen.add(v)
-    return values
+    return True
 
 
-@_accepts("a list of distinct finite nonnegative numbers")
-def _lambdas(text):
-    values = _floats(text)
-    if not all(0 <= v < math.inf for v in values):
-        raise ValueError(text)
-    return _distinct(values)
-
-
+_lambdas = _checked(_floats, lambda v: all(0 <= x < math.inf for x in v) and _distinct(v),
+                    "a list of distinct finite nonnegative numbers")
 _grid = _checked(_lambdas, lambda v: v and v == sorted(v),  # distinct, so strictly increasing
                  "a nonempty strictly increasing list of finite nonnegative numbers")
-
-
-@_accepts("a nonempty list of distinct unsigned integers")
-def _seeds(text):
-    seeds = _ints(text)
-    if not seeds or any(s < 0 for s in seeds):
-        raise ValueError(text)
-    return _distinct(seeds)
-
-
+_seeds = _checked(_ints, lambda v: v and min(v) >= 0 and _distinct(v),
+                  "a nonempty list of distinct unsigned integers")
 _FLAGS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
-@_accepts("a flag (1/true/yes or 0/false/no)")
-def _flag(text):
-    if text.lower() not in _FLAGS:
-        raise ValueError(text)
-    return _FLAGS[text.lower()]
+_flag = _checked(lambda text: _FLAGS.get(text.lower()), lambda v: v is not None,
+                 "a flag (1/true/yes or 0/false/no)")
 
 
 def _rejection(text, parse, exc):
@@ -151,10 +127,37 @@ _SIMULATION = {
 }
 
 
-def _matrix_problems(options):
-    """train-mlp sizes whose blob matrix or some weight matrix would hold
-    more than ``MAX_MATRIX`` elements, found before either is allocated."""
-    problems = []
+def _span_problems(options):
+    """A ``beta_min`` and ``beta_max`` whose linspace span overflows."""
+    lo, hi = options["beta_min"], options["beta_max"]
+    return [] if math.isfinite(hi - lo) else [
+        f"options `beta_min` = {lo!r} and `beta_max` = {hi!r} "
+        "are further apart than the largest double"]
+
+
+def _range_problems(options):
+    """A reversed lambda range, or a step whose grid ``np.arange(lo, hi +
+    step/2, step)`` would hold more than ``MAX_GRID`` lambdas, found before
+    it is allocated; none when ``lambda_values`` replace the range."""
+    lo, hi, step = map(options.get, ("lambda_min", "lambda_max", "lambda_step"))
+    if options["lambda_values"] is not None or None in (lo, hi, step):
+        return []
+    if lo > hi:
+        return [f"option `lambda_min` = {lo!r} is above `lambda_max` = {hi!r}"]
+    # np.arange's length, ceil((hi + step/2 - lo) / step)
+    if (hi + step / 2.0 - lo) / step > MAX_GRID:
+        return [f"option `lambda_step` = {step!r} gives more than {MAX_GRID} "
+                f"lambdas from {lo!r} to {hi!r}"]
+    return []
+
+
+def _mlp_problems(options):
+    """An ``lr_min`` not below ``lr_max``, and train-mlp sizes whose blob
+    matrix or some weight matrix would hold more than ``MAX_MATRIX``
+    elements, found before either is allocated."""
+    lr_min, lr_max = options["lr_min"], options["lr_max"]
+    problems = [] if lr_min < lr_max else [
+        f"option `lr_min` = {lr_min!r} is not below `lr_max` = {lr_max!r}"]
     classes, dimension = options["classes"], options["dimension"]
     blob = classes * options["per_class"] * dimension
     if blob > MAX_MATRIX:
@@ -204,13 +207,13 @@ class Command(NamedTuple):
 COMMANDS = {
     "penalty-table": Command({
         "beta_min": (_number, -3.0), "beta_max": (_number, 3.0), "count": (_count, 121),
-    }, reads=("penalty",)),
+    }, reads=("penalty",), check=_span_problems),
     "ortho-scan": Command({
         "beta_ols": _number, "kappa": _positive,
         # lambda_values None: the grid lambda_min..lambda_max by lambda_step
         "lambda_values": (_grid, None),
         "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
-    }),
+    }, check=_range_problems),
     "bias-mc": Command({**_SIMULATION, "n": _count}, check=partial(_simulation_problems, "n", 1)),
     "consistency-mc": Command(
         {**_SIMULATION, "exponent": (_below_one, SimSpec.r), "n_grid": _sizes},
@@ -227,7 +230,7 @@ COMMANDS = {
         "batch_size": (_positive_int, TrainConfig.batch_size),
         "patience": (_positive_int, TrainConfig.patience),
         "max_epochs": (_positive_int, TrainConfig.max_epochs),
-    }, reads=("penalty", "lambda"), check=_matrix_problems),
+    }, reads=("penalty", "lambda"), check=_mlp_problems),
 }
 
 

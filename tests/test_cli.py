@@ -696,6 +696,26 @@ def test_repeated_seed_list_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_empty_seed_list_is_config_error(tmp_path, capsys):
+    # an empty --seed-list is rejected, not dropped for the file's seeds
+    cfg = write_config(tmp_path / "b.cfg", MC_BIAS_CFG)
+    out = tmp_path / "out"
+    assert main(["bias-mc", "--config", cfg, "--out", str(out), "--seed-list", ""]) == 1
+    assert "bad seed list" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_data_build_leaves_no_artifacts_dir(tmp_path, capsys):
+    # one example per class leaves the validation split empty: a config
+    # error raised while the data are built, before any directory is made
+    text = TRAIN_CFG.replace("per_class = 30", "per_class = 1") + "save_artifacts = true\n"
+    out = tmp_path / "out"
+    assert main(["train-mlp", "--config", write_config(tmp_path / "t.cfg", text),
+                 "--out", str(out)]) == 1
+    assert "zero examples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     # config error -> 1; this covers bad sections and bad runtime parameters
     cfg = write_config(tmp_path / "bad.cfg", "[experiment]\ncommand = train-mlp\n")
@@ -794,6 +814,10 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     ("train-mlp", "lr_max", "-0.25"),
     ("ortho-scan", "kappa", "0"),
     ("ortho-scan", "kappa", "-10"),
+    # each positive, but lr_min not below lr_max: failed in TrainConfig once
+    # the data were built, with a message naming no option
+    ("train-mlp", "lr_min", "0.3"),
+    ("train-mlp", "lr_max", "0.005"),
 ])
 def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
     # caught before any work, naming the option: past the checks each gives
@@ -808,6 +832,25 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"`{key}`" in err
+
+
+@pytest.mark.parametrize("text, problem", [
+    (ORTHO_CFG.replace("lambda_min = 0.1", "lambda_min = 20"),
+     "[ortho-scan] option `lambda_min` = 20.0 is above `lambda_max` = 15.1"),
+    (ORTHO_CFG.replace("lambda_step = 1.0", "lambda_step = 1e-300"),
+     "[ortho-scan] option `lambda_step` = 1e-300 gives more than 1000000 lambdas "
+     "from 0.1 to 15.1"),
+    (PENALTY_TABLE_CFG.replace("beta_min = -3", "beta_min = -1e308\nbeta_max = 1e308"),
+     "[penalty-table] options `beta_min` = -1e+308 and `beta_max` = 1e+308 "
+     "are further apart than the largest double"),
+    (TRAIN_CFG + "lr_min = 0.3\n",
+     "[train-mlp] option `lr_min` = 0.3 is not below `lr_max` = 0.25"),
+], ids=["reversed-range", "tiny-step", "beta-span", "lr-pair"])
+def test_rule_over_several_options_is_found_at_parse(tmp_path, text, problem):
+    # found by parse_config itself, before any runner is reached
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(write_config(tmp_path / "c.cfg", text))
+    assert str(err.value).splitlines()[1:] == [f"  - {problem}"]
 
 
 @pytest.mark.parametrize("bad", ["", "3, 1", "1, 1", "-1, 2", "nan"])

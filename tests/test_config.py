@@ -5,8 +5,10 @@ is a configuration error (exit code 1)."""
 import contextlib
 import dataclasses
 import io
+import math
 import pathlib
 import re
+import sys
 import tempfile
 
 import pytest
@@ -43,7 +45,9 @@ def _listed(values):
 
 # for each option parser: (text written to the file, value it parses to)
 WRITTEN = {
-    config._number: FINITE.map(lambda v: (repr(v), v)),
+    # the largest doubles often, so that a span or a range overflows
+    config._number: st.one_of(st.sampled_from([-sys.float_info.max, sys.float_info.max]),
+                              FINITE).map(lambda v: (repr(v), v)),
     config._positive: st.floats(0.0, exclude_min=True, allow_infinity=False).map(
         lambda v: (repr(v), v)),
     config._unsigned: st.integers(0, 10**9).map(lambda v: (str(v), v)),
@@ -95,13 +99,46 @@ def _main_text(text, command):
     return code, err.getvalue()
 
 
-@settings(max_examples=60, deadline=None)
+# the options of each command's rules over several options, all drawn
+# together in half the examples so that the rules are met and broken often
+RULE_KEYS = {"penalty-table": ["beta_min", "beta_max"], "train-mlp": ["lr_min", "lr_max"],
+             "ortho-scan": ["lambda_min", "lambda_max", "lambda_step"]}
+
+
+def _broken_rule(command, options):
+    """The option named by the first rule over several options that
+    ``options`` (a command's values, defaults included) break, or None."""
+    if command == "train-mlp" and not options["lr_min"] < options["lr_max"]:
+        return "lr_min"
+    if command == "penalty-table" and not math.isfinite(options["beta_max"] - options["beta_min"]):
+        return "beta_min"
+    lo, hi, step = map(options.get, ("lambda_min", "lambda_max", "lambda_step"))
+    if command == "ortho-scan" and options["lambda_values"] is None and None not in (lo, hi, step):
+        if lo > hi:
+            return "lambda_min"
+        if (hi + step / 2 - lo) / step > config.MAX_GRID:  # np.arange's length, unrounded
+            return "lambda_step"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.sampled_from(sorted(COMMANDS)), st.data())
 def test_command_options_round_trip(command, data):
+    # each option is drawn on its own, so a draw often breaks a rule over
+    # several options; it must then be rejected by name, else round-trip
     schema = COMMANDS[command].schema
     chosen = data.draw(st.lists(st.sampled_from(sorted(schema)), unique=True))
+    if data.draw(st.booleans()):
+        chosen = sorted({*chosen, *RULE_KEYS.get(command, ())})
     written = {key: data.draw(WRITTEN[_parser(schema[key])]) for key in chosen}
     body = "".join(f"{key} = {text}\n" for key, (text, _) in written.items())
+    drawn = {key: entry[1] for key, entry in schema.items() if isinstance(entry, tuple)}
+    drawn.update((key, value) for key, (_, value) in written.items())
+    broken = _broken_rule(command, drawn)
+    if broken is not None:
+        with pytest.raises(ConfigurationError, match=f"`{broken}`"):
+            _parse_text(_head(command) + body)
+        return
     parsed = _parse_text(_head(command) + body)
     options = parsed.options
     for key, entry in schema.items():
