@@ -32,13 +32,15 @@ def lower_median(values):
 
 
 def _map_cells(fn, cells, jobs):
+    """``fn(*cell)`` for each cell, in order.  A cell holds one call's
+    arguments, built in the parent, so a pool worker only makes that call."""
     jobs = min(jobs, len(cells))  # a pool forks all its workers at once
     if jobs <= 1:
-        return [fn(cell) for cell in cells]
+        return [fn(*cell) for cell in cells]
     from concurrent.futures import ProcessPoolExecutor  # a serial run skips its import
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, cells))
+        return list(pool.map(fn, *zip(*cells)))
 
 
 # --- penalty-table ---------------------------------------------------------
@@ -90,14 +92,10 @@ def _sim_spec(options, seed):
     )
 
 
-def _bias_cell(args):
-    options, seed = args
-    return asymptotics.run_bias_experiment(_sim_spec(options, seed), options["n"])
-
-
 def run_bias_mc(config, jobs):
-    cells = [(config.options, seed) for seed in config.seeds]
-    reports = _map_cells(_bias_cell, cells, jobs)
+    n = config.options["n"]
+    cells = [(_sim_spec(config.options, seed), n) for seed in config.seeds]
+    reports = _map_cells(asymptotics.run_bias_experiment, cells, jobs)
     p = reports[0].empirical_mean.size
     rows = []
     for seed, report in zip(config.seeds, reports):
@@ -117,15 +115,10 @@ def run_bias_mc(config, jobs):
     return "bias_mc.csv", header, zip(*rows)
 
 
-def _consistency_cell(args):
-    options, seed = args
-    return asymptotics.run_consistency_experiment(_sim_spec(options, seed), options["n_grid"])
-
-
 def run_consistency_mc(config, jobs):
     n_grid = config.options["n_grid"]
-    cells = [(config.options, seed) for seed in config.seeds]
-    tables = _map_cells(_consistency_cell, cells, jobs)
+    cells = [(_sim_spec(config.options, seed), n_grid) for seed in config.seeds]
+    tables = _map_cells(asymptotics.run_consistency_experiment, cells, jobs)
     rows = []
     for seed, table in zip(config.seeds, tables):
         for n, err in table:
@@ -154,14 +147,7 @@ def _slug(label, lam, seed):
     return re.sub(r"[^A-Za-z0-9.]+", "-", text).strip("-")
 
 
-def _train_cell(args):
-    splits, options, spec, lam, seed, artifacts_dir, slugs = args
-    train_set = splits[0]
-    arch = mlp.MlpArchitecture(
-        (train_set.features.shape[1], *options["hidden"], train_set.num_classes)
-    )
-    fields = ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")  # of TrainConfig
-    cfg = mlp.TrainConfig(penalty=spec, lam=lam, seed=seed, **{k: options[k] for k in fields})
+def _train_cell(splits, arch, cfg, artifacts_dir, slugs):
     run = mlp.train(*splits, arch, cfg)
     if artifacts_dir is not None:
         header = ("epoch", "train_objective", "total_val_loss", "lr_epoch_start")
@@ -176,32 +162,34 @@ def run_train_mlp(config, jobs):
     # A cell with family none or lambda 0 trains exactly what an unpenalized
     # run trains, whatever its label and lambda: such cells share one run per
     # seed, and every cell still gets its own row and artifacts.
-    unpenalized = penalties.PenaltySpec("none")
-    runs = {}  # (spec, lam, seed) actually trained -> slugs of its grid cells
-    grid = []  # (label, lam, seed, run key) in grid order
+    fields = ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")  # of TrainConfig
+    settings = {k: config.options[k] for k in fields}
+    runs = {}  # TrainConfig actually trained -> slugs of its grid cells
+    grid = []  # (label, lam, seed, run config) in grid order
     for spec in config.penalties:
         for lam in config.lambda_grid:
             lam = float(lam)
             for seed in config.seeds:
-                if spec.family == "none" or lam == 0.0:
-                    key = (unpenalized, 0.0, seed)
+                if spec.family == "none" or lam == 0.0:  # TrainConfig's default: unpenalized
+                    cfg = mlp.TrainConfig(seed=seed, **settings)
                 else:
-                    key = (spec, lam, seed)
-                runs.setdefault(key, []).append(_slug(spec.label(), lam, seed))
-                grid.append((spec.label(), lam, seed, key))
+                    cfg = mlp.TrainConfig(penalty=spec, lam=lam, seed=seed, **settings)
+                runs.setdefault(cfg, []).append(_slug(spec.label(), lam, seed))
+                grid.append((spec.label(), lam, seed, cfg))
     splits = _mlp_splits(config.options)
+    arch = mlp.MlpArchitecture(
+        (splits[0].features.shape[1], *config.options["hidden"], splits[0].num_classes))
     artifacts_dir = None  # made once the data are built, which can fail
     if config.options["save_artifacts"]:
         artifacts_dir = os.path.join(config.output, "train_mlp_runs")
         os.makedirs(artifacts_dir, exist_ok=True)
-    cells = [(splits, config.options, *key, artifacts_dir, slugs)
-             for key, slugs in runs.items()]
+    cells = [(splits, arch, cfg, artifacts_dir, slugs) for cfg, slugs in runs.items()]
     results = dict(zip(runs, _map_cells(_train_cell, cells, jobs)))
     rows = []
     errors = {}  # (label, lam) -> test errors over seeds
-    for label, lam, seed, key in grid:
-        rows.append(("run", label, lam, seed, *results[key]))
-        errors.setdefault((label, lam), []).append(results[key][0])
+    for label, lam, seed, cfg in grid:
+        rows.append(("run", label, lam, seed, *results[cfg]))
+        errors.setdefault((label, lam), []).append(results[cfg][0])
     for (label, lam), errs in errors.items():  # penalties and lambdas are distinct
         rows.append(("median", label, lam, None, lower_median(errs), None, None, None))
     header = ("row", "penalty", "lambda", "seed", "test_error", "best_epoch",

@@ -24,7 +24,8 @@ rule, a parse and a predicate on its result, and checks its one option;
 ``Command.check`` holds every rule over several options, each mirroring
 an allocation or a failure that would come later.  Every section is
 parsed against its schema into typed values with the defaults filled in;
-reading a required key that is not set raises :class:`ConfigurationError`.
+a malformed value is reported and left unset, so no rule over several
+options reads it, and reading an unset key raises :class:`ConfigurationError`.
 Any other section name, and any key that a section's schema does not list,
 is a configuration error.  Parse problems are collected and reported at once.
 """
@@ -118,7 +119,8 @@ def _rejection(text, parse, exc):
 
 _EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (str, None)}
 
-_LAMBDA = {"values": (_lambdas, ()), "log_min": _number, "log_max": _number, "count": _count}
+_LAMBDA = {"values": (_lambdas, ()), "log_min": _positive, "log_max": _positive,
+           "count": _checked(int, lambda v: 2 <= v <= MAX_GRID, f"an integer from 2 to {MAX_GRID}")}
 
 _SIMULATION = {
     "beta": _finites, "c_diag": (_positives, None),  # c_diag None: identity covariance
@@ -139,9 +141,9 @@ def _range_problems(options):
     """A reversed lambda range, or a step whose grid ``np.arange(lo, hi +
     step/2, step)`` would hold more than ``MAX_GRID`` lambdas, found before
     it is allocated; none when ``lambda_values`` replace the range."""
-    lo, hi, step = map(options.get, ("lambda_min", "lambda_max", "lambda_step"))
-    if options["lambda_values"] is not None or None in (lo, hi, step):
+    if options["lambda_values"] is not None:
         return []
+    lo, hi, step = options["lambda_min"], options["lambda_max"], options["lambda_step"]
     if lo > hi:
         return [f"option `lambda_min` = {lo!r} is above `lambda_max` = {hi!r}"]
     # np.arange's length, ceil((hi + step/2 - lo) / step)
@@ -178,9 +180,7 @@ def _simulation_problems(key, starts, options):
     """Monte Carlo sizes, option ``key``, whose arrays would hold more than
     ``MAX_MATRIX`` elements for a fit of ``starts`` starts, found before any
     is allocated, and a ``c_diag`` whose length is not ``beta``'s."""
-    beta, c_diag, sizes = options.get("beta"), options["c_diag"], options.get(key)
-    if beta is None or sizes is None:
-        return []
+    beta, c_diag, sizes = options["beta"], options["c_diag"], options[key]
     p, sizes = len(beta), sizes if isinstance(sizes, list) else [sizes]
     problems = [] if c_diag is None or len(c_diag) == p else [
         f"option `c_diag` has {len(c_diag)} entries and `beta` has {p}"]
@@ -235,7 +235,7 @@ COMMANDS = {
 
 
 class Options(dict):
-    """A section's typed values; reading an unset required key is a config error."""
+    """A section's typed values; reading an unset key is a config error."""
 
     def __missing__(self, key):
         raise ConfigurationError(f"missing required option `{key}`")
@@ -270,7 +270,8 @@ def parse_seed_list(text):
 def _parse_section(parser, section, schema, problems):
     """Parse ``section`` (empty when absent) against ``schema`` into
     :class:`Options`.  An unknown key or a malformed value is a problem, and
-    a malformed value reads as the default."""
+    a malformed value is left unset, so that no rule over several options
+    reads it."""
     body = dict(parser.items(section)) if parser.has_section(section) else {}
     problems.extend(f"[{section}] has unknown key `{key}`" for key in body if key not in schema)
     options = Options()
@@ -279,10 +280,9 @@ def _parse_section(parser, section, schema, problems):
         if key in body:
             try:
                 options[key] = parse(body[key])
-                continue
             except ValueError as exc:
                 problems.append(f"[{section}] option `{key}` = {_rejection(body[key], parse, exc)}")
-        if default:
+        elif default:
             options[key] = default[0]
     return options
 
@@ -325,10 +325,14 @@ def _parse_lambda_grid(parser, problems):
     if not parser.has_section("lambda") or parser.has_option("lambda", "values"):
         return list(grid["values"])
     try:
-        return loggrid(grid["log_min"], grid["log_max"], grid["count"])
+        lo, hi, count = grid["log_min"], grid["log_max"], grid["count"]
     except ConfigurationError as exc:
         problems.append(f"[lambda]: {exc}")
         return None
+    if lo < hi:
+        return loggrid(lo, hi, count)
+    problems.append(f"[lambda] option `log_min` = {lo!r} is not below `log_max` = {hi!r}")
+    return None
 
 
 def parse_config(path, command=None, seed_list=None, out=None):
@@ -369,7 +373,7 @@ def parse_config(path, command=None, seed_list=None, out=None):
         elif entry is not None and kind not in ("experiment", command, *entry.reads):
             problems.append(f"[{section}] is not read by {command}")
 
-    seeds = list(exp["seeds"]) if seed_list is None else seed_list
+    seeds = list(exp.get("seeds", ())) if seed_list is None else seed_list  # unset if malformed
     if out is None:
         out = os.environ.get("GAUSSPEN_OUT", ".") if exp["output"] is None else exp["output"]
     penalties = _parse_penalties(parser, problems)
@@ -380,7 +384,10 @@ def parse_config(path, command=None, seed_list=None, out=None):
             problems.append(f"{command} needs at least one [penalty:*] section")
         if "lambda" in entry.reads and lambda_grid == []:
             problems.append(f"{command} needs a [lambda] section with at least one value")
-        problems.extend(f"[{command}] {problem}" for problem in entry.check(options))
+        try:
+            problems.extend(f"[{command}] {problem}" for problem in entry.check(options))
+        except ConfigurationError:
+            pass  # it read an unset option; a malformed one is listed already
 
     if problems:
         raise ConfigurationError("config problems:\n  - " + "\n  - ".join(problems))

@@ -41,7 +41,7 @@ class MlpArchitecture:
             raise ConfigurationError("every layer size must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     penalty: PenaltySpec = field(default_factory=lambda: PenaltySpec("none"))
     lam: float = 0.0

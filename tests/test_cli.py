@@ -527,11 +527,18 @@ def test_jobs_parallel_same_bytes(tmp_path, command, text, csv):
     assert (serial_dir / csv).read_bytes() == (parallel_dir / csv).read_bytes()
 
 
-@pytest.mark.parametrize("seeds, pools", [("1, 2, 3", [3]), ("4", [])])
-def test_jobs_above_cell_count_opens_one_worker_per_cell(tmp_path, monkeypatch, seeds, pools):
+@pytest.mark.parametrize("command, text, csv, seeds, pools", [
+    pytest.param("bias-mc", MC_BIAS_CFG, "bias_mc.csv", "1, 2, 3", [3], id="1, 2, 3-pools0"),
+    pytest.param("bias-mc", MC_BIAS_CFG, "bias_mc.csv", "4", [], id="4-pools1"),
+    # one unpenalized run and one Gaussian run per lambda: three cells, each
+    # of five arguments (splits, architecture, TrainConfig, directory, slugs)
+    pytest.param("train-mlp", TRAIN_CFG, "train_mlp.csv", "4", [3], id="train-mlp-4-pools2"),
+])
+def test_jobs_above_cell_count_opens_one_worker_per_cell(tmp_path, monkeypatch, command, text,
+                                                          csv, seeds, pools):
     # a pool forks all its workers at once, so --jobs 500 on three cells
     # must ask for three; a stand-in pool records the request and maps in
-    # this process, so no process is started
+    # this process, as ProcessPoolExecutor.map does, so no process is started
     opened = []
 
     class RecordingPool:
@@ -544,16 +551,16 @@ def test_jobs_above_cell_count_opens_one_worker_per_cell(tmp_path, monkeypatch, 
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, cells):
-            return map(fn, cells)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    cfg = write_config(tmp_path / "t.cfg", MC_BIAS_CFG.replace("1, 2, 3", seeds))
+    cfg = write_config(tmp_path / "t.cfg", text.replace("1, 2, 3", seeds))
     serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
-    assert main(["bias-mc", "--config", cfg, "--out", str(serial_dir)]) == 0
-    assert main(["bias-mc", "--config", cfg, "--out", str(parallel_dir), "--jobs", "500"]) == 0
+    assert main([command, "--config", cfg, "--out", str(serial_dir)]) == 0
+    assert main([command, "--config", cfg, "--out", str(parallel_dir), "--jobs", "500"]) == 0
     assert opened == pools
-    assert (serial_dir / "bias_mc.csv").read_bytes() == (parallel_dir / "bias_mc.csv").read_bytes()
+    assert (serial_dir / csv).read_bytes() == (parallel_dir / csv).read_bytes()
 
 
 def test_train_mlp_artifacts(tmp_path):
@@ -782,6 +789,11 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     ("penalty-table", "beta_min", "-1e308\nbeta_max = 1e308"),
     ("train-mlp", "count", "0"),
     ("train-mlp", "count", "1000001"),
+    # a [lambda] log grid's rules: a nonpositive or unordered range, and a
+    # grid of one lambda
+    ("train-mlp", "log_min", "0"),
+    ("train-mlp", "log_min", "0.5"),
+    ("train-mlp", "count", "1"),
     ("train-mlp", "count", str(10**12)),
     *(("train-mlp", key, bad) for key in ("batch_size", "patience", "max_epochs")
       for bad in ("0", "-1")),
@@ -845,9 +857,28 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad
      "are further apart than the largest double"),
     (TRAIN_CFG + "lr_min = 0.3\n",
      "[train-mlp] option `lr_min` = 0.3 is not below `lr_max` = 0.25"),
-], ids=["reversed-range", "tiny-step", "beta-span", "lr-pair"])
+    (TRAIN_LOG_GRID_CFG.replace("log_min = 0.001", "log_min = 1"),
+     "[lambda] option `log_min` = 1.0 is not below `log_max` = 0.01"),
+], ids=["reversed-range", "tiny-step", "beta-span", "lr-pair", "log-range"])
 def test_rule_over_several_options_is_found_at_parse(tmp_path, text, problem):
     # found by parse_config itself, before any runner is reached
+    with pytest.raises(ConfigurationError) as err:
+        parse_config(write_config(tmp_path / "c.cfg", text))
+    assert str(err.value).splitlines()[1:] == [f"  - {problem}"]
+
+
+@pytest.mark.parametrize("text, problem", [
+    (TRAIN_CFG + "lr_min = x\nlr_max = 0.005\n",
+     "[train-mlp] option `lr_min` = 'x' is not a finite positive number"),
+    # with the default 100 replicates, 1,001 betas and n = 50 would give an
+    # X'X stack of 100,200,100 elements
+    (MC_BIAS_CFG.replace("beta = 1, -0.5", "beta = " + ", ".join(["1"] * 1001))
+     .replace("n = 200", "n = 50").replace("replicates = 20", "replicates = x"),
+     "[bias-mc] option `replicates` = 'x' is not a positive integer up to 1000000"),
+], ids=["lr-pair", "x-x-stack"])
+def test_malformed_option_is_one_problem(tmp_path, text, problem):
+    # a malformed value is left unset, so no rule over several options reads
+    # its default in its place and reports a value the config never wrote
     with pytest.raises(ConfigurationError) as err:
         parse_config(write_config(tmp_path / "c.cfg", text))
     assert str(err.value).splitlines()[1:] == [f"  - {problem}"]

@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import tempfile
 
@@ -67,6 +68,17 @@ def test_config_validation():
         TrainConfig(patience=0)
     with pytest.raises(ConfigurationError):
         TrainConfig(lam=-1.0)
+
+
+def test_config_is_frozen_run_key():
+    # train-mlp keys each run by its TrainConfig: equal configs hash alike,
+    # and a config cannot change once it is a key
+    a = TrainConfig(penalty=PenaltySpec("gaussian", kappa=10.0), lam=0.01, seed=2)
+    b = TrainConfig(penalty=PenaltySpec("gaussian", kappa=10.0), lam=0.01, seed=2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != TrainConfig(penalty=PenaltySpec("gaussian", kappa=10.0), lam=0.01, seed=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.lam = 0.1
 
 
 # --- init ----------------------------------------------------------------------
