@@ -147,8 +147,8 @@ def _slug(label, lam, seed):
     return re.sub(r"[^A-Za-z0-9.]+", "-", text).strip("-")
 
 
-def _train_cell(splits, arch, cfg, artifacts_dir, slugs):
-    run = mlp.train(*splits, arch, cfg)
+def _train_cell(splits, arch, cfg, weights, artifacts_dir, slugs):
+    run = mlp.train(*splits, arch, cfg, weights=weights)
     if artifacts_dir is not None:
         header = ("epoch", "train_objective", "total_val_loss", "lr_epoch_start")
         for slug in slugs:
@@ -183,7 +183,9 @@ def run_train_mlp(config, jobs):
     if config.options["save_artifacts"]:
         artifacts_dir = os.path.join(config.output, "train_mlp_runs")
         os.makedirs(artifacts_dir, exist_ok=True)
-    cells = [(splits, arch, cfg, artifacts_dir, slugs) for cfg, slugs in runs.items()]
+    initial = {seed: mlp.init_weights(arch, seed) for seed in config.seeds}  # what train draws
+    cells = [(splits, arch, cfg, initial[cfg.seed], artifacts_dir, slugs)
+             for cfg, slugs in runs.items()]
     results = dict(zip(runs, _map_cells(_train_cell, cells, jobs)))
     rows = []
     errors = {}  # (label, lam) -> test errors over seeds

@@ -292,6 +292,8 @@ def _is_penalty(section):
 
 
 def _parse_penalties(parser, problems):
+    """The penalty grid, or None once a penalty section has a problem; no rule reads it."""
+    reported = len(problems)
     penalties = []
     sections = {}  # label -> the first section giving that penalty
     for section in filter(_is_penalty, parser.sections()):
@@ -302,7 +304,10 @@ def _parse_penalties(parser, problems):
         schema = {"family": str}
         if family in PARAMETER:
             schema[PARAMETER[family]] = _number
+        before = len(problems)
         params = _parse_section(parser, section, schema, problems)
+        if len(problems) > before:
+            continue
         del params["family"]
         try:
             spec = PenaltySpec(family, **params)
@@ -313,7 +318,7 @@ def _parse_penalties(parser, problems):
         if first != section:
             problems.append(f"[{section}] repeats [{first}]: both are {spec.label()}")
         penalties.append(spec)
-    return penalties
+    return penalties if len(problems) == reported else None
 
 
 def _parse_lambda_grid(parser, problems):
@@ -380,7 +385,7 @@ def parse_config(path, command=None, seed_list=None, out=None):
     lambda_grid = _parse_lambda_grid(parser, problems)
     options = _parse_section(parser, command, entry.schema if entry else {}, problems)
     if entry is not None:
-        if "penalty" in entry.reads and not penalties:
+        if "penalty" in entry.reads and penalties == []:
             problems.append(f"{command} needs at least one [penalty:*] section")
         if "lambda" in entry.reads and lambda_grid == []:
             problems.append(f"{command} needs a [lambda] section with at least one value")

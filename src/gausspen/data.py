@@ -155,8 +155,9 @@ def make_blobs(num_classes, per_class, dimension, separation, seed):
 
 
 def flip_labels(dataset, fraction, seed):
-    """Return a copy with a seeded fraction of labels reassigned uniformly
-    to some other class; the usual overfitting-prone noise model."""
+    """Return a dataset with a seeded fraction of labels reassigned uniformly
+    to some other class; the usual overfitting-prone noise model.  It copies
+    the labels only and shares the feature matrix, which nothing writes."""
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError("label-noise fraction must be in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -166,7 +167,7 @@ def flip_labels(dataset, fraction, seed):
     if n_flip and k > 1:
         idx = rng.choice(dataset.n, size=n_flip, replace=False)
         labels[idx] = (labels[idx] + rng.integers(1, k, size=n_flip)) % k
-    return LabeledDataset(dataset.features.copy(), labels, dataset.split_tag)
+    return LabeledDataset(dataset.features, labels, dataset.split_tag)
 
 
 def _allocate(count, fractions):
@@ -184,8 +185,9 @@ def _allocate(count, fractions):
 def split(dataset, fractions, seed):
     """Stratified, disjoint, exhaustive (train, validation, test) split.
 
-    Per class, a seeded shuffle is allocated by largest-remainder rounding,
-    so every split's class counts sit within 1 of the exact proportion.
+    Per class present, in ascending order, a seeded shuffle is allocated by
+    largest-remainder rounding, so every split's class counts sit within 1
+    of the exact proportion.
     """
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
@@ -194,7 +196,8 @@ def split(dataset, fractions, seed):
         raise ConfigurationError("split fractions must sum to 1")
     rng = np.random.default_rng(seed)
     parts = [[], [], []]
-    for cls in np.unique(dataset.labels):
+    # the classes np.unique gives, without its first-call import of numpy.ma
+    for cls in np.flatnonzero(np.bincount(dataset.labels)):
         idx = np.nonzero(dataset.labels == cls)[0]
         idx = rng.permutation(idx)
         counts = _allocate(len(idx), fractions)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DivergenceError, FormatError
+from .errors import ConfigurationError, DivergenceError, DomainError, FormatError
 from .penalties import PenaltySpec, grad_array, value_array
 
 CHECKPOINT_MAGIC = b"MLPW"
@@ -205,16 +205,25 @@ def evaluate(weights, dataset):
     return float(np.mean(predicted != dataset.labels))
 
 
-def train(train_set, val_set, test_set, arch, config):
+@np.errstate(all="ignore")  # a diverging run ends on its non-finite loss, unwarned
+def train(train_set, val_set, test_set, arch, config, *, weights=None):
     """Run the full protocol: shuffled mini-batches, a triangular learning
     rate per iteration that rises over four epochs and falls over the next
     four, per-epoch total validation loss, best-weights checkpointing, and
-    stopping on patience or the epoch cap.
+    stopping on patience or the epoch cap.  It starts from a copy of
+    ``weights``, (W, b) pairs of ``arch``'s shapes, or by default from
+    ``init_weights(arch, config.seed)``.
 
     The returned :class:`TrainRun` carries the best weights (restored before
     test evaluation); :func:`save_weights` stores them on disk.
     """
-    weights = init_weights(arch, config.seed)
+    if weights is None:
+        weights = init_weights(arch, config.seed)
+    else:
+        weights = [(np.array(W, dtype=float), np.array(b, dtype=float)) for W, b in weights]
+        sizes = arch.layer_sizes  # (fan_in, fan_out) of W, then (fan_out,) of b
+        if [W.shape + b.shape for W, b in weights] != list(zip(sizes, sizes[1:], sizes[1:])):
+            raise ConfigurationError(f"starting weights do not have the shapes of {sizes}")
     shuffle_rng = np.random.default_rng([config.seed, 1])
     n_train = train_set.n
     cycle = 4 * -(-n_train // config.batch_size)  # iterations in four epochs
@@ -235,18 +244,20 @@ def train(train_set, val_set, test_set, arch, config):
     for epoch in range(1, config.max_epochs + 1):
         lr_start = triangular_lr(iteration, config, cycle)
         order = shuffle_rng.permutation(n_train)
-        for lo in range(0, n_train, config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            lr = triangular_lr(iteration, config, cycle)
-            # mode="clip" writes straight into out; "raise" would buffer a copy
-            x = np.take(train_set.features, batch, axis=0, out=batch_x[:len(batch)], mode="clip")
-            _, cache = forward(weights, x, out=step_arrays)
-            backward(weights, cache, train_set.labels[batch], config.penalty, config.lam,
-                     out=grads, lr=lr)
-            iteration += 1
-
-        train_obj = composite_objective(weights, train_set.features, train_set.labels,
-                                        config.penalty, config.lam, out=logits_only)
+        try:
+            for lo in range(0, n_train, config.batch_size):
+                batch = order[lo:lo + config.batch_size]
+                lr = triangular_lr(iteration, config, cycle)
+                # mode="clip" writes straight into out; "raise" would buffer a copy
+                x = np.take(train_set.features, batch, 0, batch_x[:len(batch)], mode="clip")
+                _, cache = forward(weights, x, out=step_arrays)
+                backward(weights, cache, train_set.labels[batch], config.penalty, config.lam,
+                         out=grads, lr=lr)
+                iteration += 1
+            train_obj = composite_objective(weights, train_set.features, train_set.labels,
+                                            config.penalty, config.lam, out=logits_only)
+        except DomainError:  # a penalty met non-finite weights, so the loss is not finite
+            train_obj = np.nan
         val_logits, _ = forward(weights, val_set.features, out=logits_only)
         val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
         if not (np.isfinite(train_obj) and np.isfinite(val_loss)):

@@ -951,16 +951,28 @@ def test_import_loads_no_scipy(tmp_path):
     assert result.stdout.strip() == "[]"
 
 
-def test_consistency_mc_loads_no_numpy_ma(tmp_path):
-    # np.median imports numpy.ma on its first call, about 14 ms of every
-    # consistency-mc process; the experiment takes its medians without it
-    cfg = write_config(tmp_path / "c.cfg", "[experiment]\ncommand = consistency-mc\n"
-                       "[consistency-mc]\nbeta = 1, -2\nreplicates = 4\nn_grid = 20, 40\n")
+NO_MA_CONFIGS = {
+    "penalty-table": PENALTY_TABLE_CFG,
+    "ortho-scan": ORTHO_CFG,
+    "bias-mc": MC_BIAS_CFG,
+    "consistency-mc": "[experiment]\ncommand = consistency-mc\n"
+                      "[consistency-mc]\nbeta = 1, -2\nreplicates = 4\nn_grid = 20, 40\n",
+    "train-mlp": TRAIN_CFG,
+}
+
+
+@pytest.mark.parametrize("command", sorted(NO_MA_CONFIGS))
+def test_command_loads_no_numpy_ma(tmp_path, command):
+    # np.median and np.unique import numpy.ma on their first call, about
+    # 14-18 ms of a fresh process; no command needs it (consistency-mc takes
+    # its medians and data.split its classes without them)
+    cfg = write_config(tmp_path / "c.cfg", NO_MA_CONFIGS[command])
     code = ("import sys\nfrom gausspen.cli import main\n"
-            f"assert main(['consistency-mc', '--config', {cfg!r}, '--out', 'out']) == 0\n"
+            f"assert main([{command!r}, '--config', {cfg!r}, '--out', 'out']) == 0\n"
             "print('numpy.ma' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     result = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
                             capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["out/consistency_mc.csv", "False"]
+    csv = command.replace("-", "_") + ".csv"
+    assert result.stdout.splitlines() == [f"out/{csv}", "False"]

@@ -273,6 +273,22 @@ def test_each_command_needs_the_sections_it_reads_and_no_other(command):
                 _parse_text(text + _head(command))
 
 
+MALFORMED_PENALTY = "[penalty:base]\nfamily = gaussian\nkappa = x"
+
+
+@pytest.mark.parametrize("others", ["", "\n\n[penalty:g]\nfamily = gaussian\nkappa = 10"],
+                         ids=["alone", "beside-its-default"])
+def test_malformed_penalty_section_is_the_only_problem(others):
+    # the section is compared with no other and still counts as given: no
+    # "repeats" problem against a gaussian(kappa=10) it never wrote, and no
+    # "needs at least one [penalty:*] section" when it is the only one
+    text = TRAIN.replace("[penalty:base]\nfamily = none", MALFORMED_PENALTY + others)
+    with pytest.raises(ConfigurationError) as err:
+        _parse_text(text)
+    assert str(err.value).splitlines()[1:] == [
+        "  - [penalty:base] option `kappa` = 'x' is not a finite number"]
+
+
 CONSISTENCY = BIAS.replace("bias-mc", "consistency-mc").replace("n = 50", "n_grid = 50, 100")
 
 

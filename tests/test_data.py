@@ -193,7 +193,57 @@ def test_flip_labels_fraction_and_determinism():
     assert np.array_equal(noisy.features, dataset.features)
 
 
+def test_flip_labels_shares_the_features_and_copies_the_labels():
+    dataset = make_blobs(3, 20, 2, 5.0, seed=8)
+    labels = dataset.labels.copy()
+    noisy = flip_labels(dataset, 0.3, seed=9)
+    assert np.shares_memory(noisy.features, dataset.features)
+    assert not np.shares_memory(noisy.labels, dataset.labels)
+    assert np.array_equal(dataset.labels, labels)
+
+
 # --- split ----------------------------------------------------------------------
+
+
+def _split_reference(dataset, fractions, seed):
+    # split's rule with its classes from np.unique, as it once took them
+    rng = np.random.default_rng(seed)
+    parts = [[], [], []]
+    for cls in np.unique(dataset.labels):
+        idx = rng.permutation(np.nonzero(dataset.labels == cls)[0])
+        start = 0
+        for part, cnt in zip(parts, data._allocate(len(idx), fractions)):
+            part.extend(idx[start:start + cnt].tolist())
+            start += cnt
+    if not all(parts):
+        return None
+    return [np.asarray(part)[rng.permutation(len(part))] for part in parts]
+
+
+# labels from a few classes of 0..9, so most draws leave some class absent
+SPARSE_LABELS = st.sets(st.integers(0, 9), min_size=1, max_size=5).flatmap(
+    lambda classes: st.lists(st.sampled_from(sorted(classes)), min_size=1, max_size=60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    labels=SPARSE_LABELS,
+    fractions=st.sampled_from([(0.5, 0.25, 0.25), (0.8, 0.1, 0.1), (0.2, 0.3, 0.5)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(labels=[0, 2, 5] * 8, fractions=(0.5, 0.25, 0.25), seed=0)
+def test_split_takes_the_classes_np_unique_gives(labels, fractions, seed):
+    dataset = LabeledDataset(np.arange(len(labels), dtype=float)[:, None], labels)
+    expected = _split_reference(dataset, fractions, seed)
+    if expected is None:
+        with pytest.raises(ConfigurationError, match="zero examples"):
+            split(dataset, fractions, seed)
+        return
+    for part, rows, tag in zip(split(dataset, fractions, seed), expected,
+                               ("train", "validation", "test")):
+        assert part.split_tag == tag
+        assert part.features.tobytes() == dataset.features[rows].tobytes()
+        assert part.labels.tobytes() == dataset.labels[rows].tobytes()
 
 
 def test_split_sizes():

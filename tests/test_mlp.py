@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gausspen import data
-from gausspen.errors import ConfigurationError
+from gausspen.errors import ConfigurationError, DivergenceError
 from gausspen.mlp import (
     CheckpointFormatError,
     MlpArchitecture,
@@ -498,6 +499,54 @@ def test_results_do_not_change_after_later_calls():
         assert gW.tobytes() == kW.tobytes() and gb.tobytes() == kb.tobytes()
     for (W, b), (kW, kb) in zip(run.weights, kept[3]):
         assert W.tobytes() == kW.tobytes() and b.tobytes() == kb.tobytes()
+
+
+@pytest.mark.parametrize("family", sorted(PROPERTY_PENALTIES))
+def test_given_starting_weights_train_as_the_default_draw(family):
+    # the CLI draws a seed's weights once and hands them to each of its runs
+    tr, va, te = toy_splits(seed=3, classes=3, per_class=20, dimension=3)
+    arch = MlpArchitecture((3, 6, 5, 3))
+    config = TrainConfig(penalty=PROPERTY_PENALTIES[family], lam=0.01, batch_size=7,
+                         max_epochs=8, seed=4)
+    weights = init_weights(arch, config.seed)
+    kept = [(W.tobytes(), b.tobytes()) for W, b in weights]
+    run = train(tr, va, te, arch, config, weights=weights)
+    assert _run_bits(run) == _run_bits(train(tr, va, te, arch, config))
+    assert [(W.tobytes(), b.tobytes()) for W, b in weights] == kept  # never written
+    again = train(tr, va, te, arch, config, weights=weights)
+    assert _run_bits(again) == _run_bits(run)
+
+
+@pytest.mark.parametrize("shapes", [
+    [((3, 6), (6,)), ((6, 3), (3,))],  # one layer short
+    [((3, 6), (6,)), ((6, 5), (5,)), ((5, 3), (3,)), ((3, 3), (3,))],  # one too many
+    [((6, 3), (6,)), ((6, 5), (5,)), ((5, 3), (3,))],  # a transposed matrix
+    [((3, 6), (5,)), ((6, 5), (5,)), ((5, 3), (3,))],  # a bias of the wrong width
+])
+def test_starting_weights_of_other_shapes_are_rejected(shapes):
+    tr, va, te = toy_splits(seed=3, classes=3, per_class=20, dimension=3)
+    weights = [(np.zeros(w), np.zeros(b)) for w, b in shapes]
+    with pytest.raises(ConfigurationError, match="shapes"):
+        train(tr, va, te, MlpArchitecture((3, 6, 5, 3)), TrainConfig(max_epochs=2),
+              weights=weights)
+
+
+# a learning rate of 5 to 50 sends these runs' weights to inf or NaN; before
+# the loss shows it, a penalty's gradient (gaussian) or value (ridge) can
+# meet them
+@pytest.mark.parametrize("penalty, lam, seed, epoch", [
+    (PenaltySpec("gaussian", kappa=10.0), 0.01, 1, 4),
+    (PenaltySpec("ridge"), 0.01, 1, 5),
+    (PenaltySpec("none"), 0.0, 3, 4),
+], ids=["gaussian", "ridge", "none"])
+def test_diverging_run_reports_its_epoch_and_no_warning(penalty, lam, seed, epoch):
+    splits = data.split(data.make_blobs(3, 60, 8, 3.0, 0), (0.5, 0.25, 0.25), seed=0)
+    config = TrainConfig(penalty=penalty, lam=lam, lr_min=5.0, lr_max=50.0, batch_size=32,
+                         seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match=f"non-finite loss at epoch {epoch}$"):
+            train(*splits, MlpArchitecture((8, 64, 64, 3)), config)
 
 
 def test_checkpoint_reproduces_best_val_loss(tmp_path):
