@@ -6,6 +6,8 @@ Commands: penalty-table, ortho-scan, bias-mc, consistency-mc, train-mlp.
 Each writes one CSV (header row; floats with 17 significant digits so values
 round-trip exactly) into the output directory, chosen by --out, then the
 config file's ``output`` key, then $GAUSSPEN_OUT, then the working directory.
+Every file is written atomically by ``data.write_file``, which makes its
+directory with it, so a command that fails before writing leaves no directory.
 Grid cells are independent; --jobs N > 1 computes them in a pool of N worker
 processes, or of one per cell if there are fewer cells, but rows are always
 written in deterministic grid order.  Exit codes: 0 success, 1 configuration
@@ -48,8 +50,8 @@ def _map_cells(fn, cells, jobs):
 def run_penalty_table(config, jobs):
     opts = config.options
     betas = np.linspace(opts["beta_min"], opts["beta_max"], opts["count"])
-    # every value first, so a DomainError comes before any directory or file
-    # is made; the beta column repeats the grid once per family, converted once
+    # every value first, so a DomainError comes before any file is written;
+    # the beta column repeats the grid once per family, converted once
     values = np.concatenate([penalties.value_array(spec, betas) for spec in config.penalties])
     labels = []
     for spec in config.penalties:
@@ -179,10 +181,8 @@ def run_train_mlp(config, jobs):
     splits = _mlp_splits(config.options)
     arch = mlp.MlpArchitecture(
         (splits[0].features.shape[1], *config.options["hidden"], splits[0].num_classes))
-    artifacts_dir = None  # made once the data are built, which can fail
-    if config.options["save_artifacts"]:
-        artifacts_dir = os.path.join(config.output, "train_mlp_runs")
-        os.makedirs(artifacts_dir, exist_ok=True)
+    save = config.options["save_artifacts"]  # the directory appears with its first file
+    artifacts_dir = os.path.join(config.output, "train_mlp_runs") if save else None
     initial = {seed: mlp.init_weights(arch, seed) for seed in config.seeds}  # what train draws
     cells = [(splits, arch, cfg, initial[cfg.seed], artifacts_dir, slugs)
              for cfg, slugs in runs.items()]
@@ -215,7 +215,6 @@ def run(config, jobs=1):
     if config.command not in RUNNERS:
         raise ConfigurationError(f"unknown command {config.command!r}")
     name, header, columns = RUNNERS[config.command](config, jobs)
-    os.makedirs(config.output, exist_ok=True)
     path = os.path.join(config.output, name)
     write_csv(path, header, columns)
     return path

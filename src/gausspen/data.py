@@ -1,5 +1,6 @@
 """Dataset ingestion and synthesis: IDX binary tensors, Gaussian-blob
-classification data, stratified split management, and atomic CSV writing.
+classification data, stratified split management, and :func:`write_file`,
+the one atomic writer that every file the package writes goes through.
 
 IDX layout (big-endian throughout):
 
@@ -227,31 +228,38 @@ def cell_texts(values):
             for v in values]
 
 
-def write_csv(path, header, columns):
-    """Write a table, given as equal-length columns (sequences), as CSV.
-
-    The write is atomic: the text goes to a temporary file in the target
-    directory, which then replaces ``path``, so a failure part-way leaves
-    any earlier file at ``path`` intact.  Rows are converted and written
-    ``CSV_BLOCK_ROWS`` at a time, so the text of a whole table is never
-    held at once.  Every cell is converted by :func:`cell_texts`, so a
-    column already converted by it is written as it is.
-    """
-    columns = list(columns)
-    count = len(columns[0]) if columns else 0
-    if any(len(column) != count for column in columns):
-        raise ValueError("CSV columns differ in length")
-    path = os.fspath(path)
-    directory, name = os.path.split(path)
+def write_file(path, chunks):
+    """Write the byte chunks (bytes or contiguous arrays) as the file ``path``,
+    making its directory if missing.  The chunks go to ``.{name}.{pid}.tmp``
+    beside ``path``, which then replaces it; a failure part-way removes that
+    file and leaves any earlier file at ``path`` intact."""
+    directory, name = os.path.split(os.fspath(path))
+    os.makedirs(directory or ".", exist_ok=True)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline="\n") as handle:
-            handle.write(",".join(header) + "\n")
-            for start in range(0, count, CSV_BLOCK_ROWS):
-                block = [cell_texts(column[start:start + CSV_BLOCK_ROWS])
-                         for column in columns]
-                handle.write("\n".join(map(",".join, zip(*block))) + "\n")
+        with open(tmp, "wb") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def write_csv(path, header, columns):
+    """Write a table, given as equal-length columns (sequences), as UTF-8
+    CSV through :func:`write_file`.  Rows are converted and written
+    ``CSV_BLOCK_ROWS`` at a time, so the text of a whole table is never held
+    at once; every cell is converted by :func:`cell_texts`, so a column
+    already converted by it is written as it is."""
+    columns = list(columns)
+    count = len(columns[0]) if columns else 0
+    if any(len(column) != count for column in columns):
+        raise ValueError("CSV columns differ in length")
+
+    def blocks():
+        yield (",".join(header) + "\n").encode()
+        for start in range(0, count, CSV_BLOCK_ROWS):
+            block = [cell_texts(column[start:start + CSV_BLOCK_ROWS]) for column in columns]
+            yield ("\n".join(map(",".join, zip(*block))) + "\n").encode()
+
+    write_file(path, blocks())

@@ -10,11 +10,13 @@ Weight checkpoints use a self-describing binary layout:
     vector, float64 little-endian, row-major.
 """
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_file
 from .errors import ConfigurationError, DivergenceError, DomainError, FormatError
 from .penalties import PenaltySpec, grad_array, value_array
 
@@ -205,7 +207,7 @@ def evaluate(weights, dataset):
     return float(np.mean(predicted != dataset.labels))
 
 
-@np.errstate(all="ignore")  # a diverging run ends on its non-finite loss, unwarned
+@np.errstate(all="ignore", over="raise")  # an overflow ends the run; nothing warns
 def train(train_set, val_set, test_set, arch, config, *, weights=None):
     """Run the full protocol: shuffled mini-batches, a triangular learning
     rate per iteration that rises over four epochs and falls over the next
@@ -215,7 +217,8 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
     ``init_weights(arch, config.seed)``.
 
     The returned :class:`TrainRun` carries the best weights (restored before
-    test evaluation); :func:`save_weights` stores them on disk.
+    test evaluation); :func:`save_weights` stores them on disk.  An epoch whose
+    loss is not finite or whose arithmetic overflows raises DivergenceError.
     """
     if weights is None:
         weights = init_weights(arch, config.seed)
@@ -256,10 +259,10 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
                 iteration += 1
             train_obj = composite_objective(weights, train_set.features, train_set.labels,
                                             config.penalty, config.lam, out=logits_only)
-        except DomainError:  # a penalty met non-finite weights, so the loss is not finite
-            train_obj = np.nan
-        val_logits, _ = forward(weights, val_set.features, out=logits_only)
-        val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
+            val_logits, _ = forward(weights, val_set.features, out=logits_only)
+            val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
+        except (DomainError, FloatingPointError):  # non-finite weights or overflowing arithmetic
+            train_obj = val_loss = np.nan
         if not (np.isfinite(train_obj) and np.isfinite(val_loss)):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         epoch_log.append((epoch, train_obj, val_loss, lr_start))
@@ -281,14 +284,13 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
 
 
 def save_weights(path, weights):
-    """Write (W, b) pairs in the self-describing checkpoint layout."""
+    """Write (W, b) pairs in the self-describing checkpoint layout, atomically
+    through :func:`~gausspen.data.write_file`."""
     sizes = [weights[0][0].shape[0]] + [W.shape[1] for W, _ in weights]
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack(f"<II{len(sizes)}I", CHECKPOINT_VERSION, len(sizes), *sizes))
-        for W, b in weights:
-            handle.write(np.ascontiguousarray(W, dtype="<f8"))
-            handle.write(np.ascontiguousarray(b, dtype="<f8"))
+    header = struct.pack(f"<4sII{len(sizes)}I", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                         len(sizes), *sizes)
+    arrays = (np.ascontiguousarray(a, dtype="<f8") for pair in weights for a in pair)
+    write_file(path, itertools.chain([header], arrays))
 
 
 def _unpack(blob, fmt, offset, part):

@@ -571,9 +571,9 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
 
     The grid is profiled in one batch (:func:`_profiles`); lambda* is then
     found by the scalar Brent port on the gap between the two minima, over
-    the first grid step where it turns nonpositive: the gaps at that step's
-    ends come from the grid, and every other lambda it tries is one
-    :func:`solve_orthonormal`.  Returns ``(profiles, lambda_star)``;
+    the first grid step where it turns nonpositive; every lambda it tries,
+    the step's ends too, is one :func:`solve_orthonormal`, which gives a grid
+    lambda's profile to the bit.  Returns ``(profiles, lambda_star)``;
     ``lambda_star`` is None when the two local minima never trade places
     inside the grid span.
     """
@@ -599,13 +599,8 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
     glo = next(gaps)
     for lo, hi, ghi in zip(lambda_grid, lambda_grid[1:], gaps):
         if glo > 0.0 and ghi <= 0.0:
-            ends = {lo: glo, hi: ghi}
-
-            def gap(lam):
-                if lam in ends:
-                    return ends[lam]
-                return profile_gap(solve_orthonormal(beta_ols, lam, kappa))
-
-            return profiles, _brentq_scalar(gap, lo, hi, xtol=1e-10)
+            return profiles, _brentq_scalar(
+                lambda lam: profile_gap(solve_orthonormal(beta_ols, lam, kappa)),
+                lo, hi, xtol=1e-10)
         glo = ghi
     return profiles, None

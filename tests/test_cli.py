@@ -723,6 +723,19 @@ def test_failed_data_build_leaves_no_artifacts_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_diverging_run_leaves_no_output_dir(tmp_path, capsys):
+    # the run fails before it writes a file, so no directory is made: not
+    # --out, and not its train_mlp_runs/ either
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "train_mlp.cfg"
+    text = re.sub(r"(?m)^lr_min *=.*$", "lr_min = 5", shipped.read_text())
+    text = re.sub(r"(?m)^lr_max *=.*$", "lr_max = 50", text) + "save_artifacts = true\n"
+    out = tmp_path / "out"
+    assert main(["train-mlp", "--config", write_config(tmp_path / "t.cfg", text),
+                 "--out", str(out)]) == 2
+    assert "epoch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_codes(tmp_path, capsys):
     # config error -> 1; this covers bad sections and bad runtime parameters
     cfg = write_config(tmp_path / "bad.cfg", "[experiment]\ncommand = train-mlp\n")

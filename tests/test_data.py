@@ -1,5 +1,7 @@
+import ast
 import gzip
 import os
+import pathlib
 import struct
 import tempfile
 from unittest import mock
@@ -25,6 +27,7 @@ from gausspen.data import (
     serialize_idx,
     split,
     write_csv,
+    write_file,
 )
 from gausspen.errors import ConfigurationError
 
@@ -369,3 +372,99 @@ def test_csv_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="differ in length"):
         write_csv(path, ("a", "b"), [[1.0, 2.0], [3.0]])
     assert not list(tmp_path.iterdir())
+
+
+# --- the one write path ----------------------------------------------------------------
+
+
+class ChunkFailure(Exception):
+    pass
+
+
+CHUNKS = st.lists(st.binary(max_size=40), max_size=6)
+
+
+@settings(max_examples=100)
+@given(CHUNKS, CHUNKS, st.data())
+def test_write_file_writes_the_chunks_or_keeps_the_earlier_file(earlier, chunks, drawn):
+    # a finished write is the chunks' concatenation; one that fails at any
+    # chunk leaves the earlier file as it was, and no temporary file
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.bin")
+        write_file(path, earlier)
+        with open(path, "rb") as handle:
+            assert handle.read() == b"".join(earlier)
+        fail_at = drawn.draw(st.integers(0, len(chunks)), label="fail_at")
+
+        def failing():
+            yield from chunks[:fail_at]
+            raise ChunkFailure
+
+        with pytest.raises(ChunkFailure):
+            write_file(path, failing())
+        assert os.listdir(tmp) == ["out.bin"]
+        with open(path, "rb") as handle:
+            assert handle.read() == b"".join(earlier)
+        write_file(path, iter(chunks))
+        with open(path, "rb") as handle:
+            assert handle.read() == b"".join(chunks)
+        assert os.listdir(tmp) == ["out.bin"]
+
+
+def test_writes_make_their_missing_directories(tmp_path, monkeypatch):
+    from gausspen.mlp import MlpArchitecture, init_weights, load_weights, save_weights
+
+    table = tmp_path / "a" / "b" / "rows.csv"
+    write_csv(table, ("x",), [[1.5]])
+    assert table.read_bytes() == b"x\n1.5\n"
+    checkpoint = tmp_path / "c" / "d" / "w.mlpw"
+    weights = init_weights(MlpArchitecture((2, 3, 2)), seed=0)
+    save_weights(checkpoint, weights)
+    assert all(np.array_equal(W, W2) and np.array_equal(b, b2)
+               for (W, b), (W2, b2) in zip(weights, load_weights(checkpoint)))
+    monkeypatch.chdir(tmp_path)  # a bare file name is written in the working directory
+    write_file("bare.bin", [b"ab", np.arange(2.0)])
+    assert (tmp_path / "bare.bin").read_bytes() == b"ab" + np.arange(2.0).tobytes()
+
+
+# what makes or removes a file or directory, or opens a file to write it
+FILE_CALLS = {"makedirs", "mkdir", "replace", "rename", "remove", "unlink", "rmdir"}
+WRITE_METHODS = {"write_text", "write_bytes", "tofile"}
+
+
+def _writes(call):
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and func.value.id in ("os", "shutil"):
+            return func.attr in FILE_CALLS or func.value.id == "shutil"
+        if func.attr in WRITE_METHODS:
+            return True
+        name = func.attr if func.attr == "open" else None
+    else:
+        name = getattr(func, "id", None)
+    if name != "open":
+        return False
+    mode = call.args[1] if len(call.args) > 1 else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    # a mode that is not a literal might write
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_only_write_file_writes_files():
+    # every file a command writes goes through data.write_file, the one
+    # function that opens a file to write it, replaces or removes one, or
+    # makes a directory; reads (config, load_idx, load_weights) are fine
+    found, in_writer = [], []
+    for path in sorted((pathlib.Path(__file__).parents[1] / "src" / "gausspen").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        writes = {c for c in ast.walk(tree) if isinstance(c, ast.Call) and _writes(c)}
+        found += [f"{path.name}: from {n.module} import" for n in ast.walk(tree)
+                  if isinstance(n, ast.ImportFrom) and n.module in ("os", "shutil")]
+        if path.name == "data.py":
+            writer = next(n for n in tree.body
+                          if isinstance(n, ast.FunctionDef) and n.name == "write_file")
+            in_writer = writes & set(ast.walk(writer))
+            writes -= in_writer
+        found += [f"{path.name}:{c.lineno}" for c in sorted(writes, key=lambda c: c.lineno)]
+    assert found == []
+    assert len(in_writer) == 4  # makedirs, open, replace, remove: the check sees them

@@ -549,6 +549,34 @@ def test_diverging_run_reports_its_epoch_and_no_warning(penalty, lam, seed, epoc
             train(*splits, MlpArchitecture((8, 64, 64, 3)), config)
 
 
+def test_overflowing_run_is_a_diverged_run():
+    # at batch size 64 this run's weights grow to about 1e207 and stay
+    # finite, while its matmuls overflow: that is divergence, not a run
+    # that stops on patience with a finite (1e288) validation loss
+    splits = data.split(data.make_blobs(3, 60, 8, 3.0, 0), (0.5, 0.25, 0.25), seed=0)
+    config = TrainConfig(lr_min=5.0, lr_max=50.0, batch_size=64, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 6$"):
+            train(*splits, MlpArchitecture((8, 64, 64, 3)), config)
+
+
+def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
+    # the last bias cannot become float64, so the header and the first
+    # layer are written before the save fails
+    path = tmp_path / "w.mlpw"
+    weights = init_weights(MlpArchitecture((4, 3, 2)), seed=0)
+    save_weights(path, weights)
+    before = path.read_bytes()
+    assert len(before) == 208
+    with pytest.raises(ValueError):
+        save_weights(path, [*weights[:-1], (weights[-1][0], np.array(["x", "y"]))])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.mlpw"]
+    assert all(np.array_equal(W, W2) and np.array_equal(b, b2)
+               for (W, b), (W2, b2) in zip(weights, load_weights(path)))
+
+
 def test_checkpoint_reproduces_best_val_loss(tmp_path):
     tr, va, te = toy_splits(seed=6)
     path = tmp_path / "best.mlpw"
