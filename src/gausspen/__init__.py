@@ -14,7 +14,6 @@ from .asymptotics import (
     SimSpec,
     run_bias_experiment,
     run_consistency_experiment,
-    simulate_linear_data,
     theoretical_rootn_bias,
 )
 from .config import ExperimentConfig, loggrid, parse_config
@@ -50,11 +49,8 @@ from .penalties import (
     FAMILIES,
     PenaltyBounds,
     PenaltySpec,
-    lipschitz_on_interval,
     penalty_bounds,
-    penalty_grad,
     penalty_value,
-    penalty_vector,
 )
 from .regression import (
     FitResult,

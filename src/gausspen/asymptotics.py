@@ -23,7 +23,8 @@ Each replicate derives its randomness from (seed, replicate_index), so
 reports are bit-reproducible and independent of execution order.  That one
 stream serves every sample size: the draw at n is a prefix of the draw at
 any larger n, so a grid of sample sizes draws each replicate once, at its
-largest n.
+largest n.  No replicate is kept as a design: :func:`fit_replicates` reduces
+each draw at once to X'X, X'y and y'y.
 """
 
 import math
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
 from .penalties import PenaltySpec, grad_array
-from .regression import LinearProblem, fit_batch
+from .regression import fit_batch
 
 #: largest tolerated fraction of diverged replicates before the report aborts
 MAX_FAILED_FRACTION = 0.05
@@ -96,18 +97,6 @@ class BiasReport:
     replicates_used: int = 0
     replicates_failed: int = 0
     replicates_unconverged: int = 0
-
-
-def simulate_linear_data(spec, n, replicate_index):
-    """Draw one replicate of n rows: rows ~ N(0, C), y = X beta + N(0, sigma^2)
-    noise, then center the covariate columns and the response.
-
-    Deterministic given (spec.seed, replicate_index).
-    """
-    if n < 1:
-        raise ConfigurationError("n must be >= 1")
-    columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, replicate_index, n), n)
-    return LinearProblem(columns.T, y, centered=True)
 
 
 def _cholesky(C):

@@ -145,8 +145,10 @@ def _mlp_splits(options):
 
 
 def _slug(label, lam, seed):
-    text = f"{label}_lam{penalties.float_text(lam)}_seed{seed}"  # distinct lambdas, distinct names
-    return re.sub(r"[^A-Za-z0-9.]+", "-", text).strip("-")
+    # distinct lambdas, distinct names: float_text is one-to-one, and its
+    # exponent keeps its sign ("1e+06" and "1e-06")
+    text = f"{label}_lam{penalties.float_text(lam)}_seed{seed}"
+    return re.sub(r"[^A-Za-z0-9.+]+", "-", text).strip("-")
 
 
 def _train_cell(splits, arch, cfg, weights, artifacts_dir, slugs):

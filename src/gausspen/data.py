@@ -11,6 +11,7 @@ IDX layout (big-endian throughout):
     rest       row-major payload, exactly prod(sizes) bytes
 """
 
+import contextlib
 import gzip
 import os
 import struct
@@ -232,17 +233,27 @@ def write_file(path, chunks):
     """Write the byte chunks (bytes or contiguous arrays) as the file ``path``,
     making its directory if missing.  The chunks go to ``.{name}.{pid}.tmp``
     beside ``path``, which then replaces it; a failure part-way removes that
-    file and leaves any earlier file at ``path`` intact."""
+    file and the directories this call made, and leaves any earlier file at
+    ``path`` intact."""
     directory, name = os.path.split(os.fspath(path))
-    os.makedirs(directory or ".", exist_ok=True)
+    made = []  # the missing directories, deepest first
+    parent = directory
+    while parent and not os.path.isdir(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
+        os.makedirs(directory or ".", exist_ok=True)
         with open(tmp, "wb") as handle:
             handle.writelines(chunks)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        for made_dir in made:
+            with contextlib.suppress(OSError):  # not empty: another writer's file is in it
+                os.rmdir(made_dir)
+        raise
 
 
 def write_csv(path, header, columns):

@@ -23,7 +23,9 @@ MCP) therefore use the unit-threshold form of their published definitions:
   that is smooth (indeed locally convex) at the origin.
 
 Each family is one entry of ``_TABLE``: its hyperparameter and validity
-rule, value, derivative, bounds and slope at ``0+``.
+rule, value, derivative, bounds and slope at ``0+``.  :func:`value_array`
+and :func:`grad_array` evaluate an entry elementwise, :func:`penalty_value`
+at one coefficient, and :func:`penalty_bounds` gives its global constants.
 
 Every function is pure; everything is safe for concurrent use.
 """
@@ -305,40 +307,11 @@ def penalty_value(spec, beta):
     return float(value_array(spec, np.asarray(beta, dtype=float)))
 
 
-def penalty_grad(spec, beta):
-    """Analytic derivative P'(beta); odd in beta for every family."""
-    return float(grad_array(spec, np.asarray(beta, dtype=float)))
-
-
-def penalty_vector(spec, beta):
-    """Sum of coordinatewise penalty values over a coefficient vector."""
-    return float(np.sum(value_array(spec, beta)))
-
-
 def penalty_bounds(spec):
     """Global constants of the scalar penalty as a :class:`PenaltyBounds`.
 
     Families without a finite global Lipschitz constant or supremum return
-    ``math.inf``; use :func:`lipschitz_on_interval` for a per-interval bound.
+    ``math.inf``.
     """
     entry, param = spec._entry()
     return PenaltyBounds(*entry.bounds(param))
-
-
-def lipschitz_on_interval(spec, radius):
-    """Supremum of |P'| over [-radius, radius]: 0 at radius 0, where the
-    gradient is the subgradient 0; as |P'| rises on (0, R] and not beyond,
-    R the convexity radius, the global Lipschitz constant from R on, and
-    ``max(P'(0+), |P'(radius)|)`` below R.  Finite for every family except
-    bridge with q < 1, whose derivative is unbounded at the origin.
-    """
-    if not radius >= 0:  # NaN too
-        raise ConfigurationError(f"interval radius must be a nonnegative number, not {radius!r}")
-    entry, param = spec._entry()
-    lipschitz, _, convexity_radius = entry.bounds(param)
-    if radius == 0:
-        return 0.0
-    if radius >= convexity_radius:
-        return lipschitz
-    with np.errstate(over="ignore"):  # an overflowing slope is inf, as the bound is
-        return max(entry.slope(param), abs(penalty_grad(spec, radius)))

@@ -15,7 +15,6 @@ from gausspen.asymptotics import (
     fit_replicates,
     run_bias_experiment,
     run_consistency_experiment,
-    simulate_linear_data,
     theoretical_rootn_bias,
 )
 from gausspen.cli import main
@@ -119,6 +118,12 @@ def o_of_n(spec):
     return lambda n: spec.lambda0 * n**spec.r
 
 
+def draw(spec, n, rep):
+    """Replicate ``rep`` of ``spec`` at n, as an (n, p) design and its response."""
+    columns, y = _draw(spec, _cholesky(spec.C), _noise(spec, rep, n), n)
+    return columns.T, y
+
+
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         base_spec(C=np.array([[1.0, 0.5], [0.4, 1.0]]), beta_true=[1.0, 1.0])
@@ -132,7 +137,7 @@ def test_spec_validation():
         with pytest.raises(ConfigurationError):
             run_bias_experiment(base_spec(), n)
         with pytest.raises(ConfigurationError):
-            simulate_linear_data(base_spec(), n, 0)
+            fit_replicates(base_spec(), [n], sqrt_n(base_spec()))
         with pytest.raises(ConfigurationError):
             run_consistency_experiment(base_spec(), [n, 100])
     for grid in ([], [100, 100], [400, 100]):
@@ -142,13 +147,12 @@ def test_spec_validation():
 
 def test_simulated_data_is_centered_and_deterministic():
     spec = base_spec(beta_true=[0.5, -1.0], C=np.eye(2))
-    a = simulate_linear_data(spec, 300, 7)
-    b = simulate_linear_data(spec, 300, 7)
-    assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
-    c = simulate_linear_data(spec, 300, 8)
-    assert not np.array_equal(a.X, c.X)
-    assert np.abs(a.X.mean(axis=0)).max() < 1e-12
-    assert abs(a.y.mean()) < 1e-12
+    X, y = draw(spec, 300, 7)
+    X_again, y_again = draw(spec, 300, 7)
+    assert np.array_equal(X, X_again) and np.array_equal(y, y_again)
+    assert not np.array_equal(X, draw(spec, 300, 8)[0])
+    assert np.abs(X.mean(axis=0)).max() < 1e-12
+    assert abs(y.mean()) < 1e-12
 
 
 def _statistics(columns, y):
@@ -184,14 +188,13 @@ def _random_covariance(rng, p):
 @given(p=st.integers(1, 5), n=st.integers(2, 300), seed=st.integers(0, 2**32 - 1),
        rep=st.integers(0, 1000), sigma=st.floats(0.01, 100.0),
        beta_scale=st.floats(0.0, 100.0))
-def test_draw_statistics_match_public_draw(p, n, seed, rep, sigma, beta_scale):
+def test_draw_statistics_match_row_major_draw(p, n, seed, rep, sigma, beta_scale):
     rng = np.random.default_rng(seed)
     C = _random_covariance(rng, p)
     beta = beta_scale * rng.uniform(-1.0, 1.0, p)
     spec = base_spec(beta_true=beta, C=C, sigma=sigma, seed=seed)
     got = _statistics(*_draw(spec, _cholesky(spec.C), _noise(spec, rep, n), n))
-    problem = simulate_linear_data(spec, n, rep)
-    X, y = problem.X, problem.y
+    X, y = draw(spec, n, rep)
     _assert_statistics_close(got, (X.T @ X, X.T @ y, y @ y))
     _assert_statistics_close(got, _two_call_statistics(spec, n, rep))
 
@@ -331,22 +334,22 @@ def test_rank_deficient_draws_start_at_minimum_norm():
     assert not batch.failed.any()
     assert (batch.iterations == 0).all()
     for rep in range(4):
-        problem = simulate_linear_data(spec, 2, rep)
-        ols = np.linalg.lstsq(problem.X, problem.y, rcond=None)[0]
+        X, y = draw(spec, 2, rep)
+        ols = np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.abs(batch.beta_hat[rep] - ols).max() <= 1e-12
 
 
 def test_pure_noise_variance():
     spec = base_spec(beta_true=[0.0], sigma=2.0)
-    problem = simulate_linear_data(spec, 4000, 0)
-    assert abs(problem.y.mean()) < 1e-12
-    assert problem.y.var() == pytest.approx(4.0, rel=3.0 / math.sqrt(4000))
+    _, y = draw(spec, 4000, 0)
+    assert abs(y.mean()) < 1e-12
+    assert y.var() == pytest.approx(4.0, rel=3.0 / math.sqrt(4000))
 
 
 def test_gram_approaches_identity():
     spec = base_spec(beta_true=[0.0, 0.0, 0.0], C=np.eye(3))
-    problem = simulate_linear_data(spec, 10_000, 1)
-    gram = problem.X.T @ problem.X / problem.n
+    X, _ = draw(spec, 10_000, 1)
+    gram = X.T @ X / 10_000
     assert np.linalg.norm(gram - np.eye(3)) < 0.05
 
 

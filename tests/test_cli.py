@@ -8,6 +8,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from gausspen import cli, data, mlp, penalties, regression
 from gausspen.cli import lower_median, main, write_csv
@@ -681,6 +683,47 @@ def test_train_mlp_close_lambdas_keep_their_own_artifacts(tmp_path):
         alone.update(_tree(tmp_path / lam / "train_mlp_runs"))
     assert len(alone) == 2 * 4
     assert _tree(both / "train_mlp_runs") == alone
+
+
+def test_train_mlp_lambdas_of_opposite_exponents_keep_their_own_artifacts(tmp_path):
+    # 1e+06 and 1e-06 differ only in the sign of the exponent, which the
+    # artifact names keep: one checkpoint per row
+    text = TRAIN_CFG.replace("seeds = 1, 2, 3", "seeds = 1").replace(
+        "[penalty:g]\nfamily = gaussian\nkappa = 10\n\n", "").replace(
+        "values = 0.001, 0.01", "values = 1e-06, 1e+06") + "save_artifacts = true\n"
+    cfg = write_config(tmp_path / "t.cfg", text)
+    out = tmp_path / "out"
+    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "train_mlp.csv").read_text().splitlines()
+    assert len([line for line in lines if line.startswith("run,")]) == 2
+    checkpoints = sorted(p.name for p in (out / "train_mlp_runs").glob("*.mlpw"))
+    assert checkpoints == ["none-lam1e+06-seed1.mlpw", "none-lam1e-06-seed1.mlpw"]
+
+
+# floats of either exponent sign, subnormals and any other nonnegative float
+NONNEGATIVE_FLOATS = st.one_of(
+    st.builds(lambda mantissa, sign, k: float(f"{mantissa}e{sign}{k}"),
+              st.sampled_from(["1", "2.5"]), st.sampled_from("+-"), st.integers(0, 330)),
+    st.floats(0.0, 2.2250738585072014e-308),
+    st.floats(0.0),
+)
+POSITIVE_FINITE_FLOATS = NONNEGATIVE_FLOATS.filter(lambda v: 0.0 < v < math.inf)
+LABELS = st.one_of(
+    st.sampled_from(["none", "ridge", "elastic_net(mix=0.5)"]),
+    st.builds(lambda k: PenaltySpec("gaussian", kappa=k).label(), POSITIVE_FINITE_FLOATS),
+    st.builds(lambda q: PenaltySpec("bridge", q=q).label(), POSITIVE_FINITE_FLOATS),
+)
+CELLS = st.tuples(LABELS, NONNEGATIVE_FLOATS, st.integers(0, 3))
+
+
+@given(CELLS, CELLS)
+@example(("none", 1e6, 1), ("none", 1e-6, 1))
+@example(("ridge", 2.5e7, 1), ("ridge", 2.5e-7, 1))
+@example(("gaussian(kappa=1e+06)", 0.01, 1), ("gaussian(kappa=1e-06)", 0.01, 1))
+@example(("none", 5e-324, 1), ("none", 1e-323, 1))
+def test_distinct_cells_name_distinct_artifacts(cell, other):
+    assume(cell != other)
+    assert cli._slug(*cell) != cli._slug(*other)
 
 
 def test_seed_list_override(tmp_path):

@@ -384,31 +384,44 @@ class ChunkFailure(Exception):
 CHUNKS = st.lists(st.binary(max_size=40), max_size=6)
 
 
+def _entries(root):
+    return sorted(os.path.relpath(os.path.join(top, name), root)
+                  for top, dirs, files in os.walk(root) for name in dirs + files)
+
+
 @settings(max_examples=100)
-@given(CHUNKS, CHUNKS, st.data())
-def test_write_file_writes_the_chunks_or_keeps_the_earlier_file(earlier, chunks, drawn):
+@given(CHUNKS, CHUNKS, st.sampled_from([(), ("new",), ("new", "sub")]), st.data())
+def test_write_file_writes_the_chunks_or_keeps_the_earlier_file(earlier, chunks, parts, drawn):
     # a finished write is the chunks' concatenation; one that fails at any
-    # chunk leaves the earlier file as it was, and no temporary file
+    # chunk leaves the earlier file as it was, and no temporary file; a first
+    # write that fails into missing directories leaves none of those it made
+    fail_at = drawn.draw(st.integers(0, len(chunks)), label="fail_at")
+    existing = drawn.draw(st.integers(0, len(parts)), label="existing")
+
+    def failing():
+        yield from chunks[:fail_at]
+        raise ChunkFailure
+
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "out.bin")
+        os.makedirs(os.path.join(tmp, *parts[:existing]), exist_ok=True)
+        before = _entries(tmp)
+        path = os.path.join(tmp, *parts, "out.bin")
+        with pytest.raises(ChunkFailure):
+            write_file(path, failing())
+        assert _entries(tmp) == before
+        directory = os.path.dirname(path)
         write_file(path, earlier)
         with open(path, "rb") as handle:
             assert handle.read() == b"".join(earlier)
-        fail_at = drawn.draw(st.integers(0, len(chunks)), label="fail_at")
-
-        def failing():
-            yield from chunks[:fail_at]
-            raise ChunkFailure
-
         with pytest.raises(ChunkFailure):
             write_file(path, failing())
-        assert os.listdir(tmp) == ["out.bin"]
+        assert os.listdir(directory) == ["out.bin"]
         with open(path, "rb") as handle:
             assert handle.read() == b"".join(earlier)
         write_file(path, iter(chunks))
         with open(path, "rb") as handle:
             assert handle.read() == b"".join(chunks)
-        assert os.listdir(tmp) == ["out.bin"]
+        assert os.listdir(directory) == ["out.bin"]
 
 
 def test_writes_make_their_missing_directories(tmp_path, monkeypatch):
@@ -467,4 +480,4 @@ def test_only_write_file_writes_files():
             writes -= in_writer
         found += [f"{path.name}:{c.lineno}" for c in sorted(writes, key=lambda c: c.lineno)]
     assert found == []
-    assert len(in_writer) == 4  # makedirs, open, replace, remove: the check sees them
+    assert len(in_writer) == 5  # makedirs, open, replace, remove, rmdir: the check sees them

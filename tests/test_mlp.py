@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import pathlib
 import tempfile
 import warnings
@@ -23,6 +24,7 @@ from gausspen.mlp import (
     forward,
     init_weights,
     load_weights,
+    penalty_term,
     save_weights,
     train,
     triangular_lr,
@@ -559,6 +561,27 @@ def test_overflowing_run_is_a_diverged_run():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="non-finite loss at epoch 6$"):
             train(*splits, MlpArchitecture((8, 64, 64, 3)), config)
+
+
+def test_overflowing_penalty_sum_is_a_diverged_run():
+    # a ridge weight of 1.2e154 has the finite value 1.44e308, but lam = 2
+    # times it overflows in penalty_term's Python floats, which raise
+    # nothing; the weight meets only an input column of zeros, so every
+    # numpy pass stays finite, and a small rate keeps it that large through
+    # epoch 1: the train objective alone is not finite
+    splits = toy_splits(dimension=3)
+    for split in splits:
+        split.features[:, -1] = 0.0
+    ridge = PenaltySpec("ridge")
+    weights = init_weights(MlpArchitecture((3, 4, 2)), seed=1)
+    weights[0][0][-1, 0] = 1.2e154
+    assert all(math.isfinite(float(np.sum(value_array(ridge, W)))) for W, _ in weights)
+    assert penalty_term(weights, ridge, 2.0) == math.inf
+    config = TrainConfig(penalty=ridge, lam=2.0, lr_min=1e-6, lr_max=1e-5, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 1$"):
+            train(*splits, MlpArchitecture((3, 4, 2)), config, weights=weights)
 
 
 def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):

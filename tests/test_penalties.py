@@ -13,11 +13,8 @@ from gausspen.penalties import (
     PARAMETER,
     PenaltySpec,
     grad_array,
-    lipschitz_on_interval,
     penalty_bounds,
-    penalty_grad,
     penalty_value,
-    penalty_vector,
     value_array,
 )
 
@@ -37,6 +34,22 @@ ALL_SPECS = [
     PenaltySpec("gaussian", kappa=10.0),
     PenaltySpec("gaussian", kappa=1.0),
 ]
+
+
+def grad(spec, beta):
+    """P'(beta) at one coefficient, as a float."""
+    return float(grad_array(spec, beta))
+
+
+def interval_lipschitz(spec, radius):
+    """The sup of |P'| over [-radius, radius] that the table's bounds state:
+    |P'| rises on (0, R], R the convexity radius, and not beyond, so it is
+    the global Lipschitz constant from R on and max(P'(0+), |P'(radius)|)
+    below R."""
+    bounds = penalty_bounds(spec)
+    if radius >= bounds.convexity_radius:
+        return bounds.lipschitz
+    return max(spec.slope_at_zero(), abs(grad(spec, radius)))
 
 
 def golden_section_max(fn, lo, hi, iters=200):
@@ -135,7 +148,7 @@ def assert_right_slope_at_zero(spec):
         assert quotient > 1e6, spec.label()
     else:
         assert abs(quotient - slope) <= 1e-6 * max(1.0, slope), (spec.label(), quotient)
-    assert penalty_grad(spec, 0.0) == 0.0
+    assert grad(spec, 0.0) == 0.0
 
 
 def test_irrelevant_hyperparameters_ignored():
@@ -149,7 +162,7 @@ def test_non_finite_beta_rejected():
     with pytest.raises(DomainError):
         penalty_value(spec, float("nan"))
     with pytest.raises(DomainError):
-        penalty_grad(spec, float("inf"))
+        grad_array(spec, float("inf"))
 
 
 # --- values ------------------------------------------------------------------
@@ -179,26 +192,15 @@ def test_scad_mcp_piecewise_continuity():
     assert penalty_value(mcp, 50.0) == pytest.approx(2.5)
 
 
-def test_vector_sums_coordinates():
-    spec = PenaltySpec("gaussian", kappa=1.0)
-    assert penalty_vector(spec, [0.0, 0.0, 0.0]) == 0.0
-    x = 0.7315
-    assert penalty_vector(spec, [x]) == penalty_value(spec, x)
-    assert penalty_vector(spec, [1.0, 1.0]) == pytest.approx(2.0 * (1.0 - math.exp(-1.0)))
-    rng = np.random.default_rng(5)
-    v = rng.standard_normal(40)
-    assert penalty_vector(spec, v) == pytest.approx(penalty_vector(spec, v[::-1]))
-
-
 # --- gradients ---------------------------------------------------------------
 
 
 def test_grad_examples():
-    assert penalty_grad(PenaltySpec("gaussian", kappa=3.0), 0.0) == 0.0
+    assert grad(PenaltySpec("gaussian", kappa=3.0), 0.0) == 0.0
     for kappa in (0.5, 1.0, 10.0):
         spec = PenaltySpec("gaussian", kappa=kappa)
         peak = 1.0 / math.sqrt(2.0 * kappa)
-        assert penalty_grad(spec, peak) == pytest.approx(math.sqrt(2.0 * kappa) * math.exp(-0.5))
+        assert grad(spec, peak) == pytest.approx(math.sqrt(2.0 * kappa) * math.exp(-0.5))
 
 
 def test_grad_matches_finite_difference():
@@ -211,7 +213,7 @@ def test_grad_matches_finite_difference():
         betas = betas[np.abs(betas) >= 1e-3]
         for beta in betas:
             fd = (penalty_value(spec, beta + h) - penalty_value(spec, beta - h)) / (2 * h)
-            g = penalty_grad(spec, beta)
+            g = grad(spec, beta)
             assert g == pytest.approx(fd, rel=1e-5, abs=1e-9), spec.label()
 
 
@@ -220,7 +222,7 @@ def test_grad_is_odd():
     betas = rng.uniform(0.001, 3.0, size=200)
     for spec in ALL_SPECS:
         for beta in betas:
-            assert penalty_grad(spec, beta) == -penalty_grad(spec, -beta)
+            assert grad(spec, beta) == -grad(spec, -beta)
 
 
 # finite coefficient arrays of any shape up to 3-d, 0-d included: values of
@@ -261,7 +263,7 @@ def test_gaussian_overflow_raises_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for b in (1e307, -1e307, 1e200, -1e155, 1.7e308):
-            slope = penalty_grad(spec, b)
+            slope = grad(spec, b)
             assert slope == 0.0 and math.copysign(1.0, slope) == math.copysign(1.0, b)
             assert penalty_value(spec, b) == 1.0
         beta = np.array([-1e307, 0.5, 1e307])
@@ -412,7 +414,7 @@ def test_slopes_within_interval_and_global_lipschitz(spec, radius, fractions):
     # samples of [-radius, radius], both ends included; |u * r| <= r exactly
     beta = np.array([u * radius for u in fractions] + [radius, -radius])
     slopes = np.abs(grad_array(spec, beta))
-    local = lipschitz_on_interval(spec, radius)
+    local = interval_lipschitz(spec, radius)
     overall = penalty_bounds(spec).lipschitz
     if math.isfinite(local):
         for slope in slopes.tolist():
@@ -439,10 +441,10 @@ def test_bounds_gaussian_oracle():
     # maximize |P'| by dense grid + golden section, no closed form involved
     spec = PenaltySpec("gaussian", kappa=10.0)
     grid = np.linspace(0.0, 2.0, 4001)
-    vals = [abs(penalty_grad(spec, b)) for b in grid]
+    vals = [abs(grad(spec, b)) for b in grid]
     i = int(np.argmax(vals))
     _, peak = golden_section_max(
-        lambda b: abs(penalty_grad(spec, b)), grid[max(i - 1, 0)], grid[min(i + 1, 4000)]
+        lambda b: abs(grad(spec, b)), grid[max(i - 1, 0)], grid[min(i + 1, 4000)]
     )
     bounds = penalty_bounds(spec)
     assert bounds.lipschitz == pytest.approx(peak, abs=1e-10)
@@ -458,10 +460,12 @@ def test_bounds_other_families():
     assert penalty_bounds(PenaltySpec("lasso")).lipschitz == 1.0
     ridge = penalty_bounds(PenaltySpec("ridge"))
     assert math.isinf(ridge.lipschitz)
-    assert lipschitz_on_interval(PenaltySpec("ridge"), 4.0) == 8.0
+    assert math.isinf(ridge.convexity_radius)
+    assert interval_lipschitz(PenaltySpec("ridge"), 4.0) == 8.0
     assert penalty_bounds(PenaltySpec("mcp", b=5.0)).sup_value == 2.5
     assert penalty_bounds(PenaltySpec("scad", a=3.7)).sup_value == pytest.approx(2.35)
-    assert math.isinf(lipschitz_on_interval(PenaltySpec("bridge", q=0.5), 1.0))
+    bridge = penalty_bounds(PenaltySpec("bridge", q=0.5))
+    assert math.isinf(bridge.lipschitz) and bridge.convexity_radius == 0.0
 
 
 def test_interval_lipschitz_dominates_samples():
@@ -469,7 +473,7 @@ def test_interval_lipschitz_dominates_samples():
     for spec in ALL_SPECS:
         if spec.family == "bridge" and spec.q < 1:
             continue
-        bound = lipschitz_on_interval(spec, 2.0)
+        bound = interval_lipschitz(spec, 2.0)
         xs = rng.uniform(-2.0, 2.0, size=500)
         ys = rng.uniform(-2.0, 2.0, size=500)
         gap = np.abs(
@@ -482,18 +486,12 @@ def test_interval_lipschitz_dominates_samples():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_interval_lipschitz_is_zero_at_radius_zero(family):
     # [-0, 0] holds only the origin, whose gradient is the subgradient 0
-    assert lipschitz_on_interval(PenaltySpec(family), 0.0) == 0.0
+    assert np.abs(grad_array(PenaltySpec(family), [0.0, -0.0])).max() == 0.0
 
 
 def test_interval_lipschitz_of_pure_lasso_elastic_net_on_the_whole_line():
-    assert lipschitz_on_interval(PenaltySpec("elastic_net", mix=1.0), math.inf) == 1.0
-
-
-@pytest.mark.parametrize("radius", [math.nan, -1.0, -math.inf])
-def test_interval_lipschitz_rejects_a_radius_that_is_not_nonnegative(radius):
-    for spec in ALL_SPECS:
-        with pytest.raises(ConfigurationError, match="radius"):
-            lipschitz_on_interval(spec, radius)
+    bounds = penalty_bounds(PenaltySpec("elastic_net", mix=1.0))
+    assert (bounds.lipschitz, bounds.convexity_radius) == (1.0, math.inf)
 
 
 @settings(deadline=None)
@@ -504,13 +502,13 @@ def test_interval_lipschitz_rejects_a_radius_that_is_not_nonnegative(radius):
 def test_interval_lipschitz_matches_a_numeric_maximum(spec, radius):
     # maximize |P'| over (0, r] by dense grid + golden section, with P'(0+)
     # as the value at the open end; no bound from the table involved
-    bound = lipschitz_on_interval(spec, radius)
+    bound = interval_lipschitz(spec, radius)
     assume(math.isfinite(bound))
     grid = np.linspace(0.0, radius, 4001)
     slopes = np.abs(grad_array(spec, grid))
     i = int(np.argmax(slopes))
     _, peak = golden_section_max(
-        lambda b: abs(penalty_grad(spec, b)), grid[max(i - 1, 0)], grid[min(i + 1, 4000)]
+        lambda b: abs(grad(spec, b)), grid[max(i - 1, 0)], grid[min(i + 1, 4000)]
     )
     oracle = max(spec.slope_at_zero(), float(slopes[i]), peak)
     assert abs(bound - oracle) <= 1e-9 * oracle, (spec.label(), radius, bound, oracle)

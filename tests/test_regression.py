@@ -40,9 +40,7 @@ def test_problem_validation():
     with pytest.raises(ConfigurationError):
         LinearProblem(np.array([[np.inf, 1.0]]), np.ones(1))
     with pytest.raises(ConfigurationError):
-        LinearProblem(np.ones((4, 1)), np.ones(4), centered=True)
-    X = np.array([[1.0], [-1.0]])
-    LinearProblem(X, np.array([0.5, -0.5]), centered=True)  # mean-zero: fine
+        LinearProblem(np.ones((2, 1)), np.array([0.5, np.nan]))
 
 
 # --- fit ---------------------------------------------------------------------
