@@ -160,7 +160,8 @@ def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
 
     A penalty with a kink at the origin contributes its subgradient 0 at a
     weight of exactly 0, so singular-at-origin families remain trainable
-    from zero weights.
+    from zero weights.  ``lam * P'(W)`` is one ``grad_array`` temporary,
+    added into the weight gradient in place.
 
     ``out`` takes (gW, gb) arrays shaped like ``weights``, and backward then
     writes its deltas over ``cache``.  With ``lr`` it steps each layer by
@@ -181,9 +182,7 @@ def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
         np.matmul(activations[i].T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
         if lam > 0.0 and penalty.family != "none":
-            pen = grad_array(penalty, W)
-            pen *= lam
-            gW += pen
+            gW += grad_array(penalty, W, lam)
         if i > 0:
             # a float 0/1 mask in place of pre[i - 1] multiplies like the bool one
             mask = np.greater(pre[i - 1], 0.0, out=pre[i - 1] if out is not None else None)

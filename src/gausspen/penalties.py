@@ -26,11 +26,13 @@ Each family is one entry of ``_TABLE``: its hyperparameter and validity
 rule, value, derivative, bounds and slope at ``0+``.  :func:`value_array`
 and :func:`grad_array` evaluate an entry elementwise, :func:`penalty_value`
 at one coefficient, and :func:`penalty_bounds` gives its global constants.
+``grad_array`` takes a ``scale``, folded into the Gaussian's one constant.
 
 Every function is pure; everything is safe for concurrent use.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from math import inf
 from typing import Callable, NamedTuple, Optional
@@ -55,42 +57,41 @@ def _mcp_value(beta, c):
     return np.where(t <= c, np.minimum(t - t * t / (2.0 * c), c / 2.0), c / 2.0)
 
 
-def _bridge_grad(beta, q):
+def _bridge_grad(beta, q, s):
     # q < 1 has an unbounded derivative at 0; the origin still gets 0, the
     # kink convention of every family (it is always a stationary candidate)
     t = np.abs(beta)
     out = np.zeros_like(t)
     nz = t > 0.0
     out[nz] = q * t[nz] ** (q - 1.0) * np.sign(beta)[nz]
-    return out
+    return s * out
 
 
-def _scad_grad(beta, a):
+def _scad_grad(beta, a, s):
     t = np.abs(beta)
-    return np.sign(beta) * np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0))
+    return s * (np.sign(beta) * np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0)))
 
 
 def _gaussian_value(beta, k):
-    # -k*b*b overflows to -inf for |b| above about 1.3e154/sqrt(k), where
-    # the value is exactly 1 all the same
+    # expm1 keeps the ridge-like regime near 0 accurate; -k*b*b overflows to
+    # -inf for |b| above about 1.3e154/sqrt(k), where the value is exactly 1
     with np.errstate(over="ignore"):
         return -np.expm1(-k * beta * beta)
 
 
-def _gaussian_grad(beta, k):
-    # 2k*b*exp(-k*b*b) in two buffers, with the same association (and so
-    # the same bits) as that expression; out= needs an array, so a 0-d
-    # beta gets 0-d buffers rather than numpy scalars
-    with np.errstate(over="ignore", invalid="ignore"):
-        expo = np.multiply(-k, beta, out=np.empty_like(beta))
-        expo *= beta
-        np.exp(expo, out=expo)
-        out = np.multiply(2.0 * k, beta, out=np.empty_like(beta))
-        out *= expo
-    # nan only where 2k*b overflowed and exp(-k*b*b) underflowed: the limit
-    # there is 0 with the sign of b (max, cheaper than isnan, propagates nan)
-    if np.isnan(out.max(initial=0.0)):
-        np.copyto(out, np.copysign(0.0, beta), where=np.isnan(out))
+def _gaussian_grad(beta, k, s):
+    # s*2k*b*exp(-k*b*b) as (b*exp((-k*b)*b))*(2*(k*s)) in one buffer (a 0-d
+    # one for a 0-d beta): b*exp(-k*b*b) is at most 1/sqrt(2ek), and a 0 with
+    # the sign of b where exp underflows, so no inf * 0 makes a nan.  A
+    # constant that is not a positive normal float goes in as k, 2 and s, so
+    # only the last product can overflow, under the caller's errstate
+    with np.errstate(over="ignore"):
+        out = np.multiply(-k, beta, out=np.empty_like(beta))
+        out *= beta
+    np.multiply(np.exp(out, out=out), beta, out=out)
+    c = 2.0 * (k * s)
+    for factor in (c,) if sys.float_info.min <= c < inf else (k, 2.0, s):
+        out *= factor
     return out
 
 
@@ -98,7 +99,7 @@ class _Family(NamedTuple):
     """One penalty family; ``p`` is the value of its parameter, or None."""
 
     value: Callable  # (beta array, p) -> P(beta) elementwise
-    grad: Callable  # (beta array, p) -> P'(beta) elementwise
+    grad: Callable  # (beta array, p, s) -> s * P'(beta) elementwise
     bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius R), where
     # |P'| rises on (0, R] and not beyond: ``lipschitz`` is |P'| at R (0+ if R = 0)
     slope: Callable  # p -> P'(0+), the right slope at 0: > 0 exactly at a kink
@@ -110,19 +111,19 @@ class _Family(NamedTuple):
 _TABLE = {
     "none": _Family(
         value=lambda beta, _: np.zeros_like(beta),
-        grad=lambda beta, _: np.zeros_like(beta),
+        grad=lambda beta, _, s: s * np.zeros_like(beta),
         bounds=lambda _: (0.0, 0.0, inf),
         slope=lambda _: 0.0,
     ),
     "lasso": _Family(
         value=lambda beta, _: np.abs(beta),
-        grad=lambda beta, _: np.sign(beta),
+        grad=lambda beta, _, s: s * np.sign(beta),
         bounds=lambda _: (1.0, inf, inf),
         slope=lambda _: 1.0,
     ),
     "ridge": _Family(
         value=lambda beta, _: beta * beta,
-        grad=lambda beta, _: 2.0 * beta,
+        grad=lambda beta, _, s: s * (2.0 * beta),
         bounds=lambda _: (inf, inf, inf),
         slope=lambda _: 0.0,
     ),
@@ -136,7 +137,7 @@ _TABLE = {
     ),
     "elastic_net": _Family(
         value=lambda beta, mix: mix * np.abs(beta) + (1.0 - mix) * beta * beta,
-        grad=lambda beta, mix: mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta,
+        grad=lambda beta, mix, s: s * (mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta),
         bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
         slope=lambda mix: mix,
         parameter="mix", valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
@@ -151,28 +152,27 @@ _TABLE = {
     ),
     "mcp": _Family(
         value=_mcp_value,
-        grad=lambda beta, c: np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0.0, None),
+        grad=lambda beta, c, s: s * (np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0, None)),
         bounds=lambda c: (1.0, c / 2.0, 0.0),
         slope=lambda _: 1.0,
         parameter="b", valid=lambda c: c > 0.0, rule="> 0",
     ),
     "laplace": _Family(
         value=lambda beta, eps: -np.expm1(-np.abs(beta) / eps),
-        grad=lambda beta, eps: np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps,
+        grad=lambda beta, eps, s: s * (np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps),
         bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
         slope=lambda eps: 1.0 / eps,
         parameter="epsilon", valid=lambda eps: eps > 0.0, rule="> 0",
     ),
     "arctan": _Family(
         value=lambda beta, g: (2.0 / np.pi) * np.arctan(g * np.abs(beta)),
-        grad=lambda beta, g: np.sign(beta) * (2.0 * g / np.pi) / (1.0 + g * g * beta * beta),
+        grad=lambda beta, g, s: s * (np.sign(beta) * (2.0 * g / np.pi)
+                                     / (1.0 + g * g * beta * beta)),
         bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
         slope=lambda g: 2.0 * g / np.pi,
         parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
     ),
     "gaussian": _Family(
-        # expm1 keeps the ridge-like regime near 0 accurate; for large |beta|
-        # the value rounds to exactly 1, which is the saturation level anyway
         value=_gaussian_value,
         grad=_gaussian_grad,
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
@@ -288,18 +288,19 @@ def value_array(spec, beta):
     return entry.value(beta, param)
 
 
-def grad_array(spec, beta):
-    """Elementwise analytic derivative of the penalty.
+def grad_array(spec, beta, scale=1.0):
+    """Elementwise analytic derivative of the penalty, times ``scale``.
 
     For families with a kink at the origin, coefficients that are exactly 0
     get the subgradient value 0, the convention that makes 0 a stationary
-    candidate.
+    candidate.  The Gaussian folds ``scale`` into its one constant, and any
+    other family gives ``scale * grad_array(spec, beta)`` bit for bit.
     """
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise DomainError("penalty gradient requested at a non-finite coefficient")
     entry, param = spec._entry()
-    return entry.grad(beta, param)
+    return entry.grad(beta, param, scale)
 
 
 def penalty_value(spec, beta):

@@ -373,7 +373,7 @@ def _reference_backward(weights, activations, pre, labels, penalty, lam):
         W, _ = weights[i]
         gW = activations[i].T @ delta
         if lam > 0.0 and penalty.family != "none":
-            gW += lam * grad_array(penalty, W)
+            gW += grad_array(penalty, W, lam)
         grads[i] = (gW, delta.sum(axis=0))
         if i > 0:
             delta = (delta @ W.T) * (pre[i - 1] > 0.0)
@@ -582,6 +582,49 @@ def test_overflowing_penalty_sum_is_a_diverged_run():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError, match="non-finite loss at epoch 1$"):
             train(*splits, MlpArchitecture((3, 4, 2)), config, weights=weights)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0])
+def test_gaussian_of_the_largest_kappa_trains_as_no_penalty(lam):
+    # at kappa = 1.7e308 the derivative is exactly 0 at every weight above
+    # 2e-153 in size, whether the constant 2 * (kappa * lam) is finite (lam
+    # = 1e-4) or inf (lam = 1); the step adds nothing, so the run matches
+    # family none in its weights, epochs and test error (its train objective
+    # adds lam for each weight, whose value is 1)
+    tr, va, te = toy_splits(seed=3, classes=3, per_class=20, dimension=3)
+    arch = MlpArchitecture((3, 6, 5, 3))
+    gaussian = TrainConfig(penalty=PenaltySpec("gaussian", kappa=1.7e308), lam=lam,
+                           batch_size=7, max_epochs=30, seed=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = train(tr, va, te, arch, gaussian)
+    none = train(tr, va, te, arch, dataclasses.replace(gaussian, penalty=PenaltySpec("none")))
+
+    def trained(r):  # all but the train objective
+        return ([(W.tobytes(), b.tobytes()) for W, b in r.weights], [row[2:] for row in r.epoch_log],
+                r.best_epoch, r.stop_reason, r.test_error_rate)
+    assert trained(run) == trained(none)
+
+
+@pytest.mark.parametrize("kappa, lam, planted", [(10.0, 1e308, None), (1e300, 1e160, 1e-150)],
+                         ids=["shipped-data", "gradient-only"])
+def test_overflowing_penalty_gradient_is_a_diverged_run(kappa, lam, planted):
+    # lam * P'(W) overflows in the first step: at kappa = 10 for the weights
+    # near the peak of |P'| at 1/sqrt(2 kappa); at kappa = 1e300 only for a
+    # planted weight of 1e-150, where P' = 7.4e149 while the penalty value
+    # stays finite and every other pass does too
+    splits = data.split(data.make_blobs(3, 60, 8, 3.0, 0), (0.5, 0.25, 0.25), seed=0)
+    arch = MlpArchitecture((8, 64, 64, 3))
+    penalty = PenaltySpec("gaussian", kappa=kappa)
+    weights = init_weights(arch, seed=1)
+    if planted is not None:
+        weights[0][0][0, 0] = planted
+        assert math.isfinite(penalty_term(weights, penalty, lam))
+    config = TrainConfig(penalty=penalty, lam=lam, batch_size=32, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite loss at epoch 1$"):
+            train(*splits, arch, config, weights=weights)
 
 
 def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):

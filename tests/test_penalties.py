@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -238,21 +239,40 @@ FINITE_ARRAYS = hnp.arrays(
 )
 
 
-@given(FINITE_ARRAYS, st.floats(min_value=1e-3, max_value=1e3))
+ANY_KAPPA = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+def gaussian_grad_formula(beta, kappa, scale=1.0):
+    """s * P'(beta) as ``(b * exp((-k * b) * b)) * (2 * (k * s))``, the
+    constant applied as k, 2 and s in turn when it is not a positive normal
+    float."""
+    with np.errstate(over="ignore", under="ignore"):
+        factor = np.asarray(beta * np.exp(-kappa * beta * beta))
+        const = 2.0 * (kappa * scale)
+        if sys.float_info.min <= const <= sys.float_info.max:
+            return factor * const
+        return factor * kappa * 2.0 * scale
+
+
+# kappa over the whole positive finite range: at 1.7e308 the constant 2k is
+# inf, and at a subnormal kappa it has lost bits
+@given(FINITE_ARRAYS, ANY_KAPPA)
 @example(np.random.default_rng(0).uniform(-1.0, 1.0, (64, 64)), 10.0)
 @example(np.array(1e307), 10.0)
 @example(np.array([-1e307, 1e307]), 10.0)
 @example(np.zeros(0), 10.0)
 def test_gaussian_grad_bits_match_formula(beta, kappa):
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = grad_array(PenaltySpec("gaussian", kappa=kappa), beta)
-        slope = 2.0 * kappa * beta
-        ref = np.asarray(slope * np.exp(-kappa * beta * beta))
-    # where 2k*b overflows, exp(-k*b*b) is 0 and the derivative's limit is
-    # a 0 with the sign of b, not the formula's inf * 0 = nan
-    ref = np.where(np.isfinite(slope), ref, np.copysign(0.0, beta))
     assert got.shape == beta.shape
-    assert got.tobytes() == ref.tobytes()
+    assert got.tobytes() == gaussian_grad_formula(beta, kappa).tobytes()
+    assert not np.isnan(got).any()
+    # where exp(-k*b*b) underflows (or -k*b*b overflows), a 0 with the sign of b
+    with np.errstate(over="ignore", under="ignore"):
+        gone = np.exp(-kappa * beta * beta) == 0.0
+    assert np.all(got[gone] == 0.0)
+    assert np.array_equal(np.signbit(got[gone]), np.signbit(beta[gone]))
 
 
 def test_gaussian_overflow_raises_no_warning():
@@ -279,6 +299,43 @@ def test_grad_array_is_odd(beta, spec):
         plus = grad_array(spec, beta)
         minus = grad_array(spec, -beta)
     np.testing.assert_array_equal(minus, -plus)
+
+
+SCALES = st.one_of(st.sampled_from((1.0, 0.0, 1e-4, 0.05, 1e160, 1e308)),
+                   st.floats(min_value=0.0, allow_infinity=False))
+ANY_GAUSSIAN = st.builds(PenaltySpec, st.just("gaussian"), ANY_KAPPA)
+
+
+@given(FINITE_ARRAYS, st.one_of(st.sampled_from(ALL_SPECS), ANY_GAUSSIAN), SCALES)
+@example(np.array([1e-150, -0.2]), PenaltySpec("gaussian", kappa=1e300), 1e160)
+@example(np.array([0.3, -1e-160]), PenaltySpec("gaussian", kappa=1e-300), 1e-30)
+# 2 * kappa is inf, 2 * (kappa * s) is not: one product, not three
+@example(np.array([5.478467492858171e-155]), PenaltySpec("gaussian", kappa=1.7e308), 1e-4)
+def test_scaled_grad_array_is_scale_times_the_derivative(beta, spec, scale):
+    # train-mlp adds grad_array(penalty, W, lam) to its weight gradient: for
+    # every family but the Gaussian that is lam * P'(W) bit for bit, and the
+    # Gaussian folds lam into its constant without a nan
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        got = grad_array(spec, beta, scale)
+        ref = scale * grad_array(spec, beta)
+    assert got.shape == beta.shape
+    if spec.family == "gaussian":
+        ref = gaussian_grad_formula(beta, spec.kappa, scale)
+        assert not np.isnan(got).any()
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), spec.label()
+
+
+def test_scaled_gaussian_grad_overflows_under_the_callers_errstate():
+    # the constant 2 * (k * s) is inf, and b*exp(-k*b*b)*k*2 = P'(b) is
+    # finite (7.4e149); only the last product, times s, overflows
+    spec = PenaltySpec("gaussian", kappa=1e300)
+    beta = np.array([1e-150, 0.5])
+    assert np.isfinite(grad_array(spec, beta)).all()
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            grad_array(spec, beta, 1e160)
+    with np.errstate(over="ignore"):
+        assert grad_array(spec, beta, 1e160).tolist() == [math.inf, 0.0]
 
 
 @given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS), st.data())
