@@ -139,8 +139,7 @@ def _mlp_splits(options):
         seed=options["data_seed"],
     )
     train_set, val_set, test_set = data.split(dataset, options["fractions"], options["split_seed"])
-    if options["label_noise"] > 0:
-        train_set = data.flip_labels(train_set, options["label_noise"], options["noise_seed"])
+    train_set = data.flip_labels(train_set, options["label_noise"], options["noise_seed"])
     return train_set, val_set, test_set
 
 
@@ -163,27 +162,23 @@ def _train_cell(splits, arch, cfg, weights, artifacts_dir, slugs):
 
 
 def run_train_mlp(config, jobs):
-    # A cell with family none or lambda 0 trains exactly what an unpenalized
-    # run trains, whatever its label and lambda: such cells share one run per
-    # seed, and every cell still gets its own row and artifacts.
+    # equal TrainConfigs share one run; each cell still gets its own row and artifacts
+    options = config.options
     fields = ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")  # of TrainConfig
-    settings = {k: config.options[k] for k in fields}
+    settings = {k: options[k] for k in fields}
     runs = {}  # TrainConfig actually trained -> slugs of its grid cells
     grid = []  # (label, lam, seed, run config) in grid order
     for spec in config.penalties:
         for lam in config.lambda_grid:
             lam = float(lam)
             for seed in config.seeds:
-                if spec.family == "none" or lam == 0.0:  # TrainConfig's default: unpenalized
-                    cfg = mlp.TrainConfig(seed=seed, **settings)
-                else:
-                    cfg = mlp.TrainConfig(penalty=spec, lam=lam, seed=seed, **settings)
+                cfg = mlp.TrainConfig(penalty=spec, lam=lam, seed=seed, **settings)
                 runs.setdefault(cfg, []).append(_slug(spec.label(), lam, seed))
                 grid.append((spec.label(), lam, seed, cfg))
-    splits = _mlp_splits(config.options)
-    arch = mlp.MlpArchitecture(
-        (splits[0].features.shape[1], *config.options["hidden"], splits[0].num_classes))
-    save = config.options["save_artifacts"]  # the directory appears with its first file
+    splits = _mlp_splits(options)
+    # the sizes _mlp_problems checked; a noisy train split may lack a class
+    arch = mlp.MlpArchitecture((options["dimension"], *options["hidden"], options["classes"]))
+    save = options["save_artifacts"]  # the directory appears with its first file
     artifacts_dir = os.path.join(config.output, "train_mlp_runs") if save else None
     initial = {seed: mlp.init_weights(arch, seed) for seed in config.seeds}  # what train draws
     cells = [(splits, arch, cfg, initial[cfg.seed], artifacts_dir, slugs)

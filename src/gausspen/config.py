@@ -1,5 +1,5 @@
-"""Experiment configuration: a line-oriented ``key = value`` file with one
-section per sub-config, parsed with :mod:`configparser`.
+"""Experiment configuration: a UTF-8 file of ``key = value`` lines, one section
+per sub-config, parsed by :mod:`configparser` with ``%`` as plain text.
 
 Shared sections:
 
@@ -347,12 +347,12 @@ def parse_config(path, command=None, seed_list=None, out=None):
     (they come from the command line); every detected problem is reported in
     one :class:`ConfigurationError`.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     problems = []
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot read config file: {exc}") from None
     except configparser.Error as exc:
         raise ConfigurationError(f"malformed config file: {exc}") from None

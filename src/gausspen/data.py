@@ -187,9 +187,9 @@ def _allocate(count, fractions):
 def split(dataset, fractions, seed):
     """Stratified, disjoint, exhaustive (train, validation, test) split.
 
-    Per class present, in ascending order, a seeded shuffle is allocated by
-    largest-remainder rounding, so every split's class counts sit within 1
-    of the exact proportion.
+    Per class present, in ascending order, a seeded shuffle is cut once at
+    largest-remainder counts, so every split's class counts sit within 1 of
+    the exact proportion; each split then joins its pieces and shuffles once.
     """
     fractions = [float(f) for f in fractions]
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
@@ -197,23 +197,17 @@ def split(dataset, fractions, seed):
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ConfigurationError("split fractions must sum to 1")
     rng = np.random.default_rng(seed)
-    parts = [[], [], []]
+    pieces = []
     # the classes np.unique gives, without its first-call import of numpy.ma
     for cls in np.flatnonzero(np.bincount(dataset.labels)):
-        idx = np.nonzero(dataset.labels == cls)[0]
-        idx = rng.permutation(idx)
-        counts = _allocate(len(idx), fractions)
-        start = 0
-        for part, cnt in zip(parts, counts):
-            part.extend(idx[start:start + cnt].tolist())
-            start += cnt
-    tags = ("train", "validation", "test")
+        idx = rng.permutation(np.nonzero(dataset.labels == cls)[0])
+        pieces.append(np.split(idx, np.cumsum(_allocate(len(idx), fractions))[:-1]))
     out = []
-    for tag, part in zip(tags, parts):
-        if not part:
+    for tag, part in zip(("train", "validation", "test"), zip(*pieces)):
+        part = np.concatenate(part)
+        if not part.size:
             raise ConfigurationError(f"{tag} split received zero examples")
-        order = rng.permutation(len(part))
-        sel = np.asarray(part)[order]
+        sel = part[rng.permutation(part.size)]
         out.append(LabeledDataset(dataset.features[sel], dataset.labels[sel], tag))
     return tuple(out)
 

@@ -45,6 +45,9 @@ class MlpArchitecture:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings; a family ``none`` or a ``lam`` of 0 makes the one
+    unpenalized config, ``PenaltySpec("none")`` at ``lam = 0.0``."""
+
     penalty: PenaltySpec = field(default_factory=lambda: PenaltySpec("none"))
     lam: float = 0.0
     lr_min: float = 0.01
@@ -61,6 +64,9 @@ class TrainConfig:
             raise ConfigurationError("patience, max_epochs, batch_size must be >= 1")
         if self.lam < 0:
             raise ConfigurationError("lam must be nonnegative")
+        if self.penalty.family == "none" or self.lam == 0.0:
+            object.__setattr__(self, "penalty", PenaltySpec("none"))
+            object.__setattr__(self, "lam", 0.0)
 
 
 @dataclass
@@ -181,7 +187,7 @@ def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
         gW, gb = grads[i]
         np.matmul(activations[i].T, delta, out=gW)
         np.sum(delta, axis=0, out=gb)
-        if lam > 0.0 and penalty.family != "none":
+        if lam > 0.0:
             gW += grad_array(penalty, W, lam)
         if i > 0:
             # a float 0/1 mask in place of pre[i - 1] multiplies like the bool one
@@ -198,8 +204,6 @@ def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
 def evaluate(weights, dataset):
     """Fraction of argmax-misclassified examples; argmax ties resolve to the
     lowest class index (numpy argmax convention)."""
-    if dataset.n < 1:
-        raise ConfigurationError("test split is empty")
     logits_only = _pass_arrays(weights, dataset.n, cache=False)
     logits, _ = forward(weights, dataset.features, out=logits_only)
     predicted = np.argmax(logits, axis=1)
@@ -239,7 +243,6 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
     best_val = np.inf
     best_epoch = 0
     best_weights = [(W.copy(), b.copy()) for W, b in weights]
-    epochs_since_best = 0
     epoch_log = []
     stop_reason = "max_epochs"
 
@@ -271,12 +274,9 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
             best_epoch = epoch
             for (W_best, b_best), (W, b) in zip(best_weights, weights):
                 W_best[...], b_best[...] = W, b
-            epochs_since_best = 0
-        else:
-            epochs_since_best += 1
-            if epochs_since_best >= config.patience:
-                stop_reason = "patience"
-                break
+        elif epoch - best_epoch >= config.patience:
+            stop_reason = "patience"
+            break
 
     return TrainRun(epoch_log, best_epoch, float(best_val), stop_reason, best_weights,
                     evaluate(best_weights, test_set))

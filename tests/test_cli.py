@@ -5,10 +5,11 @@ import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gausspen import cli, data, mlp, penalties, regression
@@ -582,6 +583,67 @@ def test_train_mlp_artifacts(tmp_path):
 
     weights = load_weights(checkpoints[0])
     assert weights[0][0].shape == (2, 8)  # dimension 2 -> hidden 8
+
+
+def _blob_config(classes, per_class, dimension, hidden, label_noise, seeds=(0, 0, 0)):
+    return f"""
+[experiment]
+command = train-mlp
+seeds = 2
+
+[penalty:en]
+family = elastic_net
+mix = 0.6257418045953334
+
+[lambda]
+values = 0.01
+
+[train-mlp]
+classes = {classes}
+per_class = {per_class}
+dimension = {dimension}
+hidden = {hidden}
+max_epochs = 3
+batch_size = 1
+label_noise = {label_noise!r}
+save_artifacts = true
+data_seed = {seeds[0]}
+split_seed = {seeds[1]}
+noise_seed = {seeds[2]}
+"""
+
+
+def _output_widths(tmp, text):
+    """Run train-mlp on ``text``; the output width of each checkpoint it writes."""
+    cfg = write_config(pathlib.Path(tmp) / "t.cfg", text)
+    out = pathlib.Path(tmp) / "out"
+    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    return [mlp.load_weights(path)[-1][0].shape[1]
+            for path in sorted((out / "train_mlp_runs").glob("*.mlpw"))]
+
+
+def test_label_noise_that_drops_the_last_class_keeps_its_output(tmp_path):
+    # the noisy training labels hold no class 2, but the validation and test
+    # labels do: the output layer has `classes` units, not the training
+    # labels' largest + 1
+    text = _blob_config(3, 3, 2, 2, 0.604295492217596)
+    options = parse_config(write_config(tmp_path / "c.cfg", text)).options
+    train_set, val_set, _ = cli._mlp_splits(options)
+    assert train_set.labels.tolist() == [1, 0, 1] and 2 in val_set.labels
+    assert _output_widths(tmp_path, text) == [3]
+
+
+@settings(max_examples=30, deadline=None)
+@given(classes=st.integers(2, 4), per_class=st.integers(3, 6), dimension=st.integers(1, 3),
+       hidden=st.integers(1, 4), label_noise=st.floats(0.0, 1.0),
+       seeds=st.tuples(st.integers(0, 99), st.integers(0, 99), st.integers(0, 99)))
+@example(classes=3, per_class=3, dimension=2, hidden=2, label_noise=0.604295492217596,
+         seeds=(0, 0, 0))
+def test_output_layer_has_one_unit_per_class(classes, per_class, dimension, hidden, label_noise,
+                                             seeds):
+    text = _blob_config(classes, per_class, dimension, hidden, label_noise, seeds)
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _output_widths(tmp, text) == [classes]
 
 
 SHARED_CFG = TRAIN_CFG.replace("seeds = 1, 2, 3", "seeds = 1, 2").replace(

@@ -12,7 +12,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gausspen import cli, config
@@ -167,6 +167,64 @@ def test_unknown_command_key_is_config_error(command, key):
 def test_shipped_configs_parse(path):
     parsed = parse_config(str(path))
     assert set(parsed.options) <= set(COMMANDS[parsed.command].schema)
+
+
+PENALTY_TABLE = (pathlib.Path(__file__).parents[1] / "configs" / "penalty_table.cfg").read_bytes()
+
+
+@st.composite
+def _edited_config(draw):
+    """A shipped config with a few bytes replaced, inserted or deleted."""
+    blob = bytearray(draw(st.sampled_from([path.read_bytes() for path in CONFIGS])))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(blob)))
+        byte = draw(st.integers(0, 255))
+        edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if edit == "insert":
+            blob.insert(pos, byte)
+        elif pos < len(blob):
+            if edit == "replace":
+                blob[pos] = byte
+            else:
+                del blob[pos]
+    return bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _edited_config()))
+@example(b"\xff")
+@example(PENALTY_TABLE.replace(b"beta_max = 3", b"beta_max = 50%"))
+@example(PENALTY_TABLE.replace(b"beta_max = 3", b"beta_max = %(nothing)s"))
+@example(PENALTY_TABLE.replace(b"gamma = 1", b"gamma = \xe9"))
+def test_any_config_bytes_parse_or_are_a_config_error(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "c.cfg"
+        path.write_bytes(blob)
+        try:
+            parse_config(str(path))
+        except ConfigurationError:
+            pass
+
+
+@pytest.mark.parametrize("old, new, named", [
+    (b"beta_max = 3", b"beta_max = 50%", "`beta_max`"),
+    # no interpolation: the text is the value, not beta_min's
+    (b"beta_max = 3", b"beta_max = %(beta_min)s", "`beta_max`"),
+    (b"# Penalty", b"# \xff Penalty", "cannot read config file"),
+])
+def test_config_text_is_literal_utf8(tmp_path, capsys, old, new, named):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(PENALTY_TABLE.replace(old, new))
+    out = tmp_path / "out"
+    assert main(["penalty-table", "--config", str(path), "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_is_read_as_utf8(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_bytes(b"# \xc3\xa9t\xc3\xa9\n" + PENALTY_TABLE)  # "été", UTF-8 under any locale
+    assert parse_config(str(path)).options["beta_max"] == 3.0
 
 
 def test_runners_match_commands():

@@ -84,6 +84,20 @@ def test_config_is_frozen_run_key():
         a.lam = 0.1
 
 
+@pytest.mark.parametrize("penalty, lam", [
+    (PenaltySpec("gaussian", kappa=10.0), 0.0),
+    (PenaltySpec("lasso"), 0),
+    (PenaltySpec("none"), 0.1),
+    (PenaltySpec("none", kappa=3.0), 0.0),
+])
+def test_unpenalized_configs_are_one_config(penalty, lam):
+    # family none or lambda 0 is the one unpenalized config, so train-mlp
+    # trains each such cell of a seed once
+    config = TrainConfig(penalty=penalty, lam=lam, seed=2)
+    assert config == TrainConfig(seed=2) and hash(config) == hash(TrainConfig(seed=2))
+    assert config.penalty == PenaltySpec("none") and repr(config.lam) == "0.0"
+
+
 # --- init ----------------------------------------------------------------------
 
 
