@@ -66,8 +66,7 @@ class SimSpec:
             raise ConfigurationError("C must be p x p for a length-p beta_true")
         if np.abs(self.C - self.C.T).max() > 1e-12:
             raise ConfigurationError("C must be symmetric")
-        if np.linalg.eigvalsh(self.C).min() <= 0:
-            raise ConfigurationError("C must be positive definite")
+        _cholesky(self.C)  # or "C must be positive definite"
         if self.sigma <= 0:
             raise ConfigurationError("sigma must be positive")
         if self.replicates < 1:

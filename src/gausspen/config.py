@@ -212,7 +212,7 @@ COMMANDS = {
         "beta_ols": _number, "kappa": _positive,
         # lambda_values None: the grid lambda_min..lambda_max by lambda_step
         "lambda_values": (_grid, None),
-        "lambda_min": _number, "lambda_max": _number, "lambda_step": _positive,
+        "lambda_min": _nonnegative, "lambda_max": _number, "lambda_step": _positive,
     }, check=_range_problems),
     "bias-mc": Command({**_SIMULATION, "n": _count}, check=partial(_simulation_problems, "n", 1)),
     "consistency-mc": Command(

@@ -26,6 +26,10 @@ Each family is one entry of ``_TABLE``: its hyperparameter and validity
 rule, value, derivative, bounds and slope at ``0+``.  :func:`value_array`
 and :func:`grad_array` evaluate an entry elementwise, :func:`penalty_value`
 at one coefficient, and :func:`penalty_bounds` gives its global constants.
+``value_array`` alone sets the overflow rule for values: one above the
+largest double is ``inf``, with no warning.  SCAD's quadratic is computed
+as (m(2 - m/a) - 1/a)/(2 - 2/a), m = |b| clipped to [1, a], and MCP as
+m(1 - m/c/2), m = min(|b|, c): neither overflows where its value is finite.
 ``grad_array`` takes a ``scale``, folded into the Gaussian's one constant.
 
 Every function is pure; everything is safe for concurrent use.
@@ -45,16 +49,16 @@ from .errors import ConfigurationError, DomainError
 def _scad_value(beta, a):
     t = np.abs(beta)
     top = (a + 1.0) / 2.0
-    mid = np.clip(t, 1.0, a)
+    m = np.clip(t, 1.0, a)
     # near |b| = a the quadratic can round an ulp above its ceiling
-    quad = np.minimum((2.0 * a * mid - mid * mid - 1.0) / (2.0 * (a - 1.0)), top)
+    quad = np.minimum((m * (2.0 - m / a) - 1.0 / a) / (2.0 - 2.0 / a), top)
     return np.where(t <= 1.0, t, np.where(t <= a, quad, top))
 
 
 def _mcp_value(beta, c):
-    t = np.abs(beta)
+    m = np.minimum(np.abs(beta), c)
     # as for SCAD, near |b| = c
-    return np.where(t <= c, np.minimum(t - t * t / (2.0 * c), c / 2.0), c / 2.0)
+    return np.minimum(m * (1.0 - m / c / 2.0), c / 2.0)
 
 
 def _bridge_grad(beta, q, s):
@@ -70,13 +74,6 @@ def _bridge_grad(beta, q, s):
 def _scad_grad(beta, a, s):
     t = np.abs(beta)
     return s * (np.sign(beta) * np.where(t <= 1.0, 1.0, np.clip(a - t, 0.0, None) / (a - 1.0)))
-
-
-def _gaussian_value(beta, k):
-    # expm1 keeps the ridge-like regime near 0 accurate; -k*b*b overflows to
-    # -inf for |b| above about 1.3e154/sqrt(k), where the value is exactly 1
-    with np.errstate(over="ignore"):
-        return -np.expm1(-k * beta * beta)
 
 
 def _gaussian_grad(beta, k, s):
@@ -173,7 +170,7 @@ _TABLE = {
         parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
     ),
     "gaussian": _Family(
-        value=_gaussian_value,
+        value=lambda beta, k: -np.expm1(-k * beta * beta),
         grad=_gaussian_grad,
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
         bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),
@@ -280,12 +277,13 @@ class PenaltyBounds:
 
 
 def value_array(spec, beta):
-    """Elementwise penalty values for an array of coefficients."""
+    """Elementwise penalty values for an array of coefficients, ``inf`` above the largest double."""
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise DomainError("penalty evaluated at a non-finite coefficient")
     entry, param = spec._entry()
-    return entry.value(beta, param)
+    with np.errstate(over="ignore"):
+        return entry.value(beta, param)
 
 
 def grad_array(spec, beta, scale=1.0):

@@ -564,9 +564,10 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
     found by the scalar Brent port on the gap between the two minima, over
     the first grid step where it turns nonpositive; every lambda it tries,
     the step's ends too, is one :func:`solve_orthonormal`, which gives a grid
-    lambda's profile to the bit.  Returns ``(profiles, lambda_star)``;
-    ``lambda_star`` is None when the two local minima never trade places
-    inside the grid span.
+    lambda's profile to the bit.  The gap jumps where a minimum appears, so
+    Brent may bisect: it gets 100 steps plus 4 per halving of the step down
+    to 1e-10.  Returns ``(profiles, lambda_star)``; ``lambda_star`` is None
+    when the two local minima never trade places inside the grid span.
     """
     lambda_grid = [float(v) for v in lambda_grid]
     if not lambda_grid:
@@ -592,6 +593,7 @@ def lambda_phase_scan(beta_ols, kappa, lambda_grid):
         if glo > 0.0 and ghi <= 0.0:
             return profiles, _brentq_scalar(
                 lambda lam: profile_gap(solve_orthonormal(beta_ols, lam, kappa)),
-                lo, hi, xtol=1e-10)
+                lo, hi, xtol=1e-10,
+                maxiter=100 + 4 * max(0, math.ceil(math.log2(hi - lo) - math.log2(1e-10))))
         glo = ghi
     return profiles, None

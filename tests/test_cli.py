@@ -295,6 +295,41 @@ def test_penalty_table_keeps_signed_zeros(tmp_path):
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "-0", "0", "-0"]
 
 
+@pytest.mark.parametrize("sections, beta_min, beta_max, count", [
+    # 2a|b| overflowed in SCAD's quadratic: NaN at |b| = 2 and 3
+    ("[penalty:scad]\nfamily = scad\na = 1.7e308\n", -3, 3, 7),
+    # NaN from SCAD and -inf from MCP at +-1e200
+    ("[penalty:scad]\nfamily = scad\na = 1e200\n[penalty:mcp]\nfamily = mcp\nb = 1e200\n",
+     -1e200, 1e200, 5),
+], ids=["scad-largest-a", "scad-mcp-1e200"])
+def test_penalty_table_of_huge_parameters_is_finite(tmp_path, sections, beta_min, beta_max,
+                                                    count):
+    # pytest makes a RuntimeWarning an error, which would exit 2
+    cfg = write_config(tmp_path / "p.cfg", f"[experiment]\ncommand = penalty-table\n{sections}"
+                       f"[penalty-table]\nbeta_min = {beta_min}\nbeta_max = {beta_max}\n"
+                       f"count = {count}\n")
+    out = tmp_path / "out"
+    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "penalty_table.csv").read_text().splitlines()
+    assert len(lines) == 1 + count * sections.count("[penalty:")
+    for line in lines[1:]:
+        value = float(line.split(",")[2])
+        assert 0.0 <= value < math.inf, line
+
+
+def test_lambda_star_of_a_very_wide_grid_step(tmp_path):
+    # Brent may bisect a step of 1e100 down to 1e-10, about 365 halvings,
+    # more than its default 100 steps
+    shipped = pathlib.Path(__file__).parents[1] / "configs" / "ortho_scan.cfg"
+    cfg = write_config(tmp_path / "wide.cfg", shipped.read_text() + "lambda_values = 1, 1e100\n")
+    stars = []
+    for name, path in (("full", str(shipped)), ("wide", cfg)):
+        assert main(["ortho-scan", "--config", path, "--out", str(tmp_path / name)]) == 0
+        rows = (tmp_path / name / "ortho_scan.csv").read_text().splitlines()
+        stars += [float(row.split(",")[1]) for row in rows if row.startswith("lambda_star,")]
+    assert len(stars) == 2 and abs(stars[1] - stars[0]) <= 1e-10
+
+
 def _reference_csv(header, rows):
     def cell(value):
         if value is None:
@@ -898,6 +933,8 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     # a reversed range, whose grid would be empty or run past lambda_max
     ("ortho-scan", "lambda_min", "20"),
     ("ortho-scan", "lambda_min", "15.2"),
+    # a negative lambda_min failed at run time, with a message naming no option
+    ("ortho-scan", "lambda_min", "-1"),
     ("penalty-table", "count", "-1"),
     ("penalty-table", "count", "0"),
     # above MAX_GRID: rejected as parsed, before numpy is asked for the memory
@@ -962,6 +999,7 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and f"`{key}`" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, problem", [

@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -460,6 +461,76 @@ def test_values_and_derivatives_match_reference_formulas(beta, spec):
         assert within_ulps(got, reference_value(spec, b)), (spec.label(), b)
     for b, got in zip(nonzero.tolist(), slopes.tolist()):
         assert within_ulps(got, reference_derivative(spec, b)), (spec.label(), b)
+
+
+# each family's parameter over its whole valid range, subnormals included
+WHOLE_RANGE = {family: st.floats(5e-324, sys.float_info.max) for family in PARAMETER}
+WHOLE_RANGE.update(scad=st.floats(2.0, sys.float_info.max, exclude_min=True),
+                   elastic_net=st.floats(0.0, 1.0))
+
+
+@st.composite
+def whole_range_cases(draw, families=FAMILIES):
+    """A penalty of one of ``families``, its parameter anywhere in its valid
+    range, and finite coefficients: any double, or one on the parameter's
+    own scale, where SCAD and MCP change piece."""
+    family = draw(st.sampled_from(families))
+    if family not in PARAMETER:
+        return PenaltySpec(family), draw(FINITE_ARRAYS)
+    param = draw(WHOLE_RANGE[family])
+    scaled = st.floats(0.0, 2.0).map(lambda u: u * param).filter(math.isfinite)
+    beta = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | scaled
+                         | scaled.map(lambda b: -b), min_size=1, max_size=16))
+    return PenaltySpec(family, **{PARAMETER[family]: param}), np.array(beta)
+
+
+@settings(max_examples=300)
+@given(whole_range_cases())
+@example((PenaltySpec("scad", a=1.7e308), np.array([-2.0, 2.0])))  # NaN from inf / inf
+@example((PenaltySpec("mcp", b=1e200), np.array([5e199])))  # -inf from |b| - inf
+@example((PenaltySpec("scad", a=1e200), np.array([1e150])))  # clamped to (a+1)/2
+def test_value_array_over_whole_parameter_range(case):
+    # value_array's one overflow rule: a value above the largest double is
+    # inf, and nothing warns or raises, whatever the caller's overflow rule
+    spec, beta = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = value_array(spec, beta)
+        with np.errstate(over="raise"):
+            mirrored = value_array(spec, -beta)
+    sup = penalty_bounds(spec).sup_value
+    np.testing.assert_array_equal(mirrored, got)
+    assert np.all((got >= 0.0) & (got <= sup)), spec.label()  # a NaN fails too
+    assert math.isinf(sup) or np.isfinite(got).all(), spec.label()
+
+
+def exact_value(spec, b):
+    """SCAD's or MCP's value at b from its published formula, in exact
+    rationals, rounded once to the nearest double."""
+    t = Fraction(abs(b))
+    if spec.family == "scad":
+        a = Fraction(spec.a)
+        if t <= 1:
+            return float(t)
+        return float((2 * a * t - t * t - 1) / (2 * (a - 1)) if t <= a else (a + 1) / 2)
+    c = Fraction(spec.b)
+    return float(t - t * t / (2 * c) if t <= c else c / 2)
+
+
+@settings(max_examples=300)
+@given(whole_range_cases(("scad", "mcp")))
+@example((PenaltySpec("scad", a=1.7e308), np.array([-2.0, 2.0])))
+@example((PenaltySpec("scad", a=1e200), np.array([1e150, 5e199])))
+# 2m - m*(m/a) would overflow in 2m, m above half the largest double
+@example((PenaltySpec("scad", a=1.7e308), np.array([1e308, 9e307, 1.6e308])))
+@example((PenaltySpec("mcp", b=1e200), np.array([5e199, 1e150])))
+@example((PenaltySpec("mcp", b=1.7e308), np.array([1e308, 1.6e308])))
+def test_scad_and_mcp_values_are_exact_over_whole_parameter_range(case):
+    spec, beta = case
+    for b, got in zip(beta.tolist(), value_array(spec, beta).tolist()):
+        ref = exact_value(spec, b)
+        if ref >= sys.float_info.min:  # a normal result
+            assert within_ulps(got, ref), (spec.label(), b, got, ref)
 
 
 @given(any_spec(), st.floats(0.0, 50.0),

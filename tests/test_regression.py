@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gausspen.cli import run_ortho_scan
@@ -513,6 +513,23 @@ def test_solve_orthonormal_matches_a_batch_of_one(beta_ols, lam, kappa):
     # every float input
     assert _profile_or_error(solve_orthonormal, beta_ols, lam, kappa) == _profile_or_error(
         lambda *args: _profiles(*args)[0], beta_ols, [lam], kappa)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(0.1, 100.0), st.booleans(), st.floats(1e-3, 1e3), st.floats(0.0, 1e-6),
+       st.floats(30.0, 300.0))
+@example(3.0, False, 10.0, 1.0, 100.0)  # ran out of Brent's default 100 steps
+def test_lambda_star_of_a_very_wide_grid_step(size, negative, kappa, lo, exponent):
+    # a grid step at least 1e30 wide, which Brent may bisect down to 1e-10
+    beta_ols = -size if negative else size
+    hi = lo + 10.0**exponent
+    _, lambda_star = lambda_phase_scan(beta_ols, kappa, [lo, hi])
+    assert lo <= lambda_star <= hi
+    # the gap between the two minima changes sign within Brent's tolerance
+    # of lambda*, so a narrow step around it finds the same crossing
+    tol = 2.0 * (1e-10 + 4.0 * sys.float_info.epsilon * lambda_star)
+    _, again = lambda_phase_scan(beta_ols, kappa, [max(lo, lambda_star - tol), lambda_star + tol])
+    assert again is not None and abs(again - lambda_star) <= tol
 
 
 def test_phase_scan_no_crossing():
