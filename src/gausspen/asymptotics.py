@@ -122,13 +122,11 @@ def _draw(spec, chol, noise, n):
     are contiguous row reductions.
     """
     p = spec.p
-    # an overflow shows up as a non-finite draw, which the caller rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = chol @ noise[:n * p].reshape(n, p).T
-        y = spec.sigma * noise[n * p:n * p + n]
-        y += spec.beta_true @ columns
-        columns -= columns.mean(axis=1, keepdims=True)
-        y -= y.mean()
+    columns = chol @ noise[:n * p].reshape(n, p).T
+    y = spec.sigma * noise[n * p:n * p + n]
+    y += spec.beta_true @ columns
+    columns -= columns.mean(axis=1, keepdims=True)
+    y -= y.mean()
     return columns, y
 
 
@@ -176,6 +174,7 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
     lam = [lam_n(n) / n for n in n_grid]
     chol = _cholesky(spec.C)
     gram, xty, yty = np.empty((grid, reps, p, p)), np.empty((grid, reps, p)), np.empty((grid, reps))
+    # a draw that overflows is not finite, and is rejected below without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for rep in range(reps):
             noise = _noise(spec, rep, n_grid[-1])

@@ -26,10 +26,11 @@ Each family is one entry of ``_TABLE``: its hyperparameter and validity
 rule, value, derivative, bounds and slope at ``0+``.  :func:`value_array`
 and :func:`grad_array` evaluate an entry elementwise, :func:`penalty_value`
 at one coefficient, and :func:`penalty_bounds` gives its global constants.
-``value_array`` alone sets the overflow rule for values: one above the
-largest double is ``inf``, with no warning.  SCAD's quadratic is computed
-as (m(2 - m/a) - 1/a)/(2 - 2/a), m = |b| clipped to [1, a], and MCP as
-m(1 - m/c/2), m = min(|b|, c): neither overflows where its value is finite.
+``value_array`` and ``grad_array`` alone set the overflow rule: a value or
+scaled derivative above the largest double is +-``inf``, with no warning
+under any errstate, and no derivative is NaN at a positive scale.  SCAD's
+quadratic is (m(2 - m/a) - 1/a)/(2 - 2/a), m = |b| clipped to [1, a], and
+MCP m(1 - m/c/2), m = min(|b|, c): neither overflows where its value is finite.
 ``grad_array`` takes a ``scale``, folded into the Gaussian's one constant.
 
 Every function is pure; everything is safe for concurrent use.
@@ -81,10 +82,9 @@ def _gaussian_grad(beta, k, s):
     # one for a 0-d beta): b*exp(-k*b*b) is at most 1/sqrt(2ek), and a 0 with
     # the sign of b where exp underflows, so no inf * 0 makes a nan.  A
     # constant that is not a positive normal float goes in as k, 2 and s, so
-    # only the last product can overflow, under the caller's errstate
-    with np.errstate(over="ignore"):
-        out = np.multiply(-k, beta, out=np.empty_like(beta))
-        out *= beta
+    # only the last product can overflow
+    out = np.multiply(-k, beta, out=np.empty_like(beta))
+    out *= beta
     np.multiply(np.exp(out, out=out), beta, out=out)
     c = 2.0 * (k * s)
     for factor in (c,) if sys.float_info.min <= c < inf else (k, 2.0, s):
@@ -163,8 +163,8 @@ _TABLE = {
     ),
     "arctan": _Family(
         value=lambda beta, g: (2.0 / np.pi) * np.arctan(g * np.abs(beta)),
-        grad=lambda beta, g, s: s * (np.sign(beta) * (2.0 * g / np.pi)
-                                     / (1.0 + g * g * beta * beta)),
+        grad=lambda beta, g, s: s * (np.sign(beta) * ((2.0 / np.pi) * g)
+                                     / (1.0 + np.square(g * beta))),
         bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
         slope=lambda g: 2.0 * g / np.pi,
         parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
@@ -298,7 +298,8 @@ def grad_array(spec, beta, scale=1.0):
     if not np.isfinite(beta).all():
         raise DomainError("penalty gradient requested at a non-finite coefficient")
     entry, param = spec._entry()
-    return entry.grad(beta, param, scale)
+    with np.errstate(over="ignore"):
+        return entry.grad(beta, param, scale)
 
 
 def penalty_value(spec, beta):

@@ -159,6 +159,7 @@ def _matvec(stack, vectors):
     return np.matmul(stack, vectors[:, :, None])[:, :, 0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _descend(gram, xty, yty, n, spec, lam, beta0):
     """BB/Armijo gradient descent for every row i of ``beta0`` at once, with
     its own ``n[i]`` and ``lam[i]``.
@@ -178,7 +179,8 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
     sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n; a trial coordinate that
     leaves its orthant lands on 0; and Armijo tests the step taken.  A row
     stops when its gradient norm is within ``GRAD_TOL``, after ``MAX_ITER``
-    steps, or when its step no longer changes b at all.
+    steps, when its step no longer changes b at all, or, unconverged, when its
+    trial step is no longer a positive number (a NaN or an underflowed 0).
 
     Returns the final rows, objectives (NaN exactly where the start
     objective is non-finite), gradient norms and iteration counts.
@@ -201,12 +203,11 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
 
     rows = np.flatnonzero(np.isfinite(beta).all(axis=1))
     G, c, b, n, lam = gram[rows], xty[rows], beta[rows], n[rows], lam[rows]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
-        kink = np.where(lam > 0, lam * slope, 0.0)
-        r = _matvec(G, b) - c
-        pen = value_array(spec, b)
-        f = ((b * (r - c)).sum(axis=1) + yty[rows]) / n + lam * pen.sum(axis=1)
+    # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
+    kink = np.where(lam > 0, lam * slope, 0.0)
+    r = _matvec(G, b) - c
+    pen = value_array(spec, b)
+    f = ((b * (r - c)).sum(axis=1) + yty[rows]) / n + lam * pen.sum(axis=1)
     keep = np.isfinite(f) & np.isfinite(r).all(axis=1)
     rows, G, r, b, pen, f = rows[keep], G[keep], r[keep], b[keep], pen[keep], f[keep]
     n, lam, kink = n[keep], lam[keep], kink[keep]
@@ -217,59 +218,58 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
     its = np.zeros(rows.size, dtype=int)
     done = (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
 
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while True:
-            if done.any():
-                out = rows[done]
-                beta[out], f_out[out] = b[done], f[done]
-                gnorm_out[out], its_out[out] = gnorm[done], its[done]
-                live = ~done
-                rows, G, r, b, pen, f = rows[live], G[live], r[live], b[live], pen[live], f[live]
-                g, gsq, gnorm, t, its = g[live], gsq[live], gnorm[live], t[live], its[live]
-                n, lam, kink = n[live], lam[live], kink[live]
-            if not rows.size:
-                break
-            cand = b - t[:, None] * g
-            bad = None
-            if not np.isfinite(cand).all():
-                # such a row backtracks, without evaluating the penalty out there
-                bad = ~np.isfinite(cand).all(axis=1)
-                cand[bad] = b[bad]
-            if kinked:
-                # only now: sign(nan) would have zeroed a non-finite row
-                orthant = np.where(b == 0.0, -np.sign(g), np.sign(b))
-                cand[(np.sign(cand) != orthant) & (kink[:, None] > 0)] = 0.0
-            s = cand - b
-            r_new = r + _matvec(G, s)
-            pen_new = value_array(spec, cand)
-            delta = (s * (r + r_new)).sum(axis=1) / n + lam * (pen_new - pen).sum(axis=1)
-            g_new = gradient(r_new, cand)
-            stall = (s == 0.0).all(axis=1)
-            if bad is not None:
-                delta[bad] = np.nan
-                stall &= ~bad
-            # a stalled row has delta = 0 exactly, which fails Armijo
-            decrease = -1e-4 * t * gsq
-            if kinked:
-                decrease = np.where(kink > 0, 1e-4 * (g * s).sum(axis=1), decrease)
-            accept = np.isfinite(delta) & (delta < decrease)
-            if not accept.all():
-                floor = 8.0 * np.finfo(float).eps * lam * (pen + pen_new).sum(axis=1)
-                wolfe = (np.abs(delta) <= floor) & ((g_new * g).sum(axis=1) >= -0.8 * gsq)
-                accept |= wolfe & ~stall
-            # Barzilai-Borwein trial step for the row's next iteration:
-            # quasi-Newton scaling that keeps gradient steps fast near the optimum
-            sy = (s * (g_new - g)).sum(axis=1)
-            bb = np.where(sy > 0.0, (s * s).sum(axis=1) / sy, 2.0 * t)
-            t = np.where(accept, np.clip(bb, 1e-12, 1e12), t * BACKTRACK)
-            a = accept[:, None]
-            b, r = np.where(a, cand, b), np.where(a, r_new, r)
-            pen, g = np.where(a, pen_new, pen), np.where(a, g_new, g)
-            f = np.where(accept, f + delta, f)
-            gsq = (g * g).sum(axis=1)
-            gnorm = np.sqrt(gsq)
-            its += accept
-            done = stall | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
+    while True:
+        if done.any():
+            out = rows[done]
+            beta[out], f_out[out] = b[done], f[done]
+            gnorm_out[out], its_out[out] = gnorm[done], its[done]
+            live = ~done
+            rows, G, r, b, pen, f = rows[live], G[live], r[live], b[live], pen[live], f[live]
+            g, gsq, gnorm, t, its = g[live], gsq[live], gnorm[live], t[live], its[live]
+            n, lam, kink = n[live], lam[live], kink[live]
+        if not rows.size:
+            break
+        cand = b - t[:, None] * g
+        bad = None
+        if not np.isfinite(cand).all():
+            # such a row backtracks, without evaluating the penalty out there
+            bad = ~np.isfinite(cand).all(axis=1)
+            cand[bad] = b[bad]
+        if kinked:
+            # only now: sign(nan) would have zeroed a non-finite row
+            orthant = np.where(b == 0.0, -np.sign(g), np.sign(b))
+            cand[(np.sign(cand) != orthant) & (kink[:, None] > 0)] = 0.0
+        s = cand - b
+        r_new = r + _matvec(G, s)
+        pen_new = value_array(spec, cand)
+        delta = (s * (r + r_new)).sum(axis=1) / n + lam * (pen_new - pen).sum(axis=1)
+        g_new = gradient(r_new, cand)
+        stall = (s == 0.0).all(axis=1)
+        if bad is not None:
+            delta[bad] = np.nan
+            stall &= ~bad
+        # a stalled row has delta = 0 exactly, which fails Armijo
+        decrease = -1e-4 * t * gsq
+        if kinked:
+            decrease = np.where(kink > 0, 1e-4 * (g * s).sum(axis=1), decrease)
+        accept = np.isfinite(delta) & (delta < decrease)
+        if not accept.all():
+            floor = 8.0 * np.finfo(float).eps * lam * (pen + pen_new).sum(axis=1)
+            wolfe = (np.abs(delta) <= floor) & ((g_new * g).sum(axis=1) >= -0.8 * gsq)
+            accept |= wolfe & ~stall
+        # Barzilai-Borwein trial step for the row's next iteration:
+        # quasi-Newton scaling that keeps gradient steps fast near the optimum
+        sy = (s * (g_new - g)).sum(axis=1)
+        bb = np.where(sy > 0.0, (s * s).sum(axis=1) / sy, 2.0 * t)
+        t = np.where(accept, np.clip(bb, 1e-12, 1e12), t * BACKTRACK)
+        a = accept[:, None]
+        b, r = np.where(a, cand, b), np.where(a, r_new, r)
+        pen, g = np.where(a, pen_new, pen), np.where(a, g_new, g)
+        f = np.where(accept, f + delta, f)
+        gsq = (g * g).sum(axis=1)
+        gnorm = np.sqrt(gsq)
+        its += accept
+        done = stall | ~(t > 0.0) | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
     return beta, f_out, gnorm_out, its_out
 
 

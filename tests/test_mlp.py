@@ -598,26 +598,37 @@ def test_overflowing_penalty_sum_is_a_diverged_run():
             train(*splits, MlpArchitecture((3, 4, 2)), config, weights=weights)
 
 
-@pytest.mark.parametrize("lam", [1e-4, 1.0])
-def test_gaussian_of_the_largest_kappa_trains_as_no_penalty(lam):
-    # at kappa = 1.7e308 the derivative is exactly 0 at every weight above
-    # 2e-153 in size, whether the constant 2 * (kappa * lam) is finite (lam
-    # = 1e-4) or inf (lam = 1); the step adds nothing, so the run matches
-    # family none in its weights, epochs and test error (its train objective
-    # adds lam for each weight, whose value is 1)
+def assert_trains_as_no_penalty(penalty, lam):
+    """A run under ``penalty`` matches family none in its weights, epochs and
+    test error: all but its train objective, which adds lam * P(W)."""
     tr, va, te = toy_splits(seed=3, classes=3, per_class=20, dimension=3)
     arch = MlpArchitecture((3, 6, 5, 3))
-    gaussian = TrainConfig(penalty=PenaltySpec("gaussian", kappa=1.7e308), lam=lam,
-                           batch_size=7, max_epochs=30, seed=4)
+    config = TrainConfig(penalty=penalty, lam=lam, batch_size=7, max_epochs=30, seed=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        run = train(tr, va, te, arch, gaussian)
-    none = train(tr, va, te, arch, dataclasses.replace(gaussian, penalty=PenaltySpec("none")))
+        run = train(tr, va, te, arch, config)
+    none = train(tr, va, te, arch, dataclasses.replace(config, penalty=PenaltySpec("none")))
 
     def trained(r):  # all but the train objective
         return ([(W.tobytes(), b.tobytes()) for W, b in r.weights], [row[2:] for row in r.epoch_log],
                 r.best_epoch, r.stop_reason, r.test_error_rate)
     assert trained(run) == trained(none)
+
+
+@pytest.mark.parametrize("lam", [1e-4, 1.0])
+def test_gaussian_of_the_largest_kappa_trains_as_no_penalty(lam):
+    # at kappa = 1.7e308 the derivative is exactly 0 at every weight above
+    # 2e-153 in size, whether the constant 2 * (kappa * lam) is finite (lam
+    # = 1e-4) or inf (lam = 1); the step adds nothing (each weight's value
+    # is 1)
+    assert_trains_as_no_penalty(PenaltySpec("gaussian", kappa=1.7e308), lam)
+
+
+def test_laplace_of_a_subnormal_epsilon_trains_as_no_penalty():
+    # at epsilon = 1e-310 the derivative is exactly 0 at every weight above
+    # 7.5e-308 in size, where |W|/epsilon overflows from 0.018 up: that
+    # overflow is the penalty's own, so the run does not end at epoch 1
+    assert_trains_as_no_penalty(PenaltySpec("laplace", epsilon=1e-310), 1e-4)
 
 
 @pytest.mark.parametrize("kappa, lam, planted", [(10.0, 1e308, None), (1e300, 1e160, 1e-150)],

@@ -326,17 +326,18 @@ def test_scaled_grad_array_is_scale_times_the_derivative(beta, spec, scale):
     assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), spec.label()
 
 
-def test_scaled_gaussian_grad_overflows_under_the_callers_errstate():
+def test_scaled_gaussian_grad_overflows_to_inf_under_any_errstate():
     # the constant 2 * (k * s) is inf, and b*exp(-k*b*b)*k*2 = P'(b) is
-    # finite (7.4e149); only the last product, times s, overflows
+    # finite (7.4e149); only the last product, times s, overflows, to inf,
+    # whatever the caller's overflow rule
     spec = PenaltySpec("gaussian", kappa=1e300)
     beta = np.array([1e-150, 0.5])
     assert np.isfinite(grad_array(spec, beta)).all()
-    with np.errstate(over="raise"):
-        with pytest.raises(FloatingPointError):
-            grad_array(spec, beta, 1e160)
-    with np.errstate(over="ignore"):
-        assert grad_array(spec, beta, 1e160).tolist() == [math.inf, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rule in ("raise", "warn", "ignore"):
+            with np.errstate(over=rule):
+                assert grad_array(spec, beta, 1e160).tolist() == [math.inf, 0.0]
 
 
 @given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS), st.data())
@@ -502,6 +503,34 @@ def test_value_array_over_whole_parameter_range(case):
     np.testing.assert_array_equal(mirrored, got)
     assert np.all((got >= 0.0) & (got <= sup)), spec.label()  # a NaN fails too
     assert math.isinf(sup) or np.isfinite(got).all(), spec.label()
+
+
+@settings(max_examples=300)
+@given(whole_range_cases(), st.just(1.0) | st.floats(0.0, sys.float_info.max, exclude_min=True))
+@example((PenaltySpec("laplace", epsilon=1e-310), np.array([0.5])), 1.0)  # |b|/eps overflowed
+@example((PenaltySpec("arctan", gamma=1e300), np.array([0.0, 1e-300])), 1.0)  # so did g*g
+def test_grad_array_over_whole_parameter_range(case, scale):
+    # grad_array's one overflow rule, value_array's: a scaled derivative
+    # above the largest double is +-inf, and nothing warns or raises
+    spec, beta = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grad_array(spec, beta, scale)
+        with np.errstate(over="raise"):
+            mirrored = grad_array(spec, -beta, scale)
+            at_zero = grad_array(spec, np.zeros(2), scale)
+    np.testing.assert_array_equal(mirrored, -got)
+    assert not np.isnan(got).any(), spec.label()
+    assert at_zero.tolist() == [0.0, 0.0], spec.label()
+
+
+def test_arctan_grad_of_huge_gamma():
+    # (2/pi)*g / (1 + (g*b)^2): g*g alone would overflow, giving NaN at 0
+    # and 0 at 1e-300, where the derivative is g/pi
+    spec = PenaltySpec("arctan", gamma=1e300)
+    got = grad_array(spec, np.array([0.0, 1e-300, -1e-300, 1.0]))
+    assert got[0] == 0.0 and got[3] == pytest.approx(2.0 / math.pi * 1e-300)
+    assert got[1:3].tolist() == pytest.approx([1e300 / math.pi, -1e300 / math.pi])
 
 
 def exact_value(spec, b):

@@ -1,5 +1,7 @@
 import math
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -331,6 +333,25 @@ def test_batch_isolates_non_finite_start():
             assert batch.iterations[i] == clean.iterations[i]
         with pytest.raises(DivergenceError):
             fit(problems[1], spec, 0.1, start=bad_start)
+
+
+@pytest.mark.parametrize("rows, response, lam, start, iterations", [
+    ([[1.0]], [0.0], 0.1, 1e154, 1),  # the BB ratio is inf/inf: a NaN trial step
+    ([[1.0], [2.0]], [1.0, 2.0], 1e308, 0.2, 0),  # an inf gradient: the step underflows to 0
+], ids=["nan-step", "zero-step"])
+def test_descent_stops_when_its_trial_step_is_not_positive(tmp_path, rows, response, lam,
+                                                           start, iterations):
+    # such a row backtracked forever; in a child process a hang fails the test
+    code = ("from gausspen.penalties import PenaltySpec\n"
+            "from gausspen.regression import LinearProblem, fit\n"
+            f"problem = LinearProblem({rows!r}, {response!r})\n"
+            f"r = fit(problem, PenaltySpec('gaussian', kappa=10.0), {lam!r}, start=[{start!r}])\n"
+            "print(r.converged, r.iterations, r.grad_norm_final)")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=tmp_path, env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", str(iterations), "inf"]
 
 
 # --- orthonormal objective and minima profiles --------------------------------
