@@ -15,6 +15,7 @@ import contextlib
 import gzip
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,11 +109,18 @@ def serialize_idx(array):
 
 
 def load_idx(path):
-    """Read an IDX file, transparently handling gzip-compressed variants."""
+    """Read an IDX file, transparently handling gzip-compressed variants.  A
+    corrupt gzip stream is an :class:`IdxParseError` too, at the file's length
+    if it ends early and at 0 otherwise."""
     with open(path, "rb") as handle:
         raw = handle.read()
     if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except EOFError as exc:
+            raise IdxParseError(f"gzip stream cut short: {exc}", len(raw)) from None
+        except (gzip.BadGzipFile, zlib.error) as exc:
+            raise IdxParseError(f"corrupt gzip stream: {exc}", 0) from None
     return parse_idx(raw)
 
 

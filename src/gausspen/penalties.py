@@ -68,7 +68,14 @@ def _bridge_grad(beta, q, s):
     t = np.abs(beta)
     out = np.zeros_like(t)
     nz = t > 0.0
-    out[nz] = q * t[nz] ** (q - 1.0) * np.sign(beta)[nz]
+    grad = q * t[nz] ** (q - 1.0)
+    # at a tiny t, t**(q-1) can overflow where q t**(q-1) is finite: there
+    # the power is split in two halves, each finite
+    big = np.isinf(grad)
+    if big.any():
+        half = t[nz][big] ** ((q - 1.0) / 2.0)
+        grad[big] = (q * half) * half
+    out[nz] = grad * np.sign(beta)[nz]
     return s * out
 
 

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import CONFIGS, derive_config, run_cli
 from gausspen import cli, data, mlp, penalties, regression
-from gausspen.cli import lower_median, main, write_csv
-from gausspen.config import loggrid, parse_config, parse_seed_list
+from gausspen.cli import lower_median, write_csv
+from gausspen.config import COMMANDS, loggrid, parse_config, parse_seed_list
 from gausspen.errors import ConfigurationError, DomainError
 from gausspen.penalties import PenaltySpec
 
@@ -189,9 +190,8 @@ lambda_step = 1.0
 
 def test_ortho_scan_end_to_end(tmp_path):
     cfg = write_config(tmp_path / "o.cfg", ORTHO_CFG)
-    out = tmp_path / "out"
-    code = main(["ortho-scan", "--config", cfg, "--out", str(out)])
-    assert code == 0
+    code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg)
+    assert code == 0, err
     lines = (out / "ortho_scan.csv").read_text().splitlines()
     assert lines[0] == "row,lambda,location,value,second_derivative,is_global"
     minima = [l for l in lines[1:] if l.startswith("minimum")]
@@ -207,13 +207,14 @@ def test_lambda_star_depends_only_on_its_grid_step(tmp_path):
     # lambda* is searched for on the first grid step where the gap between
     # the two minima turns nonpositive: a scan of that step's two lambdas
     # alone must give the full run's lambda_star row, byte for byte
-    shipped = pathlib.Path(__file__).parents[1] / "configs" / "ortho_scan.cfg"
     step = "8.0999999999999996, 9.0999999999999996"
-    cfg = write_config(tmp_path / "step.cfg", shipped.read_text() + f"lambda_values = {step}\n")
+    cfg = write_config(tmp_path / "step.cfg",
+                       derive_config("ortho_scan", {"ortho-scan": {"lambda_values": step}}))
     rows = {}
-    for name, path in (("full", str(shipped)), ("step", cfg)):
-        assert main(["ortho-scan", "--config", path, "--out", str(tmp_path / name)]) == 0
-        rows[name] = (tmp_path / name / "ortho_scan.csv").read_text().splitlines()
+    for name, path in (("full", CONFIGS / "ortho_scan.cfg"), ("step", cfg)):
+        code, err, out = run_cli(tmp_path, "ortho-scan", "--config", path, out=name)
+        assert code == 0, err
+        rows[name] = (out / "ortho_scan.csv").read_text().splitlines()
     lams = sorted({row.split(",")[1] for row in rows["full"] if row.startswith("minimum,")},
                   key=float)
     star = [row for row in rows["full"] if row.startswith("lambda_star,")]
@@ -250,8 +251,8 @@ beta_max = 3
 count = 13
 """,
     )
-    out = tmp_path / "out"
-    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "penalty-table", "--config", cfg)
+    assert code == 0, err
     lines = (out / "penalty_table.csv").read_text().splitlines()
     assert len(lines) == 1 + 4 * 13
     rows = [line.split(",") for line in lines[1:]]
@@ -289,8 +290,8 @@ def test_penalty_table_keeps_signed_zeros(tmp_path):
     # np.linspace(0.0, -0.0, 2) is [0.0, -0.0]: equal floats that print apart,
     # in every family's rows
     cfg = write_config(tmp_path / "p.cfg", SIGNED_ZERO_TABLE_CFG)
-    out = tmp_path / "out"
-    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "penalty-table", "--config", cfg)
+    assert code == 0, err
     lines = (out / "penalty_table.csv").read_text().splitlines()
     assert [line.split(",")[1] for line in lines[1:]] == ["0", "-0", "0", "-0"]
 
@@ -304,12 +305,12 @@ def test_penalty_table_keeps_signed_zeros(tmp_path):
 ], ids=["scad-largest-a", "scad-mcp-1e200"])
 def test_penalty_table_of_huge_parameters_is_finite(tmp_path, sections, beta_min, beta_max,
                                                     count):
-    # pytest makes a RuntimeWarning an error, which would exit 2
+    # a warning is an error, which would exit 2
     cfg = write_config(tmp_path / "p.cfg", f"[experiment]\ncommand = penalty-table\n{sections}"
                        f"[penalty-table]\nbeta_min = {beta_min}\nbeta_max = {beta_max}\n"
                        f"count = {count}\n")
-    out = tmp_path / "out"
-    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "penalty-table", "--config", cfg)
+    assert code == 0, err
     lines = (out / "penalty_table.csv").read_text().splitlines()
     assert len(lines) == 1 + count * sections.count("[penalty:")
     for line in lines[1:]:
@@ -320,14 +321,16 @@ def test_penalty_table_of_huge_parameters_is_finite(tmp_path, sections, beta_min
 def test_lambda_star_of_a_very_wide_grid_step(tmp_path):
     # Brent may bisect a step of 1e100 down to 1e-10, about 365 halvings,
     # more than its default 100 steps
-    shipped = pathlib.Path(__file__).parents[1] / "configs" / "ortho_scan.cfg"
-    cfg = write_config(tmp_path / "wide.cfg", shipped.read_text() + "lambda_values = 1, 1e100\n")
+    cfg = write_config(tmp_path / "wide.cfg",
+                       derive_config("ortho_scan", {"ortho-scan": {"lambda_values": "1, 1e100"}}))
     stars = []
-    for name, path in (("full", str(shipped)), ("wide", cfg)):
-        assert main(["ortho-scan", "--config", path, "--out", str(tmp_path / name)]) == 0
-        rows = (tmp_path / name / "ortho_scan.csv").read_text().splitlines()
-        stars += [float(row.split(",")[1]) for row in rows if row.startswith("lambda_star,")]
-    assert len(stars) == 2 and abs(stars[1] - stars[0]) <= 1e-10
+    for name, path in (("full", CONFIGS / "ortho_scan.cfg"), ("wide", cfg)):
+        code, err, out = run_cli(tmp_path, "ortho-scan", "--config", path, out=name)
+        assert code == 0, err
+        rows = (out / "ortho_scan.csv").read_text().splitlines()
+        stars += [row.split(",")[1] for row in rows if row.startswith("lambda_star,")]
+    assert len(stars) == 2 and abs(float(stars[1]) - float(stars[0])) <= 1e-10
+    assert stars[1].startswith("8.8994339036")
 
 
 def _reference_csv(header, rows):
@@ -367,9 +370,9 @@ def test_tables_match_per_cell_reference(tmp_path, monkeypatch):
     # each table spans several blocks; its CSV must be the row-by-row,
     # cell-by-cell rendering of the values computed here without the runner
     monkeypatch.setattr(data, "CSV_BLOCK_ROWS", 16)
-    out = tmp_path / "out"
     cfg = write_config(tmp_path / "p.cfg", REFERENCE_TABLE_CFG)
-    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "penalty-table", "--config", cfg)
+    assert code == 0, err
     betas = np.linspace(-2.0, 2.0, 41)
     rows = [(spec.label(), beta, value) for spec in parse_config(cfg).penalties
             for beta, value in zip(betas.tolist(), penalties.value_array(spec, betas).tolist())]
@@ -380,7 +383,8 @@ def test_tables_match_per_cell_reference(tmp_path, monkeypatch):
     text = ORTHO_CFG.replace("lambda_min = 0.1",
                              "lambda_values = " + ", ".join(map(repr, SCAN_GRID)))
     cfg = write_config(tmp_path / "o.cfg", text)
-    assert main(["ortho-scan", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg)
+    assert code == 0, err
     profiles, lambda_star = regression.lambda_phase_scan(3.0, 10.0, SCAN_GRID)
     rows = [("minimum", profile.lam, *minimum, int(i == profile.global_index))
             for profile in profiles for i, minimum in enumerate(profile.minima)]
@@ -390,9 +394,7 @@ def test_tables_match_per_cell_reference(tmp_path, monkeypatch):
     assert (out / "ortho_scan.csv").read_text() == _reference_csv(header, rows)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_penalty_table_domain_error_opens_no_file(tmp_path, capsys, monkeypatch):
+def test_penalty_table_domain_error_opens_no_file(tmp_path, monkeypatch):
     # every value is computed before the output directory is made, so a
     # DomainError at the last family leaves nothing behind
     value_array = penalties.value_array
@@ -404,9 +406,8 @@ def test_penalty_table_domain_error_opens_no_file(tmp_path, capsys, monkeypatch)
 
     monkeypatch.setattr(penalties, "value_array", failing)
     cfg = write_config(tmp_path / "p.cfg", SIGNED_ZERO_TABLE_CFG)
-    out = tmp_path / "out"
-    assert main(["penalty-table", "--config", cfg, "--out", str(out)]) == 2
-    assert "non-finite coefficient" in capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "penalty-table", "--config", cfg)
+    assert code == 2 and "non-finite coefficient" in err
     assert not out.exists()
 
 
@@ -427,8 +428,8 @@ n = 200
 replicates = 40
 """,
     )
-    out = tmp_path / "out"
-    assert main(["bias-mc", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "bias-mc", "--config", cfg)
+    assert code == 0, err
     lines = (out / "bias_mc.csv").read_text().splitlines()
     runs = [l for l in lines if l.startswith("run")]
     medians = [l for l in lines if l.startswith("median")]
@@ -455,8 +456,8 @@ replicates = 30
 n_grid = 100, 400
 """,
     )
-    out = tmp_path / "out"
-    assert main(["consistency-mc", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "consistency-mc", "--config", cfg)
+    assert code == 0, err
     lines = (out / "consistency_mc.csv").read_text().splitlines()
     runs = [l.split(",") for l in lines if l.startswith("run")]
     assert [int(r[2]) for r in runs] == [100, 400]
@@ -491,8 +492,8 @@ max_epochs = 15
 
 def test_train_mlp_grid_completeness(tmp_path):
     cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 0, err
     lines = (out / "train_mlp.csv").read_text().splitlines()
     runs = [l for l in lines if l.startswith("run")]
     medians = [l for l in lines if l.startswith("median")]
@@ -549,20 +550,119 @@ RERUN_CASES = pytest.mark.parametrize(
 @RERUN_CASES
 def test_rerun_byte_identical(tmp_path, command, text, csv):
     cfg = write_config(tmp_path / "t.cfg", text)
-    out = tmp_path / "out"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 0
-    first = (out / csv).read_bytes()
-    assert main([command, "--config", cfg, "--out", str(out)]) == 0
-    assert (out / csv).read_bytes() == first
+    assert run_cli(tmp_path, command, "--config", cfg)[0] == 0
+    first = (tmp_path / "out" / csv).read_bytes()
+    assert run_cli(tmp_path, command, "--config", cfg)[0] == 0
+    assert (tmp_path / "out" / csv).read_bytes() == first
 
 
 @RERUN_CASES
 def test_jobs_parallel_same_bytes(tmp_path, command, text, csv):
     cfg = write_config(tmp_path / "t.cfg", text)
-    serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
-    assert main([command, "--config", cfg, "--out", str(serial_dir)]) == 0
-    assert main([command, "--config", cfg, "--out", str(parallel_dir), "--jobs", "3"]) == 0
-    assert (serial_dir / csv).read_bytes() == (parallel_dir / csv).read_bytes()
+    assert run_cli(tmp_path, command, "--config", cfg, out="s")[0] == 0
+    assert run_cli(tmp_path, command, "--config", cfg, "--jobs", 3, out="p")[0] == 0
+    assert (tmp_path / "s" / csv).read_bytes() == (tmp_path / "p" / csv).read_bytes()
+
+
+SHIPPED = {path.stem: path for path in sorted(CONFIGS.glob("*.cfg"))}
+ARTIFACTS = {"train-mlp": {"save_artifacts": "true"}}
+
+
+def _command(name):
+    return name.replace("_", "-")
+
+
+@pytest.fixture(scope="module")
+def serial(tmp_path_factory):
+    """Each shipped config's --out directory, run once at --jobs 1;
+    train_mlp.cfg with save_artifacts on, which adds train_mlp_runs/ and
+    leaves its CSV as it is."""
+    root = tmp_path_factory.mktemp("serial")
+    outs = {}
+    for name, path in SHIPPED.items():
+        if name == "train_mlp":
+            path = write_config(root / "train_mlp.cfg", derive_config(name, ARTIFACTS))
+        code, err, outs[name] = run_cli(root, _command(name), "--config", path, out=name)
+        assert code == 0, err
+    return outs
+
+
+def test_one_shipped_config_per_command():
+    assert sorted(map(_command, SHIPPED)) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name, edits", [*((name, {}) for name in SHIPPED),
+                                         ("train_mlp", ARTIFACTS)],
+                         ids=[*SHIPPED, "train_mlp-artifacts"])
+def test_shipped_config_same_bytes_in_a_pool(tmp_path, serial, name, edits):
+    # a pool of two workers writes the serial run's bytes: its one CSV, and
+    # with save_artifacts on, train_mlp_runs/'s epoch logs and checkpoints
+    cfg = write_config(tmp_path / "c.cfg", derive_config(name, edits))
+    code, err, out = run_cli(tmp_path, _command(name), "--config", cfg, "--jobs", 2)
+    assert code == 0, err
+    assert [path.name for path in out.glob("*.csv")] == [f"{name}.csv"]
+    expected = _tree(serial[name])
+    if not edits:  # all but the serial run's train_mlp_runs/
+        expected = {path: blob for path, blob in expected.items() if len(path.parts) == 1}
+    assert _tree(out) == expected
+
+
+@pytest.mark.parametrize("name, edits, args, full, count", [
+    # consistency-mc draws each replicate once, at the grid's largest n, and
+    # a smaller n takes a prefix of that draw
+    ("consistency_mc", {"consistency-mc": {"n_grid": 100}}, [], r"run,[^,]*,100,", 3),
+    # a bias-mc cell depends only on its own seed
+    ("bias_mc", {}, ["--seed-list", 2], r"run,2,", 1),
+    # a train-mlp run reuses its working arrays from step to step, and shares
+    # with another run only its seed's initial draw, which no run writes:
+    # 2 penalties x 5 lambdas
+    ("train_mlp", {}, ["--seed-list", 2], r"run,[^,]*,[^,]*,2,", 10),
+], ids=["consistency-n100", "bias-seed2", "train-mlp-seed2"])
+def test_a_run_alone_gives_the_full_runs_rows(tmp_path, serial, name, edits, args, full, count):
+    # byte for byte, from the shipped config's full run
+    cfg = write_config(tmp_path / "c.cfg", derive_config(name, edits))
+    code, err, out = run_cli(tmp_path, _command(name), "--config", cfg, *args)
+    assert code == 0, err
+    alone = [row for row in (out / f"{name}.csv").read_text().splitlines() if row.startswith("run,")]
+    assert len(alone) == count
+    rows = (serial[name] / f"{name}.csv").read_text().splitlines()
+    assert [row for row in rows if re.match(full, row)] == alone
+
+
+def test_huge_beta_overflows_only_the_descents_start_gradient(tmp_path):
+    # at beta = 3e153 the start's gradient overflows, which is the descent's
+    # own to handle: no warning, and every run and median row as pinned
+    text = derive_config("consistency_mc",
+                         {"consistency-mc": {"beta": "3e153", "n_grid": "2, 3, 4"}})
+    code, err, out = run_cli(tmp_path, "consistency-mc", "--config",
+                             write_config(tmp_path / "c.cfg", text))
+    assert code == 0, err
+    rows = (out / "consistency_mc.csv").read_text().splitlines()[1:]
+    assert len(rows) == 12 and all(row.endswith(",3.7214142683935073e+137") for row in rows)
+
+
+@pytest.mark.parametrize("edits, family, count", [
+    # at the largest kappa the Gaussian's derivative is 0 at every weight
+    # above 2e-153 in size, where its constant 2 * kappa alone is inf
+    ({"penalty:gaussian": {"kappa": "1.7e308"},
+      "lambda": {"log_min": None, "log_max": None, "count": None, "values": "1e-4"}},
+     "gaussian", 3),
+    # at a subnormal epsilon |W|/epsilon overflows: that overflow is the
+    # Laplace penalty's own and ends no run
+    ({"penalty:gaussian": {"family": "laplace", "kappa": None, "epsilon": "1e-310"}},
+     "laplace", 15),
+], ids=["gaussian-largest-kappa", "laplace-subnormal-epsilon"])
+def test_penalty_of_a_zero_derivative_trains_as_no_penalty(tmp_path, edits, family, count):
+    # the run exits 0, and each row of the penalty is the none row of its
+    # lambda and seed
+    cfg = write_config(tmp_path / "c.cfg", derive_config("train_mlp", edits))
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg, "--jobs", 2)
+    assert code == 0, err
+    runs = [row.split(",") for row in (out / "train_mlp.csv").read_text().splitlines()
+            if row.startswith("run,")]
+    none = [row[2:] for row in runs if row[1] == "none"]
+    assert len(none) == count
+    assert [row[2:] for row in runs if row[1].startswith(family)] == none
 
 
 @pytest.mark.parametrize("command, text, csv, seeds, pools", [
@@ -594,19 +694,18 @@ def test_jobs_above_cell_count_opens_one_worker_per_cell(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = write_config(tmp_path / "t.cfg", text.replace("1, 2, 3", seeds))
-    serial_dir, parallel_dir = tmp_path / "s", tmp_path / "p"
-    assert main([command, "--config", cfg, "--out", str(serial_dir)]) == 0
-    assert main([command, "--config", cfg, "--out", str(parallel_dir), "--jobs", "500"]) == 0
+    assert run_cli(tmp_path, command, "--config", cfg, out="s")[0] == 0
+    assert run_cli(tmp_path, command, "--config", cfg, "--jobs", 500, out="p")[0] == 0
     assert opened == pools
-    assert (serial_dir / csv).read_bytes() == (parallel_dir / csv).read_bytes()
+    assert (tmp_path / "s" / csv).read_bytes() == (tmp_path / "p" / csv).read_bytes()
 
 
 def test_train_mlp_artifacts(tmp_path):
     cfg = write_config(
         tmp_path / "t.cfg", TRAIN_CFG + "save_artifacts = true\n"
     )
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 0, err
     runs_dir = out / "train_mlp_runs"
     logs = sorted(runs_dir.glob("*_epochs.csv"))
     checkpoints = sorted(runs_dir.glob("*.mlpw"))
@@ -651,8 +750,8 @@ noise_seed = {seeds[2]}
 def _output_widths(tmp, text):
     """Run train-mlp on ``text``; the output width of each checkpoint it writes."""
     cfg = write_config(pathlib.Path(tmp) / "t.cfg", text)
-    out = pathlib.Path(tmp) / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp, "train-mlp", "--config", cfg)
+    assert code == 0, err
     return [mlp.load_weights(path)[-1][0].shape[1]
             for path in sorted((out / "train_mlp_runs").glob("*.mlpw"))]
 
@@ -701,8 +800,8 @@ def test_train_mlp_trains_each_distinct_run_once(tmp_path, monkeypatch):
         return real_train(*args, **kwargs)
 
     monkeypatch.setattr(mlp, "train", counting_train)
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 0, err
     # none at every lambda and gaussian at lambda 0 are one unpenalized run per seed
     assert sorted(trained) == sorted(
         [("none", 0.0, seed) for seed in (1, 2)]
@@ -739,8 +838,9 @@ def test_train_mlp_trains_each_distinct_run_once(tmp_path, monkeypatch):
     assert len(list(runs_dir.iterdir())) == 2 * len(runs)
 
     monkeypatch.setattr(mlp, "train", real_train)
-    parallel = tmp_path / "parallel"
-    assert main(["train-mlp", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
+    code, err, parallel = run_cli(tmp_path, "train-mlp", "--config", cfg, "--jobs", 2,
+                                  out="parallel")
+    assert code == 0, err
     assert _tree(parallel) == _tree(out)
 
 
@@ -750,8 +850,8 @@ def test_train_mlp_close_parameters_stay_distinct(tmp_path):
     text = SHARED_CFG.replace("family = none", "family = gaussian\nkappa = 10.000001").replace(
         "values = 0.01, 0, 0.1", "values = 0.01").replace("seeds = 1, 2", "seeds = 1")
     cfg = write_config(tmp_path / "t.cfg", text)
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 0, err
     lines = (out / "train_mlp.csv").read_text().splitlines()
     runs = [line.split(",") for line in lines if line.startswith("run")]
     medians = [line.split(",") for line in lines if line.startswith("median")]
@@ -766,18 +866,19 @@ def test_train_mlp_close_lambdas_keep_their_own_artifacts(tmp_path):
     # 0.001 and 0.0010000001 both print as 0.001 under :g; each must still
     # name its own checkpoint and epoch log, the ones its run alone writes
     text = TRAIN_CFG.replace("seeds = 1, 2, 3", "seeds = 1") + "save_artifacts = true\n"
-    both = tmp_path / "both"
     cfg = write_config(tmp_path / "both.cfg", text.replace(
         "values = 0.001, 0.01", "values = 0.001, 0.0010000001"))
-    assert main(["train-mlp", "--config", cfg, "--out", str(both), "--jobs", "2"]) == 0
+    code, err, both = run_cli(tmp_path, "train-mlp", "--config", cfg, "--jobs", 2, out="both")
+    assert code == 0, err
     lines = (both / "train_mlp.csv").read_text().splitlines()
     assert len([line for line in lines if line.startswith("run")]) == 4
     alone = {}
     for lam in ("0.001", "0.0010000001"):
         cfg = write_config(tmp_path / f"{lam}.cfg", text.replace(
             "values = 0.001, 0.01", f"values = {lam}"))
-        assert main(["train-mlp", "--config", cfg, "--out", str(tmp_path / lam)]) == 0
-        alone.update(_tree(tmp_path / lam / "train_mlp_runs"))
+        code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg, out=lam)
+        assert code == 0, err
+        alone.update(_tree(out / "train_mlp_runs"))
     assert len(alone) == 2 * 4
     assert _tree(both / "train_mlp_runs") == alone
 
@@ -789,8 +890,8 @@ def test_train_mlp_lambdas_of_opposite_exponents_keep_their_own_artifacts(tmp_pa
         "[penalty:g]\nfamily = gaussian\nkappa = 10\n\n", "").replace(
         "values = 0.001, 0.01", "values = 1e-06, 1e+06") + "save_artifacts = true\n"
     cfg = write_config(tmp_path / "t.cfg", text)
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out)]) == 0
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 0, err
     lines = (out / "train_mlp.csv").read_text().splitlines()
     assert len([line for line in lines if line.startswith("run,")]) == 2
     checkpoints = sorted(p.name for p in (out / "train_mlp_runs").glob("*.mlpw"))
@@ -825,78 +926,88 @@ def test_distinct_cells_name_distinct_artifacts(cell, other):
 
 def test_seed_list_override(tmp_path):
     cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
-    out = tmp_path / "out"
-    assert main(
-        ["train-mlp", "--config", cfg, "--out", str(out), "--seed-list", "7"]
-    ) == 0
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg, "--seed-list", "7")
+    assert code == 0, err
     lines = (out / "train_mlp.csv").read_text().splitlines()
     runs = [l for l in lines if l.startswith("run")]
     assert len(runs) == 2 * 2 * 1
     assert all(r.split(",")[3] == "7" for r in runs)
 
 
-def test_repeated_seed_list_is_config_error(tmp_path, capsys):
+def test_repeated_seed_list_is_config_error(tmp_path):
     cfg = write_config(tmp_path / "t.cfg", TRAIN_CFG)
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", cfg, "--out", str(out), "--seed-list", "7,7"]) == 1
-    assert "(7 is repeated)" in capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg, "--seed-list", "7,7")
+    assert code == 1 and "(7 is repeated)" in err
     assert not out.exists()
 
 
-def test_empty_seed_list_is_config_error(tmp_path, capsys):
+def test_empty_seed_list_is_config_error(tmp_path):
     # an empty --seed-list is rejected, not dropped for the file's seeds
     cfg = write_config(tmp_path / "b.cfg", MC_BIAS_CFG)
-    out = tmp_path / "out"
-    assert main(["bias-mc", "--config", cfg, "--out", str(out), "--seed-list", ""]) == 1
-    assert "bad seed list" in capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "bias-mc", "--config", cfg, "--seed-list", "")
+    assert code == 1 and "bad seed list" in err
     assert not out.exists()
 
 
-def test_failed_data_build_leaves_no_artifacts_dir(tmp_path, capsys):
+def test_failed_data_build_leaves_no_artifacts_dir(tmp_path):
     # one example per class leaves the validation split empty: a config
     # error raised while the data are built, before any directory is made
     text = TRAIN_CFG.replace("per_class = 30", "per_class = 1") + "save_artifacts = true\n"
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", write_config(tmp_path / "t.cfg", text),
-                 "--out", str(out)]) == 1
-    assert "zero examples" in capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config",
+                             write_config(tmp_path / "t.cfg", text))
+    assert code == 1 and "zero examples" in err
     assert not out.exists()
 
 
-def test_diverging_run_leaves_no_output_dir(tmp_path, capsys):
+def test_diverging_run_leaves_no_output_dir(tmp_path):
     # the run fails before it writes a file, so no directory is made: not
     # --out, and not its train_mlp_runs/ either
-    shipped = pathlib.Path(__file__).parents[1] / "configs" / "train_mlp.cfg"
-    text = re.sub(r"(?m)^lr_min *=.*$", "lr_min = 5", shipped.read_text())
-    text = re.sub(r"(?m)^lr_max *=.*$", "lr_max = 50", text) + "save_artifacts = true\n"
-    out = tmp_path / "out"
-    assert main(["train-mlp", "--config", write_config(tmp_path / "t.cfg", text),
-                 "--out", str(out)]) == 2
-    assert "epoch" in capsys.readouterr().err
+    text = derive_config("train_mlp", {"train-mlp": {"lr_min": 5, "lr_max": 50,
+                                                     "save_artifacts": "true"}})
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config",
+                             write_config(tmp_path / "t.cfg", text))
+    assert code == 2 and "epoch" in err
     assert not out.exists()
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_overflowing_penalty_step_leaves_no_output_dir(tmp_path):
+    # the Gaussian alone at lambda = 1e308: lam * P'(W) overflows in the
+    # first step, which the shipped config's none cell would not reach; a
+    # runtime error naming its epoch, with no warning on the way
+    text = derive_config("train_mlp", {"penalty:baseline": None, "lambda": {
+        "log_min": None, "log_max": None, "count": None, "values": "1e308"}})
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config",
+                             write_config(tmp_path / "t.cfg", text))
+    assert code == 2 and "epoch" in err
+    assert not out.exists()
+
+
+def test_exit_codes(tmp_path):
     # config error -> 1; this covers bad sections and bad runtime parameters
     cfg = write_config(tmp_path / "bad.cfg", "[experiment]\ncommand = train-mlp\n")
-    assert main(["train-mlp", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "config error" in capsys.readouterr().err
+    code, err, _ = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 1 and "config error" in err
     # a split ending up empty is also a configuration problem
     cfg2 = write_config(
         tmp_path / "r.cfg", TRAIN_CFG.replace("per_class = 30", "per_class = 1")
     )
-    assert main(["train-mlp", "--config", cfg2, "--out", str(tmp_path)]) == 1
+    assert run_cli(tmp_path, "train-mlp", "--config", cfg2)[0] == 1
     # so is an ortho-scan whose profile values or slopes overflow
     for old, new in (("beta_ols = 3", "beta_ols = 1e200"), ("kappa = 10", "kappa = 1e307")):
         cfg_big = write_config(tmp_path / "big.cfg", ORTHO_CFG.replace(old, new))
-        assert main(["ortho-scan", "--config", cfg_big, "--out", str(tmp_path)]) == 1
-        assert "out of range" in capsys.readouterr().err
+        code, err, _ = run_cli(tmp_path, "ortho-scan", "--config", cfg_big)
+        assert code == 1 and "out of range" in err
     # runtime error -> 2 (output directory path occupied by a file)
-    blocker = tmp_path / "blocked"
-    blocker.write_text("")
+    (tmp_path / "blocked").write_text("")
     cfg3 = write_config(tmp_path / "ok.cfg", ORTHO_CFG)
-    assert main(["ortho-scan", "--config", cfg3, "--out", str(blocker)]) == 2
-    assert "runtime error" in capsys.readouterr().err
+    code, err, _ = run_cli(tmp_path, "ortho-scan", "--config", cfg3, out="blocked")
+    assert code == 2 and "runtime error" in err
+    # and a CSV name taken by a directory: the file written beside it cannot
+    # be renamed over it, and is removed
+    (tmp_path / "taken" / "ortho_scan.csv").mkdir(parents=True)
+    code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg3, out="taken")
+    assert code == 2 and "runtime error" in err
+    assert [path.name for path in out.iterdir()] == ["ortho_scan.csv"]
 
 
 PENALTY_TABLE_CFG = """
@@ -986,7 +1097,7 @@ TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
     ("train-mlp", "lr_min", "0.3"),
     ("train-mlp", "lr_max", "0.005"),
 ])
-def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad):
+def test_out_of_range_option_is_config_error(tmp_path, command, key, bad):
     # caught before any work, naming the option: past the checks each gives
     # an index error, a division by zero, a numpy error, an empty grid or
     # table, or an attempt to allocate an enormous grid
@@ -996,10 +1107,9 @@ def test_out_of_range_option_is_config_error(tmp_path, capsys, command, key, bad
     if not found:  # an option the config leaves at its default; its section is last
         text += f"{key} = {bad}\n"
     cfg = write_config(tmp_path / "c.cfg", text)
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and f"`{key}`" in err
-    assert not (tmp_path / "out").exists()
+    code, err, out = run_cli(tmp_path, command, "--config", cfg)
+    assert code == 1 and "config error" in err and f"`{key}`" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, problem", [
@@ -1035,20 +1145,21 @@ def test_rule_over_several_options_is_found_at_parse(tmp_path, text, problem):
 def test_malformed_option_is_one_problem(tmp_path, text, problem):
     # a malformed value is left unset, so no rule over several options reads
     # its default in its place and reports a value the config never wrote
-    with pytest.raises(ConfigurationError) as err:
-        parse_config(write_config(tmp_path / "c.cfg", text))
-    assert str(err.value).splitlines()[1:] == [f"  - {problem}"]
+    command = re.search(r"(?m)^command = (.*)$", text)[1]
+    code, err, out = run_cli(tmp_path, command, "--config", write_config(tmp_path / "c.cfg", text))
+    assert code == 1 and err.splitlines()[1:] == [f"  - {problem}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", ["", "3, 1", "1, 1", "-1, 2", "nan"])
-def test_bad_lambda_values_is_config_error(tmp_path, capsys, bad):
+def test_bad_lambda_values_is_config_error(tmp_path, bad):
     # empty, unsorted, repeated, negative or NaN: rejected as parsed, naming
     # the option, not left to the analyzer's own errors
     cfg = write_config(tmp_path / "o.cfg", ORTHO_CFG + f"lambda_values = {bad}\n")
-    assert main(["ortho-scan", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg)
+    assert code == 1
     assert "config error" in err and f"`lambda_values` = {bad!r} is not" in err
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
 
 
 def test_malformed_lambda_values_is_one_problem(tmp_path):
@@ -1078,12 +1189,11 @@ replicates = 2
 @pytest.mark.parametrize(
     "key, bad", [("n", "abc"), ("sigma", "x"), ("beta", "1, y"), ("replicates", "2.5")]
 )
-def test_non_numeric_option_is_config_error(tmp_path, capsys, key, bad):
+def test_non_numeric_option_is_config_error(tmp_path, key, bad):
     text = re.sub(rf"^{key} = .*$", f"{key} = {bad}", BIAS_CFG, flags=re.M)
     cfg = write_config(tmp_path / "b.cfg", text)
-    assert main(["bias-mc", "--config", cfg, "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and f"`{key}` = {bad!r}" in err
+    code, err, _ = run_cli(tmp_path, "bias-mc", "--config", cfg)
+    assert code == 1 and "config error" in err and f"`{key}` = {bad!r}" in err
 
 
 @pytest.mark.parametrize("values", ["inf", "nan", "0.1, -1"])

@@ -2,9 +2,7 @@
 come back typed with the defaults filled in, and an unknown key or section
 is a configuration error (exit code 1)."""
 
-import contextlib
 import dataclasses
-import io
 import math
 import pathlib
 import re
@@ -15,9 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from gausspen import cli, config
 from gausspen.asymptotics import SimSpec
-from gausspen.cli import main
 from gausspen.config import COMMANDS, parse_config
 from gausspen.errors import ConfigurationError
 from gausspen.mlp import TrainConfig
@@ -91,12 +89,12 @@ def _parse_text(text):
 
 
 def _main_text(text, command):
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "c.cfg"
         path.write_text(text)
-        code = main([command, "--config", str(path), "--out", tmp])
-    return code, err.getvalue()
+        code, err, out = run_cli(tmp, command, "--config", path)
+        assert code == 0 or not out.exists()  # a failed command makes no --out directory
+    return code, err
 
 
 # the options of each command's rules over several options, all drawn
@@ -212,12 +210,11 @@ def test_any_config_bytes_parse_or_are_a_config_error(blob):
     (b"beta_max = 3", b"beta_max = %(beta_min)s", "`beta_max`"),
     (b"# Penalty", b"# \xff Penalty", "cannot read config file"),
 ])
-def test_config_text_is_literal_utf8(tmp_path, capsys, old, new, named):
+def test_config_text_is_literal_utf8(tmp_path, old, new, named):
     path = tmp_path / "c.cfg"
     path.write_bytes(PENALTY_TABLE.replace(old, new))
-    out = tmp_path / "out"
-    assert main(["penalty-table", "--config", str(path), "--out", str(out)]) == 1
-    assert named in capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "penalty-table", "--config", path)
+    assert code == 1 and named in err
     assert not out.exists()
 
 
@@ -280,13 +277,12 @@ kappa = 10.0"""
     ids=["command", "experiment", "lambda", "gaussian-gamma", "ridge-kappa", "section", "flag",
          "duplicate-penalty", "duplicate-seed", "duplicate-lambda"],
 )
-def test_each_section_kind_rejects_a_misspelling(tmp_path, capsys, command, text, named):
+def test_each_section_kind_rejects_a_misspelling(tmp_path, command, text, named):
     path = tmp_path / "c.cfg"
     path.write_text(text)
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 1
-    err = capsys.readouterr().err
-    assert "config error" in err and named in err
-    assert not list(tmp_path.glob("*.csv"))
+    code, err, out = run_cli(tmp_path, command, "--config", path)
+    assert code == 1 and "config error" in err and named in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, section", [
@@ -341,9 +337,8 @@ def test_malformed_penalty_section_is_the_only_problem(others):
     # "repeats" problem against a gaussian(kappa=10) it never wrote, and no
     # "needs at least one [penalty:*] section" when it is the only one
     text = TRAIN.replace("[penalty:base]\nfamily = none", MALFORMED_PENALTY + others)
-    with pytest.raises(ConfigurationError) as err:
-        _parse_text(text)
-    assert str(err.value).splitlines()[1:] == [
+    code, err = _main_text(text, "train-mlp")
+    assert code == 1 and err.splitlines()[1:] == [
         "  - [penalty:base] option `kappa` = 'x' is not a finite number"]
 
 
@@ -458,9 +453,10 @@ def test_empty_section_takes_dataclass_defaults(tmp_path, command):
         assert options[key] == default and type(options[key]) is type(default)
 
 
-def test_missing_required_option_is_config_error_at_run_time(tmp_path, capsys):
+def test_missing_required_option_is_config_error_at_run_time(tmp_path):
     path = tmp_path / "c.cfg"
     path.write_text("[experiment]\ncommand = ortho-scan\n")
     parse_config(str(path))  # no [ortho-scan] section: parses, fails when read
-    assert main(["ortho-scan", "--config", str(path), "--out", str(tmp_path)]) == 1
-    assert "missing required option `lambda_step`" in capsys.readouterr().err
+    code, err, out = run_cli(tmp_path, "ortho-scan", "--config", path)
+    assert code == 1 and "missing required option `lambda_step`" in err
+    assert not out.exists()

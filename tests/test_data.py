@@ -135,6 +135,46 @@ def test_load_idx_plain_and_gzip(tmp_path):
     assert np.array_equal(load_idx(packed), tensor)
 
 
+PACKED = gzip.compress(serialize_idx(np.arange(12, dtype=np.uint8).reshape(3, 4)), mtime=0)
+
+
+@pytest.mark.parametrize("blob, offset", [
+    (PACKED[:-5], len(PACKED) - 5),  # cut short: EOFError
+    (PACKED[:2], 2),  # the magic alone: EOFError
+    (PACKED[:2] + b"\x07" + PACKED[3:], 0),  # a flipped method byte: BadGzipFile
+    (PACKED[:12] + bytes([PACKED[12] ^ 0xFF]) + PACKED[13:], 0),  # a flipped data byte: zlib.error
+    (PACKED[:-8] + bytes(4) + PACKED[-4:], 0),  # a broken CRC: BadGzipFile
+], ids=["truncated", "magic-alone", "flipped-method", "flipped-data", "bad-crc"])
+def test_corrupt_gzip_idx_is_a_parse_error(tmp_path, blob, offset):
+    path = tmp_path / "t.idx.gz"
+    path.write_bytes(blob)
+    with pytest.raises(IdxParseError) as err:
+        load_idx(path)
+    assert err.value.offset == offset
+    assert isinstance(err.value, ConfigurationError)
+
+
+# random bytes, or a valid stream with one byte replaced or cut short
+GZIP_TAILS = st.one_of(
+    st.binary(max_size=300),
+    st.builds(lambda pos, byte: PACKED[2:pos] + bytes([byte]) + PACKED[pos + 1:],
+              st.integers(2, len(PACKED) - 1), st.integers(0, 255)),
+    st.builds(lambda cut: PACKED[2:cut], st.integers(2, len(PACKED))),
+)
+
+
+@given(GZIP_TAILS)
+@example(PACKED[2:-1])
+def test_any_gzip_bytes_load_or_are_a_parse_error(tail):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "t.idx.gz"
+        path.write_bytes(b"\x1f\x8b" + tail)
+        try:
+            load_idx(path)
+        except IdxParseError:
+            pass
+
+
 def test_idx_to_dataset_scales_pixels():
     images = np.zeros((3, 2, 2), dtype=np.uint8)
     images[1] = 255

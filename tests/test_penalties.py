@@ -533,6 +533,26 @@ def test_arctan_grad_of_huge_gamma():
     assert got[1:3].tolist() == pytest.approx([1e300 / math.pi, -1e300 / math.pi])
 
 
+@pytest.mark.parametrize("q, b", [(1e-300, 5e-324), (1e-300, 1e-310), (0.045, 5e-324)])
+def test_bridge_grad_of_a_tiny_coefficient_is_finite(q, b):
+    # t**(q-1) overflows where q t**(q-1) does not: about 2.024e23, 1e10 and
+    # 2.574e307, against log10 q + (q-1) log10 t
+    got = grad_array(PenaltySpec("bridge", q=q), np.array([b, -b]))
+    assert got[0] == -got[1] and math.isfinite(got[0])
+    assert math.log10(got[0]) == pytest.approx(math.log10(q) + (q - 1.0) * math.log10(b),
+                                               abs=1e-12)
+
+
+def test_bridge_grad_keeps_its_bits_where_its_power_is_finite():
+    betas = np.array([-3.0, -1e-300, 5e-324, 1e-310, 0.1, 2.5, 1e200])
+    for q in (0.045, 0.5, 1.5, 3.0):
+        with np.errstate(over="ignore"):
+            direct = q * np.abs(betas) ** (q - 1.0) * np.sign(betas)
+        finite = np.isfinite(direct)
+        got = grad_array(PenaltySpec("bridge", q=q), betas)
+        assert got[finite].tobytes() == direct[finite].tobytes()
+
+
 def exact_value(spec, b):
     """SCAD's or MCP's value at b from its published formula, in exact
     rationals, rounded once to the nearest double."""
