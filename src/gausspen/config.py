@@ -18,8 +18,8 @@ the schema of its section, the shared sections it reads (and needs), and the
 check of its options taken together; a section the command does not read,
 another command's included, is a configuration error.  A schema maps a key
 to its parser alone (a required key) or to ``(parser, default)``, the
-default of the ``SimSpec``, ``PenaltySpec`` or ``TrainConfig`` field it sets
-if it sets one.  Every parser that can reject a value is a ``_checked``
+default of the ``SimSpec`` or ``TrainConfig`` field or penalty parameter
+it sets if it sets one.  Every parser that can reject a value is a ``_checked``
 rule, a parse and a predicate on its result, and checks its one option;
 ``Command.check`` holds every rule over several options, each mirroring
 an allocation or a failure that would come later.  Every section is
@@ -125,7 +125,7 @@ _LAMBDA = {"values": (_lambdas, ()), "log_min": _positive, "log_max": _positive,
 _SIMULATION = {
     "beta": _finites, "c_diag": (_positives, None),  # c_diag None: identity covariance
     "sigma": (_positive, 1.0), "lambda0": (_nonnegative, SimSpec.lambda0),
-    "kappa": (_positive, PenaltySpec.kappa), "replicates": (_count, SimSpec.replicates),
+    "kappa": (_positive, PenaltySpec("gaussian").param), "replicates": (_count, SimSpec.replicates),
 }
 
 

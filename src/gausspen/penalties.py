@@ -22,8 +22,14 @@ MCP) therefore use the unit-threshold form of their published definitions:
 * Gaussian: P(b) = 1 - exp(-kappa * b^2), the only nonconvex family here
   that is smooth (indeed locally convex) at the origin.
 
-Each family is one entry of ``_TABLE``: its hyperparameter and validity
-rule, value, derivative, bounds and slope at ``0+``.  :func:`value_array`
+Each family is one entry of ``_TABLE``: its hyperparameter's keyword,
+default and validity rule, value, derivative, bounds and slope at ``0+``.
+The table alone names them; ``PARAMETER`` maps a family to its keyword.
+MCP's keyword is ``b`` (its config key too), the ``c`` of its formula.  A
+:class:`PenaltySpec` is a family and ``param``, the value of that one
+hyperparameter: ``PenaltySpec("gaussian", kappa=10)`` has ``param`` 10.0,
+and ``PenaltySpec("scad")`` the table's default 3.7; the keyword is never
+positional, and ``-0.0`` is stored as ``0.0``.  :func:`value_array`
 and :func:`grad_array` evaluate an entry elementwise, :func:`penalty_value`
 at one coefficient, and :func:`penalty_bounds` gives its global constants.
 ``value_array`` and ``grad_array`` alone set the overflow rule: a value or
@@ -107,7 +113,8 @@ class _Family(NamedTuple):
     bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius R), where
     # |P'| rises on (0, R] and not beyond: ``lipschitz`` is |P'| at R (0+ if R = 0)
     slope: Callable  # p -> P'(0+), the right slope at 0: > 0 exactly at a kink
-    parameter: Optional[str] = None  # the PenaltySpec field the family reads
+    parameter: Optional[str] = None  # the family's keyword to PenaltySpec
+    default: Optional[float] = None  # p when the keyword is not given
     valid: Optional[Callable] = None  # p -> True for a valid finite p
     rule: Optional[str] = None  # ``valid`` in words, after "a finite number"
 
@@ -137,14 +144,14 @@ _TABLE = {
         # the derivative is unbounded near 0 for q < 1 and near inf for q > 1
         bounds=lambda q: (1.0 if q == 1.0 else inf, inf, inf if q >= 1.0 else 0.0),
         slope=lambda q: inf if q < 1.0 else float(q == 1.0),
-        parameter="q", valid=lambda q: q > 0.0, rule="> 0",
+        parameter="q", default=0.5, valid=lambda q: q > 0.0, rule="> 0",
     ),
     "elastic_net": _Family(
         value=lambda beta, mix: mix * np.abs(beta) + (1.0 - mix) * beta * beta,
         grad=lambda beta, mix, s: s * (mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta),
         bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
         slope=lambda mix: mix,
-        parameter="mix", valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
+        parameter="mix", default=0.5, valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
     ),
     "scad": _Family(
         value=_scad_value,
@@ -152,21 +159,21 @@ _TABLE = {
         # linear (hence convex) up to the unit threshold, concave beyond
         bounds=lambda a: (1.0, (a + 1.0) / 2.0, 1.0),
         slope=lambda _: 1.0,
-        parameter="a", valid=lambda a: a > 2.0, rule="> 2",
+        parameter="a", default=3.7, valid=lambda a: a > 2.0, rule="> 2",
     ),
     "mcp": _Family(
         value=_mcp_value,
         grad=lambda beta, c, s: s * (np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0, None)),
         bounds=lambda c: (1.0, c / 2.0, 0.0),
         slope=lambda _: 1.0,
-        parameter="b", valid=lambda c: c > 0.0, rule="> 0",
+        parameter="b", default=5.0, valid=lambda c: c > 0.0, rule="> 0",
     ),
     "laplace": _Family(
         value=lambda beta, eps: -np.expm1(-np.abs(beta) / eps),
         grad=lambda beta, eps, s: s * (np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps),
         bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
         slope=lambda eps: 1.0 / eps,
-        parameter="epsilon", valid=lambda eps: eps > 0.0, rule="> 0",
+        parameter="epsilon", default=1e-7, valid=lambda eps: eps > 0.0, rule="> 0",
     ),
     "arctan": _Family(
         value=lambda beta, g: (2.0 / np.pi) * np.arctan(g * np.abs(beta)),
@@ -174,7 +181,7 @@ _TABLE = {
                                      / (1.0 + np.square(g * beta))),
         bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
         slope=lambda g: 2.0 * g / np.pi,
-        parameter="gamma", valid=lambda g: g > 0.0, rule="> 0",
+        parameter="gamma", default=1.0, valid=lambda g: g > 0.0, rule="> 0",
     ),
     "gaussian": _Family(
         value=lambda beta, k: -np.expm1(-k * beta * beta),
@@ -182,13 +189,13 @@ _TABLE = {
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
         bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),
         slope=lambda _: 0.0,
-        parameter="kappa", valid=lambda k: k > 0.0, rule="> 0",
+        parameter="kappa", default=10.0, valid=lambda k: k > 0.0, rule="> 0",
     ),
 }
 
 FAMILIES = tuple(_TABLE)
 
-#: the one hyperparameter a parameterized family uses
+#: the keyword of the one hyperparameter a parameterized family uses
 PARAMETER = {family: f.parameter for family, f in _TABLE.items() if f.parameter}
 
 
@@ -199,73 +206,55 @@ def float_text(value):
     return text if float(text) == value else repr(float(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PenaltySpec:
-    """A penalty family plus the hyperparameters that family actually uses.
+    """A penalty family and the value ``param`` of its one hyperparameter.
 
-    Hyperparameters irrelevant to ``family`` are ignored entirely; the
-    relevant ones are validated at construction.
-
-    Parameters
-    ----------
-    family : str
-        One of ``FAMILIES``; by default the Gaussian, the package's centerpiece.
-    kappa : float
-        Gaussian curvature parameter (> 0).
-    a : float
-        SCAD shape parameter (> 2).
-    b : float
-        MCP shape parameter (> 0).
-    epsilon : float
-        Laplace scale (> 0).
-    gamma : float
-        arctan slope (> 0).
-    q : float
-        Bridge exponent (> 0); q=1 is the lasso shape, q=2 the ridge shape.
-    mix : float
-        Elastic-net mixing weight on the absolute-value part, in [0, 1].
+    Built as ``PenaltySpec(family, **{PARAMETER[family]: value})``, e.g.
+    ``PenaltySpec("gaussian", kappa=10)``; ``family`` defaults to the
+    Gaussian, the package's centerpiece.  The hyperparameter is keyword-only
+    and takes its table default when not given; ``param`` is None for
+    ``none``, ``lasso`` and ``ridge``.  The keyword of another family is
+    ignored, so it never sets ``param``; an unknown keyword is a
+    ``TypeError``.  ``param`` is validated against the family's rule and
+    stored as a float, ``-0.0`` as ``0.0``: two specs are equal exactly
+    when their labels are.
     """
 
-    family: str = "gaussian"
-    kappa: float = 10.0
-    a: float = 3.7
-    b: float = 5.0
-    epsilon: float = 1e-7
-    gamma: float = 1.0
-    q: float = 0.5
-    mix: float = 0.5
+    family: str
+    param: Optional[float]
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
+    def __init__(self, family="gaussian", **params):
+        unknown = params.keys() - PARAMETER.values()
+        if unknown:
+            raise TypeError(f"PenaltySpec() got an unexpected keyword argument {min(unknown)!r}")
+        if family not in FAMILIES:
             raise ConfigurationError(
-                f"unknown penalty family {self.family!r}; expected one of {FAMILIES}"
+                f"unknown penalty family {family!r}; expected one of {FAMILIES}"
             )
-        entry, param = self._entry()
-        if entry.parameter is not None and not (math.isfinite(param) and entry.valid(param)):
-            raise ConfigurationError(
-                f"invalid {self.family} penalty: {entry.parameter} = {param} "
-                f"must be a finite number {entry.rule}"
-            )
-
-    def _entry(self):
-        """The family's table entry and the value of its parameter."""
-        entry = _TABLE[self.family]
-        return entry, None if entry.parameter is None else getattr(self, entry.parameter)
+        entry, param = _TABLE[family], None
+        if entry.parameter is not None:
+            # + 0.0 stores -0.0 as 0.0, whose equal it is and whose label it must share
+            param = params.get(entry.parameter, entry.default) + 0.0
+            if not (math.isfinite(param) and entry.valid(param)):
+                raise ConfigurationError(
+                    f"invalid {family} penalty: {entry.parameter} = {param} "
+                    f"must be a finite number {entry.rule}"
+                )
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "param", param)
 
     def slope_at_zero(self):
         """The right slope P'(0+) at the origin: 0 where the shape is smooth
         there, > 0 (``inf`` for bridge with q < 1) where it has a kink."""
-        entry, param = self._entry()
-        return entry.slope(param)
+        return _TABLE[self.family].slope(self.param)
 
     def label(self):
         """Short human-readable tag, e.g. ``gaussian(kappa=10)``; the
         parameter prints by :func:`float_text`, so distinct penalties never
         share a label."""
-        entry, param = self._entry()
-        if entry.parameter is None:
-            return self.family
-        return f"{self.family}({entry.parameter}={float_text(param)})"
+        name = _TABLE[self.family].parameter
+        return self.family if name is None else f"{self.family}({name}={float_text(self.param)})"
 
 
 @dataclass(frozen=True)
@@ -288,9 +277,8 @@ def value_array(spec, beta):
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise DomainError("penalty evaluated at a non-finite coefficient")
-    entry, param = spec._entry()
     with np.errstate(over="ignore"):
-        return entry.value(beta, param)
+        return _TABLE[spec.family].value(beta, spec.param)
 
 
 def grad_array(spec, beta, scale=1.0):
@@ -304,9 +292,8 @@ def grad_array(spec, beta, scale=1.0):
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise DomainError("penalty gradient requested at a non-finite coefficient")
-    entry, param = spec._entry()
     with np.errstate(over="ignore"):
-        return entry.grad(beta, param, scale)
+        return _TABLE[spec.family].grad(beta, spec.param, scale)
 
 
 def penalty_value(spec, beta):
@@ -320,5 +307,4 @@ def penalty_bounds(spec):
     Families without a finite global Lipschitz constant or supremum return
     ``math.inf``.
     """
-    entry, param = spec._entry()
-    return PenaltyBounds(*entry.bounds(param))
+    return PenaltyBounds(*_TABLE[spec.family].bounds(spec.param))

@@ -910,6 +910,7 @@ LABELS = st.one_of(
     st.sampled_from(["none", "ridge", "elastic_net(mix=0.5)"]),
     st.builds(lambda k: PenaltySpec("gaussian", kappa=k).label(), POSITIVE_FINITE_FLOATS),
     st.builds(lambda q: PenaltySpec("bridge", q=q).label(), POSITIVE_FINITE_FLOATS),
+    st.builds(lambda m: PenaltySpec("elastic_net", mix=m).label(), st.floats(-0.0, 1.0)),
 )
 CELLS = st.tuples(LABELS, NONNEGATIVE_FLOATS, st.integers(0, 3))
 
@@ -919,6 +920,9 @@ CELLS = st.tuples(LABELS, NONNEGATIVE_FLOATS, st.integers(0, 3))
 @example(("ridge", 2.5e7, 1), ("ridge", 2.5e-7, 1))
 @example(("gaussian(kappa=1e+06)", 0.01, 1), ("gaussian(kappa=1e-06)", 0.01, 1))
 @example(("none", 5e-324, 1), ("none", 1e-323, 1))
+# -0.0 and 0.0 are one mix: a label "mix=-0" would take the slug of "mix=0"
+@example((PenaltySpec("elastic_net", mix=-0.0).label(), 0.01, 1),
+         (PenaltySpec("elastic_net", mix=0.0).label(), 0.01, 1))
 def test_distinct_cells_name_distinct_artifacts(cell, other):
     assume(cell != other)
     assert cli._slug(*cell) != cli._slug(*other)

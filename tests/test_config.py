@@ -254,6 +254,15 @@ kappa = 10
 family = gaussian
 kappa = 10.0"""
 
+# -0 and 0 are one mix, so one penalty: two labels would share one artifact slug
+DUPLICATE_ZERO = """[penalty:a]
+family = elastic_net
+mix = 0
+
+[penalty:b]
+family = elastic_net
+mix = -0"""
+
 
 @pytest.mark.parametrize(
     "command, text, named",
@@ -267,6 +276,8 @@ kappa = 10.0"""
         ("train-mlp", TRAIN + "save_artifacts = treu\n", "`save_artifacts` = 'treu'"),
         ("train-mlp", TRAIN.replace("[penalty:base]\nfamily = none", DUPLICATE),
          "[penalty:b] repeats [penalty:a]: both are gaussian(kappa=10)"),
+        ("train-mlp", TRAIN.replace("[penalty:base]\nfamily = none", DUPLICATE_ZERO),
+         "[penalty:b] repeats [penalty:a]: both are elastic_net(mix=0)"),
         ("bias-mc", BIAS.replace("seeds = 1", "seeds = 1, 2, 1"),
          "`seeds` = '1, 2, 1' is not a nonempty list of distinct unsigned integers "
          "(1 is repeated)"),
@@ -275,7 +286,7 @@ kappa = 10.0"""
          "(0.01 is repeated)"),
     ],
     ids=["command", "experiment", "lambda", "gaussian-gamma", "ridge-kappa", "section", "flag",
-         "duplicate-penalty", "duplicate-seed", "duplicate-lambda"],
+         "duplicate-penalty", "duplicate-zero-penalty", "duplicate-seed", "duplicate-lambda"],
 )
 def test_each_section_kind_rejects_a_misspelling(tmp_path, command, text, named):
     path = tmp_path / "c.cfg"
@@ -434,12 +445,19 @@ def test_save_artifacts_flag(tmp_path, text, value):
     assert parse_config(str(path)).options["save_artifacts"] is value
 
 
-# options that set a dataclass field, by command: option -> (dataclass, field)
+def field_default(cls, name):
+    return {f.name: f.default for f in dataclasses.fields(cls)}[name]
+
+
+# options that set a dataclass field or the Gaussian's parameter, by command:
+# option -> its default there
 FIELD_DEFAULTS = {
-    "train-mlp": {key: (TrainConfig, key)
+    "train-mlp": {key: field_default(TrainConfig, key)
                   for key in ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")},
-    "consistency-mc": {"lambda0": (SimSpec, "lambda0"), "kappa": (PenaltySpec, "kappa"),
-                       "replicates": (SimSpec, "replicates"), "exponent": (SimSpec, "r")},
+    "consistency-mc": {"lambda0": field_default(SimSpec, "lambda0"),
+                       "kappa": PenaltySpec("gaussian").param,
+                       "replicates": field_default(SimSpec, "replicates"),
+                       "exponent": field_default(SimSpec, "r")},
 }
 
 
@@ -448,8 +466,7 @@ def test_empty_section_takes_dataclass_defaults(tmp_path, command):
     path = tmp_path / "c.cfg"
     path.write_text(_head(command))
     options = parse_config(str(path)).options
-    for key, (cls, name) in FIELD_DEFAULTS[command].items():
-        default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    for key, default in FIELD_DEFAULTS[command].items():
         assert options[key] == default and type(options[key]) is type(default)
 
 

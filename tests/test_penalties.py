@@ -1,7 +1,10 @@
+import dataclasses
 import math
+import pickle
 import sys
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +12,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import CONFIGS
+from gausspen import cli, mlp
+from gausspen.config import parse_config
 from gausspen.errors import ConfigurationError, DomainError
 from gausspen.penalties import (
     FAMILIES,
@@ -78,12 +84,13 @@ def golden_section_max(fn, lo, hi, iters=200):
 
 
 def test_defaults():
-    spec = PenaltySpec("gaussian")
-    assert spec.kappa == 10.0
-    assert spec.a == 3.7
-    assert spec.b == 5.0
-    assert spec.epsilon == 1e-7
-    assert spec.gamma == 1.0
+    assert PenaltySpec("gaussian").param == 10.0
+    assert PenaltySpec("scad").param == 3.7
+    assert PenaltySpec("mcp").param == 5.0
+    assert PenaltySpec("laplace").param == 1e-7
+    assert PenaltySpec("arctan").param == 1.0
+    assert PenaltySpec("bridge").param == PenaltySpec("elastic_net").param == 0.5
+    assert all(PenaltySpec(family).param is None for family in ("none", "lasso", "ridge"))
 
 
 def test_invalid_hyperparameters_rejected():
@@ -95,6 +102,10 @@ def test_invalid_hyperparameters_rejected():
         PenaltySpec("elastic_net", mix=1.5)
     with pytest.raises(ConfigurationError):
         PenaltySpec("nonsense")
+    with pytest.raises(TypeError, match="'kapa'"):
+        PenaltySpec("gaussian", kapa=10.0)
+    with pytest.raises(TypeError):
+        PenaltySpec("gaussian", 10.0)  # the hyperparameter is keyword-only
 
 
 # per parameterized family: values just outside its rule, and just inside
@@ -117,7 +128,7 @@ def test_every_family_checks_its_parameter(family):
         with pytest.raises(ConfigurationError, match=rf"invalid {family} penalty: {name} = "):
             PenaltySpec(family, **{name: value})
     for value in valid:
-        assert getattr(PenaltySpec(family, **{name: value}), name) == value
+        assert PenaltySpec(family, **{name: value}).param == value
 
 
 def test_invalid_parameter_message_states_the_rule():
@@ -209,7 +220,7 @@ def test_grad_matches_finite_difference():
     rng = np.random.default_rng(42)
     h = 1e-6
     for spec in ALL_SPECS:
-        if spec.family == "bridge" and spec.q < 1:
+        if spec.family == "bridge" and spec.param < 1:
             continue  # unbounded derivative magnifies FD error near 0
         betas = rng.uniform(-3.0, 3.0, size=1000)
         betas = betas[np.abs(betas) >= 1e-3]
@@ -304,7 +315,7 @@ def test_grad_array_is_odd(beta, spec):
 
 SCALES = st.one_of(st.sampled_from((1.0, 0.0, 1e-4, 0.05, 1e160, 1e308)),
                    st.floats(min_value=0.0, allow_infinity=False))
-ANY_GAUSSIAN = st.builds(PenaltySpec, st.just("gaussian"), ANY_KAPPA)
+ANY_GAUSSIAN = st.builds(PenaltySpec, st.just("gaussian"), kappa=ANY_KAPPA)
 
 
 @given(FINITE_ARRAYS, st.one_of(st.sampled_from(ALL_SPECS), ANY_GAUSSIAN), SCALES)
@@ -321,7 +332,7 @@ def test_scaled_grad_array_is_scale_times_the_derivative(beta, spec, scale):
         ref = scale * grad_array(spec, beta)
     assert got.shape == beta.shape
     if spec.family == "gaussian":
-        ref = gaussian_grad_formula(beta, spec.kappa, scale)
+        ref = gaussian_grad_formula(beta, spec.param, scale)
         assert not np.isnan(got).any()
     assert np.asarray(got).tobytes() == np.asarray(ref).tobytes(), spec.label()
 
@@ -391,7 +402,7 @@ def test_value_array_matches_scalar_even_and_bounded(beta, spec):
 
 def reference_value(spec, b):
     """P(b) per element with ``math``, from the module docstring's formulas."""
-    f, t = spec.family, abs(b)
+    f, t, p = spec.family, abs(b), spec.param
     if f == "none":
         return 0.0
     if f == "lasso":
@@ -399,27 +410,26 @@ def reference_value(spec, b):
     if f == "ridge":
         return b * b
     if f == "bridge":
-        return t**spec.q
+        return t**p
     if f == "elastic_net":
-        return spec.mix * t + (1.0 - spec.mix) * b * b
+        return p * t + (1.0 - p) * b * b
     if f == "scad":
-        a = spec.a
         if t <= 1.0:
             return t
-        return (2.0 * a * t - t * t - 1.0) / (2.0 * (a - 1.0)) if t <= a else (a + 1.0) / 2.0
+        return (2.0 * p * t - t * t - 1.0) / (2.0 * (p - 1.0)) if t <= p else (p + 1.0) / 2.0
     if f == "mcp":
-        return t - t * t / (2.0 * spec.b) if t <= spec.b else spec.b / 2.0
+        return t - t * t / (2.0 * p) if t <= p else p / 2.0
     if f == "laplace":
-        return -math.expm1(-t / spec.epsilon)
+        return -math.expm1(-t / p)
     if f == "arctan":
-        return 2.0 / math.pi * math.atan(spec.gamma * t)
+        return 2.0 / math.pi * math.atan(p * t)
     assert f == "gaussian", f
-    return -math.expm1(-spec.kappa * b * b)
+    return -math.expm1(-p * b * b)
 
 
 def reference_derivative(spec, b):
     """P'(b) per element for b != 0, differentiated by hand from the formulas."""
-    f, t, s = spec.family, abs(b), math.copysign(1.0, b)
+    f, t, s, p = spec.family, abs(b), math.copysign(1.0, b), spec.param
     if f == "none":
         return 0.0
     if f == "lasso":
@@ -427,21 +437,19 @@ def reference_derivative(spec, b):
     if f == "ridge":
         return 2.0 * b
     if f == "bridge":
-        return s * spec.q * t ** (spec.q - 1.0)
+        return s * p * t ** (p - 1.0)
     if f == "elastic_net":
-        return spec.mix * s + 2.0 * (1.0 - spec.mix) * b
+        return p * s + 2.0 * (1.0 - p) * b
     if f == "scad":
-        a = spec.a
-        return s * (1.0 if t <= 1.0 else max(a - t, 0.0) / (a - 1.0))
+        return s * (1.0 if t <= 1.0 else max(p - t, 0.0) / (p - 1.0))
     if f == "mcp":
-        return s * max(1.0 - t / spec.b, 0.0)
+        return s * max(1.0 - t / p, 0.0)
     if f == "laplace":
-        return s * math.exp(-t / spec.epsilon) / spec.epsilon
+        return s * math.exp(-t / p) / p
     if f == "arctan":
-        g = spec.gamma
-        return s * (2.0 * g / math.pi) / (1.0 + g * g * b * b)
+        return s * (2.0 * p / math.pi) / (1.0 + p * p * b * b)
     assert f == "gaussian", f
-    return 2.0 * spec.kappa * b * math.exp(-spec.kappa * b * b)
+    return 2.0 * p * b * math.exp(-p * b * b)
 
 
 def within_ulps(got, ref, ulps=4):
@@ -467,7 +475,7 @@ def test_values_and_derivatives_match_reference_formulas(beta, spec):
 # each family's parameter over its whole valid range, subnormals included
 WHOLE_RANGE = {family: st.floats(5e-324, sys.float_info.max) for family in PARAMETER}
 WHOLE_RANGE.update(scad=st.floats(2.0, sys.float_info.max, exclude_min=True),
-                   elastic_net=st.floats(0.0, 1.0))
+                   elastic_net=st.floats(-0.0, 1.0))
 
 
 @st.composite
@@ -483,6 +491,51 @@ def whole_range_cases(draw, families=FAMILIES):
     beta = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False) | scaled
                          | scaled.map(lambda b: -b), min_size=1, max_size=16))
     return PenaltySpec(family, **{PARAMETER[family]: param}), np.array(beta)
+
+
+@st.composite
+def spec_twins(draw):
+    """Two specs of one family and one valid parameter, a 0 given with
+    either sign, the second also given other families' keywords at any value."""
+    family = draw(st.sampled_from(FAMILIES))
+    name = PARAMETER.get(family)
+    keywords = sorted(set(PARAMETER.values()) - {name})
+    others = draw(st.dictionaries(st.sampled_from(keywords), st.floats()))
+    if name is None:
+        return PenaltySpec(family), PenaltySpec(family, **others)
+    value = draw(WHOLE_RANGE[family])
+    twin = draw(st.sampled_from([value, -value])) if value == 0.0 else value
+    return PenaltySpec(family, **{name: value}), PenaltySpec(family, **{name: twin}, **others)
+
+
+@given(spec_twins(), spec_twins().map(lambda twins: twins[1]))
+@example((PenaltySpec("gaussian", kappa=10), PenaltySpec("gaussian", kappa=10, q=0.7)),
+         PenaltySpec("gaussian", kappa=10.000001))
+@example((PenaltySpec("elastic_net", mix=0.0), PenaltySpec("elastic_net", mix=-0.0)),
+         PenaltySpec("ridge"))
+def test_a_spec_is_its_family_and_parameter(twins, other):
+    spec, twin = twins
+    assert spec == twin and hash(spec) == hash(twin) and spec.label() == twin.label()
+    assert (spec == other) == (spec.label() == other.label())
+    assert spec != other or hash(spec) == hash(other)
+    assert pickle.loads(pickle.dumps(twin)) == spec
+    assert repr(twin) == f"PenaltySpec(family={spec.family!r}, param={spec.param!r})"
+    # equal specs make equal runs, and train-mlp trains each run once
+    runs = [mlp.TrainConfig(penalty=s, lam=0.5) for s in (spec, twin)]
+    assert runs[0] == runs[1] and hash(runs[0]) == hash(runs[1])
+    trained = []
+
+    def fake_cell(splits, arch, cfg, weights, artifacts_dir, slugs):
+        trained.append(cfg)
+        return len(trained), 1, 1, "patience"
+
+    shipped = parse_config(str(CONFIGS / "train_mlp.cfg"))
+    grid = dataclasses.replace(shipped, penalties=[spec, twin, other], lambda_grid=[0.5], seeds=[1])
+    with mock.patch.object(cli, "_train_cell", fake_cell):
+        _, _, columns = cli.run_train_mlp(grid, 1)
+    assert len(trained) == len({spec.label(), other.label()})
+    rows = list(zip(*columns))
+    assert rows[0][4] == rows[1][4] == 1  # spec's and twin's rows share one run
 
 
 @settings(max_examples=300)
@@ -558,11 +611,11 @@ def exact_value(spec, b):
     rationals, rounded once to the nearest double."""
     t = Fraction(abs(b))
     if spec.family == "scad":
-        a = Fraction(spec.a)
+        a = Fraction(spec.param)
         if t <= 1:
             return float(t)
         return float((2 * a * t - t * t - 1) / (2 * (a - 1)) if t <= a else (a + 1) / 2)
-    c = Fraction(spec.b)
+    c = Fraction(spec.param)
     return float(t - t * t / (2 * c) if t <= c else c / 2)
 
 
@@ -648,7 +701,7 @@ def test_bounds_other_families():
 def test_interval_lipschitz_dominates_samples():
     rng = np.random.default_rng(9)
     for spec in ALL_SPECS:
-        if spec.family == "bridge" and spec.q < 1:
+        if spec.family == "bridge" and spec.param < 1:
             continue
         bound = interval_lipschitz(spec, 2.0)
         xs = rng.uniform(-2.0, 2.0, size=500)
