@@ -69,7 +69,9 @@ MAX_MATRIX = 100_000_000  # most elements a blob or weight matrix may hold (800 
 
 _number = _checked(float, math.isfinite, "a finite number")
 _positive = _checked(_number, lambda v: v > 0, "a finite positive number")
-_nonnegative = _checked(_number, lambda v: v >= 0, "a finite nonnegative number")
+# + 0.0 stores -0 as 0, whose equal it is and whose text it must share
+_nonnegative = _checked(lambda t: _number(t) + 0.0, lambda v: v >= 0,
+                        "a finite nonnegative number")
 _below_one = _checked(_number, lambda v: v < 1, "a finite number below 1")
 _fraction = _checked(_number, lambda v: 0 <= v <= 1, "a number in [0, 1]")
 _finites = _checked(_floats, lambda v: v and all(map(math.isfinite, v)),
@@ -101,7 +103,8 @@ def _distinct(values):
     return True
 
 
-_lambdas = _checked(_floats, lambda v: all(0 <= x < math.inf for x in v) and _distinct(v),
+_lambdas = _checked(lambda t: [x + 0.0 for x in _floats(t)],  # -0 as 0, as _nonnegative
+                    lambda v: all(0 <= x < math.inf for x in v) and _distinct(v),
                     "a list of distinct finite nonnegative numbers")
 _grid = _checked(_lambdas, lambda v: v and v == sorted(v),  # distinct, so strictly increasing
                  "a nonempty strictly increasing list of finite nonnegative numbers")

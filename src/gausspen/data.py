@@ -160,7 +160,11 @@ def make_blobs(num_classes, per_class, dimension, separation, seed):
     rng = np.random.default_rng(seed)
     centers = _blob_centers(num_classes, dimension, separation)
     labels = np.repeat(np.arange(num_classes), per_class)
-    features = centers[labels] + rng.standard_normal((num_classes * per_class, dimension))
+    # the noise, then each centre added into its class's rows in place: the
+    # bits of centers[labels] + noise, as addition commutes, in one matrix
+    features = rng.standard_normal((num_classes * per_class, dimension))
+    for c, centre in enumerate(centers):
+        features[c * per_class:(c + 1) * per_class] += centre
     return LabeledDataset(features, labels)
 
 

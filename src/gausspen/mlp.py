@@ -3,6 +3,10 @@ gradient descent with a triangular learning-rate schedule and patience-based
 early stopping, with any of the scalar penalty families applied to the
 weights (never the biases).
 
+Memory: besides its splits and weights, a run holds one mini-batch's forward
+cache, one gradient buffer that its layers share, and one cache-free pass of
+``EVAL_ROWS`` rows, through which each split is evaluated a block at a time.
+
 Weight checkpoints use a self-describing binary layout:
 
     magic b"MLPW" | uint32 version (1) | uint32 L = number of layer sizes
@@ -20,6 +24,7 @@ from .data import write_file
 from .errors import ConfigurationError, DivergenceError, DomainError, FormatError
 from .penalties import PenaltySpec, grad_array, value_array
 
+EVAL_ROWS = 128  # rows of a split evaluated at a time
 CHECKPOINT_MAGIC = b"MLPW"
 CHECKPOINT_VERSION = 1
 
@@ -143,10 +148,13 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _picked_log_probs(logits, labels):
+    return _log_softmax(logits)[np.arange(len(labels)), labels]
+
+
 def cross_entropy(logits, labels):
     """Mean softmax cross-entropy against integer labels."""
-    logp = _log_softmax(logits)
-    return float(-logp[np.arange(len(labels)), labels].mean())
+    return float(-_picked_log_probs(logits, labels).mean())
 
 
 def penalty_term(weights, penalty, lam):
@@ -156,8 +164,8 @@ def penalty_term(weights, penalty, lam):
     return lam * sum(float(np.sum(value_array(penalty, W))) for W, _ in weights)
 
 
-def composite_objective(weights, inputs, labels, penalty, lam, *, out=None):
-    logits, _ = forward(weights, inputs, out=out)
+def composite_objective(weights, inputs, labels, penalty, lam):
+    logits, _ = forward(weights, inputs)
     return cross_entropy(logits, labels) + penalty_term(weights, penalty, lam)
 
 
@@ -201,13 +209,22 @@ def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
     return grads
 
 
+def _per_row(weights, dataset, out, row_values):
+    """``row_values(logits, labels)`` of every row of ``dataset``, gathered
+    from forward passes over ``EVAL_ROWS`` rows at a time into ``out``, the
+    cache-free :func:`_pass_arrays` of at least that many rows."""
+    return np.concatenate([
+        row_values(forward(weights, dataset.features[lo:lo + EVAL_ROWS], out=out)[0],
+                   dataset.labels[lo:lo + EVAL_ROWS])
+        for lo in range(0, dataset.n, EVAL_ROWS)])
+
+
 def evaluate(weights, dataset):
     """Fraction of argmax-misclassified examples; argmax ties resolve to the
     lowest class index (numpy argmax convention)."""
-    logits_only = _pass_arrays(weights, dataset.n, cache=False)
-    logits, _ = forward(weights, dataset.features, out=logits_only)
-    predicted = np.argmax(logits, axis=1)
-    return float(np.mean(predicted != dataset.labels))
+    out = _pass_arrays(weights, min(EVAL_ROWS, dataset.n), cache=False)
+    errors = _per_row(weights, dataset, out, lambda logits, labels: logits.argmax(1) != labels)
+    return float(np.mean(errors))
 
 
 @np.errstate(all="ignore", over="raise")  # an overflow ends the run; nothing warns
@@ -236,8 +253,11 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
     # the run's working arrays; a short last batch uses their first rows
     batch_x = np.empty((min(config.batch_size, n_train), train_set.features.shape[1]))
     step_arrays = _pass_arrays(weights, len(batch_x))
-    grads = [(np.empty_like(W), np.empty_like(b)) for W, b in weights]
-    logits_only = _pass_arrays(weights, max(n_train, val_set.n), cache=False)
+    # one gradient buffer: backward steps each layer before the next one writes
+    grad_buffer = np.empty(max(W.size + b.size for W, b in weights))
+    grads = [(grad_buffer[:W.size].reshape(W.shape), grad_buffer[W.size:W.size + b.size])
+             for W, b in weights]
+    eval_arrays = _pass_arrays(weights, min(EVAL_ROWS, max(n_train, val_set.n)), cache=False)
 
     iteration = 0
     best_val = np.inf
@@ -259,10 +279,11 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
                 backward(weights, cache, train_set.labels[batch], config.penalty, config.lam,
                          out=grads, lr=lr)
                 iteration += 1
-            train_obj = composite_objective(weights, train_set.features, train_set.labels,
-                                            config.penalty, config.lam, out=logits_only)
-            val_logits, _ = forward(weights, val_set.features, out=logits_only)
-            val_loss = cross_entropy(val_logits, val_set.labels) * val_set.n  # total, not mean
+            # each split's mean cross-entropy, reduced once over all its rows
+            train_ce, val_ce = (float(-_per_row(weights, s, eval_arrays, _picked_log_probs).mean())
+                                for s in (train_set, val_set))
+            train_obj = train_ce + penalty_term(weights, config.penalty, config.lam)
+            val_loss = val_ce * val_set.n  # total, not mean
         except (DomainError, FloatingPointError):  # non-finite weights or overflowing arithmetic
             train_obj = val_loss = np.nan
         if not (np.isfinite(train_obj) and np.isfinite(val_loss)):

@@ -1,10 +1,12 @@
-"""The two helpers of the CLI contract tests: one in-process call of the
-``gausspen`` entry point, and one way to derive a config from a shipped one."""
+"""The helpers the tests share: one in-process call of the ``gausspen``
+entry point, one way to derive a config from a shipped one, and the peak
+memory of one call."""
 
 import contextlib
 import io
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 from gausspen.cli import main
@@ -53,3 +55,14 @@ def derive_config(name, edits):
             end = len(lines) if line.strip() else end
     assert edits.keys() <= seen, f"{name}.cfg has no section {sorted(edits.keys() - seen)}"
     return "\n".join(lines) + "\n"
+
+
+def traced_peak(fn, *args):
+    """The most bytes that ``fn(*args)`` held at once, its result included,
+    as tracemalloc counts them; numpy reports its array data to it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

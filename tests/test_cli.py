@@ -898,6 +898,41 @@ def test_train_mlp_lambdas_of_opposite_exponents_keep_their_own_artifacts(tmp_pa
     assert checkpoints == ["none-lam1e+06-seed1.mlpw", "none-lam1e-06-seed1.mlpw"]
 
 
+def test_negative_zero_lambda_is_written_as_zero(tmp_path):
+    # -0 is the lambda 0 that TrainConfig trains: it takes 0's CSV cell and
+    # artifact names, and 0, -0 is one lambda given twice
+    text = TRAIN_CFG.replace("seeds = 1, 2, 3", "seeds = 1").replace(
+        "[penalty:g]\nfamily = gaussian\nkappa = 10\n\n", "") + "save_artifacts = true\n"
+    trees = {}
+    for values in ("-0", "0"):
+        cfg = write_config(tmp_path / "t.cfg", text.replace("values = 0.001, 0.01",
+                                                            f"values = {values}"))
+        code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg, out=values)
+        assert code == 0, err
+        trees[values] = _tree(out)
+    assert trees["-0"] == trees["0"]
+    assert sorted(p.name for p in trees["-0"]) == [
+        "none-lam0-seed1.mlpw", "none-lam0-seed1_epochs.csv", "train_mlp.csv"]
+    assert b",-0," not in trees["-0"][pathlib.Path("train_mlp.csv")]
+    cfg = write_config(tmp_path / "t.cfg", text.replace("values = 0.001, 0.01", "values = 0, -0"))
+    with pytest.raises(ConfigurationError, match=r"\(0\.0 is repeated\)"):
+        parse_config(cfg)
+
+
+@pytest.mark.parametrize("key, negative, positive", [
+    ("lambda_values", "-0, 1", "0, 1"), ("lambda_min", "-0", "0")])
+def test_ortho_scan_negative_zero_lambda_is_zero(tmp_path, key, negative, positive):
+    tables = []
+    for value in (negative, positive):
+        cfg = write_config(tmp_path / "o.cfg",
+                           derive_config("ortho_scan", {"ortho-scan": {key: value}}))
+        code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg, out=value)
+        assert code == 0, err
+        tables.append((out / "ortho_scan.csv").read_bytes())
+    assert tables[0] == tables[1]
+    assert tables[0].splitlines()[1].startswith(b"minimum,0,")
+
+
 # floats of either exponent sign, subnormals and any other nonnegative float
 NONNEGATIVE_FLOATS = st.one_of(
     st.builds(lambda mantissa, sign, k: float(f"{mantissa}e{sign}{k}"),

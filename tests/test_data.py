@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import traced_peak
 from gausspen import data
 from gausspen.data import (
     IdxMagicError,
@@ -217,6 +218,33 @@ def test_blobs_high_separation_linearly_separable():
     predicted = (dataset.features @ normal > threshold).astype(int)
     predicted = 1 - predicted  # class 0 on the positive side
     assert np.mean(predicted != dataset.labels) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes=st.integers(1, 12), per_class=st.integers(1, 20), dimension=st.integers(1, 6),
+       seed=st.integers(0, 2**64 - 1),
+       separation=st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+# a zero separation makes every negative centre coordinate -0.0
+@example(classes=5, per_class=3, dimension=2, seed=0, separation=0.0)
+def test_blobs_match_the_centres_plus_noise_formula(classes, per_class, dimension, seed,
+                                                     separation):
+    # the noise drawn first, then every class centre added into its rows in
+    # place: the bits of centres[labels] + noise, byte for byte
+    centres = data._blob_centers(classes, dimension, separation)
+    labels = np.repeat(np.arange(classes), per_class)
+    noise = np.random.default_rng(seed).standard_normal((classes * per_class, dimension))
+    dataset = make_blobs(classes, per_class, dimension, separation, seed)
+    assert dataset.features.tobytes() == (centres[labels] + noise).tobytes()
+    assert dataset.labels.tobytes() == labels.tobytes()
+
+
+def test_blobs_hold_one_matrix():
+    # 4 x 5,000 x 50 doubles, 8 MB: the noise is drawn once and the centres
+    # added into it, so make_blobs peaks at about its own output, not the
+    # three matrices of centres[labels] + noise
+    output = 4 * 5000 * 50 * 8
+    peak = traced_peak(make_blobs, 4, 5000, 50, 3.0, 0)
+    assert output <= peak < 1.5 * output
 
 
 def test_blobs_validation():

@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gausspen import data
+from conftest import traced_peak
+from gausspen import data, mlp
 from gausspen.errors import ConfigurationError, DivergenceError
 from gausspen.mlp import (
     CheckpointFormatError,
@@ -485,6 +486,46 @@ def test_train_matches_allocating_reference(hidden, batch_size, family, lam, see
     if rates == "flat":
         assert run.stop_reason == "patience"
         assert run.best_epoch == 1 and len(run.epoch_log) == 1 + patience
+
+
+@pytest.mark.parametrize("eval_rows", [1, 7, 16])
+def test_evaluation_across_block_boundaries(monkeypatch, eval_rows):
+    # splits of 40, 20 and 20 rows span several EVAL_ROWS blocks: the error
+    # rate is exactly that of one whole-split pass, and each epoch's train
+    # objective and validation loss are the whole-split values up to the
+    # order of a sum (the reference evaluates each split in one pass)
+    tr, va, te = toy_splits(seed=3, classes=4, per_class=20, dimension=3)
+    arch = MlpArchitecture((3, 6, 5, 4))
+    config = TrainConfig(penalty=PenaltySpec("gaussian", kappa=10.0), lam=0.01, batch_size=7,
+                         max_epochs=6, seed=2)
+    monkeypatch.setattr(mlp, "EVAL_ROWS", eval_rows)
+    weights = init_weights(arch, seed=5)
+    for split in (tr, va, te):
+        logits, _ = forward(weights, split.features)
+        assert evaluate(weights, split) == float(np.mean(np.argmax(logits, 1) != split.labels))
+    run = train(tr, va, te, arch, config)
+    reference = _reference_train(tr, va, te, arch, config)
+    assert len(run.epoch_log) == len(reference.epoch_log) == 6
+    for row, expected in zip(run.epoch_log, reference.epoch_log):
+        assert row[::3] == expected[::3]  # the epoch and its starting rate
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(row[1:3], expected[1:3]))
+    assert [(W.tobytes(), b.tobytes()) for W, b in run.weights] == \
+        [(W.tobytes(), b.tobytes()) for W, b in reference.weights]
+    assert run.test_error_rate == reference.test_error_rate
+
+
+def test_train_memory_grows_only_with_its_splits():
+    # four times the rows: the peak grows by less than the extra training
+    # rows' features and labels, as evaluation runs in blocks of EVAL_ROWS
+    # rows and no working array is as long as a split
+    arch = MlpArchitecture((16, 32, 32, 4))
+    config = TrainConfig(batch_size=32, max_epochs=2, seed=1)
+    peaks, sizes = [], []
+    for per_class in (100, 400):
+        splits = toy_splits(seed=1, classes=4, per_class=per_class, dimension=16)
+        peaks.append(traced_peak(train, *splits, arch, config))
+        sizes.append(splits[0].features.nbytes + splits[0].labels.nbytes)
+    assert peaks[1] - peaks[0] < sizes[1] - sizes[0]
 
 
 def test_results_do_not_change_after_later_calls():
