@@ -10,8 +10,8 @@ Every file is written atomically by ``data.write_file``, which makes its
 directory with it, so a command that fails before writing leaves no directory.
 Grid cells are independent; --jobs N > 1 computes them in a pool of N worker
 processes, or of one per cell if there are fewer cells, but rows are always
-written in deterministic grid order.  Exit codes: 0 success, 1 configuration
-error, 2 runtime error.
+written in deterministic grid order; N must be a positive integer.  Exit
+codes: 0 success (--help too), 1 configuration or usage error, 2 runtime error.
 """
 
 import argparse
@@ -228,12 +228,17 @@ def main(argv=None):
     parser.add_argument("--seed-list", help="comma-separated seeds, e.g. 1,2,3")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.jobs < 1:
+            parser.error(f"argument --jobs: {args.jobs} is not a positive integer")
+    except SystemExit as exc:  # argparse's: 0 after --help, else a usage error
+        return 1 if exc.code else 0
 
     try:
         seeds = parse_seed_list(args.seed_list) if args.seed_list is not None else None
         config = parse_config(args.config, command=args.command, seed_list=seeds, out=args.out)
-        path = run(config, jobs=max(1, args.jobs))
+        path = run(config, jobs=args.jobs)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

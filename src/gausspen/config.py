@@ -182,12 +182,13 @@ def _mlp_problems(options):
 def _simulation_problems(key, starts, options):
     """Monte Carlo sizes, option ``key``, whose arrays would hold more than
     ``MAX_MATRIX`` elements for a fit of ``starts`` starts, found before any
-    is allocated, and a ``c_diag`` whose length is not ``beta``'s."""
+    is allocated, and a ``c_diag`` whose length is not ``beta``'s.  The X'X
+    count is the descent's live stack, one per start, size and replicate;
+    the callers' stack, one per size and replicate, comes on top of it."""
     beta, c_diag, sizes = options["beta"], options["c_diag"], options[key]
     p, sizes = len(beta), sizes if isinstance(sizes, list) else [sizes]
     problems = [] if c_diag is None or len(c_diag) == p else [
         f"option `c_diag` has {len(c_diag)} entries and `beta` has {p}"]
-    # the descent's X'X per start, size and replicate; one replicate's noise
     for keys, what, size in (
             (f"`beta`, `replicates` and `{key}`", "an X'X stack",
              starts * len(sizes) * options["replicates"] * p * p),

@@ -134,8 +134,9 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     every problem or an (M,) vector of per-problem values; every problem's
     arithmetic is, to the bit, what it is when fitted alone.  Every start
     runs its own descent; per problem the lower final objective wins, ties
-    going to the earlier start.  A problem with a non-finite objective at any
-    start is marked ``failed`` and leaves the others untouched.
+    going to the earlier start.  The descent holds these stacks and one X'X
+    per live (problem, start) row.  A start that is not finite, or whose
+    objective is not, stops its row at pass 0 and fails its problem alone.
     """
     if np.any(np.asarray(lam) < 0):
         raise ConfigurationError("lam must be nonnegative")
@@ -143,9 +144,8 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)
     n, lam = (np.broadcast_to(np.asarray(v, dtype=float), m)[problem] for v in (n, lam))
-    beta, f, gnorm, its = _descend(
-        gram[problem], xty[problem], yty[problem], n, spec, lam, starts.reshape(m * k, p))
-    # f is NaN only at a non-finite start; a failed problem's pick is overwritten below
+    beta, f, gnorm, its = _descend(gram, xty, yty, problem, n, spec, lam, starts.reshape(m * k, p))
+    # f is NaN only at an unusable start; a failed problem's pick is overwritten below
     failed = np.isnan(f).reshape(m, k).any(axis=1)
     winner = np.arange(m) * k + np.argmin(f.reshape(m, k), axis=1)
     beta, f, gnorm, its = beta[winner], f[winner], gnorm[winner], its[winner]
@@ -160,9 +160,10 @@ def _matvec(stack, vectors):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _descend(gram, xty, yty, n, spec, lam, beta0):
+def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     """BB/Armijo gradient descent for every row i of ``beta0`` at once, with
-    its own ``n[i]`` and ``lam[i]``.
+    its own ``n[i]``, ``lam[i]`` and problem ``problem[i]``, whose X'X of
+    the callers' stack ``gram`` it gathers once, into a stack of live rows.
 
     Each row keeps its own trial step, backtracking and stop; every pass
     evaluates one step for each row still running.  The decrease test never
@@ -178,18 +179,16 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
     (Andrew & Gao 2007): where b_j = 0, g_j is the minimum-norm subgradient
     sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n; a trial coordinate that
     leaves its orthant lands on 0; and Armijo tests the step taken.  A row
-    stops when its gradient norm is within ``GRAD_TOL``, after ``MAX_ITER``
-    steps, when its step no longer changes b at all, or, unconverged, when its
-    trial step is no longer a positive number (a NaN or an underflowed 0).
-
-    Returns the final rows, objectives (NaN exactly where the start
-    objective is non-finite), gradient norms and iteration counts.
+    stops when its objective is NaN (at pass 0, where its start or start
+    objective is not finite), when its gradient norm is within ``GRAD_TOL``,
+    after ``MAX_ITER`` steps, when its step no longer changes b at all, or,
+    unconverged, when its trial step is no longer a positive number (a NaN or
+    an underflowed 0).  Returns the final rows, objectives, gradient norms
+    and iteration counts.
     """
     m = beta0.shape[0]
-    beta = beta0.copy()
-    f_out = np.full(m, np.nan)
-    gnorm_out = np.full(m, np.nan)
-    its_out = np.zeros(m, dtype=int)
+    beta, f_out, gnorm_out = np.empty_like(beta0), np.empty(m), np.empty(m)
+    its_out = np.empty(m, dtype=int)  # each row's outputs are written when it stops
     slope = spec.slope_at_zero()
     kinked = slope > 0 and bool(np.any(lam > 0))  # else no row takes orthant steps
 
@@ -201,24 +200,24 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
                       where=(b == 0.0) & (kink[:, None] > 0))
         return g
 
-    rows = np.flatnonzero(np.isfinite(beta).all(axis=1))
-    G, c, b, n, lam = gram[rows], xty[rows], beta[rows], n[rows], lam[rows]
+    rows, usable = np.arange(m), np.isfinite(beta0).all(axis=1)
+    G, c, b = gram[problem], xty[problem], np.where(usable[:, None], beta0, 0.0)
     # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
     kink = np.where(lam > 0, lam * slope, 0.0)
     r = _matvec(G, b) - c
     pen = value_array(spec, b)
-    f = ((b * (r - c)).sum(axis=1) + yty[rows]) / n + lam * pen.sum(axis=1)
-    keep = np.isfinite(f) & np.isfinite(r).all(axis=1)
-    rows, G, r, b, pen, f = rows[keep], G[keep], r[keep], b[keep], pen[keep], f[keep]
-    n, lam, kink = n[keep], lam[keep], kink[keep]
+    f = ((b * (r - c)).sum(axis=1) + yty[problem]) / n + lam * pen.sum(axis=1)
+    # as P >= 0, a finite f has a finite r; an unusable row gets f NaN
+    f[~(usable & np.isfinite(f))] = np.nan
     g = gradient(r, b)
     gsq = (g * g).sum(axis=1)
     gnorm = np.sqrt(gsq)
-    t = np.full(rows.size, STEP_INIT)
-    its = np.zeros(rows.size, dtype=int)
-    done = (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
+    t = np.full(m, STEP_INIT)
+    its = np.zeros(m, dtype=int)
+    stall = False  # no step taken yet
 
     while True:
+        done = stall | ~(t > 0.0) | np.isnan(f) | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
         if done.any():
             out = rows[done]
             beta[out], f_out[out] = b[done], f[done]
@@ -269,7 +268,6 @@ def _descend(gram, xty, yty, n, spec, lam, beta0):
         gsq = (g * g).sum(axis=1)
         gnorm = np.sqrt(gsq)
         its += accept
-        done = stall | ~(t > 0.0) | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
     return beta, f_out, gnorm_out, its_out
 
 

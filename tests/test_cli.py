@@ -1049,6 +1049,30 @@ def test_exit_codes(tmp_path):
     assert [path.name for path in out.iterdir()] == ["ortho_scan.csv"]
 
 
+BIAS_MC = ("bias-mc", "--config", CONFIGS / "bias_mc.cfg")
+
+
+@pytest.mark.parametrize("args, message", [
+    ((*BIAS_MC, "--jobs", "x"), "argument --jobs: invalid int value: 'x'"),
+    ((*BIAS_MC, "--jobs", "0"), "argument --jobs: 0 is not a positive integer"),
+    ((*BIAS_MC, "--jobs", "-3"), "argument --jobs: -3 is not a positive integer"),
+    (("no-such", "--config", "x"), "invalid choice: 'no-such'"),
+    (("bias-mc",), "the following arguments are required: --config"),
+], ids=["malformed-jobs", "zero-jobs", "negative-jobs", "unknown-command", "no-config"])
+def test_usage_error_exits_1(tmp_path, args, message):
+    # argparse exits 2 on its own; a usage error is a configuration error,
+    # exit 1 with argparse's message, found before anything is written
+    code, err, out = run_cli(tmp_path, *args)
+    assert code == 1 and err.startswith("usage: gausspen") and message in err
+    assert not out.exists()
+
+
+def test_help_exits_0(tmp_path, capsys):
+    code, err, out = run_cli(tmp_path, "--help")
+    assert code == 0 and not err and "--jobs" in capsys.readouterr().out
+    assert not out.exists()
+
+
 PENALTY_TABLE_CFG = """
 [experiment]
 command = penalty-table

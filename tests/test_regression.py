@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from gausspen.cli import run_ortho_scan
 from gausspen.config import parse_config
 from gausspen.errors import ConfigurationError, DivergenceError
@@ -333,6 +334,68 @@ def test_batch_isolates_non_finite_start():
             assert batch.iterations[i] == clean.iterations[i]
         with pytest.raises(DivergenceError):
             fit(problems[1], spec, 0.1, start=bad_start)
+
+
+# a start value spoiled by one of these, or left as it is (None)
+SPOILERS = st.sampled_from([None] * 3 + [np.nan, np.inf, -np.inf, 1e200])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 4),
+       family=st.sampled_from(["ridge", "gaussian", "lasso", "scad", "bridge", "laplace"]),
+       rows=st.lists(st.tuples(st.integers(1, 30), st.sampled_from([0.0, 0.3]) | st.floats(0.0, 2.0),
+                               st.tuples(SPOILERS, SPOILERS)), min_size=1, max_size=4),
+       two_starts=st.booleans(), whole=st.booleans())
+def test_batch_retires_spoiled_starts_and_keeps_every_other_row(seed, p, family, rows, two_starts,
+                                                                 whole):
+    # a start that is not finite (NaN, +-inf) or whose objective overflows
+    # (1e200) stops its row at once and fails its problem; every problem
+    # with usable starts only is bit for bit its own batch of one
+    rng = np.random.default_rng(seed)
+    spec = PenaltySpec(family)
+    ns, lams = [p + extra for extra, _, _ in rows], [lam for _, lam, _ in rows]
+    problems = [random_problems(rng, 1, n, p)[0] for n in ns]
+    starts = np.stack([[np.zeros(p), np.linalg.lstsq(pr.X, pr.y, rcond=None)[0]]
+                       for pr in problems])[:, (0 if two_starts else 1):]
+    spoiled = []
+    for i, (_, _, bad) in enumerate(rows):
+        bad = bad[-starts.shape[1]:]
+        for j, value in enumerate(bad):
+            if value is not None:  # the whole start, or its first coordinate
+                starts[i, j, slice(None) if whole else 0] = value
+        spoiled.append(any(value is not None for value in bad))
+    stats = sufficient_statistics(problems)
+    batch = fit_batch(*stats, ns, spec, lams, starts)
+    assert list(batch.failed) == spoiled
+    for i, (n, lam) in enumerate(zip(ns, lams)):
+        if spoiled[i]:
+            assert np.isnan(batch.beta_hat[i]).all()
+            assert np.isnan(batch.objective[i]) and np.isnan(batch.grad_norm_final[i])
+            assert batch.iterations[i] == 0 and not batch.converged[i]
+            continue
+        alone = fit_batch(*(s[i:i + 1] for s in stats), n, spec, lam, starts[i:i + 1])
+        for field in ("beta_hat", "objective", "grad_norm_final", "iterations", "converged"):
+            assert getattr(batch, field)[i].tobytes() == getattr(alone, field)[0].tobytes()
+
+
+def test_descent_gathers_each_rows_gram_once():
+    # 2,000 problems of p = 10 with two starts: the callers' X'X stack is
+    # 1.6 MB and one gathered copy per row 3.2 MB.  fit_batch's own peak (the
+    # callers' stacks are made before tracing) stays below that one copy
+    # plus 32 p-vectors per row: the pass's per-row vectors, and the smaller
+    # live stack (p vectors a row) made before the old one is freed when
+    # stopped rows are dropped.  Gathering a second copy (and a third while
+    # filtering) would add 10 p-vectors a row.
+    m, n, p = 2000, 40, 10
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((m, n, p))
+    y = X @ rng.uniform(-3.0, 3.0, p) + rng.standard_normal((m, n))
+    gram, xty, yty = X.transpose(0, 2, 1) @ X, np.einsum("mnp,mn->mp", X, y), (y * y).sum(axis=1)
+    ols = np.linalg.solve(gram, xty[:, :, None])[:, :, 0]
+    starts = np.stack([np.zeros_like(ols), ols], axis=1)
+    rows = 2 * m
+    peak = traced_peak(fit_batch, gram, xty, yty, n, PenaltySpec("ridge"), 0.1, starts)
+    assert peak < rows * p * p * 8 + 32 * rows * p * 8
 
 
 @pytest.mark.parametrize("rows, response, lam, start, iterations", [
