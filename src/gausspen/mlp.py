@@ -4,8 +4,8 @@ early stopping, with any of the scalar penalty families applied to the
 weights (never the biases).
 
 Memory: besides its splits and weights, a run holds one mini-batch's forward
-cache, one gradient buffer that its layers share, and one cache-free pass of
-``EVAL_ROWS`` rows, through which each split is evaluated a block at a time.
+cache and one gradient buffer that its layers share, and, only while it
+scores a split, one cache-free pass that scores it ``EVAL_ROWS`` rows at a time.
 
 Weight checkpoints use a self-describing binary layout:
 
@@ -209,10 +209,11 @@ def backward(weights, cache, labels, penalty, lam, *, out=None, lr=None):
     return grads
 
 
-def _per_row(weights, dataset, out, row_values):
+def _per_row(weights, dataset, row_values):
     """``row_values(logits, labels)`` of every row of ``dataset``, gathered
-    from forward passes over ``EVAL_ROWS`` rows at a time into ``out``, the
-    cache-free :func:`_pass_arrays` of at least that many rows."""
+    from forward passes over ``EVAL_ROWS`` rows at a time into one cache-free
+    :func:`_pass_arrays` made for the call."""
+    out = _pass_arrays(weights, min(EVAL_ROWS, dataset.n), cache=False)
     return np.concatenate([
         row_values(forward(weights, dataset.features[lo:lo + EVAL_ROWS], out=out)[0],
                    dataset.labels[lo:lo + EVAL_ROWS])
@@ -222,8 +223,7 @@ def _per_row(weights, dataset, out, row_values):
 def evaluate(weights, dataset):
     """Fraction of argmax-misclassified examples; argmax ties resolve to the
     lowest class index (numpy argmax convention)."""
-    out = _pass_arrays(weights, min(EVAL_ROWS, dataset.n), cache=False)
-    errors = _per_row(weights, dataset, out, lambda logits, labels: logits.argmax(1) != labels)
+    errors = _per_row(weights, dataset, lambda logits, labels: logits.argmax(1) != labels)
     return float(np.mean(errors))
 
 
@@ -250,14 +250,12 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
     shuffle_rng = np.random.default_rng([config.seed, 1])
     n_train = train_set.n
     cycle = 4 * -(-n_train // config.batch_size)  # iterations in four epochs
-    # the run's working arrays; a short last batch uses their first rows
-    batch_x = np.empty((min(config.batch_size, n_train), train_set.features.shape[1]))
-    step_arrays = _pass_arrays(weights, len(batch_x))
+    # the step's forward cache; a short last batch uses its first rows
+    step_arrays = _pass_arrays(weights, min(config.batch_size, n_train))
     # one gradient buffer: backward steps each layer before the next one writes
     grad_buffer = np.empty(max(W.size + b.size for W, b in weights))
     grads = [(grad_buffer[:W.size].reshape(W.shape), grad_buffer[W.size:W.size + b.size])
              for W, b in weights]
-    eval_arrays = _pass_arrays(weights, min(EVAL_ROWS, max(n_train, val_set.n)), cache=False)
 
     iteration = 0
     best_val = np.inf
@@ -273,14 +271,12 @@ def train(train_set, val_set, test_set, arch, config, *, weights=None):
             for lo in range(0, n_train, config.batch_size):
                 batch = order[lo:lo + config.batch_size]
                 lr = triangular_lr(iteration, config, cycle)
-                # mode="clip" writes straight into out; "raise" would buffer a copy
-                x = np.take(train_set.features, batch, 0, batch_x[:len(batch)], mode="clip")
-                _, cache = forward(weights, x, out=step_arrays)
-                backward(weights, cache, train_set.labels[batch], config.penalty, config.lam,
-                         out=grads, lr=lr)
+                # the batch's rows, a copy gathered by the index, are freed with its step
+                backward(weights, forward(weights, train_set.features[batch], out=step_arrays)[1],
+                         train_set.labels[batch], config.penalty, config.lam, out=grads, lr=lr)
                 iteration += 1
             # each split's mean cross-entropy, reduced once over all its rows
-            train_ce, val_ce = (float(-_per_row(weights, s, eval_arrays, _picked_log_probs).mean())
+            train_ce, val_ce = (float(-_per_row(weights, s, _picked_log_probs).mean())
                                 for s in (train_set, val_set))
             train_obj = train_ce + penalty_term(weights, config.penalty, config.lam)
             val_loss = val_ce * val_set.n  # total, not mean

@@ -30,7 +30,7 @@ from .penalties import grad_array, value_array
 STEP_INIT = 1.0  # first trial step of every descent
 BACKTRACK = 0.5  # factor a rejected trial step is cut by
 GRAD_TOL = 1e-8  # gradient norm at which a descent has converged
-MAX_ITER = 100_000  # accepted steps after which a descent stops
+MAX_ITER = 100_000  # passes after which a descent stops
 
 
 @dataclass
@@ -181,10 +181,12 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     leaves its orthant lands on 0; and Armijo tests the step taken.  A row
     stops when its objective is NaN (at pass 0, where its start or start
     objective is not finite), when its gradient norm is within ``GRAD_TOL``,
-    after ``MAX_ITER`` steps, when its step no longer changes b at all, or,
+    after ``MAX_ITER`` passes, when its step no longer changes b at all, or,
     unconverged, when its trial step is no longer a positive number (a NaN or
-    an underflowed 0).  Returns the final rows, objectives, gradient norms
-    and iteration counts.
+    an underflowed 0), or when its gradient norm is within
+    (2/n) * 16 eps * (||G||_F ||b|| + ||X'y||), a bound on the round-off of
+    r that no step can get below.  Returns the final rows, objectives,
+    gradient norms and accepted-step counts.
     """
     m = beta0.shape[0]
     beta, f_out, gnorm_out = np.empty_like(beta0), np.empty(m), np.empty(m)
@@ -202,6 +204,10 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
 
     rows, usable = np.arange(m), np.isfinite(beta0).all(axis=1)
     G, c, b = gram[problem], xty[problem], np.where(usable[:, None], beta0, 0.0)
+    # the round-off floor's factors (2/n) 16 eps ||G||_F and (2/n) 16 eps ||X'y||
+    eps_n = 32.0 * np.finfo(float).eps / n
+    gram_floor = eps_n * np.sqrt(np.einsum("ijk,ijk->i", gram, gram))[problem]
+    xty_floor = eps_n * np.sqrt(np.einsum("ij,ij->i", xty, xty))[problem]
     # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
     kink = np.where(lam > 0, lam * slope, 0.0)
     r = _matvec(G, b) - c
@@ -216,8 +222,10 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     its = np.zeros(m, dtype=int)
     stall = False  # no step taken yet
 
-    while True:
-        done = stall | ~(t > 0.0) | np.isnan(f) | (gnorm <= GRAD_TOL) | (its >= MAX_ITER)
+    for passes in range(MAX_ITER + 1):  # the last pass stops every row
+        roundoff = gram_floor * np.sqrt((b * b).sum(axis=1)) + xty_floor
+        done = (stall | ~(t > 0.0) | np.isnan(f) | (gnorm <= GRAD_TOL) | (gnorm <= roundoff)
+                | (passes == MAX_ITER))
         if done.any():
             out = rows[done]
             beta[out], f_out[out] = b[done], f[done]
@@ -226,6 +234,7 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             rows, G, r, b, pen, f = rows[live], G[live], r[live], b[live], pen[live], f[live]
             g, gsq, gnorm, t, its = g[live], gsq[live], gnorm[live], t[live], its[live]
             n, lam, kink = n[live], lam[live], kink[live]
+            gram_floor, xty_floor = gram_floor[live], xty_floor[live]
         if not rows.size:
             break
         cand = b - t[:, None] * g

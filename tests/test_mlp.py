@@ -528,6 +528,29 @@ def test_train_memory_grows_only_with_its_splits():
     assert peaks[1] - peaks[0] < sizes[1] - sizes[0]
 
 
+def test_train_holds_an_evaluation_pass_only_while_it_scores_a_split():
+    # a 256-wide net fed 128-row batches of 256 features: one evaluation
+    # pass (128 rows of 256 + 256 + 8 activations, 520 KiB) and one batch of
+    # features (256 KiB) are each a visible share of the run.  Unpenalized,
+    # the peak is the weights, the best weights, the shared gradient buffer,
+    # the step's forward cache and one evaluation pass, plus less than half a
+    # batch of temporaries: an evaluation pass or a batch buffer held across
+    # the steps would add one of its own
+    arch = MlpArchitecture((256, 256, 256, 8))
+    splits = toy_splits(seed=1, classes=8, per_class=64, dimension=256)
+    rows = 128
+    assert splits[0].n == 2 * rows
+    weights = init_weights(arch, seed=1)
+    weight_bytes = sum(W.nbytes + b.nbytes for W, b in weights)
+    grad_bytes = max(W.nbytes + b.nbytes for W, b in weights)
+    hidden, classes = sum(arch.layer_sizes[1:-1]), arch.layer_sizes[-1]
+    cache_bytes = 8 * rows * (2 * hidden + classes)  # activations and pre-activations
+    eval_bytes = 8 * rows * (hidden + classes)  # each ReLU in place
+    batch_bytes = 8 * rows * arch.layer_sizes[0]
+    peak = traced_peak(train, *splits, arch, TrainConfig(batch_size=rows, max_epochs=2, seed=1))
+    assert peak < 2 * weight_bytes + grad_bytes + cache_bytes + eval_bytes + batch_bytes // 2
+
+
 def test_results_do_not_change_after_later_calls():
     # a run keeps its working arrays to itself: nothing a call returns is a
     # view of an array that a later call writes

@@ -16,6 +16,7 @@ from gausspen.errors import ConfigurationError, DivergenceError
 from gausspen.penalties import FAMILIES, PenaltySpec, grad_array, value_array
 from gausspen.regression import (
     GRAD_TOL,
+    MAX_ITER,
     LinearProblem,
     _brentq,
     _brentq_scalar,
@@ -189,25 +190,35 @@ def test_batch_rows_match_scalar_fit(seed, count, p, extra_rows, family, kappa, 
         assert batch.iterations[i] == scalar.iterations
 
 
+# (rows past p, lam) per problem of a batch; n > p, as with n <= p and lam
+# near 0 some kinked descents take 10^4 to 10^5 steps
+BATCH_ROWS = st.lists(st.tuples(st.integers(1, 40),
+                                st.sampled_from([0.0, 0.0, 0.3]) | st.floats(0.0, 2.0)),
+                      min_size=1, max_size=5)
+
+
+def batch_problems(seed, p, rows, two_starts, scale=1.0):
+    """The problems of ``rows``, their responses times ``scale``, with their
+    ``n`` and ``lam`` and the zero and least-squares starts, or the latter alone."""
+    rng = np.random.default_rng(seed)
+    ns, lams = [p + extra for extra, _ in rows], [lam for _, lam in rows]
+    problems = [LinearProblem(pr.X, scale * pr.y)
+                for n in ns for pr in random_problems(rng, 1, n, p)]
+    starts = np.stack([[np.zeros(p), np.linalg.lstsq(pr.X, pr.y, rcond=None)[0]]
+                       for pr in problems])[:, (0 if two_starts else 1):]
+    return problems, ns, lams, starts
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 10),
-       rows=st.lists(st.tuples(st.integers(1, 40),
-                               st.sampled_from([0.0, 0.0, 0.3]) | st.floats(0.0, 2.0)),
-                     min_size=1, max_size=5),
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 10), rows=BATCH_ROWS,
        two_starts=st.booleans())
 def test_batch_with_per_problem_n_and_lam_matches_each_alone(family, seed, p, rows, two_starts):
     # problems of differing n and lam in one batch, lam = 0 rows of kinked
     # families among them, are bit for bit each problem's batch of one
-    rng = np.random.default_rng(seed)
     spec = PenaltySpec(family)
-    # n > p: with n <= p and lam near 0 some kinked descents take 10^4 to
-    # 10^5 steps
-    rows = [(p + extra, lam) for extra, lam in rows]
-    ns, lams = [n for n, _ in rows], [lam for _, lam in rows]
-    problems = [random_problems(rng, 1, n, p)[0] for n in ns]
-    starts = np.stack([[np.zeros(p), np.linalg.lstsq(pr.X, pr.y, rcond=None)[0]]
-                       for pr in problems])[:, (0 if two_starts else 1):]
+    problems, ns, lams, starts = batch_problems(seed, p, rows, two_starts)
+    rows = list(zip(ns, lams))
     stats = sufficient_statistics(problems)
     batch = fit_batch(*stats, ns, spec, lams, starts)
     for i, (n, lam) in enumerate(rows):
@@ -216,6 +227,35 @@ def test_batch_with_per_problem_n_and_lam_matches_each_alone(family, seed, p, ro
         assert batch.objective[i].tobytes() == alone.objective[0].tobytes()
         assert batch.iterations[i] == alone.iterations[0]
         assert batch.converged[i] == alone.converged[0]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 10), rows=BATCH_ROWS,
+       two_starts=st.booleans(), exponent=st.integers(0, 120))
+def test_every_descent_stops_and_reports_convergence_only_within_grad_tol(family, seed, p, rows,
+                                                                          two_starts, exponent):
+    # responses up to 1e120: from about 1e8 on the round-off of the gradient,
+    # bounded by (2/n) 16 eps (||X'X||_F ||b|| + ||X'y||), is above GRAD_TOL,
+    # where a descent that stopped only within GRAD_TOL could run for many
+    # minutes.  A converged row is within GRAD_TOL, no row takes more than
+    # MAX_ITER steps, a row stopped at that round-off floor reports that it
+    # did not converge, and from 1e20 on every row stops at the floor if not
+    # within GRAD_TOL
+    problems, ns, lams, starts = batch_problems(seed, p, rows, two_starts, 10.0 ** exponent)
+    gram, xty, yty = sufficient_statistics(problems)
+    batch = fit_batch(gram, xty, yty, ns, PenaltySpec(family), lams, starts)
+    assert not batch.failed.any()
+    gnorm = batch.grad_norm_final
+    assert (gnorm[batch.converged] <= GRAD_TOL).all()
+    assert (batch.iterations <= MAX_ITER).all()
+    floor = 32.0 * np.finfo(float).eps / np.array(ns) * (
+        np.linalg.norm(gram, axis=(1, 2)) * np.linalg.norm(batch.beta_hat, axis=1)
+        + np.linalg.norm(xty, axis=1))
+    at_floor = (gnorm <= floor) & (gnorm > GRAD_TOL)
+    assert not batch.converged[at_floor].any()
+    if exponent >= 20:
+        assert (at_floor | batch.converged).all()
 
 
 def test_kinked_penalty_descent_stops():
