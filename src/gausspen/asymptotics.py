@@ -158,15 +158,15 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
     :class:`~gausspen.regression.BatchFit`, one row per (n, replicate),
     n-major.
 
-    ``n_grid`` is a list of sample sizes that is nonempty, starts at 1 or
-    above and strictly increases.  ``C`` is factored once.  Each replicate
-    is drawn once, at the largest n, and a smaller n takes a prefix of its
-    noise.  Each draw is reduced at once to X'X, X'y and y'y and its design
+    ``n_grid`` is a list of sample sizes that is nonempty, starts at 1 or above
+    and strictly increases.  ``C`` is factored here, and in ``SimSpec``.  Each
+    replicate is drawn once, at the largest n, and a smaller n takes a prefix of
+    its noise.  Each draw is reduced at once to X'X, X'y and y'y and its design
     dropped.  Checked per n in grid order, a draw that overflows, so that a
     statistic is not finite, is a :class:`ConfigurationError`.  With
-    ``start_at_ols`` every problem starts at its unpenalized solution, from
-    one batched solve of the normal equations per n; otherwise the origin is
-    tried as well and the lower objective wins.
+    ``start_at_ols`` every problem starts at its unpenalized solution, from one
+    batched solve of the normal equations per n; otherwise the origin is tried
+    as well and the lower objective wins.
     """
     if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")

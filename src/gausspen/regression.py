@@ -134,9 +134,9 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     every problem or an (M,) vector of per-problem values; every problem's
     arithmetic is, to the bit, what it is when fitted alone.  Every start
     runs its own descent; per problem the lower final objective wins, ties
-    going to the earlier start.  The descent holds these stacks and one X'X
-    per live (problem, start) row.  A start that is not finite, or whose
-    objective is not, stops its row at pass 0 and fails its problem alone.
+    going to the earlier start.  Each pass reads its live (problem, start)
+    rows' X'X from ``gram``; the descent keeps none.  A start not finite, or
+    whose objective is not, stops its row at pass 0 and fails its problem alone.
     """
     if np.any(np.asarray(lam) < 0):
         raise ConfigurationError("lam must be nonnegative")
@@ -162,8 +162,8 @@ def _matvec(stack, vectors):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     """BB/Armijo gradient descent for every row i of ``beta0`` at once, with
-    its own ``n[i]``, ``lam[i]`` and problem ``problem[i]``, whose X'X of
-    the callers' stack ``gram`` it gathers once, into a stack of live rows.
+    its own ``n[i]``, ``lam[i]`` and problem ``problem[i]``, whose X'X it
+    reads from the callers' stack ``gram`` at each pass, while the row is live.
 
     Each row keeps its own trial step, backtracking and stop; every pass
     evaluates one step for each row still running.  The decrease test never
@@ -203,27 +203,27 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
         return g
 
     rows, usable = np.arange(m), np.isfinite(beta0).all(axis=1)
-    G, c, b = gram[problem], xty[problem], np.where(usable[:, None], beta0, 0.0)
+    b = np.where(usable[:, None], beta0, 0.0)
     # the round-off floor's factors (2/n) 16 eps ||G||_F and (2/n) 16 eps ||X'y||
     eps_n = 32.0 * np.finfo(float).eps / n
     gram_floor = eps_n * np.sqrt(np.einsum("ijk,ijk->i", gram, gram))[problem]
     xty_floor = eps_n * np.sqrt(np.einsum("ij,ij->i", xty, xty))[problem]
     # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
     kink = np.where(lam > 0, lam * slope, 0.0)
-    r = _matvec(G, b) - c
+    r = _matvec(gram[problem], b) - xty[problem]
     pen = value_array(spec, b)
-    f = ((b * (r - c)).sum(axis=1) + yty[problem]) / n + lam * pen.sum(axis=1)
+    f = ((b * (r - xty[problem])).sum(axis=1) + yty[problem]) / n + lam * pen.sum(axis=1)
     # as P >= 0, a finite f has a finite r; an unusable row gets f NaN
     f[~(usable & np.isfinite(f))] = np.nan
     g = gradient(r, b)
     gsq = (g * g).sum(axis=1)
-    gnorm = np.sqrt(gsq)
     t = np.full(m, STEP_INIT)
     its = np.zeros(m, dtype=int)
     stall = False  # no step taken yet
 
     for passes in range(MAX_ITER + 1):  # the last pass stops every row
-        roundoff = gram_floor * np.sqrt((b * b).sum(axis=1)) + xty_floor
+        gnorm = np.sqrt(gsq)
+        roundoff = gram_floor[rows] * np.sqrt((b * b).sum(axis=1)) + xty_floor[rows]
         done = (stall | ~(t > 0.0) | np.isnan(f) | (gnorm <= GRAD_TOL) | (gnorm <= roundoff)
                 | (passes == MAX_ITER))
         if done.any():
@@ -231,10 +231,9 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             beta[out], f_out[out] = b[done], f[done]
             gnorm_out[out], its_out[out] = gnorm[done], its[done]
             live = ~done
-            rows, G, r, b, pen, f = rows[live], G[live], r[live], b[live], pen[live], f[live]
-            g, gsq, gnorm, t, its = g[live], gsq[live], gnorm[live], t[live], its[live]
+            rows, problem, r, b = rows[live], problem[live], r[live], b[live]
+            pen, f, g, gsq, t, its = pen[live], f[live], g[live], gsq[live], t[live], its[live]
             n, lam, kink = n[live], lam[live], kink[live]
-            gram_floor, xty_floor = gram_floor[live], xty_floor[live]
         if not rows.size:
             break
         cand = b - t[:, None] * g
@@ -248,7 +247,7 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             orthant = np.where(b == 0.0, -np.sign(g), np.sign(b))
             cand[(np.sign(cand) != orthant) & (kink[:, None] > 0)] = 0.0
         s = cand - b
-        r_new = r + _matvec(G, s)
+        r_new = r + _matvec(gram[problem], s)
         pen_new = value_array(spec, cand)
         delta = (s * (r + r_new)).sum(axis=1) / n + lam * (pen_new - pen).sum(axis=1)
         g_new = gradient(r_new, cand)
@@ -275,7 +274,6 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
         pen, g = np.where(a, pen_new, pen), np.where(a, g_new, g)
         f = np.where(accept, f + delta, f)
         gsq = (g * g).sum(axis=1)
-        gnorm = np.sqrt(gsq)
         its += accept
     return beta, f_out, gnorm_out, its_out
 

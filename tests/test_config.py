@@ -13,9 +13,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli
+from conftest import run_cli, traced_peak
 from gausspen import cli, config
-from gausspen.asymptotics import SimSpec
+from gausspen.asymptotics import SimSpec, run_consistency_experiment
 from gausspen.config import COMMANDS, parse_config
 from gausspen.errors import ConfigurationError
 from gausspen.mlp import TrainConfig
@@ -396,6 +396,21 @@ def test_monte_carlo_arrays_are_bounded(command, p, replicates, sizes, named):
         return
     with pytest.raises(ConfigurationError, match=re.escape(named) + ".* more than 100000000"):
         _parse_text(text)
+
+
+def test_monte_carlo_peak_is_the_stated_multiple_of_the_checked_count():
+    # the size check counts one p x p X'X per start, size and replicate;
+    # _simulation_problems states that a p = 10 consistency cell's traced
+    # peak is about 3.1 times that count, with the callers' stack, the
+    # descent's per-pass product stack and its per-row vectors together
+    p, replicates, n_grid = 10, 500, [50, 100, 200, 400]
+    text = (f"[experiment]\ncommand = consistency-mc\n\n[consistency-mc]\n"
+            f"beta = 1.5, -0.8, 0, 2.5, -1.2, 0, 0.6, -2.0, 8.0, 1.0\n"
+            f"replicates = {replicates}\nn_grid = {', '.join(map(str, n_grid))}\n")
+    options = _parse_text(text).options
+    count = 2 * len(n_grid) * replicates * p * p
+    peak = traced_peak(run_consistency_experiment, cli._sim_spec(options, 1), n_grid)
+    assert peak <= 3.5 * count * 8
 
 
 BIG = config.MAX_MATRIX

@@ -418,14 +418,15 @@ def test_batch_retires_spoiled_starts_and_keeps_every_other_row(seed, p, family,
             assert getattr(batch, field)[i].tobytes() == getattr(alone, field)[0].tobytes()
 
 
-def test_descent_gathers_each_rows_gram_once():
+@pytest.mark.parametrize("family", ["ridge", "lasso"])
+def test_descent_reads_its_live_rows_gram_each_pass(family):
     # 2,000 problems of p = 10 with two starts: the callers' X'X stack is
-    # 1.6 MB and one gathered copy per row 3.2 MB.  fit_batch's own peak (the
-    # callers' stacks are made before tracing) stays below that one copy
-    # plus 32 p-vectors per row: the pass's per-row vectors, and the smaller
-    # live stack (p vectors a row) made before the old one is freed when
-    # stopped rows are dropped.  Gathering a second copy (and a third while
-    # filtering) would add 10 p-vectors a row.
+    # 1.6 MB.  The descent keeps no X'X of its own: each pass reads the live
+    # rows' X'X from that stack into one product stack, freed with the pass.
+    # So fit_batch's own peak (the callers' stacks are made before tracing)
+    # stays below one X'X per row plus 20 p-vectors per row, the pass's
+    # per-row vectors.  A private gathered stack, compacted as rows retire,
+    # would add one more X'X per row and its smaller copy at each retirement.
     m, n, p = 2000, 40, 10
     rng = np.random.default_rng(0)
     X = rng.standard_normal((m, n, p))
@@ -434,8 +435,8 @@ def test_descent_gathers_each_rows_gram_once():
     ols = np.linalg.solve(gram, xty[:, :, None])[:, :, 0]
     starts = np.stack([np.zeros_like(ols), ols], axis=1)
     rows = 2 * m
-    peak = traced_peak(fit_batch, gram, xty, yty, n, PenaltySpec("ridge"), 0.1, starts)
-    assert peak < rows * p * p * 8 + 32 * rows * p * 8
+    peak = traced_peak(fit_batch, gram, xty, yty, n, PenaltySpec(family), 0.1, starts)
+    assert peak < rows * p * p * 8 + 20 * rows * p * 8
 
 
 @pytest.mark.parametrize("rows, response, lam, start, iterations", [
