@@ -163,10 +163,11 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
     replicate is drawn once, at the largest n, and a smaller n takes a prefix of
     its noise.  Each draw is reduced at once to X'X, X'y and y'y and its design
     dropped.  Checked per n in grid order, a draw that overflows, so that a
-    statistic is not finite, is a :class:`ConfigurationError`.  With
-    ``start_at_ols`` every problem starts at its unpenalized solution, from one
-    batched solve of the normal equations per n; otherwise the origin is tried
-    as well and the lower objective wins.
+    statistic is not finite, is a :class:`ConfigurationError`, and after the
+    descent more than ``MAX_FAILED_FRACTION`` of the replicates failed is an
+    :class:`ExperimentError`.  With ``start_at_ols`` every problem starts at its
+    unpenalized solution, from one batched solve of the normal equations per n;
+    otherwise the origin is tried as well and the lower objective wins.
     """
     if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")
@@ -192,8 +193,12 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
                    else np.linalg.pinv(G, hermitian=True) @ c[:, :, None])
     ols = np.concatenate(ols)[:, :, 0]
     starts = ols[:, None] if start_at_ols else np.stack([np.zeros_like(ols), ols], axis=1)
-    return fit_batch(gram.reshape(-1, p, p), xty.reshape(-1, p), yty.ravel(),
-                     np.repeat(n_grid, reps), spec.penalty, np.repeat(lam, reps), starts)
+    batch = fit_batch(gram.reshape(-1, p, p), xty.reshape(-1, p), yty.ravel(),
+                      np.repeat(n_grid, reps), spec.penalty, np.repeat(lam, reps), starts)
+    for n, failed in zip(n_grid, batch.failed.reshape(grid, reps).sum(axis=1)):
+        if failed > MAX_FAILED_FRACTION * reps:
+            raise ExperimentError(f"{failed}/{reps} replicates diverged at n={n}")
+    return batch
 
 
 def run_bias_experiment(spec, n):
@@ -206,14 +211,11 @@ def run_bias_experiment(spec, n):
     aggregates sqrt(n)*(beta_hat - beta), and compares against the limit
     mean coordinate by coordinate via z-scores.
 
-    Diverged replicates are dropped and counted; more than
-    ``MAX_FAILED_FRACTION`` of them raises :class:`ExperimentError`.
+    Diverged replicates are dropped and counted; :func:`fit_replicates`
+    raises :class:`ExperimentError` when there are too many of them.
     """
     theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.penalty)
     batch = fit_replicates(spec, [n], lambda n: spec.lambda0 * math.sqrt(n))
-    failed = int(batch.failed.sum())
-    if failed > MAX_FAILED_FRACTION * spec.replicates:
-        raise ExperimentError(f"{failed}/{spec.replicates} replicates diverged")
     used = ~batch.failed
     errors = math.sqrt(n) * (batch.beta_hat[used] - spec.beta_true)
     mean = errors.mean(axis=0)
@@ -224,7 +226,7 @@ def run_bias_experiment(spec, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(mean - theo) / se
     unconverged = int(np.count_nonzero(~batch.converged[used]))
-    return BiasReport(mean, se, theo, z, len(errors), failed, unconverged)
+    return BiasReport(mean, se, theo, z, len(errors), int(batch.failed.sum()), unconverged)
 
 
 def run_consistency_experiment(spec, n_grid):
@@ -243,8 +245,6 @@ def run_consistency_experiment(spec, n_grid):
     for n, beta_hats, failed in zip(n_grid, batch.beta_hat.reshape(*shape, spec.p),
                                     batch.failed.reshape(shape)):
         errs = [float(np.linalg.norm(beta_hat - spec.beta_true)) for beta_hat in beta_hats[~failed]]
-        if failed.sum() > MAX_FAILED_FRACTION * spec.replicates:
-            raise ExperimentError(f"{failed.sum()}/{spec.replicates} replicates diverged at n={n}")
         # np.median's value, bit for bit, without its first-call import of numpy.ma
         errs.sort()
         mid = len(errs) // 2

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .penalties import grad_array, value_array
+from .penalties import grad_array, penalty_bounds, value_array
 
 STEP_INIT = 1.0  # first trial step of every descent
 BACKTRACK = 0.5  # factor a rejected trial step is cut by
@@ -87,10 +87,10 @@ class MinimaProfile:
 def fit(problem, spec, lam, start=None):
     """Minimize (1/n)||y - X beta||^2 + lam * sum_j P(beta_j).
 
-    By default two starts are tried (the origin and the unpenalized
-    least-squares solution, the two basins the nonconvex penalty creates)
-    and the lower objective wins; pass ``start`` to run a single descent
-    from a chosen point.
+    By default the descent starts at the unpenalized least-squares solution.
+    A nonconvex penalty (a finite convexity radius) at ``lam > 0`` creates a
+    second basin, around 0, so the origin is tried first and the lower
+    objective wins; pass ``start`` to run a single descent from a chosen point.
 
     Returns a :class:`FitResult`; ``converged`` is False (not an error) when
     the descent stops before the gradient tolerance is met.
@@ -99,7 +99,9 @@ def fit(problem, spec, lam, start=None):
     if start is not None:
         starts = [np.asarray(start, dtype=float)]
     else:
-        starts = [np.zeros(problem.p), np.linalg.lstsq(X, y, rcond=None)[0]]
+        starts = [np.linalg.lstsq(X, y, rcond=None)[0]]
+        if lam > 0 and penalty_bounds(spec).convexity_radius < math.inf:
+            starts.insert(0, np.zeros(problem.p))
     batch = fit_batch((X.T @ X)[None], (X.T @ y)[None], np.array([y @ y]), problem.n,
                       spec, lam, np.array(starts)[None])
     if batch.failed[0]:
@@ -145,14 +147,10 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     problem = np.repeat(np.arange(m), k)
     n, lam = (np.broadcast_to(np.asarray(v, dtype=float), m)[problem] for v in (n, lam))
     beta, f, gnorm, its = _descend(gram, xty, yty, problem, n, spec, lam, starts.reshape(m * k, p))
-    # f is NaN only at an unusable start; a failed problem's pick is overwritten below
-    failed = np.isnan(f).reshape(m, k).any(axis=1)
     winner = np.arange(m) * k + np.argmin(f.reshape(m, k), axis=1)
     beta, f, gnorm, its = beta[winner], f[winner], gnorm[winner], its[winner]
-    beta[failed] = np.nan
-    f[failed] = gnorm[failed] = np.nan
-    its[failed] = 0
-    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, failed)
+    # f is NaN only at an unusable start, whose row is all NaN: argmin picks the first
+    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, np.isnan(f))
 
 
 def _matvec(stack, vectors):
@@ -180,10 +178,11 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n; a trial coordinate that
     leaves its orthant lands on 0; and Armijo tests the step taken.  A row
     stops when its objective is NaN (at pass 0, where its start or start
-    objective is not finite), when its gradient norm is within ``GRAD_TOL``,
-    after ``MAX_ITER`` passes, when its step no longer changes b at all, or,
-    unconverged, when its trial step is no longer a positive number (a NaN or
-    an underflowed 0), or when its gradient norm is within
+    objective is not finite; it returns NaN and 0 steps), when its gradient
+    norm is within ``GRAD_TOL``, after ``MAX_ITER`` passes, when its step no
+    longer changes b at all, or, unconverged, when its gradient is not finite
+    (no trial point b - t g is), when its trial step is no longer a positive
+    number (a NaN or an underflowed 0), or when its gradient norm is within
     (2/n) * 16 eps * (||G||_F ||b|| + ||X'y||), a bound on the round-off of
     r that no step can get below.  Returns the final rows, objectives,
     gradient norms and accepted-step counts.
@@ -213,10 +212,11 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     r = _matvec(gram[problem], b) - xty[problem]
     pen = value_array(spec, b)
     f = ((b * (r - xty[problem])).sum(axis=1) + yty[problem]) / n + lam * pen.sum(axis=1)
-    # as P >= 0, a finite f has a finite r; an unusable row gets f NaN
-    f[~(usable & np.isfinite(f))] = np.nan
     g = gradient(r, b)
     gsq = (g * g).sum(axis=1)
+    # as P >= 0, a finite f has a finite r; an unusable row stops at pass 0, all NaN
+    failed = ~(usable & np.isfinite(f))
+    f[failed] = gsq[failed] = b[failed] = np.nan
     t = np.full(m, STEP_INIT)
     its = np.zeros(m, dtype=int)
     stall = False  # no step taken yet
@@ -224,8 +224,8 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     for passes in range(MAX_ITER + 1):  # the last pass stops every row
         gnorm = np.sqrt(gsq)
         roundoff = gram_floor[rows] * np.sqrt((b * b).sum(axis=1)) + xty_floor[rows]
-        done = (stall | ~(t > 0.0) | np.isnan(f) | (gnorm <= GRAD_TOL) | (gnorm <= roundoff)
-                | (passes == MAX_ITER))
+        done = (stall | ~(t > 0.0) | np.isnan(f) | ~np.isfinite(g).all(axis=1)
+                | (gnorm <= GRAD_TOL) | (gnorm <= roundoff) | (passes == MAX_ITER))
         if done.any():
             out = rows[done]
             beta[out], f_out[out] = b[done], f[done]

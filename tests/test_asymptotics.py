@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_cli
 from gausspen import asymptotics
 from gausspen.asymptotics import (
     SimSpec,
@@ -18,7 +19,7 @@ from gausspen.asymptotics import (
     theoretical_rootn_bias,
 )
 from gausspen.cli import main
-from gausspen.errors import ConfigurationError
+from gausspen.errors import ConfigurationError, ExperimentError
 from gausspen.penalties import FAMILIES, PARAMETER, PenaltySpec, grad_array
 from gausspen.regression import fit_batch
 
@@ -565,3 +566,48 @@ def test_consistency_replicates_all_converge():
     assert not batch.failed.any()
     assert batch.converged.all()
     assert np.all(batch.grad_norm_final <= 1e-8)
+
+
+def fail_replicates(monkeypatch, reps, at, count):
+    """Make every fit_batch fail the first ``count`` replicates at grid index ``at``."""
+    def failing(*args):
+        batch = fit_batch(*args)
+        rows = slice(at * reps, at * reps + count)
+        batch.failed[rows], batch.beta_hat[rows] = True, np.nan
+        return batch
+
+    monkeypatch.setattr(asymptotics, "fit_batch", failing)
+
+
+@pytest.mark.parametrize("count", [0, 2, 3, 40])
+@pytest.mark.parametrize("at", [0, 2])
+def test_too_many_failed_replicates_at_one_n_is_an_experiment_error(monkeypatch, at, count):
+    # 40 replicates tolerate 5% of them, 2, failed at each n; past that, both
+    # experiments raise the one error, which names the n where they failed
+    n_grid, reps = [20, 50, 100], 40
+    spec = base_spec(replicates=reps)
+    message = f"^{count}/{reps} replicates diverged at n={n_grid[at]}$"
+    fail_replicates(monkeypatch, reps, at, count)
+    if count <= asymptotics.MAX_FAILED_FRACTION * reps:
+        assert len(run_consistency_experiment(spec, n_grid)) == 3
+    else:
+        with pytest.raises(ExperimentError, match=message):
+            run_consistency_experiment(spec, n_grid)
+    fail_replicates(monkeypatch, reps, 0, count)  # the bias experiment's one n
+    if count <= asymptotics.MAX_FAILED_FRACTION * reps:
+        report = run_bias_experiment(spec, n_grid[at])
+        assert (report.replicates_used, report.replicates_failed) == (reps - count, count)
+    else:
+        with pytest.raises(ExperimentError, match=message):
+            run_bias_experiment(spec, n_grid[at])
+
+
+def test_too_many_failed_replicates_exit_2(tmp_path, monkeypatch):
+    # 2 of 20 replicates is 10%: a runtime error, before any file is written
+    fail_replicates(monkeypatch, 20, 0, 2)
+    cfg = tmp_path / "b.cfg"
+    cfg.write_text("[experiment]\ncommand = bias-mc\nseeds = 1\n\n[bias-mc]\n"
+                   "beta = 1\nsigma = 1\nreplicates = 20\nn = 50\n")
+    code, err, out = run_cli(tmp_path, "bias-mc", "--config", cfg)
+    assert (code, err) == (2, "runtime error: 2/20 replicates diverged at n=50\n")
+    assert not out.exists()

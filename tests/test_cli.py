@@ -438,6 +438,19 @@ replicates = 40
     assert theo == pytest.approx(-math.exp(-1.0))
 
 
+def test_bias_mc_of_one_replicate_has_no_standard_error(tmp_path):
+    # one replicate gives a mean but no spread: every SE and z-score is nan
+    text = derive_config("bias_mc", {"bias-mc": {"beta": "1, 0.5", "n": 200, "replicates": 1}})
+    cfg = write_config(tmp_path / "b.cfg", text)
+    code, err, out = run_cli(tmp_path, "bias-mc", "--config", cfg)
+    assert code == 0, err
+    rows = [line.split(",") for line in (out / "bias_mc.csv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == ["run"] * 6 + ["median"] * 2
+    for row in rows:
+        assert math.isfinite(float(row[3])) and row[6] == "nan"
+        assert row[4] == ("nan" if row[0] == "run" else "")
+
+
 def test_consistency_mc_end_to_end(tmp_path):
     cfg = write_config(
         tmp_path / "c.cfg",
@@ -1089,6 +1102,16 @@ count = 13
 
 TRAIN_LOG_GRID_CFG = TRAIN_CFG.replace("values = 0.001, 0.01",
                                       "log_min = 0.001\nlog_max = 0.01\ncount = 2")
+
+
+@pytest.mark.parametrize("key", ["log_min", "log_max", "count"])
+def test_partial_log_grid_is_config_error(tmp_path, key):
+    # a [lambda] section without `values` is a log grid, and needs all three
+    text = re.sub(rf"\n{key} = [^\n]*", "", TRAIN_LOG_GRID_CFG)
+    cfg = write_config(tmp_path / "c.cfg", text)
+    code, err, out = run_cli(tmp_path, "train-mlp", "--config", cfg)
+    assert code == 1 and f"[lambda]: missing required option `{key}`" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, key, bad", [

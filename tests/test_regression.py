@@ -10,10 +10,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
+from gausspen import regression
 from gausspen.cli import run_ortho_scan
 from gausspen.config import parse_config
 from gausspen.errors import ConfigurationError, DivergenceError
-from gausspen.penalties import FAMILIES, PenaltySpec, grad_array, value_array
+from gausspen.penalties import FAMILIES, PenaltySpec, grad_array, penalty_bounds, value_array
 from gausspen.regression import (
     GRAD_TOL,
     MAX_ITER,
@@ -165,7 +166,8 @@ def random_problems(rng, count, n, p):
 def test_batch_rows_match_scalar_fit(seed, count, p, extra_rows, family, kappa, lam,
                                      start_kinds):
     # row r of one batched solve is fit() on problem r, whatever else the
-    # batch holds; "both" is fit()'s default origin-then-OLS pair
+    # batch holds; "both" is the origin-then-OLS pair, fit()'s default for a
+    # nonconvex penalty at lam > 0, where a convex fit starts at OLS alone
     rng = np.random.default_rng(seed)
     spec = PenaltySpec(family, kappa=kappa)
     problems = random_problems(rng, count, p + extra_rows, p)
@@ -177,7 +179,13 @@ def test_batch_rows_match_scalar_fit(seed, count, p, extra_rows, family, kappa, 
         start = {"zero": np.zeros(p), "ols": ols, "random": rng.uniform(-4.0, 4.0, p)}.get(kind)
         if kind == "both":
             starts[i] = [np.zeros(p), ols]
-            scalar_fits.append(fit(problem, spec, lam))
+            if lam > 0 and penalty_bounds(spec).convexity_radius < math.inf:
+                scalar_fits.append(fit(problem, spec, lam))
+            else:  # the lower objective of the two, ties to the origin
+                assert (fit(problem, spec, lam).beta_hat.tobytes()
+                        == fit(problem, spec, lam, start=ols).beta_hat.tobytes())
+                scalar_fits.append(min((fit(problem, spec, lam, start=s) for s in starts[i]),
+                                       key=lambda result: result.objective))
         else:
             starts[i] = start  # a duplicated start ties, and ties go to the first
             scalar_fits.append(fit(problem, spec, lam, start=start))
@@ -441,7 +449,7 @@ def test_descent_reads_its_live_rows_gram_each_pass(family):
 
 @pytest.mark.parametrize("rows, response, lam, start, iterations", [
     ([[1.0]], [0.0], 0.1, 1e154, 1),  # the BB ratio is inf/inf: a NaN trial step
-    ([[1.0], [2.0]], [1.0, 2.0], 1e308, 0.2, 0),  # an inf gradient: the step underflows to 0
+    ([[1.0], [2.0]], [1.0, 2.0], 1e308, 0.2, 0),  # an inf gradient: it stops at pass 0
 ], ids=["nan-step", "zero-step"])
 def test_descent_stops_when_its_trial_step_is_not_positive(tmp_path, rows, response, lam,
                                                            start, iterations):
@@ -456,6 +464,32 @@ def test_descent_stops_when_its_trial_step_is_not_positive(tmp_path, rows, respo
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", str(iterations), "inf"]
+
+
+def test_descent_with_a_non_finite_gradient_stops_at_pass_0(monkeypatch):
+    # the bridge slope of q = 0.01 overflows at b = 5e-324: no trial point
+    # b - t g is finite, so the row can never move; it stops before its first
+    # pass evaluates one, with its start's outputs, not after some 1,075
+    # backtracking passes that end only when its step underflows to 0
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((6, 2))
+    problem = LinearProblem(X, X @ [1.0, -2.0] + rng.standard_normal(6))
+    spec, start = PenaltySpec("bridge", q=0.01), [5e-324, 1.0]
+    evaluations = []
+
+    def counted(spec, beta):
+        evaluations.append(beta.shape)
+        return value_array(spec, beta)
+
+    monkeypatch.setattr(regression, "value_array", counted)
+    result = fit(problem, spec, 0.5, start=start)
+    assert evaluations == [(1, 2)]  # the start's objective, and no trial point's
+    assert result.beta_hat.tolist() == start
+    residual = problem.y - X @ start
+    objective = residual @ residual / 6 + 0.5 * value_array(spec, start).sum()
+    assert result.objective == pytest.approx(objective, rel=1e-12)
+    assert result.grad_norm_final == math.inf
+    assert result.iterations == 0 and not result.converged
 
 
 # --- orthonormal objective and minima profiles --------------------------------
