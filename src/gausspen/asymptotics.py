@@ -28,7 +28,8 @@ each draw at once to X'X, X'y and y'y.
 """
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,7 +87,9 @@ class BiasReport:
     """Aggregated sqrt(n)-scaled estimation errors across replicates.
 
     ``replicates_unconverged`` counts used replicates whose fit stopped
-    before its gradient tolerance was met.
+    before its gradient tolerance was met, and ``stop_reasons`` counts the
+    used replicates by the reason their fit stopped
+    (:data:`~gausspen.regression.STOP_REASONS`).
     """
 
     empirical_mean: np.ndarray
@@ -96,6 +99,7 @@ class BiasReport:
     replicates_used: int = 0
     replicates_failed: int = 0
     replicates_unconverged: int = 0
+    stop_reasons: dict = field(default_factory=dict)
 
 
 def _cholesky(C):
@@ -226,7 +230,8 @@ def run_bias_experiment(spec, n):
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.abs(mean - theo) / se
     unconverged = int(np.count_nonzero(~batch.converged[used]))
-    return BiasReport(mean, se, theo, z, len(errors), int(batch.failed.sum()), unconverged)
+    return BiasReport(mean, se, theo, z, len(errors), int(batch.failed.sum()), unconverged,
+                      dict(Counter(batch.stop_reason[used].tolist())))
 
 
 def run_consistency_experiment(spec, n_grid):

@@ -23,8 +23,9 @@ MCP) therefore use the unit-threshold form of their published definitions:
   that is smooth (indeed locally convex) at the origin.
 
 Each family is one entry of ``_TABLE``: its hyperparameter's keyword,
-default and validity rule, value, derivative, bounds and slope at ``0+``.
-The table alone names them; ``PARAMETER`` maps a family to its keyword.
+default and validity rule, value, first and second derivatives, bounds and
+slope at ``0+``.  The table alone names them; ``PARAMETER`` maps a family to
+its keyword.
 MCP's keyword is ``b`` (its config key too), the ``c`` of its formula.  A
 :class:`PenaltySpec` is a family and ``param``, the value of that one
 hyperparameter: ``PenaltySpec("gaussian", kappa=10)`` has ``param`` 10.0,
@@ -38,6 +39,9 @@ under any errstate, and no derivative is NaN at a positive scale.  SCAD's
 quadratic is (m(2 - m/a) - 1/a)/(2 - 2/a), m = |b| clipped to [1, a], and
 MCP m(1 - m/c/2), m = min(|b|, c): neither overflows where its value is finite.
 ``grad_array`` takes a ``scale``, folded into the Gaussian's one constant.
+:func:`curv_array` gives ``scale * P''`` by the same rule: 0 at a kink's
+origin, the limit at any other point where P'' is unbounded, and a jump's
+value is that of the piece the value formula uses there.
 
 Every function is pure; everything is safe for concurrent use.
 """
@@ -68,20 +72,34 @@ def _mcp_value(beta, c):
     return np.minimum(m * (1.0 - m / c / 2.0), c / 2.0)
 
 
+def _bridge_power(t, q, e, c):
+    # (q t**e) c at t > 0; at a tiny t, t**e can overflow where the product
+    # is finite, so there the power is split in two halves, each finite.
+    # c goes in after q: q(q-1) alone overflows from q = 1.3e154 on
+    out = (q * t ** e) * c
+    big = ~np.isfinite(out)  # inf, or inf * 0 at c = 0
+    if big.any():
+        half = t[big] ** (e / 2.0)
+        out[big] = ((q * half) * c) * half
+    return out
+
+
 def _bridge_grad(beta, q, s):
     # q < 1 has an unbounded derivative at 0; the origin still gets 0, the
     # kink convention of every family (it is always a stationary candidate)
     t = np.abs(beta)
     out = np.zeros_like(t)
     nz = t > 0.0
-    grad = q * t[nz] ** (q - 1.0)
-    # at a tiny t, t**(q-1) can overflow where q t**(q-1) is finite: there
-    # the power is split in two halves, each finite
-    big = np.isinf(grad)
-    if big.any():
-        half = t[nz][big] ** ((q - 1.0) / 2.0)
-        grad[big] = (q * half) * half
-    out[nz] = grad * np.sign(beta)[nz]
+    out[nz] = _bridge_power(t[nz], q, q - 1.0, 1.0) * np.sign(beta)[nz]
+    return s * out
+
+
+def _bridge_curv(beta, q, s):
+    # at the origin 0 at a kink (q <= 1), else the limit: inf below q = 2
+    t = np.abs(beta)
+    out = np.full_like(t, 0.0 if q <= 1.0 or q > 2.0 else inf if q < 2.0 else 2.0)
+    nz = t > 0.0
+    out[nz] = _bridge_power(t[nz], q, q - 2.0, q - 1.0)
     return s * out
 
 
@@ -105,11 +123,28 @@ def _gaussian_grad(beta, k, s):
     return out
 
 
+def _gaussian_curv(beta, k, s):
+    # s*2k*e*(1 - 2u), e = exp(-u), u = k*b*b, as (k*e)*(2 - 4u), whose k*e
+    # is finite; 0 where e underflows, where 1 - 2u could overflow
+    u = (k * beta) * beta
+    e = np.exp(-u)
+    return s * np.where(e != 0.0, (k * e) * (2.0 - 4.0 * u), 0.0)
+
+
+def _arctan_curv(beta, g, s):
+    # -(4/pi) g^2 u / w^2, u = g|b|, w = 1 + u^2, as (g/w)(g(u/w)): a product
+    # overflows only where the value does; at u = inf, u/w is nan, the limit 0
+    u = g * np.abs(beta)
+    w = 1.0 + u * u
+    return s * np.where(np.isinf(u), 0.0, (-4.0 / np.pi) * ((g / w) * (g * (u / w))))
+
+
 class _Family(NamedTuple):
     """One penalty family; ``p`` is the value of its parameter, or None."""
 
     value: Callable  # (beta array, p) -> P(beta) elementwise
     grad: Callable  # (beta array, p, s) -> s * P'(beta) elementwise
+    curv: Callable  # (beta array, p, s) -> s * P''(beta) elementwise
     bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius R), where
     # |P'| rises on (0, R] and not beyond: ``lipschitz`` is |P'| at R (0+ if R = 0)
     slope: Callable  # p -> P'(0+), the right slope at 0: > 0 exactly at a kink
@@ -123,24 +158,28 @@ _TABLE = {
     "none": _Family(
         value=lambda beta, _: np.zeros_like(beta),
         grad=lambda beta, _, s: s * np.zeros_like(beta),
+        curv=lambda beta, _, s: s * np.zeros_like(beta),
         bounds=lambda _: (0.0, 0.0, inf),
         slope=lambda _: 0.0,
     ),
     "lasso": _Family(
         value=lambda beta, _: np.abs(beta),
         grad=lambda beta, _, s: s * np.sign(beta),
+        curv=lambda beta, _, s: s * np.zeros_like(beta),
         bounds=lambda _: (1.0, inf, inf),
         slope=lambda _: 1.0,
     ),
     "ridge": _Family(
         value=lambda beta, _: beta * beta,
         grad=lambda beta, _, s: s * (2.0 * beta),
+        curv=lambda beta, _, s: s * np.full_like(beta, 2.0),
         bounds=lambda _: (inf, inf, inf),
         slope=lambda _: 0.0,
     ),
     "bridge": _Family(
         value=lambda beta, q: np.abs(beta) ** q,
         grad=_bridge_grad,
+        curv=_bridge_curv,
         # the derivative is unbounded near 0 for q < 1 and near inf for q > 1
         bounds=lambda q: (1.0 if q == 1.0 else inf, inf, inf if q >= 1.0 else 0.0),
         slope=lambda q: inf if q < 1.0 else float(q == 1.0),
@@ -149,6 +188,8 @@ _TABLE = {
     "elastic_net": _Family(
         value=lambda beta, mix: mix * np.abs(beta) + (1.0 - mix) * beta * beta,
         grad=lambda beta, mix, s: s * (mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta),
+        curv=lambda beta, mix, s: s * np.where((beta != 0.0) | (mix == 0.0),
+                                               2.0 * (1.0 - mix), 0.0),
         bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
         slope=lambda mix: mix,
         parameter="mix", default=0.5, valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
@@ -156,6 +197,8 @@ _TABLE = {
     "scad": _Family(
         value=_scad_value,
         grad=_scad_grad,
+        curv=lambda beta, a, s: s * np.where((np.abs(beta) > 1.0) & (np.abs(beta) <= a),
+                                             -1.0 / (a - 1.0), 0.0),
         # linear (hence convex) up to the unit threshold, concave beyond
         bounds=lambda a: (1.0, (a + 1.0) / 2.0, 1.0),
         slope=lambda _: 1.0,
@@ -164,6 +207,7 @@ _TABLE = {
     "mcp": _Family(
         value=_mcp_value,
         grad=lambda beta, c, s: s * (np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0, None)),
+        curv=lambda beta, c, s: s * np.where((beta != 0.0) & (np.abs(beta) <= c), -1.0 / c, 0.0),
         bounds=lambda c: (1.0, c / 2.0, 0.0),
         slope=lambda _: 1.0,
         parameter="b", default=5.0, valid=lambda c: c > 0.0, rule="> 0",
@@ -171,6 +215,8 @@ _TABLE = {
     "laplace": _Family(
         value=lambda beta, eps: -np.expm1(-np.abs(beta) / eps),
         grad=lambda beta, eps, s: s * (np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps),
+        curv=lambda beta, eps, s: s * np.where(
+            beta != 0.0, -(np.exp(-np.abs(beta) / eps) / eps) / eps, 0.0),
         bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
         slope=lambda eps: 1.0 / eps,
         parameter="epsilon", default=1e-7, valid=lambda eps: eps > 0.0, rule="> 0",
@@ -179,6 +225,7 @@ _TABLE = {
         value=lambda beta, g: (2.0 / np.pi) * np.arctan(g * np.abs(beta)),
         grad=lambda beta, g, s: s * (np.sign(beta) * ((2.0 / np.pi) * g)
                                      / (1.0 + np.square(g * beta))),
+        curv=_arctan_curv,
         bounds=lambda g: (2.0 * g / np.pi, 1.0, 0.0),
         slope=lambda g: 2.0 * g / np.pi,
         parameter="gamma", default=1.0, valid=lambda g: g > 0.0, rule="> 0",
@@ -186,6 +233,7 @@ _TABLE = {
     "gaussian": _Family(
         value=lambda beta, k: -np.expm1(-k * beta * beta),
         grad=_gaussian_grad,
+        curv=_gaussian_curv,
         # |P'| peaks at b = 1/sqrt(2k); P'' changes sign there
         bounds=lambda k: (math.sqrt(2.0 * k) * math.exp(-0.5), 1.0, 1.0 / math.sqrt(2.0 * k)),
         slope=lambda _: 0.0,
@@ -294,6 +342,18 @@ def grad_array(spec, beta, scale=1.0):
         raise DomainError("penalty gradient requested at a non-finite coefficient")
     with np.errstate(over="ignore"):
         return _TABLE[spec.family].grad(beta, spec.param, scale)
+
+
+def curv_array(spec, beta, scale=1.0):
+    """Elementwise second derivative of the penalty, times ``scale``: 0 at the
+    origin of a family with a kink there, and by :func:`grad_array`'s rule
+    +-``inf``, with no warning, above the largest double."""
+    beta = np.asarray(beta, dtype=float)
+    if not np.isfinite(beta).all():
+        raise DomainError("penalty curvature requested at a non-finite coefficient")
+    # a nan made on the way (inf * 0, inf / inf) is replaced or dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _TABLE[spec.family].curv(beta, spec.param, scale)
 
 
 def penalty_value(spec, beta):

@@ -1,13 +1,15 @@
-"""Penalized least squares by gradient descent, and the 1-D orthonormal-design
-objective whose two-minima structure drives the penalty's phase transition.
+"""Penalized least squares by a batched Newton and gradient descent, and the
+1-D orthonormal-design objective whose two-minima structure drives the
+penalty's phase transition.
 
 The solver minimizes
 
     F(beta) = (1/n) * ||y - X beta||^2 + lam * sum_j P(beta_j)
 
-with Barzilai-Borwein gradient steps and Armijo backtracking, one vectorized
-descent for a whole stack of problems; a penalty with a kink at the origin
-takes orthant-wise steps (Andrew & Gao 2007) that can land on it.
+with Armijo backtracking, one vectorized descent for a whole stack of
+problems: safeguarded Newton steps where the penalty has no kink at the
+origin, else Barzilai-Borwein gradient steps, orthant-wise (Andrew & Gao
+2007), which can land on it.
 For an orthonormal design (X'X = I) the problem separates per coordinate into
 
     f(b) = -2 * beta_ols * b + b^2 + lam_1d * (1 - exp(-kappa b^2)),
@@ -25,12 +27,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .penalties import grad_array, penalty_bounds, value_array
+from .penalties import curv_array, grad_array, penalty_bounds, value_array
 
 STEP_INIT = 1.0  # first trial step of every descent
 BACKTRACK = 0.5  # factor a rejected trial step is cut by
 GRAD_TOL = 1e-8  # gradient norm at which a descent has converged
 MAX_ITER = 100_000  # passes after which a descent stops
+_BLOCK = 2**13  # numbers in the largest stack of Cholesky factors a pass makes
+#: why a descent row stopped, the first that holds of the stop rule's tests
+STOP_REASONS = ("unusable start", "gradient not finite", "converged", "round-off floor",
+                "pass budget", "stalled step", "step not positive")
 
 
 @dataclass
@@ -116,6 +122,8 @@ class BatchFit:
 
     ``failed[i]`` marks a problem with a non-finite objective at one of its
     starts; its other fields are NaN (or 0 iterations, not converged).
+    ``stop_reason[i]`` names why the winning descent stopped, one of
+    ``STOP_REASONS``.
     """
 
     beta_hat: np.ndarray
@@ -124,6 +132,7 @@ class BatchFit:
     grad_norm_final: np.ndarray
     iterations: np.ndarray
     failed: np.ndarray
+    stop_reason: np.ndarray
 
 
 def fit_batch(gram, xty, yty, n, spec, lam, starts):
@@ -146,50 +155,102 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)
     n, lam = (np.broadcast_to(np.asarray(v, dtype=float), m)[problem] for v in (n, lam))
-    beta, f, gnorm, its = _descend(gram, xty, yty, problem, n, spec, lam, starts.reshape(m * k, p))
-    winner = np.arange(m) * k + np.argmin(f.reshape(m, k), axis=1)
-    beta, f, gnorm, its = beta[winner], f[winner], gnorm[winner], its[winner]
+    out = _descend(gram, xty, yty, problem, n, spec, lam, starts.reshape(m * k, p))
+    winner = np.arange(m) * k + np.argmin(out[1].reshape(m, k), axis=1)
+    beta, f, gnorm, its, why = (v[winner] for v in out)
     # f is NaN only at an unusable start, whose row is all NaN: argmin picks the first
-    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, np.isnan(f))
+    return BatchFit(beta, f, gnorm <= GRAD_TOL, gnorm, its, np.isnan(f),
+                    np.array(STOP_REASONS)[why])
 
 
 def _matvec(stack, vectors):
     return np.matmul(stack, vectors[:, :, None])[:, :, 0]
 
 
+def _definite(H):
+    """True for each matrix of the stack ``H`` whose Cholesky pivots are all
+    finite and above 16 p eps times their diagonal entries, the round-off of
+    forming them.  Halves of at most ``_BLOCK`` numbers are factored, and a
+    half that fails is halved until each failing matrix stands alone."""
+    half = len(H) // 2
+    if H.size <= _BLOCK or not half:
+        try:
+            pivot = np.einsum("ijj->ij", np.linalg.cholesky(H)) ** 2
+            # an infinite pivot has an infinite diagonal entry, and fails too
+            return (pivot > 16.0 * H.shape[1] * np.finfo(float).eps
+                    * np.einsum("ijj->ij", H)).all(axis=1)
+        except np.linalg.LinAlgError:
+            if not half:
+                return np.zeros(1, dtype=bool)
+    return np.concatenate((_definite(H[:half]), _definite(H[half:])))
+
+
+def _newton(gram, problem, n, c, g):
+    """Per row i, with G the X'X of ``problem[i]``, the d that solves
+    (2G/n + diag(c)) d = g where that matrix is positive definite
+    (:func:`_definite`), else where 2G/n + diag(2G_jj/n * 2^-26 + |c|) is,
+    and which rows have it; d = g on the rest.  |c| turns a concave
+    coordinate around; the shift keeps a flat direction from a singular
+    factor.  The matrices are made in place in one gathered stack."""
+    p = g.shape[1]
+    H = gram[problem]
+    H *= (2.0 / n)[:, None, None]
+    diagonal = H.reshape(len(H), p * p)[:, ::p + 1]  # a view
+    diagonal += c
+    newton = _definite(H)
+    if not newton.all():
+        redo = ~newton
+        base = np.einsum("ijj->ij", gram)[problem[redo]] * (2.0 / n[redo])[:, None]
+        diagonal[redo] = base * (1.0 + 2.0**-26) + np.abs(c[redo])
+        newton[redo] = _definite(H[redo])
+        H[~newton] = np.eye(p)
+    d = np.linalg.solve(H, g[:, :, None])[:, :, 0]
+    newton &= np.isfinite(d).all(axis=1)
+    return (d, newton) if newton.all() else (np.where(newton[:, None], d, g), newton)
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
-    """BB/Armijo gradient descent for every row i of ``beta0`` at once, with
+    """Newton/BB Armijo descent for every row i of ``beta0`` at once, with
     its own ``n[i]``, ``lam[i]`` and problem ``problem[i]``, whose X'X it
     reads from the callers' stack ``gram`` at each pass, while the row is live.
 
     Each row keeps its own trial step, backtracking and stop; every pass
-    evaluates one step for each row still running.  The decrease test never
-    forms F: with r = Gb - X'y (the gradient's residual part),
+    evaluates one trial point b - t*d for each row still running.  The
+    decrease test never forms F: with r = Gb - X'y (the gradient's residual
+    part),
 
         F(b + s) - F(b) = s'(2r + Gs)/n + lam * sum_j (P(b_j + s_j) - P(b_j)),
 
-    which does not cancel the way b'Gb - 2c'b + y'y does.  Where that
-    difference is within the round-off of the penalty terms, a step is
-    accepted on the approximate Wolfe slope test
-    g(b + s).g >= -(1 - 2*delta)|g|^2 with delta = 0.1 (Hager & Zhang 2005).
-    A kink at 0, of slope kink = lam * P'(0+), is handled orthant-wise
-    (Andrew & Gao 2007): where b_j = 0, g_j is the minimum-norm subgradient
-    sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n; a trial coordinate that
-    leaves its orthant lands on 0; and Armijo tests the step taken.  A row
-    stops when its objective is NaN (at pass 0, where its start or start
-    objective is not finite; it returns NaN and 0 steps), when its gradient
-    norm is within ``GRAD_TOL``, after ``MAX_ITER`` passes, when its step no
-    longer changes b at all, or, unconverged, when its gradient is not finite
-    (no trial point b - t g is), when its trial step is no longer a positive
-    number (a NaN or an underflowed 0), or when its gradient norm is within
+    which does not cancel the way b'Gb - 2c'b + y'y does.  A step is accepted
+    on Armijo's test F(b + s) - F(b) < -1e-4 t g'd or, where that difference
+    is within the round-off of the penalty terms, on the approximate Wolfe
+    slope test g(b + s)'d >= -(1 - 2*delta) g'd with delta = 0.1 (Hager &
+    Zhang 2005).  On a row whose kink lam * P'(0+) is 0, d is the Newton
+    direction of :func:`_newton` with c = lam P''(b), its trial step at most
+    1, and 1 again after each accepted step.  Where :func:`_newton` finds no
+    positive definite matrix, and on every row with a kink, d = g, with a
+    Barzilai-Borwein trial step after each accepted step.  Each row's choice
+    reads that row alone.  A kink at 0, of slope kink = lam * P'(0+),
+    is handled orthant-wise (Andrew & Gao 2007): where b_j = 0, g_j is the
+    minimum-norm subgradient sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n;
+    a trial coordinate that leaves its orthant lands on 0; and Armijo tests
+    the step taken, F(b + s) - F(b) < 1e-4 g's.  A row stops when its
+    objective is NaN (at pass 0, where its start or start objective is not
+    finite; it returns NaN and 0 steps), when its gradient norm is within
+    ``GRAD_TOL``, after ``MAX_ITER`` passes, when its step no longer changes
+    b at all, or, unconverged, when its gradient is not finite (no trial
+    point is), when its trial step is no longer a positive number (a NaN or
+    an underflowed 0), or when its gradient norm is within
     (2/n) * 16 eps * (||G||_F ||b|| + ||X'y||), a bound on the round-off of
     r that no step can get below.  Returns the final rows, objectives,
-    gradient norms and accepted-step counts.
+    gradient norms, accepted-step counts and stop reasons (indices into
+    ``STOP_REASONS``).
     """
     m = beta0.shape[0]
     beta, f_out, gnorm_out = np.empty_like(beta0), np.empty(m), np.empty(m)
-    its_out = np.empty(m, dtype=int)  # each row's outputs are written when it stops
+    # each row's outputs are written when it stops
+    its_out, why_out = np.empty(m, dtype=int), np.empty(m, dtype=int)
     slope = spec.slope_at_zero()
     kinked = slope > 0 and bool(np.any(lam > 0))  # else no row takes orthant steps
 
@@ -200,6 +261,10 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             np.copyto(g, np.sign(s) * np.maximum(np.abs(s) - kink[:, None], 0.0),
                       where=(b == 0.0) & (kink[:, None] > 0))
         return g
+
+    def direction(some):  # _newton of the live rows ``some``
+        return _newton(gram, problem[some], n[some], lam[some, None] * curv_array(spec, b[some]),
+                       g[some])
 
     rows, usable = np.arange(m), np.isfinite(beta0).all(axis=1)
     b = np.where(usable[:, None], beta0, 0.0)
@@ -219,15 +284,17 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     f[failed] = gsq[failed] = b[failed] = np.nan
     t = np.full(m, STEP_INIT)
     its = np.zeros(m, dtype=int)
-    stall = False  # no step taken yet
+    stall = np.zeros(m, dtype=bool)  # no step taken yet
 
     for passes in range(MAX_ITER + 1):  # the last pass stops every row
         gnorm = np.sqrt(gsq)
         roundoff = gram_floor[rows] * np.sqrt((b * b).sum(axis=1)) + xty_floor[rows]
-        done = (stall | ~(t > 0.0) | np.isnan(f) | ~np.isfinite(g).all(axis=1)
-                | (gnorm <= GRAD_TOL) | (gnorm <= roundoff) | (passes == MAX_ITER))
+        stops = [np.isnan(f), ~np.isfinite(g).all(axis=1), gnorm <= GRAD_TOL, gnorm <= roundoff,
+                 np.full(rows.size, passes == MAX_ITER), stall, ~(t > 0.0)]  # as STOP_REASONS
+        done = np.logical_or.reduce(stops)
         if done.any():
             out = rows[done]
+            why_out[out] = np.select(stops, range(len(STOP_REASONS)))[done]
             beta[out], f_out[out] = b[done], f[done]
             gnorm_out[out], its_out[out] = gnorm[done], its[done]
             live = ~done
@@ -236,7 +303,14 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             n, lam, kink = n[live], lam[live], kink[live]
         if not rows.size:
             break
-        cand = b - t[:, None] * g
+        d, newton = g, kink == 0.0  # the rows without a kink try Newton points
+        if newton.all():
+            d, newton = direction(slice(None))
+        elif newton.any():
+            d = g.copy()
+            d[newton], newton[newton] = direction(newton)
+        step = np.where(newton, np.minimum(t, 1.0), t) if newton.any() else t
+        cand = b - step[:, None] * d
         bad = None
         if not np.isfinite(cand).all():
             # such a row backtracks, without evaluating the penalty out there
@@ -256,26 +330,31 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             delta[bad] = np.nan
             stall &= ~bad
         # a stalled row has delta = 0 exactly, which fails Armijo
-        decrease = -1e-4 * t * gsq
+        # 1e-4 t is applied first, so that a large g'd does not overflow it
+        decrease = -((1e-4 * step)[:, None] * g * d).sum(axis=1)
         if kinked:
             decrease = np.where(kink > 0, 1e-4 * (g * s).sum(axis=1), decrease)
         accept = np.isfinite(delta) & (delta < decrease)
         if not accept.all():
             floor = 8.0 * np.finfo(float).eps * lam * (pen + pen_new).sum(axis=1)
-            wolfe = (np.abs(delta) <= floor) & ((g_new * g).sum(axis=1) >= -0.8 * gsq)
+            wolfe = ((np.abs(delta) <= floor)
+                     & ((g_new * d).sum(axis=1) >= -0.8 * (g * d).sum(axis=1)))
             accept |= wolfe & ~stall
-        # Barzilai-Borwein trial step for the row's next iteration:
-        # quasi-Newton scaling that keeps gradient steps fast near the optimum
-        sy = (s * (g_new - g)).sum(axis=1)
-        bb = np.where(sy > 0.0, (s * s).sum(axis=1) / sy, 2.0 * t)
-        t = np.where(accept, np.clip(bb, 1e-12, 1e12), t * BACKTRACK)
+        after = 1.0  # a row's next trial step if this one is accepted
+        if not newton.all():
+            # Barzilai-Borwein trial step for a gradient row's next iteration:
+            # quasi-Newton scaling that keeps gradient steps fast near the optimum
+            sy = (s * (g_new - g)).sum(axis=1)
+            bb = np.where(sy > 0.0, (s * s).sum(axis=1) / sy, 2.0 * t)
+            after = np.where(newton, 1.0, np.clip(bb, 1e-12, 1e12))
+        t = np.where(accept, after, step * BACKTRACK)
         a = accept[:, None]
         b, r = np.where(a, cand, b), np.where(a, r_new, r)
         pen, g = np.where(a, pen_new, pen), np.where(a, g_new, g)
         f = np.where(accept, f + delta, f)
         gsq = (g * g).sum(axis=1)
         its += accept
-    return beta, f_out, gnorm_out, its_out
+    return beta, f_out, gnorm_out, its_out, why_out
 
 
 def orthonormal_objective(beta_ols, beta, lam, kappa):

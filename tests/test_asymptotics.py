@@ -278,6 +278,20 @@ def test_consistency_grid_matches_per_n_fits(p, extra, seed, lambda0, r, kappa, 
         assert (table_n, median) == (n, float(np.median(errs)))
 
 
+def test_rank_deficient_grid_converges_on_every_winning_fit():
+    # nine coefficients at n = 3 and 9 centred rows (X'X of rank 2 and 8) and
+    # at n = 100, two starts each, the Gaussian of kappa 10 at a tiny weight:
+    # a gradient descent stopped 23 of these 60 winning fits unconverged,
+    # after up to 39,756 steps; the Newton trial converges on every one
+    spec = base_spec(beta_true=[1, -0.5, 2, 0.3, 1.5, -1, 0.8, 2.5, -2], C=np.eye(9),
+                     lambda0=1e-6, r=0.5, penalty=PenaltySpec("gaussian", kappa=10.0),
+                     replicates=20, seed=1)
+    batch = fit_replicates(spec, [3, 9, 100], o_of_n(spec), start_at_ols=False)
+    assert batch.converged.all()
+    assert set(batch.stop_reason) == {"converged"}
+    assert batch.iterations.max() < 100
+
+
 @pytest.mark.parametrize("beta", ["1e300", "1e308"])
 @pytest.mark.parametrize("command, extra", [
     ("bias-mc", "n = 50\n"),
@@ -328,6 +342,16 @@ def test_draw_runs_unless_it_overflows(tmp_path_factory, mantissa, exponent, sig
                    f"replicates = 3\nn = 50\n")
     assert main(["bias-mc", "--config", str(cfg), "--out", str(out)]) == (
         0 if exponent < 150 else 1)
+
+
+def test_bias_report_counts_its_replicates_by_stop_reason():
+    # the draw of the example above: the gradient's round-off there, about
+    # 1e80, stops two of the three fits short of GRAD_TOL
+    spec = base_spec(beta_true=[5.345348003139933e95, 0.0], C=np.eye(2), sigma=1e23,
+                     penalty=PenaltySpec("gaussian", kappa=10.0), replicates=3, seed=1)
+    report = run_bias_experiment(spec, 50)
+    assert report.stop_reasons == {"round-off floor": 2, "converged": 1}
+    assert report.replicates_unconverged == 2
 
 
 def test_rank_deficient_draws_start_at_minimum_norm():
@@ -484,6 +508,7 @@ def test_bias_experiment_reproducible():
     a = run_bias_experiment(spec, 400)
     b = run_bias_experiment(spec, 400)
     assert (a.replicates_used, a.replicates_failed, a.replicates_unconverged) == (30, 0, 0)
+    assert a.stop_reasons == {"converged": 30}
     assert np.array_equal(a.empirical_mean, b.empirical_mean)
     assert np.array_equal(a.empirical_se, b.empirical_se)
     assert np.array_equal(a.z_scores, b.z_scores)
@@ -529,6 +554,7 @@ def test_bias_experiment_matches_the_limit_law_for_every_family(family, n):
                      penalty=PenaltySpec(family), replicates=400, seed=1)
     report = run_bias_experiment(spec, n)
     assert (report.replicates_used, report.replicates_unconverged) == (400, 0)
+    assert report.stop_reasons == {"converged": 400}
     assert np.all(report.z_scores <= 3.0), report.z_scores
 
 

@@ -20,6 +20,7 @@ from gausspen.penalties import (
     FAMILIES,
     PARAMETER,
     PenaltySpec,
+    curv_array,
     grad_array,
     penalty_bounds,
     penalty_value,
@@ -633,6 +634,100 @@ def test_scad_and_mcp_values_are_exact_over_whole_parameter_range(case):
         ref = exact_value(spec, b)
         if ref >= sys.float_info.min:  # a normal result
             assert within_ulps(got, ref), (spec.label(), b, got, ref)
+
+
+# where P'' jumps: SCAD at 1 and a, MCP at c, and every family at 0
+def _breaks(spec):
+    return {"scad": (0.0, 1.0, spec.param), "mcp": (0.0, spec.param)}.get(spec.family, (0.0,))
+
+
+@settings(max_examples=300)
+@given(whole_range_cases(), st.just(1.0) | st.floats(0.0, sys.float_info.max, exclude_min=True))
+@example((PenaltySpec("bridge", q=1.0), np.array([1e-310, 5e-324])), 1.0)  # inf * 0 at q = 1
+@example((PenaltySpec("gaussian", kappa=1.7e308), np.array([0.5, 1e-160])), 1.0)  # u = inf
+@example((PenaltySpec("arctan", gamma=1e300), np.array([1e10, 1e-300])), 1.0)  # u/w = inf/inf
+@example((PenaltySpec("bridge", q=1.5), np.array([0.0, 2.0])), 1.0)  # the limit inf at 0
+def test_curv_array_over_whole_parameter_range(case, scale):
+    # curv_array's rule, grad_array's: even, scale times the unscaled value
+    # to the bit, no NaN and no warning, 0 at a kink's origin.  And where P''
+    # is continuous on [b - h, b + h], the central difference of grad_array
+    # over it, the mean of P'' there, lies within the range of P'' sampled at
+    # 5 points of it, up to the round-off of the difference
+    spec, beta = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = curv_array(spec, beta)
+        with np.errstate(over="raise", invalid="raise"):
+            mirrored = curv_array(spec, -beta)
+            scaled = curv_array(spec, beta, scale)
+            at_zero = curv_array(spec, np.zeros(2))
+    np.testing.assert_array_equal(mirrored, got)
+    with np.errstate(over="ignore"):
+        assert scaled.tobytes() == (scale * got).tobytes()
+    assert not np.isnan(got).any(), spec.label()
+    if spec.slope_at_zero() > 0:
+        assert at_zero.tolist() == [0.0, 0.0], spec.label()
+    eps = sys.float_info.epsilon
+    for b in beta.ravel().tolist():
+        h = abs(b) * 2.0**-20
+        low, high = b - h, b + h
+        if not 1e-290 < abs(b) < 1e300 or any(low <= edge <= high or low <= -edge <= high
+                                              for edge in _breaks(spec)):
+            continue
+        slopes = grad_array(spec, np.array([low, high]))
+        curvs = curv_array(spec, np.linspace(low, high, 5))
+        small, large = np.abs(slopes).min(), np.abs(slopes).max()
+        # no overflow, and no slope that has underflowed below the normal range
+        # (a slope of 0 is exact where P'' is 0 too)
+        if not (np.isfinite(curvs).all() and large < 1e300) or (small < 1e-290 and curvs.any()):
+            continue
+        with np.errstate(over="ignore"):
+            mean = (slopes[1] - slopes[0]) / (high - low)
+            # each slope is within a few ulps of its terms, which for MCP
+            # (1 - t/c) are up to P'(0+) however small the slope
+            kink = spec.slope_at_zero() if math.isfinite(spec.slope_at_zero()) else 0.0
+            slack = (8 * eps * (small + large + kink) / (high - low)
+                     + 1e-12 * np.abs(curvs).max() + sys.float_info.min)
+        assert curvs.min() - slack <= mean <= curvs.max() + slack, (spec.label(), b, mean, curvs)
+
+
+def exact_curvature(spec, b):
+    """Ridge's, SCAD's or MCP's P'' at b from its published formula, in exact
+    rationals (that of the piece whose value formula covers b), rounded once
+    to the nearest double, or -inf below the most negative one."""
+    t = Fraction(abs(b))
+    if spec.family == "ridge":
+        return 2.0
+    if spec.family == "scad":
+        a = Fraction(spec.param)
+        exact = -1 / (a - 1) if 1 < t <= a else Fraction(0)
+    else:
+        c = Fraction(spec.param)
+        exact = -1 / c if 0 < t <= c else Fraction(0)
+    return -math.inf if -exact > Fraction(sys.float_info.max) else float(exact)
+
+
+@settings(max_examples=300)
+@given(whole_range_cases(("ridge", "scad", "mcp")))
+@example((PenaltySpec("scad", a=3.7), np.array([-3.7, -1.0, 0.0, 1.0, 1.5, 3.7, 4.0])))
+@example((PenaltySpec("mcp", b=5e-324), np.array([5e-324, 1e-324, 1.0])))  # -1/c overflows
+@example((PenaltySpec("scad", a=1.7e308), np.array([2.0, 1.7e308])))
+def test_ridge_scad_and_mcp_curvatures_are_exact(case):
+    spec, beta = case
+    for b, got in zip(beta.ravel().tolist(), curv_array(spec, beta).ravel().tolist()):
+        ref = exact_curvature(spec, b)
+        if ref == 0.0 or math.isinf(ref):
+            assert got == ref, (spec.label(), b, got, ref)
+        elif abs(ref) >= sys.float_info.min:  # a normal result
+            assert within_ulps(got, ref, ulps=2), (spec.label(), b, got, ref)
+
+
+@given(FINITE_ARRAYS, st.sampled_from(ALL_SPECS), st.data())
+def test_curv_array_rejects_non_finite(beta, spec, data):
+    index = data.draw(st.integers(0, beta.size - 1))
+    beta.flat[index] = data.draw(st.sampled_from((np.nan, np.inf, -np.inf)))
+    with pytest.raises(DomainError):
+        curv_array(spec, beta)
 
 
 @given(any_spec(), st.floats(0.0, 50.0),

@@ -262,8 +262,47 @@ def test_every_descent_stops_and_reports_convergence_only_within_grad_tol(family
         + np.linalg.norm(xty, axis=1))
     at_floor = (gnorm <= floor) & (gnorm > GRAD_TOL)
     assert not batch.converged[at_floor].any()
+    # one stop reason per row, "converged" exactly where converged is
+    assert np.array_equal(batch.stop_reason == "converged", batch.converged)
+    assert at_floor[batch.stop_reason == "round-off floor"].all()
     if exponent >= 20:
         assert (at_floor | batch.converged).all()
+
+
+# (rows up to p, lam) per problem of a batch: n <= p, where X'X is singular
+NLEP_ROWS = st.lists(st.tuples(st.integers(0, 9),
+                               st.sampled_from([0.0, 1e-6, 0.3]) | st.floats(0.0, 2.0)),
+                     min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 9), rows=NLEP_ROWS,
+       two_starts=st.booleans())
+def test_batch_of_rank_deficient_problems_stops_and_matches_each_alone(family, seed, p, rows,
+                                                                       two_starts):
+    # n <= p: none, ridge and the Gaussian at any lam, and every other family
+    # at lam = 0, all rows that try Newton points on a singular X'X.  Every
+    # row stops, with one stop reason, nothing raises, a converged row is
+    # within GRAD_TOL, and each problem is bit for bit its batch of one
+    smooth = family in ("none", "ridge", "gaussian")
+    ns = [1 + extra % p for extra, _ in rows]
+    lams = [lam if smooth else 0.0 for _, lam in rows]
+    rng = np.random.default_rng(seed)
+    problems = [random_problems(rng, 1, n, p)[0] for n in ns]
+    starts = np.stack([[np.zeros(p), np.linalg.lstsq(pr.X, pr.y, rcond=None)[0]]
+                       for pr in problems])[:, (0 if two_starts else 1):]
+    stats = sufficient_statistics(problems)
+    spec = PenaltySpec(family)
+    batch = fit_batch(*stats, ns, spec, lams, starts)
+    assert not batch.failed.any()
+    assert set(batch.stop_reason) <= set(regression.STOP_REASONS) - {"unusable start"}
+    assert (batch.grad_norm_final[batch.converged] <= GRAD_TOL).all()
+    assert list(batch.converged) == [reason == "converged" for reason in batch.stop_reason]
+    for i, (n, lam) in enumerate(zip(ns, lams)):
+        alone = fit_batch(*(s[i:i + 1] for s in stats), n, spec, lam, starts[i:i + 1])
+        for field in ("beta_hat", "objective", "grad_norm_final", "iterations", "stop_reason"):
+            assert getattr(batch, field)[i].tobytes() == getattr(alone, field)[0].tobytes()
 
 
 def test_kinked_penalty_descent_stops():
@@ -447,17 +486,20 @@ def test_descent_reads_its_live_rows_gram_each_pass(family):
     assert peak < rows * p * p * 8 + 20 * rows * p * 8
 
 
-@pytest.mark.parametrize("rows, response, lam, start, iterations", [
-    ([[1.0]], [0.0], 0.1, 1e154, 1),  # the BB ratio is inf/inf: a NaN trial step
-    ([[1.0], [2.0]], [1.0, 2.0], 1e308, 0.2, 0),  # an inf gradient: it stops at pass 0
+@pytest.mark.parametrize("family, rows, response, lam, start, iterations", [
+    # the BB ratio is inf/inf, a NaN trial step: MCP is flat out there, so its
+    # first step, to the mirror image of the start about the response, is
+    # accepted on the Wolfe test with a change in F of 0, and s's = s'y = inf
+    ("mcp", [[1.0]], [1.3e154], 0.1, 6e153, 1),
+    ("gaussian", [[1.0], [2.0]], [1.0, 2.0], 1e308, 0.2, 0),  # an inf gradient: it stops at pass 0
 ], ids=["nan-step", "zero-step"])
-def test_descent_stops_when_its_trial_step_is_not_positive(tmp_path, rows, response, lam,
+def test_descent_stops_when_its_trial_step_is_not_positive(tmp_path, family, rows, response, lam,
                                                            start, iterations):
     # such a row backtracked forever; in a child process a hang fails the test
     code = ("from gausspen.penalties import PenaltySpec\n"
             "from gausspen.regression import LinearProblem, fit\n"
             f"problem = LinearProblem({rows!r}, {response!r})\n"
-            f"r = fit(problem, PenaltySpec('gaussian', kappa=10.0), {lam!r}, start=[{start!r}])\n"
+            f"r = fit(problem, PenaltySpec({family!r}), {lam!r}, start=[{start!r}])\n"
             "print(r.converged, r.iterations, r.grad_norm_final)")
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
     result = subprocess.run([sys.executable, "-W", "error", "-c", code], cwd=tmp_path, env=env,
@@ -490,6 +532,48 @@ def test_descent_with_a_non_finite_gradient_stops_at_pass_0(monkeypatch):
     assert result.objective == pytest.approx(objective, rel=1e-12)
     assert result.grad_norm_final == math.inf
     assert result.iterations == 0 and not result.converged
+
+
+def test_gaussian_start_far_out_converges_in_one_newton_step():
+    # the start 1e154 of the nan-step case above: P'' is 0 out there, so the
+    # Newton point is the least-squares solution 0, reached in one step
+    result = fit(LinearProblem([[1.0]], [0.0]), PenaltySpec("gaussian", kappa=10.0), 0.1,
+                 start=[1e154])
+    assert (result.converged, result.iterations, result.beta_hat.tolist()) == (True, 1, [0.0])
+
+
+@pytest.mark.parametrize("spec, x, y, start, lam, step", [
+    # a Newton row: X'X = 1e-312 is positive definite, and d = 1e308 is finite,
+    # but the Newton point, the least-squares solution 2e308, is not
+    (PenaltySpec("gaussian", kappa=10.0), 1e-156, 2e152, 1e308, 0.1, 1.0),
+    # a kinked BB row: a gradient of 3.7e296 from the penalty, and a first
+    # trial step of 1e12, the largest a Barzilai-Borwein ratio gives
+    (PenaltySpec("laplace", epsilon=1e-300), 1.0, 0.0, 1e-300, 1e-3, 1e12),
+], ids=["newton", "kinked"])
+def test_trial_point_that_overflows_backtracks_unevaluated(monkeypatch, spec, x, y, start, lam,
+                                                          step):
+    # a finite gradient whose trial point is not finite: the row backtracks in
+    # place, so its penalty is evaluated at its start again, never out there
+    # (value_array would raise), and it is bit for bit its batch of one
+    monkeypatch.setattr(regression, "STEP_INIT", step)
+    evaluations = []
+
+    def recorded(spec, beta):
+        evaluations.append(beta.copy())
+        return value_array(spec, beta)
+
+    monkeypatch.setattr(regression, "value_array", recorded)
+    # the row and an ordinary problem, with n = 1
+    gram, xty = np.array([[[x * x]], [[2.0]]]), np.array([[x * y], [1.0]])
+    yty = np.array([y * y, 1.0])
+    starts = np.array([[[start]], [[0.3]]])
+    batch = fit_batch(gram, xty, yty, 1, spec, lam, starts)
+    assert evaluations[1][0].tolist() == [start]  # pass 0's trial point was the start
+    assert all(np.isfinite(points).all() for points in evaluations)
+    alone = fit_batch(gram[:1], xty[:1], yty[:1], 1, spec, lam, starts[:1])
+    for field in ("beta_hat", "objective", "grad_norm_final", "iterations", "converged",
+                  "stop_reason"):
+        assert getattr(batch, field)[0].tobytes() == getattr(alone, field)[0].tobytes()
 
 
 # --- orthonormal objective and minima profiles --------------------------------
