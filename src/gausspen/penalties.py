@@ -39,7 +39,7 @@ under any errstate, and no derivative is NaN at a positive scale.  SCAD's
 quadratic is (m(2 - m/a) - 1/a)/(2 - 2/a), m = |b| clipped to [1, a], and
 MCP m(1 - m/c/2), m = min(|b|, c): neither overflows where its value is finite.
 ``grad_array`` takes a ``scale``, folded into the Gaussian's one constant.
-:func:`curv_array` gives ``scale * P''`` by the same rule: 0 at a kink's
+:func:`curv_array` gives ``P''`` by the same rule: 0 at a kink's
 origin, the limit at any other point where P'' is unbounded, and a jump's
 value is that of the piece the value formula uses there.
 
@@ -94,13 +94,13 @@ def _bridge_grad(beta, q, s):
     return s * out
 
 
-def _bridge_curv(beta, q, s):
+def _bridge_curv(beta, q):
     # at the origin 0 at a kink (q <= 1), else the limit: inf below q = 2
     t = np.abs(beta)
     out = np.full_like(t, 0.0 if q <= 1.0 or q > 2.0 else inf if q < 2.0 else 2.0)
     nz = t > 0.0
     out[nz] = _bridge_power(t[nz], q, q - 2.0, q - 1.0)
-    return s * out
+    return out
 
 
 def _scad_grad(beta, a, s):
@@ -123,20 +123,20 @@ def _gaussian_grad(beta, k, s):
     return out
 
 
-def _gaussian_curv(beta, k, s):
-    # s*2k*e*(1 - 2u), e = exp(-u), u = k*b*b, as (k*e)*(2 - 4u), whose k*e
+def _gaussian_curv(beta, k):
+    # 2k*e*(1 - 2u), e = exp(-u), u = k*b*b, as (k*e)*(2 - 4u), whose k*e
     # is finite; 0 where e underflows, where 1 - 2u could overflow
     u = (k * beta) * beta
     e = np.exp(-u)
-    return s * np.where(e != 0.0, (k * e) * (2.0 - 4.0 * u), 0.0)
+    return np.where(e != 0.0, (k * e) * (2.0 - 4.0 * u), 0.0)
 
 
-def _arctan_curv(beta, g, s):
+def _arctan_curv(beta, g):
     # -(4/pi) g^2 u / w^2, u = g|b|, w = 1 + u^2, as (g/w)(g(u/w)): a product
     # overflows only where the value does; at u = inf, u/w is nan, the limit 0
     u = g * np.abs(beta)
     w = 1.0 + u * u
-    return s * np.where(np.isinf(u), 0.0, (-4.0 / np.pi) * ((g / w) * (g * (u / w))))
+    return np.where(np.isinf(u), 0.0, (-4.0 / np.pi) * ((g / w) * (g * (u / w))))
 
 
 class _Family(NamedTuple):
@@ -144,7 +144,7 @@ class _Family(NamedTuple):
 
     value: Callable  # (beta array, p) -> P(beta) elementwise
     grad: Callable  # (beta array, p, s) -> s * P'(beta) elementwise
-    curv: Callable  # (beta array, p, s) -> s * P''(beta) elementwise
+    curv: Callable  # (beta array, p) -> P''(beta) elementwise
     bounds: Callable  # p -> (lipschitz, sup_value, convexity_radius R), where
     # |P'| rises on (0, R] and not beyond: ``lipschitz`` is |P'| at R (0+ if R = 0)
     slope: Callable  # p -> P'(0+), the right slope at 0: > 0 exactly at a kink
@@ -158,21 +158,21 @@ _TABLE = {
     "none": _Family(
         value=lambda beta, _: np.zeros_like(beta),
         grad=lambda beta, _, s: s * np.zeros_like(beta),
-        curv=lambda beta, _, s: s * np.zeros_like(beta),
+        curv=lambda beta, _: np.zeros_like(beta),
         bounds=lambda _: (0.0, 0.0, inf),
         slope=lambda _: 0.0,
     ),
     "lasso": _Family(
         value=lambda beta, _: np.abs(beta),
         grad=lambda beta, _, s: s * np.sign(beta),
-        curv=lambda beta, _, s: s * np.zeros_like(beta),
+        curv=lambda beta, _: np.zeros_like(beta),
         bounds=lambda _: (1.0, inf, inf),
         slope=lambda _: 1.0,
     ),
     "ridge": _Family(
         value=lambda beta, _: beta * beta,
         grad=lambda beta, _, s: s * (2.0 * beta),
-        curv=lambda beta, _, s: s * np.full_like(beta, 2.0),
+        curv=lambda beta, _: np.full_like(beta, 2.0),
         bounds=lambda _: (inf, inf, inf),
         slope=lambda _: 0.0,
     ),
@@ -188,8 +188,7 @@ _TABLE = {
     "elastic_net": _Family(
         value=lambda beta, mix: mix * np.abs(beta) + (1.0 - mix) * beta * beta,
         grad=lambda beta, mix, s: s * (mix * np.sign(beta) + 2.0 * (1.0 - mix) * beta),
-        curv=lambda beta, mix, s: s * np.where((beta != 0.0) | (mix == 0.0),
-                                               2.0 * (1.0 - mix), 0.0),
+        curv=lambda beta, mix: np.where((beta != 0.0) | (mix == 0.0), 2.0 * (1.0 - mix), 0.0),
         bounds=lambda mix: (1.0 if mix == 1.0 else inf, inf, inf),
         slope=lambda mix: mix,
         parameter="mix", default=0.5, valid=lambda mix: 0.0 <= mix <= 1.0, rule="in [0, 1]",
@@ -197,8 +196,8 @@ _TABLE = {
     "scad": _Family(
         value=_scad_value,
         grad=_scad_grad,
-        curv=lambda beta, a, s: s * np.where((np.abs(beta) > 1.0) & (np.abs(beta) <= a),
-                                             -1.0 / (a - 1.0), 0.0),
+        curv=lambda beta, a: np.where((np.abs(beta) > 1.0) & (np.abs(beta) <= a),
+                                      -1.0 / (a - 1.0), 0.0),
         # linear (hence convex) up to the unit threshold, concave beyond
         bounds=lambda a: (1.0, (a + 1.0) / 2.0, 1.0),
         slope=lambda _: 1.0,
@@ -207,7 +206,7 @@ _TABLE = {
     "mcp": _Family(
         value=_mcp_value,
         grad=lambda beta, c, s: s * (np.sign(beta) * np.clip(1.0 - np.abs(beta) / c, 0, None)),
-        curv=lambda beta, c, s: s * np.where((beta != 0.0) & (np.abs(beta) <= c), -1.0 / c, 0.0),
+        curv=lambda beta, c: np.where((beta != 0.0) & (np.abs(beta) <= c), -1.0 / c, 0.0),
         bounds=lambda c: (1.0, c / 2.0, 0.0),
         slope=lambda _: 1.0,
         parameter="b", default=5.0, valid=lambda c: c > 0.0, rule="> 0",
@@ -215,8 +214,8 @@ _TABLE = {
     "laplace": _Family(
         value=lambda beta, eps: -np.expm1(-np.abs(beta) / eps),
         grad=lambda beta, eps, s: s * (np.sign(beta) * np.exp(-np.abs(beta) / eps) / eps),
-        curv=lambda beta, eps, s: s * np.where(
-            beta != 0.0, -(np.exp(-np.abs(beta) / eps) / eps) / eps, 0.0),
+        curv=lambda beta, eps: np.where(beta != 0.0, -(np.exp(-np.abs(beta) / eps) / eps) / eps,
+                                        0.0),
         bounds=lambda eps: (1.0 / eps, 1.0, 0.0),
         slope=lambda eps: 1.0 / eps,
         parameter="epsilon", default=1e-7, valid=lambda eps: eps > 0.0, rule="> 0",
@@ -344,16 +343,16 @@ def grad_array(spec, beta, scale=1.0):
         return _TABLE[spec.family].grad(beta, spec.param, scale)
 
 
-def curv_array(spec, beta, scale=1.0):
-    """Elementwise second derivative of the penalty, times ``scale``: 0 at the
-    origin of a family with a kink there, and by :func:`grad_array`'s rule
-    +-``inf``, with no warning, above the largest double."""
+def curv_array(spec, beta):
+    """Elementwise second derivative of the penalty: 0 at the origin of a
+    family with a kink there, and by :func:`grad_array`'s rule +-``inf``,
+    with no warning, above the largest double."""
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise DomainError("penalty curvature requested at a non-finite coefficient")
     # a nan made on the way (inf * 0, inf / inf) is replaced or dropped
     with np.errstate(over="ignore", invalid="ignore"):
-        return _TABLE[spec.family].curv(beta, spec.param, scale)
+        return _TABLE[spec.family].curv(beta, spec.param)
 
 
 def penalty_value(spec, beta):

@@ -1,5 +1,5 @@
-"""Penalized least squares by a batched Newton and gradient descent, and the
-1-D orthonormal-design objective whose two-minima structure drives the
+"""Penalized least squares by a batched Newton descent, and the 1-D
+orthonormal-design objective whose two-minima structure drives the
 penalty's phase transition.
 
 The solver minimizes
@@ -7,9 +7,9 @@ The solver minimizes
     F(beta) = (1/n) * ||y - X beta||^2 + lam * sum_j P(beta_j)
 
 with Armijo backtracking, one vectorized descent for a whole stack of
-problems: safeguarded Newton steps where the penalty has no kink at the
-origin, else Barzilai-Borwein gradient steps, orthant-wise (Andrew & Gao
-2007), which can land on it.
+problems: safeguarded Newton steps on the free coordinates, orthant-wise
+where the penalty has a kink at the origin (Andrew & Gao 2007), so that a
+step can land on it.
 For an orthonormal design (X'X = I) the problem separates per coordinate into
 
     f(b) = -2 * beta_ols * b + b^2 + lam_1d * (1 - exp(-kappa b^2)),
@@ -185,40 +185,64 @@ def _definite(H):
     return np.concatenate((_definite(H[:half]), _definite(H[half:])))
 
 
-def _newton(gram, problem, n, c, g):
+def _norm(squares, v):
+    """sqrt(``squares``), the 2-norms of the rows of ``v`` from their sums of
+    squares, but where such a sum overflows, a finite row's norm is taken on
+    the row scaled by its largest entry."""
+    norm = np.sqrt(squares)
+    over = np.flatnonzero(np.isinf(norm))
+    if over.size:
+        rows = v[over].reshape(over.size, -1)
+        top = np.abs(rows).max(axis=1)
+        scaled = top * np.sqrt(np.square(rows / top[:, None]).sum(axis=1))
+        norm[over] = np.where(np.isfinite(top), scaled, np.inf)
+    return norm
+
+
+def _newton(gram, problem, n, c, g, held):
     """Per row i, with G the X'X of ``problem[i]``, the d that solves
     (2G/n + diag(c)) d = g where that matrix is positive definite
-    (:func:`_definite`), else where 2G/n + diag(2G_jj/n * 2^-26 + |c|) is,
-    and which rows have it; d = g on the rest.  |c| turns a concave
-    coordinate around; the shift keeps a flat direction from a singular
-    factor.  The matrices are made in place in one gathered stack."""
+    (:func:`_definite`), else where 2G/n + diag(2G_jj/n * 2^-26 + |c|) is;
+    d = g on the rest, and where d is not finite or g'd <= 0 (a matrix all
+    but singular can pass the pivot test and still give an ascent
+    direction).  |c| turns a concave coordinate around; the shift keeps a
+    flat direction from a singular factor.  A coordinate ``held`` (None:
+    none is), whose g is 0, is decoupled: its row and column are the
+    identity's, so its d is 0.  The matrices are made in place in one
+    gathered stack."""
     p = g.shape[1]
     H = gram[problem]
     H *= (2.0 / n)[:, None, None]
+    if held is not None:
+        H[held] = 0.0
+        H.transpose(0, 2, 1)[held] = 0.0
+        c = np.where(held, 1.0, c)
     diagonal = H.reshape(len(H), p * p)[:, ::p + 1]  # a view
+    base = diagonal.copy()
     diagonal += c
     newton = _definite(H)
     if not newton.all():
         redo = ~newton
-        base = np.einsum("ijj->ij", gram)[problem[redo]] * (2.0 / n[redo])[:, None]
-        diagonal[redo] = base * (1.0 + 2.0**-26) + np.abs(c[redo])
+        diagonal[redo] = base[redo] * (1.0 + 2.0**-26) + np.abs(c[redo])
         newton[redo] = _definite(H[redo])
         H[~newton] = np.eye(p)
     d = np.linalg.solve(H, g[:, :, None])[:, :, 0]
-    newton &= np.isfinite(d).all(axis=1)
-    return (d, newton) if newton.all() else (np.where(newton[:, None], d, g), newton)
+    newton &= np.isfinite(d).all(axis=1) & ((g * d).sum(axis=1) > 0.0)
+    return d if newton.all() else np.where(newton[:, None], d, g)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
-    """Newton/BB Armijo descent for every row i of ``beta0`` at once, with
-    its own ``n[i]``, ``lam[i]`` and problem ``problem[i]``, whose X'X it
-    reads from the callers' stack ``gram`` at each pass, while the row is live.
+    """Newton Armijo descent for every row i of ``beta0`` at once, with its
+    own ``n[i]``, ``lam[i]`` and problem ``problem[i]``, whose X'X it reads
+    from the callers' stack ``gram`` at each pass, while the row is live.
 
     Each row keeps its own trial step, backtracking and stop; every pass
-    evaluates one trial point b - t*d for each row still running.  The
-    decrease test never forms F: with r = Gb - X'y (the gradient's residual
-    part),
+    evaluates one trial point b - t*d for each row still running, d from
+    one :func:`_newton` call for them all with c = lam P''(b).  The trial
+    step t is ``STEP_INIT`` at first and after each accepted step, and is
+    halved on each rejected one.  The decrease test never forms F: with
+    r = Gb - X'y (the gradient's residual part),
 
         F(b + s) - F(b) = s'(2r + Gs)/n + lam * sum_j (P(b_j + s_j) - P(b_j)),
 
@@ -226,26 +250,21 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
     on Armijo's test F(b + s) - F(b) < -1e-4 t g'd or, where that difference
     is within the round-off of the penalty terms, on the approximate Wolfe
     slope test g(b + s)'d >= -(1 - 2*delta) g'd with delta = 0.1 (Hager &
-    Zhang 2005).  On a row whose kink lam * P'(0+) is 0, d is the Newton
-    direction of :func:`_newton` with c = lam P''(b), its trial step at most
-    1, and 1 again after each accepted step.  Where :func:`_newton` finds no
-    positive definite matrix, and on every row with a kink, d = g, with a
-    Barzilai-Borwein trial step after each accepted step.  Each row's choice
-    reads that row alone.  A kink at 0, of slope kink = lam * P'(0+),
-    is handled orthant-wise (Andrew & Gao 2007): where b_j = 0, g_j is the
-    minimum-norm subgradient sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n;
-    a trial coordinate that leaves its orthant lands on 0; and Armijo tests
-    the step taken, F(b + s) - F(b) < 1e-4 g's.  A row stops when its
-    objective is NaN (at pass 0, where its start or start objective is not
-    finite; it returns NaN and 0 steps), when its gradient norm is within
-    ``GRAD_TOL``, after ``MAX_ITER`` passes, when its step no longer changes
-    b at all, or, unconverged, when its gradient is not finite (no trial
-    point is), when its trial step is no longer a positive number (a NaN or
-    an underflowed 0), or when its gradient norm is within
-    (2/n) * 16 eps * (||G||_F ||b|| + ||X'y||), a bound on the round-off of
-    r that no step can get below.  Returns the final rows, objectives,
-    gradient norms, accepted-step counts and stop reasons (indices into
-    ``STOP_REASONS``).
+    Zhang 2005).  A kink at 0, of slope kink = lam * P'(0+), is handled
+    orthant-wise (Andrew & Gao 2007): where b_j = 0, g_j is the minimum-norm
+    subgradient sign(s_j) * max(|s_j| - kink, 0) with s = 2r/n, and a
+    coordinate where that is 0 is held; a trial coordinate that leaves its
+    orthant lands on 0; and Armijo tests the step taken,
+    F(b + s) - F(b) < 1e-4 g's.  A row stops when its objective is NaN (at
+    pass 0, where its start or start objective is not finite; it returns NaN
+    and 0 steps), when its gradient norm is within ``GRAD_TOL``, after
+    ``MAX_ITER`` passes, when its step no longer changes b at all, or,
+    unconverged, when its gradient is not finite (no trial point is), when
+    its trial step is no longer a positive number (an underflowed 0), or
+    when its gradient norm is within (2/n) * 16 eps * (||G||_F ||b|| + ||X'y||),
+    a bound on the round-off of r that no step can get below.  Returns the
+    final rows, objectives, gradient norms, accepted-step counts and stop
+    reasons (indices into ``STOP_REASONS``).
     """
     m = beta0.shape[0]
     beta, f_out, gnorm_out = np.empty_like(beta0), np.empty(m), np.empty(m)
@@ -262,33 +281,28 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
                       where=(b == 0.0) & (kink[:, None] > 0))
         return g
 
-    def direction(some):  # _newton of the live rows ``some``
-        return _newton(gram, problem[some], n[some], lam[some, None] * curv_array(spec, b[some]),
-                       g[some])
-
     rows, usable = np.arange(m), np.isfinite(beta0).all(axis=1)
     b = np.where(usable[:, None], beta0, 0.0)
     # the round-off floor's factors (2/n) 16 eps ||G||_F and (2/n) 16 eps ||X'y||
     eps_n = 32.0 * np.finfo(float).eps / n
-    gram_floor = eps_n * np.sqrt(np.einsum("ijk,ijk->i", gram, gram))[problem]
-    xty_floor = eps_n * np.sqrt(np.einsum("ij,ij->i", xty, xty))[problem]
+    gram_floor = eps_n * _norm(np.einsum("ijk,ijk->i", gram, gram), gram)[problem]
+    xty_floor = eps_n * _norm(np.einsum("ij,ij->i", xty, xty), xty)[problem]
     # 0 * inf is NaN: unpenalized, even bridge with q < 1 has no kink
     kink = np.where(lam > 0, lam * slope, 0.0)
     r = _matvec(gram[problem], b) - xty[problem]
     pen = value_array(spec, b)
     f = ((b * (r - xty[problem])).sum(axis=1) + yty[problem]) / n + lam * pen.sum(axis=1)
     g = gradient(r, b)
-    gsq = (g * g).sum(axis=1)
     # as P >= 0, a finite f has a finite r; an unusable row stops at pass 0, all NaN
     failed = ~(usable & np.isfinite(f))
-    f[failed] = gsq[failed] = b[failed] = np.nan
+    f[failed] = g[failed] = b[failed] = np.nan
     t = np.full(m, STEP_INIT)
     its = np.zeros(m, dtype=int)
     stall = np.zeros(m, dtype=bool)  # no step taken yet
 
     for passes in range(MAX_ITER + 1):  # the last pass stops every row
-        gnorm = np.sqrt(gsq)
-        roundoff = gram_floor[rows] * np.sqrt((b * b).sum(axis=1)) + xty_floor[rows]
+        gnorm = _norm((g * g).sum(axis=1), g)
+        roundoff = gram_floor[rows] * _norm((b * b).sum(axis=1), b) + xty_floor[rows]
         stops = [np.isnan(f), ~np.isfinite(g).all(axis=1), gnorm <= GRAD_TOL, gnorm <= roundoff,
                  np.full(rows.size, passes == MAX_ITER), stall, ~(t > 0.0)]  # as STOP_REASONS
         done = np.logical_or.reduce(stops)
@@ -299,18 +313,13 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             gnorm_out[out], its_out[out] = gnorm[done], its[done]
             live = ~done
             rows, problem, r, b = rows[live], problem[live], r[live], b[live]
-            pen, f, g, gsq, t, its = pen[live], f[live], g[live], gsq[live], t[live], its[live]
+            pen, f, g, t, its = pen[live], f[live], g[live], t[live], its[live]
             n, lam, kink = n[live], lam[live], kink[live]
         if not rows.size:
             break
-        d, newton = g, kink == 0.0  # the rows without a kink try Newton points
-        if newton.all():
-            d, newton = direction(slice(None))
-        elif newton.any():
-            d = g.copy()
-            d[newton], newton[newton] = direction(newton)
-        step = np.where(newton, np.minimum(t, 1.0), t) if newton.any() else t
-        cand = b - step[:, None] * d
+        held = (b == 0.0) & (g == 0.0) & (kink[:, None] > 0) if kinked else None
+        d = _newton(gram, problem, n, lam[:, None] * curv_array(spec, b), g, held)
+        cand = b - t[:, None] * d
         bad = None
         if not np.isfinite(cand).all():
             # such a row backtracks, without evaluating the penalty out there
@@ -331,7 +340,7 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             stall &= ~bad
         # a stalled row has delta = 0 exactly, which fails Armijo
         # 1e-4 t is applied first, so that a large g'd does not overflow it
-        decrease = -((1e-4 * step)[:, None] * g * d).sum(axis=1)
+        decrease = -((1e-4 * t)[:, None] * g * d).sum(axis=1)
         if kinked:
             decrease = np.where(kink > 0, 1e-4 * (g * s).sum(axis=1), decrease)
         accept = np.isfinite(delta) & (delta < decrease)
@@ -340,19 +349,11 @@ def _descend(gram, xty, yty, problem, n, spec, lam, beta0):
             wolfe = ((np.abs(delta) <= floor)
                      & ((g_new * d).sum(axis=1) >= -0.8 * (g * d).sum(axis=1)))
             accept |= wolfe & ~stall
-        after = 1.0  # a row's next trial step if this one is accepted
-        if not newton.all():
-            # Barzilai-Borwein trial step for a gradient row's next iteration:
-            # quasi-Newton scaling that keeps gradient steps fast near the optimum
-            sy = (s * (g_new - g)).sum(axis=1)
-            bb = np.where(sy > 0.0, (s * s).sum(axis=1) / sy, 2.0 * t)
-            after = np.where(newton, 1.0, np.clip(bb, 1e-12, 1e12))
-        t = np.where(accept, after, step * BACKTRACK)
+        t = np.where(accept, STEP_INIT, t * BACKTRACK)
         a = accept[:, None]
         b, r = np.where(a, cand, b), np.where(a, r_new, r)
         pen, g = np.where(a, pen_new, pen), np.where(a, g_new, g)
         f = np.where(accept, f + delta, f)
-        gsq = (g * g).sum(axis=1)
         its += accept
     return beta, f_out, gnorm_out, its_out, why_out
 

@@ -642,28 +642,25 @@ def _breaks(spec):
 
 
 @settings(max_examples=300)
-@given(whole_range_cases(), st.just(1.0) | st.floats(0.0, sys.float_info.max, exclude_min=True))
-@example((PenaltySpec("bridge", q=1.0), np.array([1e-310, 5e-324])), 1.0)  # inf * 0 at q = 1
-@example((PenaltySpec("gaussian", kappa=1.7e308), np.array([0.5, 1e-160])), 1.0)  # u = inf
-@example((PenaltySpec("arctan", gamma=1e300), np.array([1e10, 1e-300])), 1.0)  # u/w = inf/inf
-@example((PenaltySpec("bridge", q=1.5), np.array([0.0, 2.0])), 1.0)  # the limit inf at 0
-def test_curv_array_over_whole_parameter_range(case, scale):
-    # curv_array's rule, grad_array's: even, scale times the unscaled value
-    # to the bit, no NaN and no warning, 0 at a kink's origin.  And where P''
-    # is continuous on [b - h, b + h], the central difference of grad_array
-    # over it, the mean of P'' there, lies within the range of P'' sampled at
-    # 5 points of it, up to the round-off of the difference
+@given(whole_range_cases())
+@example((PenaltySpec("bridge", q=1.0), np.array([1e-310, 5e-324])))  # inf * 0 at q = 1
+@example((PenaltySpec("gaussian", kappa=1.7e308), np.array([0.5, 1e-160])))  # u = inf
+@example((PenaltySpec("arctan", gamma=1e300), np.array([1e10, 1e-300])))  # u/w = inf/inf
+@example((PenaltySpec("bridge", q=1.5), np.array([0.0, 2.0])))  # the limit inf at 0
+def test_curv_array_over_whole_parameter_range(case):
+    # curv_array's rule, grad_array's: even, no NaN and no warning, 0 at a
+    # kink's origin.  And where P'' is continuous on [b - h, b + h], the
+    # central difference of grad_array over it, the mean of P'' there, lies
+    # within the range of P'' sampled at 5 points of it, up to the round-off
+    # of the difference
     spec, beta = case
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = curv_array(spec, beta)
         with np.errstate(over="raise", invalid="raise"):
             mirrored = curv_array(spec, -beta)
-            scaled = curv_array(spec, beta, scale)
             at_zero = curv_array(spec, np.zeros(2))
     np.testing.assert_array_equal(mirrored, got)
-    with np.errstate(over="ignore"):
-        assert scaled.tobytes() == (scale * got).tobytes()
     assert not np.isnan(got).any(), spec.label()
     if spec.slope_at_zero() > 0:
         assert at_zero.tolist() == [0.0, 0.0], spec.label()

@@ -333,24 +333,42 @@ def sparse_problem(rng, n, p):
     return LinearProblem(X, X @ beta + rng.standard_normal(n))
 
 
-@pytest.mark.parametrize("spec", KINKED_SPECS, ids=PenaltySpec.label)
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 59), p=st.integers(1, 5),
-       lam=st.floats(0.0, 2.0, exclude_max=True))
-def test_kinked_fit_meets_kkt(spec, seed, n, p, lam):
+def assert_kkt(problem, spec, lam, result):
     # a converged fit is first-order stationary: at a zero the loss slope
     # s = 2X'(Xb - y)/n is within the kink lam * P'(0+), elsewhere the
     # gradient is within GRAD_TOL (plus the round-off of recomputing it)
-    problem = sparse_problem(np.random.default_rng(seed), n, p)
-    result = fit(problem, spec, lam)
     assert result.converged
-    b = result.beta_hat
+    n, b = problem.n, result.beta_hat
     s = (2.0 / n) * (problem.X.T @ (problem.X @ b - problem.y))
     zero = b == 0.0
     kink = lam * spec.slope_at_zero() if lam > 0.0 else 0.0
     assert (np.abs(s[zero]) <= kink + 1e-9).all()
     g = s + lam * grad_array(spec, b)
     assert (np.abs(g[~zero]) <= GRAD_TOL + 1e-12).all()
+
+
+@pytest.mark.parametrize("spec", KINKED_SPECS, ids=PenaltySpec.label)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(10, 59), p=st.integers(1, 5),
+       lam=st.floats(0.0, 2.0, exclude_max=True))
+def test_kinked_fit_meets_kkt(spec, seed, n, p, lam):
+    problem = sparse_problem(np.random.default_rng(seed), n, p)
+    assert_kkt(problem, spec, lam, fit(problem, spec, lam))
+
+
+@pytest.mark.parametrize("spec", KINKED_SPECS, ids=PenaltySpec.label)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(2, 9), extra=st.integers(0, 8),
+       log_lam=st.floats(math.log(1e-3), math.log(2.0), exclude_max=True))
+# at the minimum-norm start the Newton matrix of lasso, 2X'X/n, is singular but
+# passes the pivot test, and its d is an ascent direction: d = g instead
+@example(seed=532, p=4, extra=2, log_lam=0.0)
+def test_kinked_fit_of_rank_deficient_problem_meets_kkt(spec, seed, p, extra, log_lam):
+    # n <= p: X'X is singular, and only the penalty moves the directions it
+    # does not see.  Every fit converges to a first-order point
+    n, lam = 1 + extra % p, math.exp(log_lam)
+    problem = sparse_problem(np.random.default_rng(seed), n, p)
+    assert_kkt(problem, spec, lam, fit(problem, spec, lam))
 
 
 def _scan_argmin(z, lam, spec):
@@ -401,6 +419,20 @@ def test_tiny_problems_converge_for_every_family():
         for family in FAMILIES:
             result = fit(problem, PenaltySpec(family), lam)
             assert result.converged and result.iterations < 1000, (seed, family)
+
+
+@pytest.mark.parametrize("spec", [PenaltySpec("arctan"), PenaltySpec("lasso"), PenaltySpec("scad"),
+                                  PenaltySpec("mcp"), PenaltySpec("laplace")],
+                         ids=PenaltySpec.label)
+def test_kinked_fit_of_one_row_and_nine_coefficients_converges(spec):
+    # n = 1, p = 9 and a tiny lam: only the penalty, of order lam, moves the
+    # eight directions X'X does not see, so gradient steps crawl; Newton steps
+    # on the free coordinates take under 100
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((1, 9))
+    problem = LinearProblem(X, X @ rng.uniform(-3.0, 3.0, 9) + rng.standard_normal(1))
+    result = fit(problem, spec, 2e-8)
+    assert result.converged and result.iterations < 1000
 
 
 def test_batch_isolates_non_finite_start():
@@ -487,12 +519,8 @@ def test_descent_reads_its_live_rows_gram_each_pass(family):
 
 
 @pytest.mark.parametrize("family, rows, response, lam, start, iterations", [
-    # the BB ratio is inf/inf, a NaN trial step: MCP is flat out there, so its
-    # first step, to the mirror image of the start about the response, is
-    # accepted on the Wolfe test with a change in F of 0, and s's = s'y = inf
-    ("mcp", [[1.0]], [1.3e154], 0.1, 6e153, 1),
     ("gaussian", [[1.0], [2.0]], [1.0, 2.0], 1e308, 0.2, 0),  # an inf gradient: it stops at pass 0
-], ids=["nan-step", "zero-step"])
+], ids=["zero-step"])
 def test_descent_stops_when_its_trial_step_is_not_positive(tmp_path, family, rows, response, lam,
                                                            start, iterations):
     # such a row backtracked forever; in a child process a hang fails the test
@@ -535,19 +563,53 @@ def test_descent_with_a_non_finite_gradient_stops_at_pass_0(monkeypatch):
 
 
 def test_gaussian_start_far_out_converges_in_one_newton_step():
-    # the start 1e154 of the nan-step case above: P'' is 0 out there, so the
-    # Newton point is the least-squares solution 0, reached in one step
+    # P'' is 0 at the start 1e154, so the Newton point is the least-squares
+    # solution 0, reached in one step
     result = fit(LinearProblem([[1.0]], [0.0]), PenaltySpec("gaussian", kappa=10.0), 0.1,
                  start=[1e154])
     assert (result.converged, result.iterations, result.beta_hat.tolist()) == (True, 1, [0.0])
+
+
+def test_mcp_start_far_out_converges_in_one_newton_step():
+    # MCP is flat beyond b = 5, so P'' is 0 at the start 6e153 and the Newton
+    # point is the least-squares solution 1.3e154, reached in one step, where
+    # the gradient is 0
+    result = fit(LinearProblem([[1.0]], [1.3e154]), PenaltySpec("mcp"), 0.1, start=[6e153])
+    assert (result.converged, result.iterations, result.grad_norm_final) == (True, 1, 0.0)
+    assert result.beta_hat[0] == pytest.approx(1.3e154, rel=1e-15)
+
+
+@pytest.mark.parametrize("family", ["mcp", "gaussian", "ridge", "none"])
+def test_descent_of_a_huge_gram_keeps_a_finite_floor_and_gradient_norm(family):
+    # sums of squares of X'X, X'y and g overflow here, so their norms are
+    # taken on the scaled vectors: a floor of inf would stop each row at its
+    # start, and a gradient norm of inf would leave it unconverged
+    spec = PenaltySpec(family)
+    # X = 1e142, y = 1e154: X'X = 1e284, whose square overflows
+    batch = fit_batch(np.array([[[1e284]]]), np.array([[1e296]]), np.array([1e308]), 1, spec,
+                      0.1, np.array([[[1.0]]]))
+    assert batch.beta_hat[0, 0] == pytest.approx(1e12, rel=1e-15)
+    assert batch.stop_reason[0] in ("converged", "round-off floor")
+    assert math.isfinite(batch.grad_norm_final[0])
+    # and a 6 x 2 design scaled by 1e150, ||X'X||_F about 1e300
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((6, 2)) * 1e150
+    y = X @ [1.0, -2.0] + rng.standard_normal(6) * 1e150
+    batch = fit_batch((X.T @ X)[None], (X.T @ y)[None], np.array([y @ y]), 6, spec, 0.1,
+                      np.zeros((1, 1, 2)))
+    np.testing.assert_allclose(batch.beta_hat[0], np.linalg.lstsq(X, y, rcond=None)[0],
+                               rtol=1e-12)
+    assert batch.stop_reason[0] in ("converged", "round-off floor")
+    assert math.isfinite(batch.grad_norm_final[0])
 
 
 @pytest.mark.parametrize("spec, x, y, start, lam, step", [
     # a Newton row: X'X = 1e-312 is positive definite, and d = 1e308 is finite,
     # but the Newton point, the least-squares solution 2e308, is not
     (PenaltySpec("gaussian", kappa=10.0), 1e-156, 2e152, 1e308, 0.1, 1.0),
-    # a kinked BB row: a gradient of 3.7e296 from the penalty, and a first
-    # trial step of 1e12, the largest a Barzilai-Borwein ratio gives
+    # a kinked row: a gradient of 3.7e296 from the penalty, whose P'' of
+    # -inf leaves no positive definite matrix, so d = g, and a first trial
+    # step of 1e12, patched in as STEP_INIT
     (PenaltySpec("laplace", epsilon=1e-300), 1.0, 0.0, 1e-300, 1e-3, 1e12),
 ], ids=["newton", "kinked"])
 def test_trial_point_that_overflows_backtracks_unevaluated(monkeypatch, spec, x, y, start, lam,
