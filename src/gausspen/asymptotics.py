@@ -4,7 +4,7 @@ Two regimes are exercised for least squares under any penalty of the table
 in :mod:`~gausspen.penalties`:
 
 * consistency when the penalty weight grows strictly slower than n
-  (instantiated as lam_n = lam0 * n^r with r < 1), and
+  (instantiated as lambda_n = lam0 * n^r with r < 1), and
 * the sqrt(n) limit law, whose mean -- the asymptotic bias -- is
   -(lam0 / 2) * C^{-1} P'(beta) wherever no coordinate of beta sits at a
   kink (Knight & Fu 2000, "Asymptotics for lasso-type estimators"): for the
@@ -14,17 +14,19 @@ in :mod:`~gausspen.penalties`:
 A :class:`SimSpec` holds what the two experiments share: the model, the
 penalty and the replicates.  Each experiment takes its own sample sizes and
 its own weight rule: :func:`run_bias_experiment` one n with
-lam_n = lam0 * sqrt(n), :func:`run_consistency_experiment` a grid of n with
-lam_n = lam0 * n^r.  ``lam_n`` follows the raw sum-of-squares convention
+lambda_n = lam0 * sqrt(n), :func:`run_consistency_experiment` a grid of n with
+lambda_n = lam0 * n^r.  ``lambda_n`` follows the raw sum-of-squares convention
 (loss = sum of squared residuals); the solver normalizes the loss by 1/n, so
-a weight ``lam_n`` is passed to it as ``lam_n / n``.
+a weight ``lambda_n`` is passed to it as ``lambda_n / n``.
 
 Each replicate derives its randomness from (seed, replicate_index), so
 reports are bit-reproducible and independent of execution order.  That one
 stream serves every sample size: the draw at n is a prefix of the draw at
 any larger n, so a grid of sample sizes draws each replicate once, at its
-largest n.  No replicate is kept as a design: :func:`fit_replicates` reduces
-each draw at once to X'X, X'y and y'y.
+largest n.  No replicate is kept as a design: :func:`draw_replicates` reduces
+each draw at once to X'X, X'y, y'y and the unpenalized solution.  Each
+experiment then states its own weights and starts, and fits every
+(n, replicate) row in one :func:`~gausspen.regression.fit_batch` call.
 """
 
 import math
@@ -63,19 +65,21 @@ class SimSpec:
         self.beta_true = np.asarray(self.beta_true, dtype=float).ravel()
         self.C = np.asarray(self.C, dtype=float)
         p = self.beta_true.shape[0]
+        if not (np.isfinite(self.beta_true).all() and np.isfinite(self.C).all()):
+            raise ConfigurationError("beta_true and C must be finite")
         if self.C.shape != (p, p):
             raise ConfigurationError("C must be p x p for a length-p beta_true")
         if np.abs(self.C - self.C.T).max() > 1e-12:
             raise ConfigurationError("C must be symmetric")
         _cholesky(self.C)  # or "C must be positive definite"
-        if self.sigma <= 0:
-            raise ConfigurationError("sigma must be positive")
+        if not 0 < self.sigma < math.inf:
+            raise ConfigurationError("sigma must be positive and finite")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
         if not self.r < 1.0:
             raise ConfigurationError("exponent r must be < 1")
-        if self.lambda0 < 0:
-            raise ConfigurationError("lambda0 must be nonnegative")
+        if not 0 <= self.lambda0 < math.inf:
+            raise ConfigurationError("lambda0 must be finite and nonnegative")
 
     @property
     def p(self):
@@ -135,7 +139,7 @@ def _draw(spec, chol, noise, n):
 
 
 def theoretical_rootn_bias(C, beta_true, lambda0, penalty):
-    """Mean of the sqrt(n) limit law under lam_n = lam0 * sqrt(n):
+    """Mean of the sqrt(n) limit law under lambda_n = lam0 * sqrt(n):
     -(lam0 / 2) * C^{-1} P'(beta), with P' from ``penalty``'s table entry.
 
     The limit criterion u'Cu + lam0 * u'P'(beta) - 2u'W is a convex
@@ -156,27 +160,35 @@ def theoretical_rootn_bias(C, beta_true, lambda0, penalty):
         raise ConfigurationError("C must be invertible") from None
 
 
-def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
-    """Fit every replicate of ``spec`` at every n of ``n_grid``, with penalty
-    weight ``lam_n(n)``, in one batched descent; returns the
-    :class:`~gausspen.regression.BatchFit`, one row per (n, replicate),
-    n-major.
+def _check_grid(n_grid):
+    if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")
+
+
+def _weight(n, lam):
+    """``lam``, the solver's penalty weight at n, unless it overflowed."""
+    if not math.isfinite(lam):
+        raise ConfigurationError(f"penalty weight overflows at n = {n}")
+    return lam
+
+
+def draw_replicates(spec, n_grid):
+    """Draw every replicate of ``spec`` and reduce it, at every n of
+    ``n_grid``, to ``(X'X, X'y, y'y)`` and its unpenalized solution; returns
+    the n-major stacks ``(gram, xty, yty, ols)``, one row per (n, replicate),
+    of shapes (M, p, p), (M, p), (M,) and (M, p).
 
     ``n_grid`` is a list of sample sizes that is nonempty, starts at 1 or above
     and strictly increases.  ``C`` is factored here, and in ``SimSpec``.  Each
     replicate is drawn once, at the largest n, and a smaller n takes a prefix of
     its noise.  Each draw is reduced at once to X'X, X'y and y'y and its design
     dropped.  Checked per n in grid order, a draw that overflows, so that a
-    statistic is not finite, is a :class:`ConfigurationError`, and after the
-    descent more than ``MAX_FAILED_FRACTION`` of the replicates failed is an
-    :class:`ExperimentError`.  With ``start_at_ols`` every problem starts at its
-    unpenalized solution, from one batched solve of the normal equations per n;
-    otherwise the origin is tried as well and the lower objective wins.
+    statistic is not finite, is a :class:`ConfigurationError`.  ``ols`` comes
+    from one batched solve of the normal equations per n; where n <= p it is
+    the minimum-norm solution.
     """
-    if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")
+    _check_grid(n_grid)
     reps, p, grid = spec.replicates, spec.p, len(n_grid)
-    lam = [lam_n(n) / n for n in n_grid]
     chol = _cholesky(spec.C)
     gram, xty, yty = np.empty((grid, reps, p, p)), np.empty((grid, reps, p)), np.empty((grid, reps))
     # a draw that overflows is not finite, and is rejected below without a warning
@@ -195,19 +207,20 @@ def fit_replicates(spec, n_grid, lam_n, start_at_ols=True):
         # singular; its pseudo-inverse gives the minimum-norm start
         ols.append(np.linalg.solve(G, c[:, :, None]) if n > p
                    else np.linalg.pinv(G, hermitian=True) @ c[:, :, None])
-    ols = np.concatenate(ols)[:, :, 0]
-    starts = ols[:, None] if start_at_ols else np.stack([np.zeros_like(ols), ols], axis=1)
-    batch = fit_batch(gram.reshape(-1, p, p), xty.reshape(-1, p), yty.ravel(),
-                      np.repeat(n_grid, reps), spec.penalty, np.repeat(lam, reps), starts)
-    for n, failed in zip(n_grid, batch.failed.reshape(grid, reps).sum(axis=1)):
-        if failed > MAX_FAILED_FRACTION * reps:
-            raise ExperimentError(f"{failed}/{reps} replicates diverged at n={n}")
-    return batch
+    return gram.reshape(-1, p, p), xty.reshape(-1, p), yty.ravel(), np.concatenate(ols)[:, :, 0]
+
+
+def _check_failures(n_grid, batch):
+    """An :class:`ExperimentError` at the first n where too many replicates failed."""
+    failed = batch.failed.reshape(len(n_grid), -1)
+    for n, count in zip(n_grid, failed.sum(axis=1)):
+        if count > MAX_FAILED_FRACTION * failed.shape[1]:
+            raise ExperimentError(f"{count}/{failed.shape[1]} replicates diverged at n={n}")
 
 
 def run_bias_experiment(spec, n):
     """Monte Carlo check of the sqrt(n) limit law's mean at sample size n,
-    under lam_n = lam0 * sqrt(n).
+    under lambda_n = lam0 * sqrt(n).
 
     Computes :func:`theoretical_rootn_bias` first, so a penalty and beta
     without a closed-form limit mean fail before any draw.  Then fits the
@@ -215,11 +228,15 @@ def run_bias_experiment(spec, n):
     aggregates sqrt(n)*(beta_hat - beta), and compares against the limit
     mean coordinate by coordinate via z-scores.
 
-    Diverged replicates are dropped and counted; :func:`fit_replicates`
-    raises :class:`ExperimentError` when there are too many of them.
+    Diverged replicates are dropped and counted; too many of them are an
+    :class:`ExperimentError`.
     """
     theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.penalty)
-    batch = fit_replicates(spec, [n], lambda n: spec.lambda0 * math.sqrt(n))
+    _check_grid([n])
+    lam = _weight(n, spec.lambda0 * math.sqrt(n) / n)
+    gram, xty, yty, ols = draw_replicates(spec, [n])
+    batch = fit_batch(gram, xty, yty, n, spec.penalty, lam, ols[:, None])
+    _check_failures([n], batch)
     used = ~batch.failed
     errors = math.sqrt(n) * (batch.beta_hat[used] - spec.beta_true)
     mean = errors.mean(axis=0)
@@ -236,15 +253,19 @@ def run_bias_experiment(spec, n):
 
 def run_consistency_experiment(spec, n_grid):
     """Median l2 estimation error across an increasing grid of sample sizes,
-    under lam_n = lam0 * n^r.
+    under lambda_n = lam0 * n^r.
 
     Returns a list of (n, median ||beta_hat - beta||_2) pairs; as r < 1,
-    lam_n = o(n) and the medians shrink toward zero as n grows.
+    lambda_n = o(n) and the medians shrink toward zero as n grows.
     """
     n_grid = [int(n) for n in n_grid]
-    # the default two starts (origin and the unpenalized solution): the
-    # experiment wants the argmin, not a basin-local solution
-    batch = fit_replicates(spec, n_grid, lambda n: spec.lambda0 * n**spec.r, start_at_ols=False)
+    _check_grid(n_grid)
+    lam = [_weight(n, spec.lambda0 * n**spec.r / n) for n in n_grid]
+    gram, xty, yty, ols = draw_replicates(spec, n_grid)
+    # the origin and the unpenalized start: the argmin, not a basin-local solution
+    batch = fit_batch(gram, xty, yty, np.repeat(n_grid, spec.replicates), spec.penalty,
+                      np.repeat(lam, spec.replicates), np.stack([np.zeros_like(ols), ols], axis=1))
+    _check_failures(n_grid, batch)
     shape = (len(n_grid), spec.replicates)
     table = []
     for n, beta_hats, failed in zip(n_grid, batch.beta_hat.reshape(*shape, spec.p),

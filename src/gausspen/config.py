@@ -185,8 +185,8 @@ def _simulation_problems(key, starts, options):
     is allocated, and a ``c_diag`` whose length is not ``beta``'s.  The X'X
     count is the descent's per-pass product stack, one per start, size and
     replicate; the callers' stack (1/``starts`` of it) and the per-row vectors
-    come on top: a 2,000-replicate, 4-size consistency cell peaks at 3.1 times
-    the count at p = 10, and at 8.8 times at p = 3."""
+    come on top: a 500-replicate, 4-size consistency cell peaks at 3.44 times
+    the count at p = 10, and at 9.7 times at p = 3."""
     beta, c_diag, sizes = options["beta"], options["c_diag"], options[key]
     p, sizes = len(beta), sizes if isinstance(sizes, list) else [sizes]
     problems = [] if c_diag is None or len(c_diag) == p else [

@@ -67,8 +67,8 @@ class TrainConfig:
             raise ConfigurationError("need 0 < lr_min < lr_max")
         if self.patience < 1 or self.max_epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("patience, max_epochs, batch_size must be >= 1")
-        if self.lam < 0:
-            raise ConfigurationError("lam must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ConfigurationError("lam must be finite and nonnegative")
         if self.penalty.family == "none" or self.lam == 0.0:
             object.__setattr__(self, "penalty", PenaltySpec("none"))
             object.__setattr__(self, "lam", 0.0)

@@ -149,8 +149,8 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     rows' X'X from ``gram``; the descent keeps none.  A start not finite, or
     whose objective is not, stops its row at pass 0 and fails its problem alone.
     """
-    if np.any(np.asarray(lam) < 0):
-        raise ConfigurationError("lam must be nonnegative")
+    if not np.all(np.isfinite(lam) & (np.asarray(lam) >= 0)):
+        raise ConfigurationError("lam must be finite and nonnegative")
     starts = np.asarray(starts, dtype=float)
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)

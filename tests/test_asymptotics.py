@@ -13,7 +13,7 @@ from gausspen.asymptotics import (
     _cholesky,
     _draw,
     _noise,
-    fit_replicates,
+    draw_replicates,
     run_bias_experiment,
     run_consistency_experiment,
     theoretical_rootn_bias,
@@ -110,13 +110,13 @@ def base_spec(**overrides):
     return SimSpec(**defaults)
 
 
-# the weight rules of the two experiments, sum-of-squares convention
-def sqrt_n(spec):
-    return lambda n: spec.lambda0 * math.sqrt(n)
-
-
-def o_of_n(spec):
-    return lambda n: spec.lambda0 * n**spec.r
+def consistency_fit(spec, n_grid):
+    """The consistency experiment's fit: every replicate at every n, at the
+    weight lambda0 * n^r / n, from the origin and the unpenalized solution."""
+    gram, xty, yty, ols = draw_replicates(spec, n_grid)
+    lam = [spec.lambda0 * n**spec.r / n for n in n_grid]
+    return fit_batch(gram, xty, yty, np.repeat(n_grid, spec.replicates), spec.penalty,
+                     np.repeat(lam, spec.replicates), np.stack([np.zeros_like(ols), ols], axis=1))
 
 
 def draw(spec, n, rep):
@@ -134,11 +134,17 @@ def test_spec_validation():
         base_spec(sigma=0.0)
     with pytest.raises(ConfigurationError):
         base_spec(r=1.0)
+    # NaN passes a sign check, and an infinite C made the symmetry check warn
+    for bad in (math.nan, math.inf, -math.inf):
+        for overrides in (dict(sigma=bad), dict(lambda0=bad), dict(beta_true=[1.0, bad]),
+                          dict(beta_true=[1.0, 1.0], C=[[1.0, 0.0], [0.0, bad]])):
+            with pytest.raises(ConfigurationError):
+                base_spec(**overrides)
     for n in (0, -5):
         with pytest.raises(ConfigurationError):
             run_bias_experiment(base_spec(), n)
         with pytest.raises(ConfigurationError):
-            fit_replicates(base_spec(), [n], sqrt_n(base_spec()))
+            draw_replicates(base_spec(), [n])
         with pytest.raises(ConfigurationError):
             run_consistency_experiment(base_spec(), [n, 100])
     for grid in ([], [100, 100], [400, 100]):
@@ -265,11 +271,14 @@ def test_consistency_grid_matches_per_n_fits(p, extra, seed, lambda0, r, kappa, 
     spec = base_spec(beta_true=rng.uniform(-2.0, 2.0, p), C=np.diag(rng.uniform(0.5, 2.0, p)),
                      lambda0=lambda0, r=r, penalty=PenaltySpec("gaussian", kappa=kappa),
                      replicates=replicates, seed=seed)
-    batch = fit_replicates(spec, grid, o_of_n(spec), start_at_ols=False)
+    drawn = draw_replicates(spec, grid)
+    batch = consistency_fit(spec, grid)
     table = run_consistency_experiment(spec, grid)
     for i, (n, (table_n, median)) in enumerate(zip(grid, table)):
-        alone = fit_replicates(spec, [n], o_of_n(spec), start_at_ols=False)
+        alone = consistency_fit(spec, [n])
         rows = slice(i * replicates, (i + 1) * replicates)
+        for stack, stack_alone in zip(drawn, draw_replicates(spec, [n])):
+            assert stack[rows].tobytes() == stack_alone.tobytes()
         assert batch.beta_hat[rows].tobytes() == alone.beta_hat.tobytes()
         assert batch.objective[rows].tobytes() == alone.objective.tobytes()
         assert np.array_equal(batch.iterations[rows], alone.iterations)
@@ -286,7 +295,7 @@ def test_rank_deficient_grid_converges_on_every_winning_fit():
     spec = base_spec(beta_true=[1, -0.5, 2, 0.3, 1.5, -1, 0.8, 2.5, -2], C=np.eye(9),
                      lambda0=1e-6, r=0.5, penalty=PenaltySpec("gaussian", kappa=10.0),
                      replicates=20, seed=1)
-    batch = fit_replicates(spec, [3, 9, 100], o_of_n(spec), start_at_ols=False)
+    batch = consistency_fit(spec, [3, 9, 100])
     assert batch.converged.all()
     assert set(batch.stop_reason) == {"converged"}
     assert batch.iterations.max() < 100
@@ -307,6 +316,21 @@ def test_overflowing_draw_is_config_error(tmp_path, capsys, command, extra, beta
         warnings.simplefilter("error")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("bias-mc", "lambda0 = 1e308\nn = 100\n"),
+    ("consistency-mc", "lambda0 = 1e307\nexponent = 0.9\nn_grid = 100, 400\n"),
+])
+def test_overflowing_weight_is_config_error(tmp_path, command, extra):
+    # lambda0 * sqrt(100) and 1e307 * 100^0.9 are above the largest double:
+    # every start objective would be non-finite, which read as a divergence
+    cfg = tmp_path / "w.cfg"
+    cfg.write_text(f"[experiment]\ncommand = {command}\nseeds = 1\n\n[{command}]\n"
+                   f"beta = 1\nsigma = 1\nreplicates = 20\n{extra}")
+    code, err, out = run_cli(tmp_path, command, "--config", cfg)
+    assert (code, err) == (1, "config error: penalty weight overflows at n = 100\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, extra", [
@@ -359,13 +383,31 @@ def test_rank_deficient_draws_start_at_minimum_norm():
     # start is the minimum-norm least-squares solution, not a failed solve.
     # Unpenalized, that start is already stationary, so no step is taken
     spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), replicates=4, lambda0=0.0)
-    batch = fit_replicates(spec, [2], sqrt_n(spec))
+    gram, xty, yty, start = draw_replicates(spec, [2])
+    batch = fit_batch(gram, xty, yty, 2, spec.penalty, 0.0, start[:, None])
     assert not batch.failed.any()
     assert (batch.iterations == 0).all()
     for rep in range(4):
         X, y = draw(spec, 2, rep)
         ols = np.linalg.lstsq(X, y, rcond=None)[0]
         assert np.abs(batch.beta_hat[rep] - ols).max() <= 1e-12
+
+
+def test_drawn_ols_is_the_least_squares_solution():
+    # each row of the draw step's unpenalized solution is lstsq's on that
+    # replicate's centred design; where n <= p that design has rank n - 1 < p,
+    # and the row is the minimum-norm solution
+    p, grid, reps = 3, [1, 2, 3, 4, 60], 6
+    rng = np.random.default_rng(5)
+    spec = base_spec(beta_true=rng.uniform(-2.0, 2.0, p), C=_random_covariance(rng, p),
+                     replicates=reps, seed=9)
+    ols = draw_replicates(spec, grid)[3]
+    assert ols.shape == (len(grid) * reps, p)
+    for i, n in enumerate(grid):
+        for rep in range(reps):
+            X, y = draw(spec, n, rep)
+            want = np.linalg.lstsq(X, y, rcond=None)[0]
+            assert np.abs(ols[i * reps + rep] - want).max() <= 1e-12 * (1.0 + np.abs(want).max())
 
 
 def test_pure_noise_variance():
@@ -532,7 +574,7 @@ def test_each_experiment_passes_its_own_weight(monkeypatch):
     run_bias_experiment(spec, n)
     run_consistency_experiment(spec, [n])
     bias_lam, consistency_lam = passed
-    assert np.asarray(bias_lam).tobytes() == np.full(3, lam0 * math.sqrt(n) / n).tobytes()
+    assert np.broadcast_to(bias_lam, 3).tobytes() == np.full(3, lam0 * math.sqrt(n) / n).tobytes()
     assert np.asarray(consistency_lam).tobytes() == np.full(3, lam0 * n**0.5 / n).tobytes()
 
 
@@ -569,7 +611,7 @@ def test_consistency_rate_matches_root_n():
 
 
 def test_consistency_violating_rule_has_error_floor():
-    # lam_n ~ 5n is not o(n): the limit criterion keeps a penalty term whose
+    # lambda_n ~ 5n is not o(n): the limit criterion keeps a penalty term whose
     # global argmin sits near 0, so the estimation error stalls above a
     # positive floor instead of vanishing
     spec = base_spec(
@@ -588,7 +630,7 @@ def test_consistency_replicates_all_converge():
         beta_true=[1.0, -2.0], C=np.eye(2), lambda0=1.0, r=0.5,
         penalty=PenaltySpec("gaussian", kappa=10.0), replicates=200, seed=11,
     )
-    batch = fit_replicates(spec, [1600], o_of_n(spec), start_at_ols=False)
+    batch = consistency_fit(spec, [1600])
     assert not batch.failed.any()
     assert batch.converged.all()
     assert np.all(batch.grad_norm_final <= 1e-8)

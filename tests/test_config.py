@@ -401,7 +401,7 @@ def test_monte_carlo_arrays_are_bounded(command, p, replicates, sizes, named):
 def test_monte_carlo_peak_is_the_stated_multiple_of_the_checked_count():
     # the size check counts one p x p X'X per start, size and replicate;
     # _simulation_problems states that a p = 10 consistency cell's traced
-    # peak is about 3.1 times that count, with the callers' stack, the
+    # peak is about 3.44 times that count, with the callers' stack, the
     # descent's per-pass product stack and its per-row vectors together
     p, replicates, n_grid = 10, 500, [50, 100, 200, 400]
     text = (f"[experiment]\ncommand = consistency-mc\n\n[consistency-mc]\n"

@@ -70,8 +70,9 @@ def test_config_validation():
         TrainConfig(lr_min=0.25, lr_max=0.01)
     with pytest.raises(ConfigurationError):
         TrainConfig(patience=0)
-    with pytest.raises(ConfigurationError):
-        TrainConfig(lam=-1.0)
+    for lam in (-1.0, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(lam=lam)
 
 
 def test_config_is_frozen_run_key():

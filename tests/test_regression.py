@@ -90,8 +90,10 @@ def test_objective_is_value_at_beta_hat():
 
 def test_negative_lambda_rejected():
     problem = LinearProblem(np.ones((2, 1)), np.ones(2))
-    with pytest.raises(ConfigurationError):
-        fit(problem, PenaltySpec("none"), -0.1)
+    # NaN passes a sign check, and failed the fit as a divergence
+    for lam in (-0.1, math.nan, math.inf):
+        with pytest.raises(ConfigurationError):
+            fit(problem, PenaltySpec("none"), lam)
 
 
 def test_fit_orthonormal_matches_one_dim_oracle():
