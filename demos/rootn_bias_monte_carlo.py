@@ -8,7 +8,8 @@ coefficients.  For the bounded exponential penalty that is
 the signal size.  A ridge penalty pays -lam0*C^{-1}*beta instead: the
 stronger the signal, the bigger the distortion.  Lasso pays a constant
 lam0/2, and SCAD and MCP nothing once the signal clears their threshold.
-The bias experiment takes its sample size n at the call.
+The bias experiment takes the drawn model, and its sample size n, penalty
+and lam0 at the call.
 """
 
 import numpy as np
@@ -20,11 +21,8 @@ FAMILIES = [PenaltySpec("gaussian", kappa=10.0), PenaltySpec("ridge"), PenaltySp
 
 
 def experiment(beta, penalty):
-    spec = SimSpec(
-        beta_true=beta, C=np.eye(len(beta)), sigma=1.0, lambda0=1.0, penalty=penalty,
-        replicates=300, seed=42,
-    )
-    return run_bias_experiment(spec, 1600)
+    spec = SimSpec(beta_true=beta, C=np.eye(len(beta)), sigma=1.0, replicates=300, seed=42)
+    return run_bias_experiment(spec, 1600, penalty, lambda0=1.0)
 
 
 def main():

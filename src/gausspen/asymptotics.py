@@ -11,9 +11,9 @@ in :mod:`~gausspen.penalties`:
   Gaussian penalty it vanishes exponentially fast in |beta|, for ridge it
   grows with it.
 
-A :class:`SimSpec` holds what the two experiments share: the model, the
-penalty and the replicates.  Each experiment takes its own sample sizes and
-its own weight rule: :func:`run_bias_experiment` one n with
+A :class:`SimSpec` is the drawn model: all that :func:`draw_replicates`
+reads.  Each experiment takes what it fits, the penalty and weight rule, and
+its own sample sizes: :func:`run_bias_experiment` one n with
 lambda_n = lam0 * sqrt(n), :func:`run_consistency_experiment` a grid of n with
 lambda_n = lam0 * n^r.  ``lambda_n`` follows the raw sum-of-squares convention
 (loss = sum of squared residuals); the solver normalizes the loss by 1/n, so
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, ExperimentError
-from .penalties import PenaltySpec, grad_array
+from .penalties import grad_array
 from .regression import fit_batch
 
 #: largest tolerated fraction of diverged replicates before the report aborts
@@ -45,29 +45,21 @@ MAX_FAILED_FRACTION = 0.05
 
 @dataclass
 class SimSpec:
-    """One simulated-regression configuration, at every sample size: the
-    model (``beta_true``, ``C``, ``sigma``), the penalty weight (``lambda0``
-    and the exponent ``r < 1`` of the consistency rule), the penalty shape
-    (``penalty``, a :class:`~gausspen.penalties.PenaltySpec`, by default the
-    Gaussian of kappa 10) and the replicates.  The sample sizes are the
-    experiment's."""
+    """One simulated-regression model, ``beta_true``, ``C`` and ``sigma``, and the
+    replicates drawn from it; the penalty, weight and sample sizes are the experiment's."""
 
     beta_true: np.ndarray
     C: np.ndarray
     sigma: float
-    lambda0: float = 1.0
-    r: float = 0.5
-    penalty: PenaltySpec = PenaltySpec()
     replicates: int = 100
     seed: int = 0
 
     def __post_init__(self):
         self.beta_true = np.asarray(self.beta_true, dtype=float).ravel()
         self.C = np.asarray(self.C, dtype=float)
-        p = self.beta_true.shape[0]
         if not (np.isfinite(self.beta_true).all() and np.isfinite(self.C).all()):
             raise ConfigurationError("beta_true and C must be finite")
-        if self.C.shape != (p, p):
+        if self.C.shape != (self.p, self.p):
             raise ConfigurationError("C must be p x p for a length-p beta_true")
         if np.abs(self.C - self.C.T).max() > 1e-12:
             raise ConfigurationError("C must be symmetric")
@@ -76,10 +68,6 @@ class SimSpec:
             raise ConfigurationError("sigma must be positive and finite")
         if self.replicates < 1:
             raise ConfigurationError("replicates must be >= 1")
-        if not self.r < 1.0:
-            raise ConfigurationError("exponent r must be < 1")
-        if not 0 <= self.lambda0 < math.inf:
-            raise ConfigurationError("lambda0 must be finite and nonnegative")
 
     @property
     def p(self):
@@ -146,8 +134,10 @@ def theoretical_rootn_bias(C, beta_true, lambda0, penalty):
     quadratic in the local parameter u; its argmin has this mean because the
     Gaussian noise term W is centered.  A penalty with a kink at 0 and a zero
     coordinate of beta puts |u_j| in the criterion instead, whose argmin has
-    no closed-form mean: that is a :class:`ConfigurationError`.
+    no closed-form mean: that is a :class:`ConfigurationError`, and so are a
+    bad ``lambda0`` and a mean that overflows.
     """
+    _check_rule(lambda0, 0.5)  # lambda_n = lam0 * sqrt(n)
     C = np.asarray(C, dtype=float)
     beta_true = np.asarray(beta_true, dtype=float).ravel()
     if penalty.slope_at_zero() > 0 and not beta_true.all():
@@ -155,14 +145,26 @@ def theoretical_rootn_bias(C, beta_true, lambda0, penalty):
             f"the sqrt(n) limit law of {penalty.label()} has no closed-form mean "
             "where a coordinate of beta is 0")
     try:
-        return -(lambda0 / 2) * np.linalg.solve(C, grad_array(penalty, beta_true))
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below, without a warning
+            mean = -(lambda0 / 2) * np.linalg.solve(C, grad_array(penalty, beta_true))
     except np.linalg.LinAlgError:
         raise ConfigurationError("C must be invertible") from None
+    if not np.isfinite(mean).all():
+        raise ConfigurationError("the sqrt(n) limit law's mean overflows")
+    return mean
+
+
+def _check_rule(lambda0, r):  # of the weight rule lambda_n = lam0 * n^r
+    if not r < 1.0:
+        raise ConfigurationError("exponent r must be < 1")
+    if not 0 <= lambda0 < math.inf:
+        raise ConfigurationError("lambda0 must be finite and nonnegative")
 
 
 def _check_grid(n_grid):
-    if not n_grid or n_grid[0] < 1 or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ConfigurationError("n grid must be nonempty, strictly increasing and at least 1")
+    if not (n_grid and all(isinstance(n, (int, np.integer)) and n >= 1 for n in n_grid)
+            and all(a < b for a, b in zip(n_grid, n_grid[1:]))):
+        raise ConfigurationError("n grid must be nonempty, strictly increasing integers >= 1")
 
 
 def _weight(n, lam):
@@ -178,8 +180,8 @@ def draw_replicates(spec, n_grid):
     the n-major stacks ``(gram, xty, yty, ols)``, one row per (n, replicate),
     of shapes (M, p, p), (M, p), (M,) and (M, p).
 
-    ``n_grid`` is a list of sample sizes that is nonempty, starts at 1 or above
-    and strictly increases.  ``C`` is factored here, and in ``SimSpec``.  Each
+    ``n_grid`` is a list of integer sample sizes, nonempty, from 1 up and
+    strictly increasing.  ``C`` is factored here, and in ``SimSpec``.  Each
     replicate is drawn once, at the largest n, and a smaller n takes a prefix of
     its noise.  Each draw is reduced at once to X'X, X'y and y'y and its design
     dropped.  Checked per n in grid order, a draw that overflows, so that a
@@ -218,24 +220,24 @@ def _check_failures(n_grid, batch):
             raise ExperimentError(f"{count}/{failed.shape[1]} replicates diverged at n={n}")
 
 
-def run_bias_experiment(spec, n):
+def run_bias_experiment(spec, n, penalty, lambda0):
     """Monte Carlo check of the sqrt(n) limit law's mean at sample size n,
-    under lambda_n = lam0 * sqrt(n).
+    for ``penalty`` under lambda_n = lam0 * sqrt(n).
 
-    Computes :func:`theoretical_rootn_bias` first, so a penalty and beta
-    without a closed-form limit mean fail before any draw.  Then fits the
-    penalized estimator per replicate (started at the unpenalized solution),
-    aggregates sqrt(n)*(beta_hat - beta), and compares against the limit
-    mean coordinate by coordinate via z-scores.
+    Computes :func:`theoretical_rootn_bias` first, so a ``lambda0``, penalty
+    and beta without a finite closed-form limit mean fail before any draw.
+    Then fits the penalized estimator per replicate (started at the
+    unpenalized solution), aggregates sqrt(n)*(beta_hat - beta), and compares
+    against the limit mean coordinate by coordinate via z-scores.
 
     Diverged replicates are dropped and counted; too many of them are an
     :class:`ExperimentError`.
     """
-    theo = theoretical_rootn_bias(spec.C, spec.beta_true, spec.lambda0, spec.penalty)
+    theo = theoretical_rootn_bias(spec.C, spec.beta_true, lambda0, penalty)
     _check_grid([n])
-    lam = _weight(n, spec.lambda0 * math.sqrt(n) / n)
+    lam = _weight(n, lambda0 * math.sqrt(n) / n)
     gram, xty, yty, ols = draw_replicates(spec, [n])
-    batch = fit_batch(gram, xty, yty, n, spec.penalty, lam, ols[:, None])
+    batch = fit_batch(gram, xty, yty, n, penalty, lam, ols[:, None])
     _check_failures([n], batch)
     used = ~batch.failed
     errors = math.sqrt(n) * (batch.beta_hat[used] - spec.beta_true)
@@ -251,19 +253,19 @@ def run_bias_experiment(spec, n):
                       dict(Counter(batch.stop_reason[used].tolist())))
 
 
-def run_consistency_experiment(spec, n_grid):
+def run_consistency_experiment(spec, n_grid, penalty, lambda0, r):
     """Median l2 estimation error across an increasing grid of sample sizes,
-    under lambda_n = lam0 * n^r.
+    for ``penalty`` under lambda_n = lam0 * n^r.
 
     Returns a list of (n, median ||beta_hat - beta||_2) pairs; as r < 1,
     lambda_n = o(n) and the medians shrink toward zero as n grows.
     """
-    n_grid = [int(n) for n in n_grid]
+    _check_rule(lambda0, r)
     _check_grid(n_grid)
-    lam = [_weight(n, spec.lambda0 * n**spec.r / n) for n in n_grid]
+    lam = [_weight(n, lambda0 * n**r / n) for n in n_grid]
     gram, xty, yty, ols = draw_replicates(spec, n_grid)
     # the origin and the unpenalized start: the argmin, not a basin-local solution
-    batch = fit_batch(gram, xty, yty, np.repeat(n_grid, spec.replicates), spec.penalty,
+    batch = fit_batch(gram, xty, yty, np.repeat(n_grid, spec.replicates), penalty,
                       np.repeat(lam, spec.replicates), np.stack([np.zeros_like(ols), ols], axis=1))
     _check_failures(n_grid, batch)
     shape = (len(n_grid), spec.replicates)

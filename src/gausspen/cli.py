@@ -83,20 +83,15 @@ def run_ortho_scan(config, jobs):
 # --- bias-mc and consistency-mc --------------------------------------------
 
 def _sim_spec(options, seed):
-    beta = np.asarray(options["beta"])
-    c_diag = options["c_diag"]
-    return asymptotics.SimSpec(
-        beta_true=beta, C=np.diag(np.ones(beta.size) if c_diag is None else c_diag),
-        sigma=options["sigma"], lambda0=options["lambda0"],
-        r=options.get("exponent", asymptotics.SimSpec.r),  # only consistency-mc has one
-        penalty=penalties.PenaltySpec("gaussian", kappa=options["kappa"]),
-        replicates=options["replicates"], seed=seed,
-    )
+    beta, c_diag = np.asarray(options["beta"]), options["c_diag"]
+    C = np.diag(np.ones(beta.size) if c_diag is None else c_diag)
+    return asymptotics.SimSpec(beta, C, options["sigma"], options["replicates"], seed)
 
 
 def run_bias_mc(config, jobs):
-    n = config.options["n"]
-    cells = [(_sim_spec(config.options, seed), n) for seed in config.seeds]
+    opts = config.options
+    fit = (opts["n"], penalties.PenaltySpec("gaussian", kappa=opts["kappa"]), opts["lambda0"])
+    cells = [(_sim_spec(opts, seed), *fit) for seed in config.seeds]
     reports = _map_cells(asymptotics.run_bias_experiment, cells, jobs)
     p = reports[0].empirical_mean.size
     rows = []
@@ -118,14 +113,16 @@ def run_bias_mc(config, jobs):
 
 
 def run_consistency_mc(config, jobs):
-    n_grid = config.options["n_grid"]
-    cells = [(_sim_spec(config.options, seed), n_grid) for seed in config.seeds]
+    opts = config.options
+    fit = (opts["n_grid"], penalties.PenaltySpec("gaussian", kappa=opts["kappa"]), opts["lambda0"],
+           opts["exponent"])
+    cells = [(_sim_spec(opts, seed), *fit) for seed in config.seeds]
     tables = _map_cells(asymptotics.run_consistency_experiment, cells, jobs)
     rows = []
     for seed, table in zip(config.seeds, tables):
         for n, err in table:
             rows.append(("run", seed, n, err))
-    for i, n in enumerate(n_grid):
+    for i, n in enumerate(opts["n_grid"]):
         rows.append(("median", None, n, lower_median([t[i][1] for t in tables])))
     return "consistency_mc.csv", ("row", "seed", "n", "median_l2_error"), zip(*rows)
 

@@ -127,7 +127,7 @@ _LAMBDA = {"values": (_lambdas, ()), "log_min": _positive, "log_max": _positive,
 
 _SIMULATION = {
     "beta": _finites, "c_diag": (_positives, None),  # c_diag None: identity covariance
-    "sigma": (_positive, 1.0), "lambda0": (_nonnegative, SimSpec.lambda0),
+    "sigma": (_positive, 1.0), "lambda0": (_nonnegative, 1.0),
     "kappa": (_positive, PenaltySpec("gaussian").param), "replicates": (_count, SimSpec.replicates),
 }
 
@@ -222,7 +222,7 @@ COMMANDS = {
     }, check=_range_problems),
     "bias-mc": Command({**_SIMULATION, "n": _count}, check=partial(_simulation_problems, "n", 1)),
     "consistency-mc": Command(
-        {**_SIMULATION, "exponent": (_below_one, SimSpec.r), "n_grid": _sizes},
+        {**_SIMULATION, "exponent": (_below_one, 0.5), "n_grid": _sizes},
         check=partial(_simulation_problems, "n_grid", 2)),
     "train-mlp": Command({
         "save_artifacts": (_flag, False),

@@ -109,32 +109,24 @@ def test_criterion_2_orthonormal_phase_transition():
 
 def test_criterion_3_rootn_bias():
     with criterion(3, "sqrt(n) bias matches -exp(-1), then vanishes at beta=5", 120.0):
-        spec = SimSpec(
-            beta_true=[1.0], C=np.eye(1), sigma=1.0, lambda0=1.0,
-            penalty=PenaltySpec("gaussian", kappa=1.0), replicates=500, seed=20260809,
-        )
-        report = run_bias_experiment(spec, 1600)
+        spec = SimSpec(beta_true=[1.0], C=np.eye(1), sigma=1.0, replicates=500, seed=20260809)
+        report = run_bias_experiment(spec, 1600, PenaltySpec("gaussian", kappa=1.0), 1.0)
         target = -math.exp(-1.0)
         assert report.theoretical_bias[0] == pytest.approx(target, abs=1e-12)
         assert abs(report.empirical_mean[0] - target) <= 3.0 * report.empirical_se[0]
 
-        spec_far = SimSpec(
-            beta_true=[5.0], C=np.eye(1), sigma=1.0, lambda0=1.0,
-            penalty=PenaltySpec("gaussian", kappa=10.0), replicates=500, seed=20260809,
-        )
-        far = run_bias_experiment(spec_far, 1600)
+        spec_far = SimSpec(beta_true=[5.0], C=np.eye(1), sigma=1.0, replicates=500,
+                           seed=20260809)
+        far = run_bias_experiment(spec_far, 1600, PenaltySpec("gaussian", kappa=10.0), 1.0)
         assert abs(far.theoretical_bias[0]) < 1e-50  # exponentially vanished
         assert abs(far.empirical_mean[0]) <= 3.0 * far.empirical_se[0]
 
 
 def test_criterion_4_consistency():
     with criterion(4, "consistency under lambda_n = sqrt(n)", 180.0):
-        spec = SimSpec(
-            beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0,
-            lambda0=1.0, r=0.5, penalty=PenaltySpec("gaussian", kappa=10.0),
-            replicates=200, seed=11,
-        )
-        table = run_consistency_experiment(spec, [100, 400, 1600, 6400])
+        spec = SimSpec(beta_true=[1.0, -2.0], C=np.eye(2), sigma=1.0, replicates=200, seed=11)
+        table = run_consistency_experiment(spec, [100, 400, 1600, 6400],
+                                           PenaltySpec("gaussian", kappa=10.0), 1.0, 0.5)
         errors = [err for _, err in table]
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < errors[0] / 4.0

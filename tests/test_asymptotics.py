@@ -97,26 +97,30 @@ def minimize_limit_criterion(C, beta, lam0, penalty):
 
 
 def base_spec(**overrides):
-    defaults = dict(
-        beta_true=[1.0],
-        C=np.eye(1),
-        sigma=1.0,
-        lambda0=1.0,
-        penalty=PenaltySpec("gaussian", kappa=1.0),
-        replicates=50,
-        seed=123,
-    )
+    defaults = dict(beta_true=[1.0], C=np.eye(1), sigma=1.0, replicates=50, seed=123)
     defaults.update(overrides)
     return SimSpec(**defaults)
 
 
-def consistency_fit(spec, n_grid):
+# the penalty a test fits unless it names another
+GAUSSIAN = PenaltySpec("gaussian", kappa=1.0)
+
+
+def consistency_fit(spec, n_grid, penalty, lambda0, r):
     """The consistency experiment's fit: every replicate at every n, at the
     weight lambda0 * n^r / n, from the origin and the unpenalized solution."""
     gram, xty, yty, ols = draw_replicates(spec, n_grid)
-    lam = [spec.lambda0 * n**spec.r / n for n in n_grid]
-    return fit_batch(gram, xty, yty, np.repeat(n_grid, spec.replicates), spec.penalty,
+    lam = [lambda0 * n**r / n for n in n_grid]
+    return fit_batch(gram, xty, yty, np.repeat(n_grid, spec.replicates), penalty,
                      np.repeat(lam, spec.replicates), np.stack([np.zeros_like(ols), ols], axis=1))
+
+
+def no_draw(monkeypatch):
+    """Make drawing a replicate fail the test."""
+    def drawing(*args):
+        raise AssertionError("drew a replicate")
+
+    monkeypatch.setattr(asymptotics, "_noise", drawing)
 
 
 def draw(spec, n, rep):
@@ -125,31 +129,52 @@ def draw(spec, n, rep):
     return columns.T, y
 
 
-def test_spec_validation():
+def test_spec_validation(monkeypatch):
     with pytest.raises(ConfigurationError):
         base_spec(C=np.array([[1.0, 0.5], [0.4, 1.0]]), beta_true=[1.0, 1.0])
     with pytest.raises(ConfigurationError):
         base_spec(C=-np.eye(1))
     with pytest.raises(ConfigurationError):
         base_spec(sigma=0.0)
-    with pytest.raises(ConfigurationError):
-        base_spec(r=1.0)
+    with pytest.raises(ConfigurationError, match="^C must be p x p for a length-p beta_true$"):
+        base_spec(beta_true=[1.0, 1.0], C=np.eye(3))
+    with pytest.raises(ConfigurationError, match="^replicates must be >= 1$"):
+        base_spec(replicates=0)
     # NaN passes a sign check, and an infinite C made the symmetry check warn
     for bad in (math.nan, math.inf, -math.inf):
-        for overrides in (dict(sigma=bad), dict(lambda0=bad), dict(beta_true=[1.0, bad]),
+        for overrides in (dict(sigma=bad), dict(beta_true=[1.0, bad]),
                           dict(beta_true=[1.0, 1.0], C=[[1.0, 0.0], [0.0, bad]])):
             with pytest.raises(ConfigurationError):
                 base_spec(**overrides)
-    for n in (0, -5):
-        with pytest.raises(ConfigurationError):
-            run_bias_experiment(base_spec(), n)
-        with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="^C must be invertible$"):
+        theoretical_rootn_bias([[0.0]], [1.0], 1.0, GAUSSIAN)
+    # the weight rule is each experiment's, checked before any draw
+    no_draw(monkeypatch)
+    for lambda0 in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ConfigurationError, match="^lambda0 must be finite and nonnegative$"):
+            run_bias_experiment(base_spec(), 100, GAUSSIAN, lambda0)
+        with pytest.raises(ConfigurationError, match="^lambda0 must be finite and nonnegative$"):
+            run_consistency_experiment(base_spec(), [100], GAUSSIAN, lambda0, 0.5)
+    for r in (1.0, 2.0, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="^exponent r must be < 1$"):
+            run_consistency_experiment(base_spec(), [100], GAUSSIAN, 1.0, r)
+    # -(lam0 / 2) C^{-1} P'(beta) is about -4e309 here: it was reported as a
+    # theoretical bias of -inf, with a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="^the sqrt.n. limit law's mean overflows$"):
+            run_bias_experiment(base_spec(C=np.diag([1e-10])), 100, GAUSSIAN, 1e300)
+    # a sample size is an integer: a float one was truncated, or a TypeError
+    for n in (0, -5, 100.7, 100.0):
+        with pytest.raises(ConfigurationError, match="^n grid must"):
+            run_bias_experiment(base_spec(), n, GAUSSIAN, 1.0)
+        with pytest.raises(ConfigurationError, match="^n grid must"):
             draw_replicates(base_spec(), [n])
-        with pytest.raises(ConfigurationError):
-            run_consistency_experiment(base_spec(), [n, 100])
-    for grid in ([], [100, 100], [400, 100]):
-        with pytest.raises(ConfigurationError):
-            run_consistency_experiment(base_spec(), grid)
+        with pytest.raises(ConfigurationError, match="^n grid must"):
+            run_consistency_experiment(base_spec(), [n, 400], GAUSSIAN, 1.0, 0.5)
+    for grid in ([], [100, 100], [400, 100], [100, 400.0], ["100"]):
+        with pytest.raises(ConfigurationError, match="^n grid must"):
+            run_consistency_experiment(base_spec(), grid, GAUSSIAN, 1.0, 0.5)
 
 
 def test_simulated_data_is_centered_and_deterministic():
@@ -269,13 +294,13 @@ def test_consistency_grid_matches_per_n_fits(p, extra, seed, lambda0, r, kappa, 
     rng = np.random.default_rng(seed)
     grid = sorted(p + e for e in extra)
     spec = base_spec(beta_true=rng.uniform(-2.0, 2.0, p), C=np.diag(rng.uniform(0.5, 2.0, p)),
-                     lambda0=lambda0, r=r, penalty=PenaltySpec("gaussian", kappa=kappa),
                      replicates=replicates, seed=seed)
+    fit = (PenaltySpec("gaussian", kappa=kappa), lambda0, r)
     drawn = draw_replicates(spec, grid)
-    batch = consistency_fit(spec, grid)
-    table = run_consistency_experiment(spec, grid)
+    batch = consistency_fit(spec, grid, *fit)
+    table = run_consistency_experiment(spec, grid, *fit)
     for i, (n, (table_n, median)) in enumerate(zip(grid, table)):
-        alone = consistency_fit(spec, [n])
+        alone = consistency_fit(spec, [n], *fit)
         rows = slice(i * replicates, (i + 1) * replicates)
         for stack, stack_alone in zip(drawn, draw_replicates(spec, [n])):
             assert stack[rows].tobytes() == stack_alone.tobytes()
@@ -293,9 +318,8 @@ def test_rank_deficient_grid_converges_on_every_winning_fit():
     # a gradient descent stopped 23 of these 60 winning fits unconverged,
     # after up to 39,756 steps; the Newton trial converges on every one
     spec = base_spec(beta_true=[1, -0.5, 2, 0.3, 1.5, -1, 0.8, 2.5, -2], C=np.eye(9),
-                     lambda0=1e-6, r=0.5, penalty=PenaltySpec("gaussian", kappa=10.0),
                      replicates=20, seed=1)
-    batch = consistency_fit(spec, [3, 9, 100])
+    batch = consistency_fit(spec, [3, 9, 100], PenaltySpec("gaussian", kappa=10.0), 1e-6, 0.5)
     assert batch.converged.all()
     assert set(batch.stop_reason) == {"converged"}
     assert batch.iterations.max() < 100
@@ -330,6 +354,18 @@ def test_overflowing_weight_is_config_error(tmp_path, command, extra):
                    f"beta = 1\nsigma = 1\nreplicates = 20\n{extra}")
     code, err, out = run_cli(tmp_path, command, "--config", cfg)
     assert (code, err) == (1, "config error: penalty weight overflows at n = 100\n")
+    assert not out.exists()
+
+
+def test_overflowing_limit_mean_exits_1_before_any_draw(tmp_path, monkeypatch):
+    # bias-mc exited 0 writing a theoretical bias of -inf and a z of inf, or
+    # 2 under warnings-as-errors; now a config error, with no warning
+    no_draw(monkeypatch)
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("[experiment]\ncommand = bias-mc\nseeds = 1\n\n[bias-mc]\nbeta = 1\n"
+                   "c_diag = 1e-10\nkappa = 1\nlambda0 = 1e300\nreplicates = 20\nn = 100\n")
+    code, err, out = run_cli(tmp_path, "bias-mc", "--config", cfg)
+    assert (code, err) == (1, "config error: the sqrt(n) limit law's mean overflows\n")
     assert not out.exists()
 
 
@@ -372,8 +408,8 @@ def test_bias_report_counts_its_replicates_by_stop_reason():
     # the draw of the example above: the gradient's round-off there, about
     # 1e80, stops two of the three fits short of GRAD_TOL
     spec = base_spec(beta_true=[5.345348003139933e95, 0.0], C=np.eye(2), sigma=1e23,
-                     penalty=PenaltySpec("gaussian", kappa=10.0), replicates=3, seed=1)
-    report = run_bias_experiment(spec, 50)
+                     replicates=3, seed=1)
+    report = run_bias_experiment(spec, 50, PenaltySpec("gaussian", kappa=10.0), 1.0)
     assert report.stop_reasons == {"round-off floor": 2, "converged": 1}
     assert report.replicates_unconverged == 2
 
@@ -382,9 +418,9 @@ def test_rank_deficient_draws_start_at_minimum_norm():
     # n <= p: the centered design has rank below p, so X'X is singular; the
     # start is the minimum-norm least-squares solution, not a failed solve.
     # Unpenalized, that start is already stationary, so no step is taken
-    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), replicates=4, lambda0=0.0)
+    spec = base_spec(beta_true=[1.0, 2.0, 0.5], C=np.eye(3), replicates=4)
     gram, xty, yty, start = draw_replicates(spec, [2])
-    batch = fit_batch(gram, xty, yty, 2, spec.penalty, 0.0, start[:, None])
+    batch = fit_batch(gram, xty, yty, 2, GAUSSIAN, 0.0, start[:, None])
     assert not batch.failed.any()
     assert (batch.iterations == 0).all()
     for rep in range(4):
@@ -503,13 +539,10 @@ def test_gaussian_bias_keeps_its_closed_form_bits(beta, kappa):
 def test_kinked_family_with_a_zero_beta_fails_before_any_draw(monkeypatch, family):
     # at a kink the limit law's mean has no closed form: a config error,
     # raised before a single replicate is drawn
-    def no_draw(*args):
-        raise AssertionError("drew a replicate")
-
-    monkeypatch.setattr(asymptotics, "_noise", no_draw)
-    spec = base_spec(beta_true=[1.0, 0.0], C=np.eye(2), penalty=PenaltySpec(family))
+    no_draw(monkeypatch)
+    spec = base_spec(beta_true=[1.0, 0.0], C=np.eye(2))
     with pytest.raises(ConfigurationError, match="no closed-form mean"):
-        run_bias_experiment(spec, 100)
+        run_bias_experiment(spec, 100, PenaltySpec(family), 1.0)
 
 
 def test_exponential_decay_ratio():
@@ -539,16 +572,16 @@ def test_ridge_contrast():
 
 
 def test_bias_experiment_lambda0_zero_is_centered():
-    spec = base_spec(lambda0=0.0, replicates=120)
-    report = run_bias_experiment(spec, 200)
+    spec = base_spec(replicates=120)
+    report = run_bias_experiment(spec, 200, GAUSSIAN, 0.0)
     assert np.array_equal(report.theoretical_bias, np.zeros(1))
     assert np.all(report.z_scores <= 3.0)
 
 
 def test_bias_experiment_reproducible():
     spec = base_spec(replicates=30)
-    a = run_bias_experiment(spec, 400)
-    b = run_bias_experiment(spec, 400)
+    a = run_bias_experiment(spec, 400, GAUSSIAN, 1.0)
+    b = run_bias_experiment(spec, 400, GAUSSIAN, 1.0)
     assert (a.replicates_used, a.replicates_failed, a.replicates_unconverged) == (30, 0, 0)
     assert a.stop_reasons == {"converged": 30}
     assert np.array_equal(a.empirical_mean, b.empirical_mean)
@@ -570,9 +603,9 @@ def test_each_experiment_passes_its_own_weight(monkeypatch):
         return fit_batch(gram, xty, yty, sizes, pen, lam, starts)
 
     monkeypatch.setattr(asymptotics, "fit_batch", recording)
-    spec = base_spec(lambda0=lam0, r=0.5, replicates=3)
-    run_bias_experiment(spec, n)
-    run_consistency_experiment(spec, [n])
+    spec = base_spec(replicates=3)
+    run_bias_experiment(spec, n, GAUSSIAN, lam0)
+    run_consistency_experiment(spec, [n], GAUSSIAN, lam0, 0.5)
     bias_lam, consistency_lam = passed
     assert np.broadcast_to(bias_lam, 3).tobytes() == np.full(3, lam0 * math.sqrt(n) / n).tobytes()
     assert np.asarray(consistency_lam).tobytes() == np.full(3, lam0 * n**0.5 / n).tobytes()
@@ -592,9 +625,8 @@ _DRAW_MISSES_AT_1600 = ("none", "lasso", "ridge", "elastic_net", "scad", "mcp", 
     for family in FAMILIES for n in (1600, 6400)])
 def test_bias_experiment_matches_the_limit_law_for_every_family(family, n):
     # the acceptance suite's 3-SE rule, each family at its default parameter
-    spec = base_spec(beta_true=[0.3, -0.5, 1.0, 2.5], C=np.eye(4), lambda0=1.0,
-                     penalty=PenaltySpec(family), replicates=400, seed=1)
-    report = run_bias_experiment(spec, n)
+    spec = base_spec(beta_true=[0.3, -0.5, 1.0, 2.5], C=np.eye(4), replicates=400, seed=1)
+    report = run_bias_experiment(spec, n, PenaltySpec(family), 1.0)
     assert (report.replicates_used, report.replicates_unconverged) == (400, 0)
     assert report.stop_reasons == {"converged": 400}
     assert np.all(report.z_scores <= 3.0), report.z_scores
@@ -602,10 +634,8 @@ def test_bias_experiment_matches_the_limit_law_for_every_family(family, n):
 
 def test_consistency_rate_matches_root_n():
     # unpenalized: median error should shrink like 1/sqrt(n)
-    spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=0.0, replicates=200, seed=77,
-    )
-    table = run_consistency_experiment(spec, [250, 1000])
+    spec = base_spec(beta_true=[1.0, -2.0], C=np.eye(2), replicates=200, seed=77)
+    table = run_consistency_experiment(spec, [250, 1000], GAUSSIAN, 0.0, 0.5)
     ratio = table[1][1] / table[0][1]
     assert abs(ratio - 0.5) < 0.15
 
@@ -614,11 +644,9 @@ def test_consistency_violating_rule_has_error_floor():
     # lambda_n ~ 5n is not o(n): the limit criterion keeps a penalty term whose
     # global argmin sits near 0, so the estimation error stalls above a
     # positive floor instead of vanishing
-    spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=5.0, r=0.999,
-        penalty=PenaltySpec("gaussian", kappa=10.0), replicates=60, seed=5,
-    )
-    table = run_consistency_experiment(spec, [100, 400, 1600])
+    spec = base_spec(beta_true=[1.0, -2.0], C=np.eye(2), replicates=60, seed=5)
+    table = run_consistency_experiment(spec, [100, 400, 1600],
+                                       PenaltySpec("gaussian", kappa=10.0), 5.0, 0.999)
     assert all(err > 2.0 for _, err in table)  # near ||beta|| = sqrt(5)
 
 
@@ -626,11 +654,8 @@ def test_consistency_replicates_all_converge():
     # the acceptance suite's consistency case at n = 1600: every replicate's
     # winning descent meets the gradient tolerance rather than stalling on
     # round-off just above it
-    spec = base_spec(
-        beta_true=[1.0, -2.0], C=np.eye(2), lambda0=1.0, r=0.5,
-        penalty=PenaltySpec("gaussian", kappa=10.0), replicates=200, seed=11,
-    )
-    batch = consistency_fit(spec, [1600])
+    spec = base_spec(beta_true=[1.0, -2.0], C=np.eye(2), replicates=200, seed=11)
+    batch = consistency_fit(spec, [1600], PenaltySpec("gaussian", kappa=10.0), 1.0, 0.5)
     assert not batch.failed.any()
     assert batch.converged.all()
     assert np.all(batch.grad_norm_final <= 1e-8)
@@ -657,17 +682,17 @@ def test_too_many_failed_replicates_at_one_n_is_an_experiment_error(monkeypatch,
     message = f"^{count}/{reps} replicates diverged at n={n_grid[at]}$"
     fail_replicates(monkeypatch, reps, at, count)
     if count <= asymptotics.MAX_FAILED_FRACTION * reps:
-        assert len(run_consistency_experiment(spec, n_grid)) == 3
+        assert len(run_consistency_experiment(spec, n_grid, GAUSSIAN, 1.0, 0.5)) == 3
     else:
         with pytest.raises(ExperimentError, match=message):
-            run_consistency_experiment(spec, n_grid)
+            run_consistency_experiment(spec, n_grid, GAUSSIAN, 1.0, 0.5)
     fail_replicates(monkeypatch, reps, 0, count)  # the bias experiment's one n
     if count <= asymptotics.MAX_FAILED_FRACTION * reps:
-        report = run_bias_experiment(spec, n_grid[at])
+        report = run_bias_experiment(spec, n_grid[at], GAUSSIAN, 1.0)
         assert (report.replicates_used, report.replicates_failed) == (reps - count, count)
     else:
         with pytest.raises(ExperimentError, match=message):
-            run_bias_experiment(spec, n_grid[at])
+            run_bias_experiment(spec, n_grid[at], GAUSSIAN, 1.0)
 
 
 def test_too_many_failed_replicates_exit_2(tmp_path, monkeypatch):

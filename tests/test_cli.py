@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from conftest import CONFIGS, derive_config, run_cli
 from gausspen import cli, data, mlp, penalties, regression
 from gausspen.cli import lower_median, write_csv
-from gausspen.config import COMMANDS, loggrid, parse_config, parse_seed_list
+from gausspen.config import (COMMANDS, ExperimentConfig, Options, loggrid, parse_config,
+                             parse_seed_list)
 from gausspen.errors import ConfigurationError, DomainError
 from gausspen.penalties import PenaltySpec
 
@@ -1077,6 +1078,16 @@ def test_usage_error_exits_1(tmp_path, args, message):
     # exit 1 with argparse's message, found before anything is written
     code, err, out = run_cli(tmp_path, *args)
     assert code == 1 and err.startswith("usage: gausspen") and message in err
+    assert not out.exists()
+
+
+def test_run_rejects_an_unknown_command(tmp_path):
+    # argparse stops an unknown command before main calls run; run, a
+    # library entry point too, checks its config's command before writing
+    out = tmp_path / "out"
+    config = ExperimentConfig("no-such", [], [], [1], str(out), Options())
+    with pytest.raises(ConfigurationError, match="^unknown command 'no-such'$"):
+        cli.run(config)
     assert not out.exists()
 
 

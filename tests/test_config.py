@@ -409,7 +409,9 @@ def test_monte_carlo_peak_is_the_stated_multiple_of_the_checked_count():
             f"replicates = {replicates}\nn_grid = {', '.join(map(str, n_grid))}\n")
     options = _parse_text(text).options
     count = 2 * len(n_grid) * replicates * p * p
-    peak = traced_peak(run_consistency_experiment, cli._sim_spec(options, 1), n_grid)
+    peak = traced_peak(run_consistency_experiment, cli._sim_spec(options, 1), n_grid,
+                       PenaltySpec("gaussian", kappa=options["kappa"]), options["lambda0"],
+                       options["exponent"])
     assert peak <= 3.5 * count * 8
 
 
@@ -464,15 +466,16 @@ def field_default(cls, name):
     return {f.name: f.default for f in dataclasses.fields(cls)}[name]
 
 
-# options that set a dataclass field or the Gaussian's parameter, by command:
+# options that set a dataclass field or the Gaussian's parameter, and the
+# Monte Carlo weight rule's, which the schema states itself, by command:
 # option -> its default there
 FIELD_DEFAULTS = {
     "train-mlp": {key: field_default(TrainConfig, key)
                   for key in ("lr_min", "lr_max", "batch_size", "patience", "max_epochs")},
-    "consistency-mc": {"lambda0": field_default(SimSpec, "lambda0"),
+    "consistency-mc": {"lambda0": 1.0,
                        "kappa": PenaltySpec("gaussian").param,
                        "replicates": field_default(SimSpec, "replicates"),
-                       "exponent": field_default(SimSpec, "r")},
+                       "exponent": 0.5},
 }
 
 

@@ -252,6 +252,18 @@ def test_blobs_validation():
         make_blobs(0, 5, 2, 1.0, seed=0)
     with pytest.raises(ConfigurationError):
         make_blobs(2, 5, 2, -1.0, seed=0)
+    # a dataset built directly, and a label-noise fraction, are checked too
+    for features, labels, message in (
+            (np.zeros((3, 2)), [0, 1], "labels length must match feature rows"),
+            ([[0.0, np.nan], [1.0, 2.0]], [0, 1], "features must be finite"),
+            ([[0.0], [np.inf]], [0, 1], "features must be finite"),
+            (np.zeros((2, 1)), [0, -1], "labels must be nonnegative class indices")):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            LabeledDataset(features, labels)
+    dataset = make_blobs(2, 5, 2, 1.0, seed=0)
+    for fraction in (-0.1, 1.5, np.nan):
+        with pytest.raises(ConfigurationError, match=r"^label-noise fraction must be in \[0, 1\]$"):
+            flip_labels(dataset, fraction, seed=0)
 
 
 def test_flip_labels_fraction_and_determinism():

@@ -46,6 +46,8 @@ def test_problem_validation():
         LinearProblem(np.array([[np.inf, 1.0]]), np.ones(1))
     with pytest.raises(ConfigurationError):
         LinearProblem(np.ones((2, 1)), np.array([0.5, np.nan]))
+    with pytest.raises(ConfigurationError, match="^X must be a nonempty n x p matrix$"):
+        LinearProblem(np.ones((0, 2)), np.ones(0))
 
 
 # --- fit ---------------------------------------------------------------------
@@ -649,6 +651,10 @@ def test_orthonormal_objective_examples():
     value = orthonormal_objective(3.0, 3.0, 15.1, 10.0)
     assert value == pytest.approx(-9.0 + 15.1 * (1.0 - math.exp(-90.0)))
     assert value == pytest.approx(6.1)
+    for args in ((math.nan, 3.0, 1.0, 10.0), (3.0, math.inf, 1.0, 10.0),
+                 (3.0, 3.0, 1.0, math.nan)):
+        with pytest.raises(ConfigurationError, match="^orthonormal objective requires finite"):
+            orthonormal_objective(*args)
 
 
 def test_single_minimum_low_lambda():
