@@ -1,5 +1,6 @@
-"""Experiment configuration: a UTF-8 file of ``key = value`` lines, one section
-per sub-config, parsed by :mod:`configparser` with ``%`` as plain text.
+"""Experiment configuration: a UTF-8 file of ``key = value`` lines (``=`` the
+only delimiter, ``%`` plain text), one section per sub-config, parsed by
+:mod:`configparser`; a list is comma-separated, with no empty item.
 
 Shared sections:
 
@@ -9,7 +10,8 @@ Shared sections:
   family's own hyperparameter, if it has one (``penalties.PARAMETER``).
   Two sections giving the same penalty are a configuration error.
 * ``[lambda]`` -- either explicit ``values = ...``, none given twice, or a
-  logarithmically equidistant grid via ``log_min``, ``log_max``, ``count``.
+  logarithmically equidistant grid via ``log_min``, ``log_max``, ``count``;
+  keys of both forms are a configuration error, as in ``[ortho-scan]``.
 
 plus one section named after the command (``[ortho-scan]``, ``[bias-mc]``,
 ``[consistency-mc]``, ``[train-mlp]``, ``[penalty-table]``) holding its own
@@ -26,8 +28,9 @@ an allocation or a failure that would come later.  Every section is
 parsed against its schema into typed values with the defaults filled in;
 a malformed value is reported and left unset, so no rule over several
 options reads it, and reading an unset key raises :class:`ConfigurationError`.
-Any other section name, and any key that a section's schema does not list,
-is a configuration error.  Parse problems are collected and reported at once.
+Any other section name (``[DEFAULT]`` and a bare ``[penalty]`` included), and
+any key that a section's schema does not list, is a configuration error.
+Parse problems are collected and reported at once.
 """
 
 import configparser
@@ -45,12 +48,12 @@ from .mlp import TrainConfig
 from .penalties import PARAMETER, PenaltySpec
 
 
-def _floats(text):
-    return [float(v) for v in text.replace(";", ",").split(",") if v.strip()]
+def _list(convert):
+    """Comma-separated values, each read by ``convert``; no text is no value."""
+    return lambda text: [convert(v) for v in text.split(",")] if text else []
 
 
-def _ints(text):
-    return [int(v) for v in text.replace(";", ",").split(",") if v.strip()]
+_floats, _ints = _list(float), _list(int)
 
 
 def _checked(parse, ok, what):
@@ -122,7 +125,7 @@ def _rejection(text, parse, exc):
 
 _EXPERIMENT = {"command": (str, None), "seeds": (_seeds, (1, 2, 3)), "output": (str, None)}
 
-_LAMBDA = {"values": (_lambdas, ()), "log_min": _positive, "log_max": _positive,
+_LAMBDA = {"values": (_lambdas, None), "log_min": _positive, "log_max": _positive,
            "count": _checked(int, lambda v: 2 <= v <= MAX_GRID, f"an integer from 2 to {MAX_GRID}")}
 
 _SIMULATION = {
@@ -140,12 +143,19 @@ def _span_problems(options):
         "are further apart than the largest double"]
 
 
+def _grid_problems(options, listed, ranged):
+    """The grid given twice: by the list ``listed`` and some range options ``ranged``."""
+    given = ", ".join(f"`{key}`" for key in ranged if key in options)
+    return [f"gives the grid twice: option `{listed}` and {given}"] if (
+        given and options.get(listed) is not None) else []
+
+
 def _range_problems(options):
-    """A reversed lambda range, or a step whose grid ``np.arange(lo, hi +
-    step/2, step)`` would hold more than ``MAX_GRID`` lambdas, found before
-    it is allocated; none when ``lambda_values`` replace the range."""
+    """The lambda grid given twice, a reversed lambda range, or a step whose
+    grid ``np.arange(lo, hi + step/2, step)`` would hold more than
+    ``MAX_GRID`` lambdas, found before it is allocated."""
     if options["lambda_values"] is not None:
-        return []
+        return _grid_problems(options, "lambda_values", ("lambda_min", "lambda_max", "lambda_step"))
     lo, hi, step = options["lambda_min"], options["lambda_max"], options["lambda_step"]
     if lo > hi:
         return [f"option `lambda_min` = {lo!r} is above `lambda_max` = {hi!r}"]
@@ -251,9 +261,9 @@ def loggrid(lo, hi, count):
     """Logarithmically equidistant grid from lo to hi inclusive."""
     if not (0 < lo < hi < math.inf):
         raise ConfigurationError("loggrid needs 0 < min < max < inf")
-    if count < 2:
-        raise ConfigurationError("loggrid needs count >= 2")
-    return [float(v) for v in np.geomspace(lo, hi, int(count))]
+    if not (isinstance(count, (int, np.integer)) and count >= 2):
+        raise ConfigurationError("loggrid needs an integer count >= 2")
+    return [float(v) for v in np.geomspace(lo, hi, count)]
 
 
 @dataclass
@@ -294,7 +304,7 @@ def _parse_section(parser, section, schema, problems):
 
 
 def _is_penalty(section):
-    return section == "penalty" or section.startswith("penalty:")
+    return section.startswith("penalty:")
 
 
 def _parse_penalties(parser, problems):
@@ -331,10 +341,12 @@ def _parse_lambda_grid(parser, problems):
     """The ``[lambda]`` grid, or None once a problem with it is reported."""
     reported = len(problems)
     grid = _parse_section(parser, "lambda", _LAMBDA, problems)
+    problems.extend(f"[lambda] {problem}" for problem in _grid_problems(
+        grid, "values", ("log_min", "log_max", "count")))
     if len(problems) > reported:
         return None
-    if not parser.has_section("lambda") or parser.has_option("lambda", "values"):
-        return list(grid["values"])
+    if grid["values"] is not None or not parser.has_section("lambda"):
+        return list(grid["values"] or ())
     try:
         lo, hi, count = grid["log_min"], grid["log_max"], grid["count"]
     except ConfigurationError as exc:
@@ -353,7 +365,8 @@ def parse_config(path, command=None, seed_list=None, out=None):
     (they come from the command line); every detected problem is reported in
     one :class:`ConfigurationError`.
     """
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    parser = configparser.ConfigParser(delimiters=("=",), inline_comment_prefixes=("#",),
+                                       interpolation=None, default_section="")  # no header is ""
     problems = []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -368,19 +381,15 @@ def parse_config(path, command=None, seed_list=None, out=None):
     if command is None:
         command = file_command
     elif file_command is not None and file_command != command:
-        problems.append(
-            f"config file says command = {file_command}, command line says {command}"
-        )
+        problems.append(f"config file says command = {file_command}, command line says {command}")
     entry = COMMANDS.get(command)
     if entry is None:
         problems.append(f"unknown command {command!r}; expected one of {tuple(COMMANDS)}")
     for section in parser.sections():
         kind = "penalty" if _is_penalty(section) else section
-        if kind not in ("experiment", "lambda", "penalty", *COMMANDS):
-            problems.append(
-                f"unknown section [{section}]; expected experiment, lambda, "
-                "penalty:<name> or a command name"
-            )
+        if section not in ("experiment", "lambda", *COMMANDS) and not _is_penalty(section):
+            problems.append(f"unknown section [{section}]; expected experiment, lambda, "
+                            "penalty:<name> or a command name")
         elif entry is not None and kind not in ("experiment", command, *entry.reads):
             problems.append(f"[{section}] is not read by {command}")
 

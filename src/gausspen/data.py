@@ -1,4 +1,5 @@
-"""Dataset ingestion and synthesis: IDX binary tensors, Gaussian-blob
+"""Dataset ingestion and synthesis: IDX binary tensors, each fault of whose
+stream is one :class:`IdxParseError` at its byte offset, Gaussian-blob
 classification data, stratified split management, and :func:`write_file`,
 the one atomic writer that every file the package writes goes through.
 
@@ -29,18 +30,6 @@ class IdxParseError(FormatError):
     """Malformed IDX stream; ``offset`` is the byte position of the problem."""
 
 
-class IdxMagicError(IdxParseError):
-    pass
-
-
-class IdxTypeCodeError(IdxParseError):
-    pass
-
-
-class IdxTruncationError(IdxParseError):
-    pass
-
-
 @dataclass
 class LabeledDataset:
     """Feature matrix plus integer class labels for one split."""
@@ -56,7 +45,8 @@ class LabeledDataset:
             raise ConfigurationError("features must be a nonempty n x d matrix")
         if self.labels.shape[0] != self.features.shape[0]:
             raise ConfigurationError("labels length must match feature rows")
-        if not np.all(np.isfinite(self.features)):
+        # the extremes are not finite when some entry is not: no n x d temporary
+        if self.features.size and not np.isfinite([self.features.min(), self.features.max()]).all():
             raise ConfigurationError("features must be finite")
         if self.labels.min() < 0:
             raise ConfigurationError("labels must be nonnegative class indices")
@@ -74,26 +64,23 @@ def parse_idx(data):
     """Decode an IDX byte stream into a uint8 array with its stored shape."""
     data = bytes(data)
     if len(data) < 4:
-        raise IdxTruncationError("stream shorter than the 4-byte header", len(data))
+        raise IdxParseError("stream shorter than the 4-byte header", len(data))
     if data[0] != 0 or data[1] != 0:
-        raise IdxMagicError(f"expected two zero magic bytes, got {data[0]:#04x} {data[1]:#04x}", 0)
+        raise IdxParseError(f"expected two zero magic bytes, got {data[0]:#04x} {data[1]:#04x}", 0)
     if data[2] != IDX_UBYTE:
-        raise IdxTypeCodeError(f"unsupported type code {data[2]:#04x}; only 0x08 (ubyte)", 2)
+        raise IdxParseError(f"unsupported type code {data[2]:#04x}; only 0x08 (ubyte)", 2)
     ndim = data[3]
     header_end = 4 + 4 * ndim
     if len(data) < header_end:
-        raise IdxTruncationError("dimension table cut short", len(data))
+        raise IdxParseError("dimension table cut short", len(data))
     sizes = struct.unpack(f">{ndim}I", data[4:header_end]) if ndim else ()
     expected = int(np.prod(sizes, dtype=np.int64)) if ndim else 1
     available = len(data) - header_end
     if available < expected:
-        raise IdxTruncationError(
-            f"payload has {available} bytes, expected {expected}", len(data)
-        )
+        raise IdxParseError(f"payload has {available} bytes, expected {expected}", len(data))
     if available > expected:
-        raise IdxTruncationError(
-            f"{available - expected} trailing bytes after the payload", header_end + expected
-        )
+        raise IdxParseError(f"{available - expected} trailing bytes after the payload",
+                            header_end + expected)
     flat = np.frombuffer(data, dtype=np.uint8, count=expected, offset=header_end)
     return flat.reshape(sizes)
 
@@ -204,9 +191,9 @@ def split(dataset, fractions, seed):
     the exact proportion; each split then joins its pieces and shuffles once.
     """
     fractions = [float(f) for f in fractions]
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
+    if len(fractions) != 3 or not all(f > 0 for f in fractions):  # NaN fails both
         raise ConfigurationError("expected three positive split fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
         raise ConfigurationError("split fractions must sum to 1")
     rng = np.random.default_rng(seed)
     pieces = []

@@ -151,6 +151,8 @@ def fit_batch(gram, xty, yty, n, spec, lam, starts):
     """
     if not np.all(np.isfinite(lam) & (np.asarray(lam) >= 0)):
         raise ConfigurationError("lam must be finite and nonnegative")
+    if not np.all(np.isfinite(n) & (np.asarray(n) > 0)):
+        raise ConfigurationError("n must be finite and positive")
     starts = np.asarray(starts, dtype=float)
     m, k, p = starts.shape
     problem = np.repeat(np.arange(m), k)

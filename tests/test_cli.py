@@ -46,6 +46,10 @@ def test_loggrid_validation():
         loggrid(2.0, 1.0, 3)
     with pytest.raises(ConfigurationError):
         loggrid(0.1, 1.0, 1)
+    # an integer count, not a float truncated to one
+    for count in (3.9, 3.0, "3"):
+        with pytest.raises(ConfigurationError, match="^loggrid needs an integer count >= 2$"):
+            loggrid(0.01, 1.0, count)
 
 
 def test_lower_median():
@@ -187,6 +191,8 @@ lambda_min = 0.1
 lambda_max = 15.1
 lambda_step = 1.0
 """
+# the [ortho-scan] edits that drop the shipped range, for a grid given by lambda_values
+NO_RANGE = {"lambda_min": None, "lambda_max": None, "lambda_step": None}
 
 
 def test_ortho_scan_end_to_end(tmp_path):
@@ -210,7 +216,8 @@ def test_lambda_star_depends_only_on_its_grid_step(tmp_path):
     # alone must give the full run's lambda_star row, byte for byte
     step = "8.0999999999999996, 9.0999999999999996"
     cfg = write_config(tmp_path / "step.cfg",
-                       derive_config("ortho_scan", {"ortho-scan": {"lambda_values": step}}))
+                       derive_config("ortho_scan",
+                                     {"ortho-scan": {**NO_RANGE, "lambda_values": step}}))
     rows = {}
     for name, path in (("full", CONFIGS / "ortho_scan.cfg"), ("step", cfg)):
         code, err, out = run_cli(tmp_path, "ortho-scan", "--config", path, out=name)
@@ -323,7 +330,8 @@ def test_lambda_star_of_a_very_wide_grid_step(tmp_path):
     # Brent may bisect a step of 1e100 down to 1e-10, about 365 halvings,
     # more than its default 100 steps
     cfg = write_config(tmp_path / "wide.cfg",
-                       derive_config("ortho_scan", {"ortho-scan": {"lambda_values": "1, 1e100"}}))
+                       derive_config("ortho_scan",
+                                     {"ortho-scan": {**NO_RANGE, "lambda_values": "1, 1e100"}}))
     stars = []
     for name, path in (("full", CONFIGS / "ortho_scan.cfg"), ("wide", cfg)):
         code, err, out = run_cli(tmp_path, "ortho-scan", "--config", path, out=name)
@@ -381,7 +389,7 @@ def test_tables_match_per_cell_reference(tmp_path, monkeypatch):
     expected = _reference_csv(("penalty", "beta", "value"), rows)
     assert (out / "penalty_table.csv").read_text() == expected
 
-    text = ORTHO_CFG.replace("lambda_min = 0.1",
+    text = ORTHO_CFG.replace("lambda_min = 0.1\nlambda_max = 15.1\nlambda_step = 1.0",
                              "lambda_values = " + ", ".join(map(repr, SCAN_GRID)))
     cfg = write_config(tmp_path / "o.cfg", text)
     code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg)
@@ -937,9 +945,10 @@ def test_negative_zero_lambda_is_written_as_zero(tmp_path):
     ("lambda_values", "-0, 1", "0, 1"), ("lambda_min", "-0", "0")])
 def test_ortho_scan_negative_zero_lambda_is_zero(tmp_path, key, negative, positive):
     tables = []
+    rest = NO_RANGE if key == "lambda_values" else {}
     for value in (negative, positive):
         cfg = write_config(tmp_path / "o.cfg",
-                           derive_config("ortho_scan", {"ortho-scan": {key: value}}))
+                           derive_config("ortho_scan", {"ortho-scan": {**rest, key: value}}))
         code, err, out = run_cli(tmp_path, "ortho-scan", "--config", cfg, out=value)
         assert code == 0, err
         tables.append((out / "ortho_scan.csv").read_bytes())

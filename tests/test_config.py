@@ -111,7 +111,10 @@ def _broken_rule(command, options):
     if command == "penalty-table" and not math.isfinite(options["beta_max"] - options["beta_min"]):
         return "beta_min"
     lo, hi, step = map(options.get, ("lambda_min", "lambda_max", "lambda_step"))
-    if command == "ortho-scan" and options["lambda_values"] is None and None not in (lo, hi, step):
+    if command == "ortho-scan" and options["lambda_values"] is not None:
+        # the list and any key of the range give the grid twice
+        return None if lo is hi is step is None else "lambda_values"
+    if command == "ortho-scan" and None not in (lo, hi, step):
         if lo > hi:
             return "lambda_min"
         if (hi + step / 2 - lo) / step > config.MAX_GRID:  # np.arange's length, unrounded
@@ -354,6 +357,83 @@ def test_malformed_penalty_section_is_the_only_problem(others):
 
 
 CONSISTENCY = BIAS.replace("bias-mc", "consistency-mc").replace("n = 50", "n_grid = 50, 100")
+ORTHO = ("[experiment]\ncommand = ortho-scan\n\n[ortho-scan]\nbeta_ols = 3\nkappa = 10\n"
+         "lambda_min = 0.1\nlambda_max = 15.1\nlambda_step = 1.0\n")
+
+
+@pytest.mark.parametrize("command, text, named", [
+    # a list is comma-separated: no second separator, no empty item
+    ("bias-mc", BIAS.replace("seeds = 1", "seeds = 1; 2"), "`seeds` = '1; 2' is not"),
+    ("consistency-mc", CONSISTENCY.replace("50, 100", "100; 400"), "`n_grid` = '100; 400' is not"),
+    ("bias-mc", BIAS.replace("beta = 1", "beta = 1, , -2"), "`beta` = '1, , -2' is not"),
+    ("bias-mc", BIAS.replace("seeds = 1", "seeds = 1,,2,"), "`seeds` = '1,,2,' is not"),
+    # `=` is the one delimiter
+    ("bias-mc", BIAS.replace("n = 50", "n: 50"), "'n: 50\\n'"),
+    # no [DEFAULT] section copied into the others, with the command on the
+    # command line alone or in [experiment]
+    ("bias-mc", "[DEFAULT]\nsigma = 5\n\n" + BIAS.split("\n\n", 1)[1], "unknown section [DEFAULT]"),
+    ("bias-mc", "[DEFAULT]\nsigma = 5\n\n" + BIAS, "unknown section [DEFAULT]"),
+    ("train-mlp", TRAIN.replace("[penalty:base]", "[penalty]"), "unknown section [penalty]"),
+    # a grid given by a list and by a range
+    ("train-mlp", TRAIN.replace("values = 0.01", "values = 0.01\nlog_min = 0.1"),
+     "[lambda] gives the grid twice: option `values` and `log_min`"),
+    ("ortho-scan", ORTHO + "lambda_values = 1\n",
+     "[ortho-scan] gives the grid twice: option `lambda_values` and `lambda_min`, `lambda_max`, "
+     "`lambda_step`"),
+    # a reversed range beside the list is reported with it
+    ("ortho-scan", ORTHO.replace("lambda_max = 15.1", "lambda_max = 0") + "lambda_values = 1\n",
+     "option `lambda_values` and `lambda_min`"),
+], ids=["semicolon-seeds", "semicolon-n_grid", "empty-beta-item", "empty-seed-items", "colon",
+        "default-alone", "default-beside-experiment", "bare-penalty", "lambda-twice",
+        "ortho-scan-twice", "ortho-scan-twice-reversed"])
+def test_text_read_only_as_documented(tmp_path, command, text, named):
+    # each was once read silently: `;` as a comma, an empty item dropped,
+    # `:` as `=`, [DEFAULT] keys copied into every section, a bare [penalty]
+    # as a penalty, and the list winning over the range
+    path = tmp_path / "c.cfg"
+    path.write_text(text)
+    code, err, out = run_cli(tmp_path, command, "--config", path)
+    assert code == 1 and "config error" in err and named in err, err
+    assert not out.exists()
+
+
+# each grid section: its list key and text, and its range's keys and texts
+GRID_FORMS = {
+    "lambda": ({"values": "0.1, 1"}, {"log_min": "0.01", "log_max": "1", "count": "3"}),
+    "ortho-scan": ({"lambda_values": "0, 1"},
+                   {"lambda_min": "0", "lambda_max": "2", "lambda_step": "1"}),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(GRID_FORMS)), st.data())
+def test_grid_section_gives_one_form(section, data):
+    # any keys of the two forms: a config gives one form, or it is rejected
+    # naming the list's key and each range key it gives
+    listed, ranged = GRID_FORMS[section]
+    texts = {**listed, **ranged}
+    keys = data.draw(st.lists(st.sampled_from(sorted(texts)), unique=True))
+    body = "".join(f"{key} = {texts[key]}\n" for key in keys)
+    text = (TRAIN.replace("[lambda]\nvalues = 0.01\n", f"[lambda]\n{body}")
+            if section == "lambda" else ORTHO.split("lambda_min")[0] + body)
+    given_range = [key for key in keys if key in ranged]
+    if given_range and set(listed) & set(keys):
+        with pytest.raises(ConfigurationError, match="gives the grid twice") as err:
+            _parse_text(text)
+        assert all(f"`{key}`" in str(err.value) for key in [*listed, *given_range])
+        return
+    try:
+        parsed = _parse_text(text)
+    except ConfigurationError as err:  # a range without all its keys
+        assert set(given_range) < set(ranged) and "missing required option" in str(err)
+        return
+    grid = parsed.lambda_grid if section == "lambda" else parsed.options["lambda_values"]
+    if set(listed) & set(keys):
+        assert grid == config._floats(*listed.values())
+    elif section == "lambda":
+        assert grid == config.loggrid(0.01, 1.0, 3)
+    else:
+        assert grid is None
 
 
 @pytest.mark.parametrize("command, key, bad", [

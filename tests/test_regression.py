@@ -48,6 +48,12 @@ def test_problem_validation():
         LinearProblem(np.ones((2, 1)), np.array([0.5, np.nan]))
     with pytest.raises(ConfigurationError, match="^X must be a nonempty n x p matrix$"):
         LinearProblem(np.ones((0, 2)), np.ones(0))
+    # fit_batch's sample sizes: n = -5 ran to the pass budget to an unfailed
+    # beta near -1.6e155, inf "converged" at 0, and 0 or NaN was an unusable start
+    stats = sufficient_statistics(random_problems(np.random.default_rng(0), 2, 20, 3))
+    for n in (-5, 0, math.inf, math.nan, [20, -1]):
+        with pytest.raises(ConfigurationError, match="^n must be finite and positive$"):
+            fit_batch(*stats, n, PenaltySpec("gaussian"), 0.1, np.zeros((2, 1, 3)))
 
 
 # --- fit ---------------------------------------------------------------------
